@@ -59,6 +59,7 @@ from .engine import (
     speed_and_geodesic,
 )
 from .optics import (
+    ChargeBlock,
     CouplingProfile,
     LambdaAtom,
     OpticsEngineConfig,
@@ -68,7 +69,9 @@ from .optics import (
     build_effective_hamiltonian,
     build_full_hamiltonian,
     coupling_profile_from_tables,
+    effective_charge_block,
     effective_compact_config,
+    full_charge_block,
     inverse_intensity_profile,
     run_optics_cycle,
     stimulated_emission_bookkeeping,

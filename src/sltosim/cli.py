@@ -59,6 +59,7 @@ from .linalg import (
     tensor_product,
 )
 from .optics import (
+    SAMPLES_PER_PERIOD,
     OpticsEngineConfig,
     adiabatic_elimination_error,
     run_optics_cycle,
@@ -394,6 +395,8 @@ def run_delta_sweep(params: dict, out_dir: Path) -> tuple[dict, dict, list | Non
     dev_slope, leak_slope = sweep_slopes(points)
     devs = [p.population_deviation for p in points]
     monotone = all(devs[i] > devs[i + 1] for i in range(len(devs) - 1))
+    # the sample cap can leave the fastest oscillation under-resolved
+    density = min(p.samples_per_period for p in points)
     results = {
         "points": [dataclasses.asdict(p) for p in points],
         "deviation_slope": dev_slope,
@@ -409,6 +412,8 @@ def run_delta_sweep(params: dict, out_dir: Path) -> tuple[dict, dict, list | Non
                                  "passed": -1.4 <= dev_slope <= -0.6},
         "leak_slope_band": {"value": leak_slope, "threshold": [-2.5, -1.5],
                             "passed": -2.5 <= leak_slope <= -1.5},
+        "sampling_density": {"value": density, "threshold": SAMPLES_PER_PERIOD,
+                             "passed": density >= SAMPLES_PER_PERIOD},
     }
     series = [[p.delta, p.ratio, p.population_deviation, p.leak_max] for p in points]
     return results, checks, series

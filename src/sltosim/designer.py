@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import SpectralPropagator, basis_state
 
 DEFAULT_V_DEGREE = 8
 DEFAULT_B_DEGREE = 7
@@ -300,14 +299,15 @@ def validate_design(
 
     Both the fitted tables and the target tables are installed as
     coupling profiles of a probe engine (cutoffs clipped to the fit
-    range), the three-level model is evolved from the probe sector for
-    one cycle under each, and the final-state infidelity is reported as
-    the degradation caused by the residual fitting error.
+    range), the three-level model is evolved for one cycle under each
+    inside the charge block of the probe state |n0, m0, 1>, and the
+    final-state infidelity is reported as the degradation caused by the
+    residual fitting error.
     """
     from .optics import (
         OpticsEngineConfig,
-        build_full_hamiltonian,
         coupling_profile_from_tables,
+        full_charge_block,
     )
     from .thermal import TruncatedMode
 
@@ -340,13 +340,11 @@ def validate_design(
     n0, m0 = probe_block
     if not (1 <= n0 <= n_fit and 0 <= m0 < n_fit):
         raise ValueError(f"probe block {probe_block} outside the fitted range")
-    d2 = probe.mode2.dim
-    psi0 = basis_state(probe.full_dim, (n0 * d2 + m0) * 3 + 0)
-    tau = probe.tau
-    finals = []
-    for profile in (profile_ref, profile_fit):
-        prop = SpectralPropagator(build_full_hamiltonian(probe, profile))
-        finals.append(prop.states(psi0, [tau])[0])
+    # both blocks have the same members, so their amplitudes line up
+    finals = [
+        full_charge_block(probe, profile, n0, m0).probe_states([probe.tau])[0]
+        for profile in (profile_ref, profile_fit)
+    ]
     overlap = abs(np.vdot(finals[0], finals[1])) ** 2
     return DesignValidation(
         probe_block=probe_block,

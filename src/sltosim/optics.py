@@ -14,6 +14,16 @@ the detuning sweep.  The effective two-level model couples the sectors
 and is exactly the two-ladder exchange engine on a relabelled system,
 so its cycle is delegated to that machinery.
 
+Both Hamiltonians conserve the excitation charge, so a probe state
+|n, m, 1> never leaves its charge block: {|n, m, 1>, |n-1, m, 3>,
+|n-1, m+1, 2>} in the full model and {|n, m, 1>, |n-1, m+1, 2>} in the
+effective one, with members outside the cutoffs dropped.  The detuning
+sweep and the design check build these <= 3-state blocks straight from
+the profile tables and evolve only them.  The dense builders
+``build_full_hamiltonian`` and ``build_effective_hamiltonian`` assemble
+the whole product space; they are the reference the tests compare the
+blocks against.
+
 Intensity profiles are tables theta_k(j), f_k(j) over Fock index j.
 The coupling operator convention is fixed once: the matrix element of
 theta_k(N_k) a_k between |n> and |n-1> is theta_k(n-1) * sqrt(n), and
@@ -39,11 +49,15 @@ from .engine import (
     CycleReport,
     build_interaction_hamiltonian,
     evolve_cycle,
+    pair_generator,
 )
 from .linalg import Operator, ShapeError, SpectralPropagator, basis_state
 from .thermal import TruncatedMode, truncation_for_tail
 
 RESONANCE_ATOL = 1e-12
+
+#: time samples per period of the fastest frequency the detuning sweep asks for
+SAMPLES_PER_PERIOD = 8.0
 
 
 @dataclass(frozen=True)
@@ -309,6 +323,79 @@ def build_effective_hamiltonian(cfg: OpticsEngineConfig) -> Operator:
     return build_interaction_hamiltonian(effective_compact_config(cfg))
 
 
+@dataclass(frozen=True)
+class ChargeBlock:
+    """One model's Hamiltonian on the conserved-charge block of a probe state.
+
+    Row k is the basis state ``members[k] = (n, m, level)`` with atom
+    level 0, 1, 2 for |1>, |2>, |3>; the probe is row 0.
+    """
+
+    h: Operator
+    members: tuple[tuple[int, int, int], ...]
+
+    def probe_states(self, times: Sequence[float]) -> np.ndarray:
+        """Amplitudes of exp(-i t h)|probe> on the members; one row per time."""
+        psi0 = basis_state(len(self.members), 0)
+        return SpectralPropagator(self.h).states(psi0, times)
+
+    def level_populations(self, times: Sequence[float], n_levels: int) -> np.ndarray:
+        """Probe populations summed per atom level; one row per time."""
+        probs = np.abs(self.probe_states(times)) ** 2
+        out = np.zeros((probs.shape[0], n_levels))
+        for k, (_, _, level) in enumerate(self.members):
+            out[:, level] += probs[:, k]
+        return out
+
+
+def _check_sector(cfg: OpticsEngineConfig, n: int, m: int) -> None:
+    if not (0 <= n <= cfg.mode1.n_max and 0 <= m <= cfg.mode2.n_max):
+        raise ValueError(f"sector {(n, m)} outside the cutoffs")
+
+
+def full_charge_block(
+    cfg: OpticsEngineConfig, profile: CouplingProfile, n: int, m: int
+) -> ChargeBlock:
+    """The block of ``build_full_hamiltonian`` that holds |n, m, 1>.
+
+    Members |n, m, 1>, |n-1, m, 3> and |n-1, m+1, 2>; the last two exist
+    for n >= 1, the last only below the cold cutoff.  Entries are
+    computed as the dense builder computes them, so they agree exactly.
+    """
+    if profile.theta1.size != cfg.mode1.dim or profile.theta2.size != cfg.mode2.dim:
+        raise ShapeError("profile tables do not match the configured cutoffs")
+    _check_sector(cfg, n, m)
+    f1, f2 = profile.f1, profile.f2
+    members = [(n, m, 0)]
+    diag = [f1[n] + f2[m]]
+    if n >= 1:
+        members.append((n - 1, m, 2))
+        diag.append(cfg.delta + f1[n - 1] + f2[m])
+        if m < cfg.mode2.n_max:
+            members.append((n - 1, m + 1, 1))
+            diag.append(f1[n - 1] + f2[m + 1])
+    h = np.diag(diag).astype(np.complex128)
+    if len(members) > 1:
+        h[0, 1] = h[1, 0] = cfg.g1 * (profile.theta1[n - 1] * math.sqrt(n))
+    if len(members) > 2:
+        h[1, 2] = h[2, 1] = cfg.g2 * (profile.theta2[m] * math.sqrt(m + 1))
+    return ChargeBlock(Operator(h, hermitian_hint=True), tuple(members))
+
+
+def effective_charge_block(cfg: OpticsEngineConfig, n: int, m: int) -> ChargeBlock:
+    """The block of ``build_effective_hamiltonian`` that holds |n, m, 1>.
+
+    The pair |n, m, 1> <-> |n-1, m+1, 2> under g*sigma_x, or the idle
+    1x1 zero block when the sector has no partner (n = 0 or m at the
+    cold cutoff).
+    """
+    _check_sector(cfg, n, m)
+    if n >= 1 and m < cfg.mode2.n_max:
+        return ChargeBlock(pair_generator(cfg.g), ((n, m, 0), (n - 1, m + 1, 1)))
+    idle = Operator(np.zeros((1, 1), dtype=np.complex128), hermitian_hint=True)
+    return ChargeBlock(idle, ((n, m, 0),))
+
+
 def run_optics_cycle(
     cfg: OpticsEngineConfig, times: Sequence[float] | None = None
 ) -> CycleReport:
@@ -344,30 +431,19 @@ def stimulated_emission_bookkeeping(report: CycleReport) -> WorkRecord:
 
 @dataclass(frozen=True)
 class SweepPoint:
-    """Full-vs-effective comparison at one detuning value."""
+    """Full-vs-effective comparison at one detuning value.
+
+    ``samples`` time points cover the window, ``samples_per_period`` of
+    them per period of the fastest frequency; the sample cap can push the
+    latter below the requested density.
+    """
 
     delta: float
     ratio: float  # Delta / max(g1, g2)
     population_deviation: float
     leak_max: float
-
-
-def _atom_populations(amps: np.ndarray, d1: int, d2: int, d_atom: int) -> np.ndarray:
-    probs = np.abs(amps.reshape(amps.shape[0], d1, d2, d_atom)) ** 2
-    return probs.sum(axis=(1, 2))
-
-
-def _population_traces(
-    h: Operator, psi0, times: np.ndarray, d1: int, d2: int, d_atom: int,
-    chunk: int = 16384,
-) -> np.ndarray:
-    prop = SpectralPropagator(h)
-    out = np.empty((times.size, d_atom))
-    for lo in range(0, times.size, chunk):
-        hi = min(lo + chunk, times.size)
-        amps = prop.states(psi0, times[lo:hi])
-        out[lo:hi] = _atom_populations(amps, d1, d2, d_atom)
-    return out
+    samples: int
+    samples_per_period: float
 
 
 def adiabatic_elimination_error(
@@ -375,7 +451,7 @@ def adiabatic_elimination_error(
     profile: CouplingProfile,
     delta_sweep: Sequence[float],
     initial_block: tuple[int, int] = (3, 1),
-    samples_per_period: float = 8.0,
+    samples_per_period: float = SAMPLES_PER_PERIOD,
     max_samples: int = 200_000,
 ) -> list[SweepPoint]:
     """Compare full and effective evolutions over one cycle per detuning.
@@ -383,8 +459,9 @@ def adiabatic_elimination_error(
     The couplings g1, g2 and the theta tables are held fixed while the
     upper level is moved; the f tables are rescaled to the per-detuning
     rule.  The initial state |n0, m0, 1> is evolved under both models
-    over [0, pi/(2g)] and the worst population mismatch on the |1>, |2>
-    levels plus the worst transient |3> occupation are recorded.
+    over [0, pi/(2g)], each inside its charge block, and the worst
+    population mismatch on the |1>, |2> levels plus the worst transient
+    |3> occupation are recorded.
 
     The probe sector matters.  The f-table rule cancels the second-order
     level shifts of the eliminated upper state only up to a one-step
@@ -396,16 +473,21 @@ def adiabatic_elimination_error(
     roughly first order before flooring at the residual's square.
     """
     n0, m0 = initial_block
-    if not (0 <= n0 <= cfg.mode1.n_max and 0 <= m0 <= cfg.mode2.n_max):
-        raise ValueError(f"initial block {initial_block} outside the cutoffs")
-    points = []
+    _check_sector(cfg, n0, m0)
     g_top = max(cfg.g1, cfg.g2)
-    for delta in delta_sweep:
+    deltas = list(delta_sweep)
+    ratios = []
+    for delta in deltas:
+        if not (math.isfinite(delta) and delta > 0):
+            raise ValueError(f"detuning {delta} must be finite and positive")
         ratio = delta / g_top if g_top > 0 else math.inf
         if ratio < 5.0:
             raise ValueError(
                 f"detuning {delta} gives ratio {ratio:.2f} < 5; elimination invalid"
             )
+        ratios.append(ratio)
+    points = []
+    for delta, ratio in zip(deltas, ratios):
         cfg_d = OpticsEngineConfig(
             mode1=cfg.mode1,
             mode2=cfg.mode2,
@@ -417,30 +499,22 @@ def adiabatic_elimination_error(
         profile_d = coupling_profile_from_tables(cfg_d, profile.theta1, profile.theta2)
         # with no coupling both models are static; any window shows deviation 0
         window = cfg_d.tau if math.isfinite(cfg_d.tau) else 1.0
-        fast_rate = delta + 4.0 * g_top
+        periods = window * (delta + 4.0 * g_top) / (2.0 * math.pi)
         n_samples = int(min(
-            max_samples,
-            max(2001, math.ceil(samples_per_period * window * fast_rate / (2.0 * math.pi))),
+            max_samples, max(2001, math.ceil(samples_per_period * periods))
         ))
         times = np.linspace(0.0, window, n_samples)
 
-        d1, d2 = cfg.mode1.dim, cfg.mode2.dim
-        full_index = (n0 * d2 + m0) * 3 + 0
-        pops_full = _population_traces(
-            build_full_hamiltonian(cfg_d, profile_d),
-            basis_state(d1 * d2 * 3, full_index),
-            times, d1, d2, 3,
-        )
-        eff_index = (n0 * d2 + m0) * 2 + 0
-        pops_eff = _population_traces(
-            build_effective_hamiltonian(cfg_d),
-            basis_state(d1 * d2 * 2, eff_index),
-            times, d1, d2, 2,
-        )
-        deviation = float(np.max(np.abs(pops_full[:, :2] - pops_eff)))
-        leak = float(np.max(pops_full[:, 2]))
-        points.append(SweepPoint(delta=delta, ratio=ratio,
-                                 population_deviation=deviation, leak_max=leak))
+        pops_full = full_charge_block(cfg_d, profile_d, n0, m0).level_populations(times, 3)
+        pops_eff = effective_charge_block(cfg_d, n0, m0).level_populations(times, 2)
+        points.append(SweepPoint(
+            delta=delta,
+            ratio=ratio,
+            population_deviation=float(np.max(np.abs(pops_full[:, :2] - pops_eff))),
+            leak_max=float(np.max(pops_full[:, 2])),
+            samples=n_samples,
+            samples_per_period=n_samples / periods,
+        ))
     return points
 
 

@@ -116,9 +116,26 @@ class TestDeltaSweepCommand:
         assert report["checks"]["deviation_monotone"]["passed"]
         assert report["checks"]["deviation_slope_band"]["passed"]
         assert report["checks"]["leak_slope_band"]["passed"]
+        assert report["checks"]["sampling_density"]["passed"]
         lines = (tmp_path / "series.csv").read_text().splitlines()
         assert lines[0] == "delta,ratio,population_deviation,leak_max"
         assert len(lines) == 5
+
+    def test_capped_sampling_fails_density_check(self, tmp_path):
+        code = main(["delta-sweep", "--ratios", "20,640", "--out", str(tmp_path),
+                     "--no-color"])
+        assert code == 1
+        report = load_report(tmp_path)
+        density = report["checks"]["sampling_density"]
+        assert not density["passed"]
+        assert density["value"] < density["threshold"] == 8.0
+        assert [p["samples"] for p in report["results"]["points"]][1] == 200_000
+
+    def test_non_finite_ratio_is_usage_error(self, tmp_path):
+        code = main(["delta-sweep", "--ratios", "20,40,inf", "--out", str(tmp_path),
+                     "--no-color"])
+        assert code == 2
+        assert not (tmp_path / "report.json").exists()
 
 
 class TestDesignCommand:

@@ -15,7 +15,13 @@ from sltosim.designer import (
     position_operator,
     validate_design,
 )
-from sltosim.optics import OpticsEngineConfig
+from sltosim.linalg import SpectralPropagator, basis_state
+from sltosim.optics import (
+    OpticsEngineConfig,
+    build_full_hamiltonian,
+    coupling_profile_from_tables,
+)
+from sltosim.thermal import TruncatedMode
 
 
 def quartic_generator() -> PotentialAnsatz:
@@ -224,3 +230,36 @@ class TestValidateDesign:
                                           n_max1=4, n_max2=4, min_detuning_ratio=5.0)
         with pytest.raises(ValueError):
             validate_design(gen, targets, cfg, probe_block=(7, 0))
+
+    @pytest.mark.parametrize("probe_block", [(3, 1), (1, 0), (6, 5)])
+    def test_degradation_matches_dense_oracle(self, probe_block):
+        # evolve |n0, m0, 1> in the whole dense space of the probe engine
+        gen = PotentialAnsatz(np.array([0.00625, 0, 0, 0]), np.array([1.0, 0, 0, 0]))
+        targets = DesignTargets.from_ansatz(gen, n_fit=6)
+        bumped = PotentialAnsatz(gen.v_coeffs, gen.b_coeffs * 1.02)
+        cfg = OpticsEngineConfig.resonant(beta1=0.5, beta2=1.0, omega1=2.0,
+                                          g1=0.5, g2=0.5, detuning=20.0,
+                                          n_max1=4, n_max2=4, min_detuning_ratio=5.0)
+        report = validate_design(bumped, targets, cfg, probe_block=probe_block)
+
+        n_fit = targets.n_fit
+        probe = OpticsEngineConfig(
+            mode1=TruncatedMode(cfg.mode1.omega, cfg.mode1.beta, n_fit),
+            mode2=TruncatedMode(cfg.mode2.omega, cfg.mode2.beta, n_fit),
+            atom=cfg.atom, g1=cfg.g1, g2=cfg.g2, min_detuning_ratio=5.0,
+        )
+        f_act, theta_act = fock_matrix_elements(bumped, targets.n_work)
+        finals = []
+        for f, theta in ((targets.f_target, targets.theta_target),
+                         (f_act[1:n_fit + 1], theta_act[1:n_fit + 1])):
+            f_table = np.concatenate([[0.0], f])
+            th_table = np.concatenate([[0.0], theta])
+            profile = coupling_profile_from_tables(
+                probe, th_table, th_table, f_table, f_table, require_rule=False
+            )
+            n0, m0 = probe_block
+            psi0 = basis_state(probe.full_dim, (n0 * probe.mode2.dim + m0) * 3)
+            prop = SpectralPropagator(build_full_hamiltonian(probe, profile))
+            finals.append(prop.states(psi0, [probe.tau])[0])
+        oracle = max(0.0, 1.0 - abs(np.vdot(finals[0], finals[1])) ** 2)
+        assert abs(report.fidelity_degradation - oracle) <= 1e-10

@@ -11,6 +11,7 @@ from sltosim.linalg import (
     ShapeError,
     SpectralPropagator,
     SubsystemLayout,
+    basis_state,
     commutator_norm,
     partial_trace,
 )
@@ -21,7 +22,9 @@ from sltosim.optics import (
     build_effective_hamiltonian,
     build_full_hamiltonian,
     coupling_profile_from_tables,
+    effective_charge_block,
     effective_compact_config,
+    full_charge_block,
     inverse_intensity_profile,
     run_optics_cycle,
     stimulated_emission_bookkeeping,
@@ -318,6 +321,23 @@ class TestAdiabaticElimination:
         with pytest.raises(ValueError):
             adiabatic_elimination_error(cfg, uniform_exchange_profile(cfg), [1.0])
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_detuning_rejected(self, bad):
+        cfg = small_optics()
+        with pytest.raises(ValueError):
+            adiabatic_elimination_error(cfg, uniform_exchange_profile(cfg), [20.0, bad])
+
+    def test_sample_cap_lowers_reported_density(self):
+        cfg = small_optics()
+        points = adiabatic_elimination_error(
+            cfg, uniform_exchange_profile(cfg), [10.0, 320.0]
+        )
+        assert points[0].samples < 200_000
+        assert points[0].samples_per_period >= 8.0
+        # ratio 640 asks for about 8.2e5 samples and gets the cap
+        assert points[1].samples == 200_000
+        assert 1.8 <= points[1].samples_per_period <= 2.0
+
     def test_block_outside_cutoffs_rejected(self):
         cfg = small_optics()
         with pytest.raises(ValueError):
@@ -356,6 +376,71 @@ class TestAdiabaticElimination:
         dev_slope, leak_slope = sweep_slopes(points)
         assert -1.4 <= dev_slope <= -0.6
         assert -2.5 <= leak_slope <= -1.5
+
+
+class TestChargeBlockOracle:
+    """The <= 3-state charge blocks against the dense builders."""
+
+    @staticmethod
+    def assert_block_of(dense: np.ndarray, block, n_levels: int, d2: int):
+        idx = [(n * d2 + m) * n_levels + level for n, m, level in block.members]
+        assert block.members[0][2] == 0
+        assert np.array_equal(block.h.entries, dense[np.ix_(idx, idx)])
+        outside = np.delete(dense[idx], idx, axis=1)
+        assert not np.any(outside)
+
+    @pytest.mark.parametrize("cutoffs", [(4, 4), (6, 5)])
+    @pytest.mark.parametrize("make_profile", [uniform_exchange_profile,
+                                              inverse_intensity_profile])
+    def test_blocks_are_dense_submatrices(self, cutoffs, make_profile):
+        cfg = small_optics(n_max1=cutoffs[0], n_max2=cutoffs[1])
+        full = build_full_hamiltonian(cfg, make_profile(cfg)).entries
+        eff = build_effective_hamiltonian(cfg).entries
+        d2 = cfg.mode2.dim
+        for n in range(cfg.mode1.dim):
+            for m in range(d2):
+                block = full_charge_block(cfg, make_profile(cfg), n, m)
+                self.assert_block_of(full, block, 3, d2)
+                assert len(block.members) == (1 if n == 0 else 2 if m == cfg.mode2.n_max else 3)
+                pair = effective_charge_block(cfg, n, m)
+                self.assert_block_of(eff, pair, 2, d2)
+                assert len(pair.members) == (1 if n == 0 or m == cfg.mode2.n_max else 2)
+
+    def test_sector_outside_cutoffs_rejected(self):
+        cfg = small_optics()
+        with pytest.raises(ValueError):
+            full_charge_block(cfg, uniform_exchange_profile(cfg), 5, 0)
+        with pytest.raises(ValueError):
+            effective_charge_block(cfg, 0, -1)
+
+    @staticmethod
+    def dense_level_populations(h, n0, m0, times, d1, d2, n_levels):
+        psi0 = basis_state(d1 * d2 * n_levels, (n0 * d2 + m0) * n_levels)
+        amps = SpectralPropagator(h).states(psi0, times)
+        return (np.abs(amps.reshape(len(times), d1, d2, n_levels)) ** 2).sum(axis=(1, 2))
+
+    # balanced, generic, vacuum, dead lowest leg, no |n-1, m+1, 2> member
+    @pytest.mark.parametrize("block", [(3, 2), (3, 1), (0, 0), (1, 2), (2, 4)])
+    @pytest.mark.parametrize("make_profile", [uniform_exchange_profile,
+                                              inverse_intensity_profile])
+    def test_sweep_matches_dense_propagation(self, block, make_profile):
+        cfg = small_optics()
+        deltas = [10.0, 25.0]
+        points = adiabatic_elimination_error(cfg, make_profile(cfg), deltas,
+                                             initial_block=block)
+        d1, d2 = cfg.mode1.dim, cfg.mode2.dim
+        for delta, point in zip(deltas, points):
+            cfg_d = small_optics(detuning=delta)
+            times = np.linspace(0.0, cfg_d.tau, point.samples)
+            full = self.dense_level_populations(
+                build_full_hamiltonian(cfg_d, make_profile(cfg_d)), *block, times, d1, d2, 3
+            )
+            eff = self.dense_level_populations(
+                build_effective_hamiltonian(cfg_d), *block, times, d1, d2, 2
+            )
+            deviation = np.max(np.abs(full[:, :2] - eff))
+            assert abs(point.population_deviation - deviation) <= 1e-10
+            assert abs(point.leak_max - np.max(full[:, 2])) <= 1e-10
 
 
 class TestFullModelOracle:
