@@ -9,6 +9,13 @@ Subcommands map one-to-one onto the experiment kinds:
 * ``verify-slto``     check an externally supplied unitary against the
                       conservation laws and the thermal fixed point
 
+Each kind is declared once, as an ``ExperimentKind`` entry in ``KINDS``:
+its runner, help line, series header and parameters.  The subcommand's
+flags (``--`` plus the key with dashes), the keys a ``--config`` file or
+a ``run_experiment`` caller may pass, and the ``series.csv`` header all
+come from that entry.  Only ``design`` is random, so only it takes
+``--seed``.
+
 Every run writes ``report.json`` into the output directory (also on
 physics failure, with the failing checks flagged); ``--series`` adds a
 CSV time series, ``--json-report`` echoes the report to stdout.  Exit
@@ -29,6 +36,7 @@ import math
 import os
 import sys
 import time
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -535,60 +543,75 @@ def run_verify_slto(params: dict, out_dir: Path) -> tuple[dict, dict, list | Non
     return results, checks, None
 
 
-RUNNERS = {
-    "abstract-cycle": run_abstract_cycle,
-    "optics-cycle": run_optics_cycle_cmd,
-    "delta-sweep": run_delta_sweep,
-    "design": run_design,
-    "verify-slto": run_verify_slto,
-}
-
-KNOWN_KEYS = {
-    "abstract-cycle": {
-        "beta1", "beta2", "omega1", "omega2", "g", "n_max1", "n_max2", "a0",
-        "tail_delta", "export_matrices",
-    },
-    "optics-cycle": {
-        "beta1", "beta2", "omega1", "g1", "g2", "detuning", "n_max1", "n_max2",
-        "tail_delta", "min_ratio",
-    },
-    "delta-sweep": {
-        "beta1", "beta2", "omega1", "g1", "g2", "ratios", "n_max1", "n_max2", "block",
-    },
-    "design": {
-        "iterations", "proposal_scale", "temperature", "seed", "n_fit", "q",
-        "amplitude", "design_in", "design_out",
-    },
-    "verify-slto": {"unitary", "bath1", "bath2", "system", "weighted_system",
-                    "beta1", "beta2"},
-}
+def _float_list(text: str) -> list[float]:
+    return [float(x) for x in text.split(",")]
 
 
-def _validate_keys(mapping: dict, allowed: set, source: str):
-    unknown = set(mapping) - allowed
-    if unknown:
-        raise ConfigError(f"{source}: unknown keys {sorted(unknown)}")
+def _int_list(text: str) -> list[int]:
+    return [int(x) for x in text.split(",")]
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
-    """One experiment: its kind, validated parameters, and output settings."""
+class ExperimentKind:
+    """Everything the CLI knows about one experiment kind.
 
-    kind: str
-    params: dict
-    out_dir: str = "out"
-    write_series: bool = False
+    ``params`` maps each accepted parameter key to the argparse type of
+    its flag ``--key-with-dashes``; ``required`` names the flags argparse
+    must see.  ``series_header`` is the first line of ``series.csv``
+    (``None`` when the kind writes no series).
+    """
 
-    def __post_init__(self):
-        if self.kind not in RUNNERS:
-            raise ConfigError(f"unknown experiment kind {self.kind!r}")
-        _validate_keys(self.params, KNOWN_KEYS[self.kind], self.kind)
+    runner: Callable[[dict, Path], tuple[dict, dict, list | None]]
+    help: str
+    series_header: str | None
+    params: dict[str, Callable[[str], object]]
+    required: frozenset[str] = frozenset()
 
 
-def run(config: ExperimentConfig) -> RunArtifact:
-    """Execute one configured experiment and write its artifacts."""
-    return run_experiment(config.kind, config.params, config.out_dir,
-                          write_series=config.write_series)
+KINDS = {
+    "abstract-cycle": ExperimentKind(
+        run_abstract_cycle, "two-ladder engine cycle", SERIES_HEADER,
+        {"beta1": float, "beta2": float, "omega1": float, "omega2": float, "g": float,
+         "n_max1": int, "n_max2": int, "a0": float, "tail_delta": float,
+         "export_matrices": str},
+    ),
+    "optics-cycle": ExperimentKind(
+        run_optics_cycle_cmd, "cavity engine effective cycle", SERIES_HEADER,
+        {"beta1": float, "beta2": float, "omega1": float, "g1": float, "g2": float,
+         "detuning": float, "n_max1": int, "n_max2": int, "tail_delta": float,
+         "min_ratio": float},
+    ),
+    "delta-sweep": ExperimentKind(
+        run_delta_sweep, "full vs effective model over detunings",
+        "delta,ratio,population_deviation,leak_max",
+        {"beta1": float, "beta2": float, "omega1": float, "g1": float, "g2": float,
+         "ratios": _float_list, "n_max1": int, "n_max2": int, "block": _int_list},
+    ),
+    "design": ExperimentKind(
+        run_design, "fit cavity intensity profiles", "iteration,cost",
+        {"iterations": int, "proposal_scale": float, "temperature": float, "seed": int,
+         "n_fit": int, "q": float, "amplitude": float, "design_in": str, "design_out": str},
+    ),
+    "verify-slto": ExperimentKind(
+        run_verify_slto, "verify an external unitary", None,
+        {"unitary": str, "bath1": str, "bath2": str, "system": str, "weighted_system": str,
+         "beta1": float, "beta2": float},
+        required=frozenset({"unitary", "bath1", "bath2", "system", "beta1", "beta2"}),
+    ),
+}
+
+#: help lines of the flags that need more than their name
+PARAM_HELP = {
+    "export_matrices": "directory for U(tau) and Hamiltonian matrix files",
+    "ratios": "comma-separated detuning ratios",
+    "block": "probe sector n,m",
+}
+
+
+def _validate_keys(mapping: dict, allowed: Iterable[str], source: str):
+    unknown = set(mapping).difference(allowed)
+    if unknown:
+        raise ConfigError(f"{source}: unknown keys {sorted(unknown)}")
 
 
 def run_experiment(
@@ -598,13 +621,14 @@ def run_experiment(
     write_series: bool = False,
 ) -> RunArtifact:
     """Execute one experiment and write its report (and optional series)."""
-    if kind not in RUNNERS:
+    if kind not in KINDS:
         raise ConfigError(f"unknown experiment kind {kind!r}")
-    _validate_keys(params, KNOWN_KEYS[kind], kind)
+    spec = KINDS[kind]
+    _validate_keys(params, spec.params, kind)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
-    results, checks, series = RUNNERS[kind](params, out_dir)
+    results, checks, series = spec.runner(params, out_dir)
     wall = time.perf_counter() - started
     all_passed = all(c["passed"] for c in checks.values())
     report = {
@@ -623,14 +647,8 @@ def run_experiment(
     series_path = None
     if write_series and series is not None:
         series_path = out_dir / "series.csv"
-        if kind in ("abstract-cycle", "optics-cycle"):
-            header = SERIES_HEADER
-        elif kind == "delta-sweep":
-            header = "delta,ratio,population_deviation,leak_max"
-        else:
-            header = "iteration,cost"
         with open(series_path, "w") as fh:
-            fh.write(header + "\n")
+            fh.write(spec.series_header + "\n")
             for row in series:
                 fh.write(",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row) + "\n")
     return RunArtifact(
@@ -663,7 +681,6 @@ def _jsonable(obj):
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--config", help="JSON file with experiment parameters")
     p.add_argument("--out", default="out", help="output directory (default: out)")
-    p.add_argument("--seed", type=int, help="random seed where applicable")
     p.add_argument("--json-report", action="store_true", help="echo the report to stdout")
     p.add_argument("--series", action="store_true", help="also write series.csv")
     p.add_argument("--no-color", action="store_true", help="disable colored check output")
@@ -676,76 +693,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"sltosim {__version__}")
     sub = parser.add_subparsers(dest="kind", required=True)
-
-    p = sub.add_parser("abstract-cycle", help="two-ladder engine cycle")
-    p.add_argument("--beta1", type=float)
-    p.add_argument("--beta2", type=float)
-    p.add_argument("--omega1", type=float)
-    p.add_argument("--omega2", type=float)
-    p.add_argument("--g", type=float)
-    p.add_argument("--n-max1", type=int, dest="n_max1")
-    p.add_argument("--n-max2", type=int, dest="n_max2")
-    p.add_argument("--a0", type=float)
-    p.add_argument("--tail-delta", type=float, dest="tail_delta")
-    p.add_argument("--export-matrices", dest="export_matrices",
-                   help="directory for U(tau) and Hamiltonian matrix files")
-    _add_common(p)
-
-    p = sub.add_parser("optics-cycle", help="cavity engine effective cycle")
-    p.add_argument("--beta1", type=float)
-    p.add_argument("--beta2", type=float)
-    p.add_argument("--omega1", type=float)
-    p.add_argument("--g1", type=float)
-    p.add_argument("--g2", type=float)
-    p.add_argument("--detuning", type=float)
-    p.add_argument("--n-max1", type=int, dest="n_max1")
-    p.add_argument("--n-max2", type=int, dest="n_max2")
-    p.add_argument("--tail-delta", type=float, dest="tail_delta")
-    p.add_argument("--min-ratio", type=float, dest="min_ratio")
-    _add_common(p)
-
-    p = sub.add_parser("delta-sweep", help="full vs effective model over detunings")
-    p.add_argument("--beta1", type=float)
-    p.add_argument("--beta2", type=float)
-    p.add_argument("--omega1", type=float)
-    p.add_argument("--g1", type=float)
-    p.add_argument("--g2", type=float)
-    p.add_argument("--ratios", type=lambda s: [float(x) for x in s.split(",")],
-                   help="comma-separated detuning ratios")
-    p.add_argument("--n-max1", type=int, dest="n_max1")
-    p.add_argument("--n-max2", type=int, dest="n_max2")
-    p.add_argument("--block", type=lambda s: [int(x) for x in s.split(",")],
-                   help="probe sector n,m")
-    _add_common(p)
-
-    p = sub.add_parser("design", help="fit cavity intensity profiles")
-    p.add_argument("--iterations", type=int)
-    p.add_argument("--proposal-scale", type=float, dest="proposal_scale")
-    p.add_argument("--temperature", type=float)
-    p.add_argument("--n-fit", type=int, dest="n_fit")
-    p.add_argument("--q", type=float)
-    p.add_argument("--amplitude", type=float)
-    p.add_argument("--design-in", dest="design_in")
-    p.add_argument("--design-out", dest="design_out")
-    _add_common(p)
-
-    p = sub.add_parser("verify-slto", help="verify an external unitary")
-    p.add_argument("--unitary", required=True)
-    p.add_argument("--bath1", required=True)
-    p.add_argument("--bath2", required=True)
-    p.add_argument("--system", required=True)
-    p.add_argument("--weighted-system", dest="weighted_system")
-    p.add_argument("--beta1", type=float, required=True)
-    p.add_argument("--beta2", type=float, required=True)
-    _add_common(p)
-
+    for kind, spec in KINDS.items():
+        p = sub.add_parser(kind, help=spec.help)
+        for key, parse in spec.params.items():
+            p.add_argument("--" + key.replace("_", "-"), dest=key, type=parse,
+                           required=key in spec.required, help=PARAM_HELP.get(key))
+        _add_common(p)
     return parser
 
 
-_COMMON_KEYS = {"config", "out", "seed", "json_report", "series", "no_color", "kind"}
-
-
 def _merge_params(args: argparse.Namespace) -> dict:
+    allowed = KINDS[args.kind].params
     params = {}
     if args.config:
         try:
@@ -757,14 +715,12 @@ def _merge_params(args: argparse.Namespace) -> dict:
         kind = loaded.pop("kind", None)
         if kind is not None and kind != args.kind:
             raise ConfigError(f"config kind {kind!r} does not match subcommand {args.kind!r}")
-        _validate_keys(loaded, KNOWN_KEYS[args.kind], args.config)
+        _validate_keys(loaded, allowed, args.config)
         params.update(loaded)
-    for key, value in vars(args).items():
-        if key in _COMMON_KEYS or value is None or value is False:
-            continue
-        params[key] = value
-    if args.seed is not None and "seed" in KNOWN_KEYS[args.kind]:
-        params["seed"] = args.seed
+    for key in allowed:
+        value = getattr(args, key)
+        if value is not None:
+            params[key] = value
     return params
 
 

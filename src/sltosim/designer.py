@@ -140,6 +140,8 @@ class DesignTargets:
         th = np.array(self.theta_target, dtype=float)
         if f.size != th.size or f.size == 0:
             raise ValueError("f and theta target tables must have equal nonzero length")
+        if not (np.all(np.isfinite(f)) and np.all(np.isfinite(th)) and math.isfinite(self.q)):
+            raise ValueError("target tables and q must be finite")
         f.flags.writeable = False
         th.flags.writeable = False
         object.__setattr__(self, "f_target", f)
@@ -208,6 +210,8 @@ class AnnealSchedule:
     def __post_init__(self):
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
+        if not (math.isfinite(self.proposal_scale) and math.isfinite(self.mc_temperature)):
+            raise ValueError("proposal_scale and mc_temperature must be finite")
         if self.proposal_scale <= 0:
             raise ValueError("proposal_scale must be positive")
         if self.mc_temperature < 0:

@@ -55,7 +55,8 @@ def _boltzmann_probs(omega: float, beta: float, n_max: int) -> np.ndarray:
 class CompactEngineConfig:
     """Parameters of the two-ladder engine.
 
-    Constraints: beta1 <= beta2 (equality gives the degenerate engine
+    Constraints: every energy, temperature and the coupling finite,
+    beta1 <= beta2 (equality gives the degenerate engine
     with zero work), resonance beta1*omega1 = beta2*omega2 to 1e-12,
     and system gap a1 - a0 = omega1 - omega2 to 1e-12.
     """
@@ -73,6 +74,10 @@ class CompactEngineConfig:
     def __post_init__(self):
         if self.a1 is None:
             object.__setattr__(self, "a1", self.a0 + self.omega1 - self.omega2)
+        for name in ("beta1", "beta2", "omega1", "omega2", "g", "a0", "a1"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if min(self.beta1, self.beta2, self.omega1, self.omega2) <= 0:
             raise ValueError("temperatures and frequencies must be positive")
         if self.beta1 > self.beta2:

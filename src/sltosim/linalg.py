@@ -187,20 +187,11 @@ def tensor_product(a: Tensorable, b: Tensorable, max_dim: int = MAX_TENSOR_DIM):
     )
 
 
-def hermitian_exponential(h: Operator, t: float) -> Operator:
-    """Unitary exp(-i t h) from the spectral decomposition of h (hbar = 1)."""
-    if not h.hermitian_hint:
-        raise HermiticityError("hermitian_exponential requires hermitian_hint")
-    eigvals, eigvecs = np.linalg.eigh(h.entries)
-    u = (eigvecs * np.exp(-1j * t * eigvals)) @ eigvecs.conj().T
-    return Operator(u)
-
-
 class SpectralPropagator:
     """Eigendecomposition of a Hermitian generator, reused across many times.
 
-    ``at(t)`` reproduces hermitian_exponential(h, t); ``states`` evolves a
-    fixed initial vector over a whole time grid in one pass.
+    ``at(t)`` is the unitary exp(-i t h); ``states`` evolves a fixed
+    initial vector over a whole time grid in one pass.
     """
 
     def __init__(self, h: Operator):
@@ -218,6 +209,11 @@ class SpectralPropagator:
         c0 = self.eigvecs.conj().T @ psi0.amplitudes
         phases = np.exp(-1j * np.outer(np.asarray(times, dtype=float), self.eigvals))
         return (phases * c0) @ self.eigvecs.T
+
+
+def hermitian_exponential(h: Operator, t: float) -> Operator:
+    """Unitary exp(-i t h) from the spectral decomposition of h (hbar = 1)."""
+    return SpectralPropagator(h).at(t)
 
 
 def partial_trace(

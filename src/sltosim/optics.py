@@ -45,6 +45,7 @@ from typing import Sequence
 import numpy as np
 
 from .engine import (
+    RESONANCE_ATOL,
     CompactEngineConfig,
     CycleReport,
     build_interaction_hamiltonian,
@@ -53,8 +54,6 @@ from .engine import (
 )
 from .linalg import Operator, ShapeError, SpectralPropagator, basis_state
 from .thermal import TruncatedMode, truncation_for_tail
-
-RESONANCE_ATOL = 1e-12
 
 #: time samples per period of the fastest frequency the detuning sweep asks for
 SAMPLES_PER_PERIOD = 8.0

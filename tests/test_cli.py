@@ -6,10 +6,8 @@ import pytest
 
 from sltosim.cli import (
     ConfigError,
-    ExperimentConfig,
     main,
     read_matrix_file,
-    run,
     run_experiment,
     verify_slto,
     write_matrix_file,
@@ -92,6 +90,23 @@ class TestAbstractCycleCommand:
                      "--omega1", "2", "--g", "0.05", "--out", str(tmp_path)])
         assert code == 2
 
+    @pytest.mark.parametrize("flags", [
+        ["--beta1", "0.5", "--g", "inf"],
+        ["--beta1", "nan", "--g", "0.05", "--n-max1", "4", "--n-max2", "4"],
+    ])
+    def test_non_finite_input_is_usage_error(self, tmp_path, flags):
+        code = main(["abstract-cycle", "--beta2", "1", "--omega1", "2", *flags,
+                     "--out", str(tmp_path), "--no-color"])
+        assert code == 2
+        assert not (tmp_path / "report.json").exists()
+
+    def test_seed_flag_rejected(self, tmp_path):
+        # only design draws random numbers, so only design takes --seed
+        with pytest.raises(SystemExit) as exit_info:
+            main(["abstract-cycle", "--beta1", "0.5", "--beta2", "1", "--omega1", "2",
+                  "--g", "0.05", "--seed", "3", "--out", str(tmp_path)])
+        assert exit_info.value.code == 2
+
 
 class TestOpticsCycleCommand:
     def test_reference_run(self, tmp_path):
@@ -163,6 +178,19 @@ class TestDesignCommand:
         report = load_report(out2)
         # warm start must not be worse than the stored best by construction
         assert report["results"]["best_cost"] <= load_report(out1)["results"]["best_cost"] + 1e-12
+
+    @pytest.mark.parametrize("flags", [
+        ["--proposal-scale", "nan"],
+        ["--proposal-scale", "inf"],
+        ["--temperature", "nan"],
+        ["--amplitude", "nan"],
+    ])
+    def test_non_finite_input_is_usage_error(self, tmp_path, flags):
+        code = main(["design", "--iterations", "50", *flags, "--out", str(tmp_path),
+                     "--no-color"])
+        assert code == 2
+        assert not (tmp_path / "report.json").exists()
+        assert not (tmp_path / "design.json").exists()
 
     def test_trace_series(self, tmp_path):
         assert main(["design", "--iterations", "300", "--seed", "1",
@@ -255,22 +283,6 @@ class TestRunExperimentApi:
     def test_unknown_param_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
             run_experiment("abstract-cycle", {"beta1": 0.5, "nope": 1}, tmp_path)
-
-    def test_experiment_config_validates_at_construction(self, tmp_path):
-        with pytest.raises(ConfigError):
-            ExperimentConfig("abstract-cycle", {"typo": 1})
-        with pytest.raises(ConfigError):
-            ExperimentConfig("no-such-kind", {})
-
-    def test_run_with_experiment_config(self, tmp_path):
-        config = ExperimentConfig(
-            "abstract-cycle",
-            {"beta1": 0.5, "beta2": 1.0, "omega1": 2.0, "g": 0.1,
-             "n_max1": 3, "n_max2": 3},
-            out_dir=str(tmp_path),
-        )
-        artifact = run(config)
-        assert artifact.all_checks_passed
 
     def test_identical_reruns_are_byte_identical_modulo_wall_clock(self, tmp_path):
         params = {"beta1": 0.5, "beta2": 1.0, "omega1": 2.0, "g": 0.1,

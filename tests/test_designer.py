@@ -98,6 +98,16 @@ class TestDesignCost:
         with pytest.raises(ValueError):
             DesignTargets(np.ones(4), np.ones(4), q=2.0)
 
+    @pytest.mark.parametrize("f, theta, q", [
+        ([1.0, math.nan, 1.0, 1.0], np.ones(4), 4.0),
+        (np.ones(4), [1.0, 1.0, math.inf, 1.0], 4.0),
+        (np.ones(4), np.ones(4), math.inf),
+        (np.ones(4), np.ones(4), math.nan),
+    ])
+    def test_non_finite_targets_rejected(self, f, theta, q):
+        with pytest.raises(ValueError, match="must be finite"):
+            DesignTargets(np.array(f), np.array(theta), q=q)
+
     @given(st.integers(0, 10**6), st.floats(0.05, 0.5))
     @settings(max_examples=20, deadline=None)
     def test_cost_positive_away_from_match(self, seed, eps):
@@ -127,6 +137,12 @@ class TestParity:
 
 
 class TestMcOptimize:
+    @pytest.mark.parametrize("field", ["proposal_scale", "mc_temperature"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_schedule_rejected(self, field, value):
+        with pytest.raises(ValueError, match="must be finite"):
+            AnnealSchedule(iterations=10, **{field: value})
+
     def test_fixed_point_start(self):
         gen = quartic_generator()
         targets = DesignTargets.from_ansatz(gen, n_fit=6)

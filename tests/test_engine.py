@@ -39,6 +39,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             small_config(a1=5.0)
 
+    @pytest.mark.parametrize("field", ["beta1", "beta2", "omega1", "omega2", "g", "a0", "a1"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_inputs_rejected(self, field, value):
+        with pytest.raises(ValueError, match="must be finite"):
+            small_config(**{field: value})
+
     def test_inverted_gradient_rejected(self):
         with pytest.raises(NoGradientError):
             small_config(beta1=2.0, beta2=1.0, omega1=1.0, omega2=2.0)
