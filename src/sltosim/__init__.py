@@ -22,7 +22,6 @@ from .linalg import (
     commutator_norm,
     energy_uncertainty,
     fubini_study_distance,
-    hermitian_exponential,
     identity,
     partial_trace,
     tensor_product,
@@ -42,7 +41,7 @@ from .thermal import (
 )
 from .engine import (
     BatterySplit,
-    BlockSector,
+    ChargeBlock,
     CompactEngineConfig,
     CycleReport,
     DegenerateCycleError,
@@ -50,6 +49,7 @@ from .engine import (
     SpeedDiagnostics,
     battery_split,
     build_interaction_hamiltonian,
+    charge_block,
     clausius_check,
     default_times,
     efficiency_and_power,
@@ -59,7 +59,6 @@ from .engine import (
     speed_and_geodesic,
 )
 from .optics import (
-    ChargeBlock,
     CouplingProfile,
     LambdaAtom,
     OpticsEngineConfig,
@@ -69,7 +68,6 @@ from .optics import (
     build_effective_hamiltonian,
     build_full_hamiltonian,
     coupling_profile_from_tables,
-    effective_charge_block,
     effective_compact_config,
     full_charge_block,
     inverse_intensity_profile,

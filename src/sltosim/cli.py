@@ -131,7 +131,11 @@ def read_matrix_file(path) -> tuple[np.ndarray, tuple[int, ...] | None]:
             raise ConfigError(f"{path}: row {len(rows) - 1} has {len(rows[-1])} entries")
     if layout is not None and int(np.prod(layout)) != dim:
         raise ConfigError(f"{path}: layout {layout} does not multiply to {dim}")
-    return np.array(rows, dtype=np.complex128), layout
+    entries = np.array(rows, dtype=np.complex128)
+    bad_rows = np.flatnonzero(~np.isfinite(entries).all(axis=1))
+    if bad_rows.size:
+        raise ConfigError(f"{path}: non-finite entry in row {bad_rows[0]}")
+    return entries, layout
 
 
 # ---------------------------------------------------------------------------
@@ -175,6 +179,9 @@ def verify_slto(
     the invariance defect of the semi-Gibbs product state
     gibbs(beta1) x gibbs(beta2) x exp(-W_S)/Z.
     """
+    for name, beta in (("beta1", beta1), ("beta2", beta2)):
+        if not math.isfinite(beta):
+            raise ConfigError(f"{name} must be finite, got {beta}")
     d1, d2, ds = h_bath1.dim, h_bath2.dim, h_system.dim
     if d1 * d2 * ds != u.dim:
         raise ShapeError(
@@ -556,9 +563,10 @@ class ExperimentKind:
     """Everything the CLI knows about one experiment kind.
 
     ``params`` maps each accepted parameter key to the argparse type of
-    its flag ``--key-with-dashes``; ``required`` names the flags argparse
-    must see.  ``series_header`` is the first line of ``series.csv``
-    (``None`` when the kind writes no series).
+    its flag ``--key-with-dashes``; ``required`` names the keys every run
+    must end up with, from flags, a ``--config`` file or the API caller.
+    ``series_header`` is the first line of ``series.csv`` (``None`` when
+    the kind writes no series).
     """
 
     runner: Callable[[dict, Path], tuple[dict, dict, list | None]]
@@ -625,6 +633,9 @@ def run_experiment(
         raise ConfigError(f"unknown experiment kind {kind!r}")
     spec = KINDS[kind]
     _validate_keys(params, spec.params, kind)
+    missing = spec.required.difference(params)
+    if missing:
+        raise ConfigError(f"{kind}: missing required keys {sorted(missing)}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
@@ -697,7 +708,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(kind, help=spec.help)
         for key, parse in spec.params.items():
             p.add_argument("--" + key.replace("_", "-"), dest=key, type=parse,
-                           required=key in spec.required, help=PARAM_HELP.get(key))
+                           help=PARAM_HELP.get(key))
         _add_common(p)
     return parser
 

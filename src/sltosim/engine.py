@@ -11,10 +11,18 @@ energy difference as work.  Boundary sectors (n = 0, or m at the cold
 cutoff) have no partner and stay idle, which keeps both conservation
 laws exact at finite truncation; their weight is reported instead of
 being approximated away.
+
+A ``ChargeBlock`` is one such sector: a small Hermitian matrix on the
+basis states of one value of the conserved charges.  ``enumerate_blocks``
+lists the engine's 2x2 pairs and 1x1 idle blocks, and the cavity model in
+``optics`` builds its <= 3-state blocks with the same type.  Dense
+full-space matrices are assembled only for export and as the test oracle
+(``build_interaction_hamiltonian``).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -31,6 +39,7 @@ from .linalg import (
     fubini_study_distance,
     von_neumann_entropy,
 )
+from .thermal import gibbs_probabilities
 
 RESONANCE_ATOL = 1e-12
 
@@ -44,11 +53,6 @@ class DegenerateCycleError(ValueError):
 
 class NoGradientError(ValueError):
     """beta1 > beta2 leaves no temperature gradient to run the engine on."""
-
-
-def _boltzmann_probs(omega: float, beta: float, n_max: int) -> np.ndarray:
-    w = np.exp(-beta * omega * np.arange(n_max + 1, dtype=float))
-    return w / w.sum()
 
 
 @dataclass(frozen=True)
@@ -139,39 +143,30 @@ class CompactEngineConfig:
 
 
 @dataclass(frozen=True)
-class BlockSector:
-    """One conserved total-energy sector, labelled by ladder occupations (n, m).
+class ChargeBlock:
+    """A Hamiltonian on one conserved-charge block of the product basis.
 
-    Coupled sectors pair the source |n, m, 0> with the target
-    |n-1, m+1, 1>; idle sectors carry target_index = -1.
+    Row k is the basis state ``members[k] = (n, m, level)``: the two
+    ladder occupations and the level of the working system (for the
+    cavity atom, level 0, 1, 2 is |1>, |2>, |3>).  Row 0 is the block's
+    probe state |n, m, 0>.
     """
 
-    n: int
-    m: int
-    source_index: int
-    target_index: int
-    coupled: bool
+    h: Operator
+    members: tuple[tuple[int, int, int], ...]
 
+    def probe_states(self, times: Sequence[float]) -> np.ndarray:
+        """Amplitudes of exp(-i t h)|probe> on the members; one row per time."""
+        psi0 = basis_state(len(self.members), 0)
+        return SpectralPropagator(self.h).states(psi0, times)
 
-def enumerate_blocks(cfg: CompactEngineConfig) -> list[BlockSector]:
-    """All (n, m) sectors in lexicographic order, with exchange partners."""
-    blocks = []
-    for n in range(cfg.n_max1 + 1):
-        for m in range(cfg.n_max2 + 1):
-            src = cfg.basis_index(n, m, 0)
-            if n >= 1 and m < cfg.n_max2:
-                tgt = cfg.basis_index(n - 1, m + 1, 1)
-                de_total = (cfg.omega1 - cfg.omega2) - (cfg.a1 - cfg.a0)
-                de_weighted = cfg.beta1 * cfg.omega1 - cfg.beta2 * cfg.omega2
-                if abs(de_total) > RESONANCE_ATOL or abs(de_weighted) > RESONANCE_ATOL:
-                    raise ValueError(
-                        f"sector ({n}, {m}) violates conservation: "
-                        f"dE = {de_total:.3e}, weighted = {de_weighted:.3e}"
-                    )
-                blocks.append(BlockSector(n, m, src, tgt, True))
-            else:
-                blocks.append(BlockSector(n, m, src, -1, False))
-    return blocks
+    def level_populations(self, times: Sequence[float], n_levels: int) -> np.ndarray:
+        """Probe populations summed per system level; one row per time."""
+        probs = np.abs(self.probe_states(times)) ** 2
+        out = np.zeros((probs.shape[0], n_levels))
+        for k, (_, _, level) in enumerate(self.members):
+            out[:, level] += probs[:, k]
+        return out
 
 
 def pair_generator(g: float) -> Operator:
@@ -179,35 +174,57 @@ def pair_generator(g: float) -> Operator:
     return Operator(np.array([[0.0, g], [g, 0.0]], dtype=np.complex128), hermitian_hint=True)
 
 
-def build_interaction_hamiltonian(
-    cfg: CompactEngineConfig, blocks: list[BlockSector] | None = None
-) -> Operator:
-    """Uniform-strength exchange coupling over all coupled sectors."""
-    if blocks is None:
-        blocks = enumerate_blocks(cfg)
+def _blocks(cfg: CompactEngineConfig, sectors) -> list[ChargeBlock]:
+    # the pairing rule: |n, m, 0> <-> |n-1, m+1, 1>, idle without a partner
+    pair = pair_generator(cfg.g)
+    idle = Operator(np.zeros((1, 1), dtype=np.complex128), hermitian_hint=True)
+    return [
+        ChargeBlock(pair, ((n, m, 0), (n - 1, m + 1, 1)))
+        if n >= 1 and m < cfg.n_max2
+        else ChargeBlock(idle, ((n, m, 0),))
+        for n, m in sectors
+    ]
+
+
+def enumerate_blocks(cfg: CompactEngineConfig) -> list[ChargeBlock]:
+    """Every (n, m) sector's block, in lexicographic (n, m) order.
+
+    Coupled sectors are the pair |n, m, 0>, |n-1, m+1, 1> under
+    ``pair_generator(cfg.g)``; sectors without a partner (n = 0, or m at
+    the cold cutoff) are a 1x1 zero block on |n, m, 0>.
+    """
+    return _blocks(cfg, itertools.product(range(cfg.n_max1 + 1), range(cfg.n_max2 + 1)))
+
+
+def charge_block(cfg: CompactEngineConfig, n: int, m: int) -> ChargeBlock:
+    """The block of sector (n, m), as ``enumerate_blocks`` lists it."""
+    if not (0 <= n <= cfg.n_max1 and 0 <= m <= cfg.n_max2):
+        raise ValueError(f"sector {(n, m)} outside the cutoffs")
+    return _blocks(cfg, [(n, m)])[0]
+
+
+def build_interaction_hamiltonian(cfg: CompactEngineConfig) -> Operator:
+    """Dense uniform-strength exchange coupling |n, m, 0> <-> |n-1, m+1, 1>.
+
+    Written out index by index rather than from ``enumerate_blocks``, so
+    it stays an independent reference for the blocks.
+    """
     h = np.zeros((cfg.dim, cfg.dim), dtype=np.complex128)
-    for b in blocks:
-        if b.coupled:
-            h[b.target_index, b.source_index] = cfg.g
-            h[b.source_index, b.target_index] = cfg.g
+    for n in range(1, cfg.n_max1 + 1):
+        for m in range(cfg.n_max2):
+            s, t = cfg.basis_index(n, m, 0), cfg.basis_index(n - 1, m + 1, 1)
+            h[t, s] = h[s, t] = cfg.g
     return Operator(h, hermitian_hint=True)
 
 
-def evolution_operator(
-    cfg: CompactEngineConfig, t: float, blocks: list[BlockSector] | None = None
-) -> Operator:
-    """Dense engine unitary at time t, assembled sector by sector."""
-    if blocks is None:
-        blocks = enumerate_blocks(cfg)
+def evolution_operator(cfg: CompactEngineConfig, t: float) -> Operator:
+    """Dense engine unitary at time t, assembled block by block."""
     u2 = SpectralPropagator(pair_generator(cfg.g)).at(t).entries
     u = np.eye(cfg.dim, dtype=np.complex128)
-    for b in blocks:
-        if b.coupled:
-            s, tg = b.source_index, b.target_index
-            u[s, s] = u2[0, 0]
-            u[s, tg] = u2[0, 1]
-            u[tg, s] = u2[1, 0]
-            u[tg, tg] = u2[1, 1]
+    for block in enumerate_blocks(cfg):
+        if len(block.members) == 2:
+            idx = [cfg.basis_index(*member) for member in block.members]
+            u[np.ix_(idx, idx)] = u2
     return Operator(u)
 
 
@@ -296,14 +313,16 @@ def evolve_cycle(
     times = default_times(cfg) if times is None else np.array(times, dtype=float)
     tau_index = _require_tau(times, cfg.tau)
     blocks = enumerate_blocks(cfg)
+    pairs = [b.members for b in blocks if len(b.members) == 2]
+    idle = [b.members[0] for b in blocks if len(b.members) == 1]
 
-    p1 = _boltzmann_probs(cfg.omega1, cfg.beta1, cfg.n_max1)
-    p2 = _boltzmann_probs(cfg.omega2, cfg.beta2, cfg.n_max2)
-    pair_n = np.array([b.n for b in blocks if b.coupled], dtype=int)
-    pair_m = np.array([b.m for b in blocks if b.coupled], dtype=int)
+    p1 = gibbs_probabilities(cfg.omega1, cfg.beta1, cfg.n_max1)
+    p2 = gibbs_probabilities(cfg.omega2, cfg.beta2, cfg.n_max2)
+    pair_n = np.array([n for (n, _, _), _ in pairs], dtype=int)
+    pair_m = np.array([m for (_, m, _), _ in pairs], dtype=int)
     pair_w = p1[pair_n] * p2[pair_m] if pair_n.size else np.zeros(0)
-    idle_n = np.array([b.n for b in blocks if not b.coupled], dtype=int)
-    idle_m = np.array([b.m for b in blocks if not b.coupled], dtype=int)
+    idle_n = np.array([n for n, _, _ in idle], dtype=int)
+    idle_m = np.array([m for _, m, _ in idle], dtype=int)
     idle_w = p1[idle_n] * p2[idle_m] if idle_n.size else np.zeros(0)
 
     success_weight = float(pair_w.sum())
@@ -356,8 +375,8 @@ def evolve_cycle(
     d_total = cfg.total_energy_diagonal()
     d_weighted = cfg.weighted_energy_diagonal()
     if pair_n.size:
-        src = np.array([b.source_index for b in blocks if b.coupled])
-        tgt = np.array([b.target_index for b in blocks if b.coupled])
+        src = np.array([cfg.basis_index(*source) for source, _ in pairs])
+        tgt = np.array([cfg.basis_index(*target) for _, target in pairs])
         gap_total = float(np.max(np.abs(d_total[src] - d_total[tgt])))
         gap_weighted = float(np.max(np.abs(d_weighted[src] - d_weighted[tgt])))
     else:

@@ -83,9 +83,6 @@ class Operator:
     def dim(self) -> int:
         return self.entries.shape[0]
 
-    def dagger(self) -> "Operator":
-        return Operator(self.entries.conj().T, hermitian_hint=self.hermitian_hint)
-
 
 @dataclass(frozen=True)
 class StateVector:
@@ -209,11 +206,6 @@ class SpectralPropagator:
         c0 = self.eigvecs.conj().T @ psi0.amplitudes
         phases = np.exp(-1j * np.outer(np.asarray(times, dtype=float), self.eigvals))
         return (phases * c0) @ self.eigvecs.T
-
-
-def hermitian_exponential(h: Operator, t: float) -> Operator:
-    """Unitary exp(-i t h) from the spectral decomposition of h (hbar = 1)."""
-    return SpectralPropagator(h).at(t)
 
 
 def partial_trace(

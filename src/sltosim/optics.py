@@ -17,12 +17,14 @@ so its cycle is delegated to that machinery.
 Both Hamiltonians conserve the excitation charge, so a probe state
 |n, m, 1> never leaves its charge block: {|n, m, 1>, |n-1, m, 3>,
 |n-1, m+1, 2>} in the full model and {|n, m, 1>, |n-1, m+1, 2>} in the
-effective one, with members outside the cutoffs dropped.  The detuning
-sweep and the design check build these <= 3-state blocks straight from
-the profile tables and evolve only them.  The dense builders
-``build_full_hamiltonian`` and ``build_effective_hamiltonian`` assemble
-the whole product space; they are the reference the tests compare the
-blocks against.
+effective one, with members outside the cutoffs dropped.  Both are
+``engine.ChargeBlock``s: ``full_charge_block`` builds the <= 3-state
+block straight from the profile tables, and the effective block is the
+exchange engine's own ``charge_block`` of ``effective_compact_config``.
+The detuning sweep and the design check evolve only these blocks.  The
+dense builders ``build_full_hamiltonian`` and
+``build_effective_hamiltonian`` assemble the whole product space; they
+are the reference the tests compare the blocks against.
 
 Intensity profiles are tables theta_k(j), f_k(j) over Fock index j.
 The coupling operator convention is fixed once: the matrix element of
@@ -46,13 +48,15 @@ import numpy as np
 
 from .engine import (
     RESONANCE_ATOL,
+    ChargeBlock,
     CompactEngineConfig,
     CycleReport,
     build_interaction_hamiltonian,
+    charge_block,
     evolve_cycle,
-    pair_generator,
 )
-from .linalg import Operator, ShapeError, SpectralPropagator, basis_state
+# SpectralPropagator is unused here; bench/tracing.py patches it by name
+from .linalg import Operator, ShapeError, SpectralPropagator
 from .thermal import TruncatedMode, truncation_for_tail
 
 #: time samples per period of the fastest frequency the detuning sweep asks for
@@ -157,13 +161,6 @@ class OpticsEngineConfig:
             g2=g2,
             min_detuning_ratio=min_detuning_ratio,
         )
-
-
-def default_config() -> OpticsEngineConfig:
-    """Reference parameter point: g = 0.05 at detuning ratio 40."""
-    return OpticsEngineConfig.resonant(
-        beta1=0.5, beta2=1.0, omega1=2.0, g1=2.0, g2=2.0, detuning=80.0
-    )
 
 
 @dataclass(frozen=True)
@@ -322,31 +319,6 @@ def build_effective_hamiltonian(cfg: OpticsEngineConfig) -> Operator:
     return build_interaction_hamiltonian(effective_compact_config(cfg))
 
 
-@dataclass(frozen=True)
-class ChargeBlock:
-    """One model's Hamiltonian on the conserved-charge block of a probe state.
-
-    Row k is the basis state ``members[k] = (n, m, level)`` with atom
-    level 0, 1, 2 for |1>, |2>, |3>; the probe is row 0.
-    """
-
-    h: Operator
-    members: tuple[tuple[int, int, int], ...]
-
-    def probe_states(self, times: Sequence[float]) -> np.ndarray:
-        """Amplitudes of exp(-i t h)|probe> on the members; one row per time."""
-        psi0 = basis_state(len(self.members), 0)
-        return SpectralPropagator(self.h).states(psi0, times)
-
-    def level_populations(self, times: Sequence[float], n_levels: int) -> np.ndarray:
-        """Probe populations summed per atom level; one row per time."""
-        probs = np.abs(self.probe_states(times)) ** 2
-        out = np.zeros((probs.shape[0], n_levels))
-        for k, (_, _, level) in enumerate(self.members):
-            out[:, level] += probs[:, k]
-        return out
-
-
 def _check_sector(cfg: OpticsEngineConfig, n: int, m: int) -> None:
     if not (0 <= n <= cfg.mode1.n_max and 0 <= m <= cfg.mode2.n_max):
         raise ValueError(f"sector {(n, m)} outside the cutoffs")
@@ -379,20 +351,6 @@ def full_charge_block(
     if len(members) > 2:
         h[1, 2] = h[2, 1] = cfg.g2 * (profile.theta2[m] * math.sqrt(m + 1))
     return ChargeBlock(Operator(h, hermitian_hint=True), tuple(members))
-
-
-def effective_charge_block(cfg: OpticsEngineConfig, n: int, m: int) -> ChargeBlock:
-    """The block of ``build_effective_hamiltonian`` that holds |n, m, 1>.
-
-    The pair |n, m, 1> <-> |n-1, m+1, 2> under g*sigma_x, or the idle
-    1x1 zero block when the sector has no partner (n = 0 or m at the
-    cold cutoff).
-    """
-    _check_sector(cfg, n, m)
-    if n >= 1 and m < cfg.mode2.n_max:
-        return ChargeBlock(pair_generator(cfg.g), ((n, m, 0), (n - 1, m + 1, 1)))
-    idle = Operator(np.zeros((1, 1), dtype=np.complex128), hermitian_hint=True)
-    return ChargeBlock(idle, ((n, m, 0),))
 
 
 def run_optics_cycle(
@@ -505,7 +463,8 @@ def adiabatic_elimination_error(
         times = np.linspace(0.0, window, n_samples)
 
         pops_full = full_charge_block(cfg_d, profile_d, n0, m0).level_populations(times, 3)
-        pops_eff = effective_charge_block(cfg_d, n0, m0).level_populations(times, 2)
+        effective = charge_block(effective_compact_config(cfg_d), n0, m0)
+        pops_eff = effective.level_populations(times, 2)
         points.append(SweepPoint(
             delta=delta,
             ratio=ratio,

@@ -78,15 +78,19 @@ class GibbsState(NamedTuple):
     partition_function: float  # untruncated: 1 / (1 - e^{-beta omega})
 
 
-def gibbs_probabilities(mode: TruncatedMode) -> np.ndarray:
-    """Occupation probabilities of the truncated, renormalized Gibbs state."""
-    w = np.exp(-mode.beta * mode.omega * np.arange(mode.dim, dtype=float))
+def gibbs_probabilities(omega: float, beta: float, n_max: int) -> np.ndarray:
+    """Occupations 0..n_max of the truncated, renormalized Gibbs state.
+
+    Takes the mode's numbers rather than a ``TruncatedMode`` because the
+    exchange engine also allows the cutoff n_max = 0.
+    """
+    w = np.exp(-beta * omega * np.arange(n_max + 1, dtype=float))
     return w / w.sum()
 
 
 def gibbs_state(mode: TruncatedMode) -> GibbsState:
     """Truncated thermal state plus the untruncated partition function."""
-    p = gibbs_probabilities(mode)
+    p = gibbs_probabilities(mode.omega, mode.beta, mode.n_max)
     z = 1.0 / (1.0 - math.exp(-mode.beta * mode.omega))
     return GibbsState(DensityMatrix(np.diag(p.astype(np.complex128))), z)
 

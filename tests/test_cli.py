@@ -42,6 +42,13 @@ class TestMatrixFiles:
         with pytest.raises(ConfigError):
             read_matrix_file(path)
 
+    @pytest.mark.parametrize("token", ["nan+0j", "0+infj", "-inf+0j"])
+    def test_non_finite_entry_rejected(self, tmp_path, token):
+        path = tmp_path / "m.txt"
+        path.write_text(f"2\n1+0j 0+0j\n0+0j {token}\n")
+        with pytest.raises(ConfigError, match=r"m\.txt: non-finite entry in row 1"):
+            read_matrix_file(path)
+
 
 class TestAbstractCycleCommand:
     def test_reference_run(self, tmp_path, capsys):
@@ -250,6 +257,71 @@ class TestVerifySltoCommand:
         assert report["checks"]["commutator_weighted"]["value"] > 1e-3
         assert not report["all_checks_passed"]
 
+    @staticmethod
+    def full_params(d) -> dict:
+        return {"unitary": str(d / "u.txt"), "bath1": str(d / "h1.txt"),
+                "bath2": str(d / "h2.txt"), "system": str(d / "hs.txt"),
+                "beta1": 0.5, "beta2": 1.0}
+
+    def test_config_file_supplies_required_keys(self, tmp_path, engine_matrices):
+        cfg, d = engine_matrices
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(self.full_params(d)))
+        code = main(["verify-slto", "--config", str(config),
+                     "--out", str(tmp_path / "o"), "--no-color"])
+        assert code == 0
+        assert load_report(tmp_path / "o")["all_checks_passed"]
+
+    def test_config_missing_key_named(self, tmp_path, engine_matrices, capsys):
+        cfg, d = engine_matrices
+        params = self.full_params(d)
+        del params["beta2"]
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(params))
+        code = main(["verify-slto", "--config", str(config),
+                     "--out", str(tmp_path / "o"), "--no-color"])
+        assert code == 2
+        assert "missing required keys ['beta2']" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "report.json").exists()
+
+    @pytest.mark.parametrize("flag, value", [("--beta1", "nan"), ("--beta2", "inf")])
+    def test_non_finite_temperature_named(self, tmp_path, engine_matrices, capsys,
+                                          flag, value):
+        cfg, d = engine_matrices
+        args = {"--beta1": "0.5", "--beta2": "1", flag: value}
+        code = main(["verify-slto", "--unitary", str(d / "u.txt"),
+                     "--bath1", str(d / "h1.txt"), "--bath2", str(d / "h2.txt"),
+                     "--system", str(d / "hs.txt"), *[x for kv in args.items() for x in kv],
+                     "--out", str(tmp_path / "o"), "--no-color"])
+        assert code == 2
+        assert f"{flag[2:]} must be finite, got {value}" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "report.json").exists()
+
+    def test_non_finite_matrix_entry_named(self, tmp_path, engine_matrices, capsys):
+        cfg, d = engine_matrices
+        h1 = np.diag(cfg.omega1 * np.arange(5)).astype(complex)
+        h1[3, 3] = complex("nan+0j")
+        write_matrix_file(d / "h1.txt", h1)
+        code = main(["verify-slto", "--unitary", str(d / "u.txt"),
+                     "--bath1", str(d / "h1.txt"), "--bath2", str(d / "h2.txt"),
+                     "--system", str(d / "hs.txt"), "--beta1", "0.5", "--beta2", "1",
+                     "--out", str(tmp_path / "o"), "--no-color"])
+        assert code == 2
+        assert "h1.txt: non-finite entry in row 3" in capsys.readouterr().err
+
+    def test_non_finite_temperature_rejected_by_api(self, engine_matrices):
+        cfg, d = engine_matrices
+        u, _ = read_matrix_file(d / "u.txt")
+        h1, _ = read_matrix_file(d / "h1.txt")
+        h2, _ = read_matrix_file(d / "h2.txt")
+        hs, _ = read_matrix_file(d / "hs.txt")
+        with pytest.raises(ConfigError, match="beta1 must be finite"):
+            verify_slto(
+                Operator(u), Operator(h1, hermitian_hint=True),
+                Operator(h2, hermitian_hint=True), Operator(hs, hermitian_hint=True),
+                math.nan, 1.0,
+            )
+
     def test_layout_disagreement_rejected(self, tmp_path, engine_matrices):
         cfg, d = engine_matrices
         write_matrix_file(d / "bad.txt", np.eye(50, dtype=complex), (10, 5))
@@ -279,6 +351,11 @@ class TestRunExperimentApi:
     def test_unknown_kind_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
             run_experiment("nonsense", {}, tmp_path)
+
+    def test_missing_required_param_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match="missing required keys"):
+            run_experiment("verify-slto", {}, tmp_path)
+        assert not (tmp_path / "report.json").exists()
 
     def test_unknown_param_rejected(self, tmp_path):
         with pytest.raises(ConfigError):

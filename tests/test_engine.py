@@ -13,6 +13,7 @@ from sltosim.engine import (
     NoGradientError,
     battery_split,
     build_interaction_hamiltonian,
+    charge_block,
     clausius_check,
     efficiency_and_power,
     enumerate_blocks,
@@ -20,7 +21,7 @@ from sltosim.engine import (
     evolve_cycle,
     speed_and_geodesic,
 )
-from sltosim.linalg import Operator, commutator_norm, hermitian_exponential
+from sltosim.linalg import Operator, SpectralPropagator, commutator_norm
 
 
 def small_config(**overrides) -> CompactEngineConfig:
@@ -59,37 +60,75 @@ class TestConfig:
         assert abs(cfg.a1 - (0.3 + 1.0)) <= 1e-15
 
 
+def sector(block) -> tuple[int, int]:
+    n, m, _ = block.members[0]
+    return n, m
+
+
 class TestBlockEnumeration:
     def test_exchange_partner_of_interior_sector(self):
         cfg = small_config()
-        blocks = {(b.n, b.m): b for b in enumerate_blocks(cfg)}
+        blocks = {sector(b): b for b in enumerate_blocks(cfg)}
         b = blocks[(3, 2)]
-        assert b.coupled
-        assert b.source_index == cfg.basis_index(3, 2, 0)
-        assert b.target_index == cfg.basis_index(2, 3, 1)
+        assert b.members == ((3, 2, 0), (2, 3, 1))
+        assert np.array_equal(b.h.entries, [[0, cfg.g], [cfg.g, 0]])
 
     def test_vacuum_sectors_idle(self):
         cfg = small_config()
         for b in enumerate_blocks(cfg):
-            if b.n == 0:
-                assert not b.coupled and b.target_index == -1
+            if sector(b)[0] == 0:
+                assert len(b.members) == 1 and not np.any(b.h.entries)
 
     def test_cold_cutoff_sectors_idle(self):
         cfg = small_config()
         for b in enumerate_blocks(cfg):
-            if b.m == cfg.n_max2:
-                assert not b.coupled
+            if sector(b)[1] == cfg.n_max2:
+                assert len(b.members) == 1
 
     def test_pairing_is_a_bijection(self):
         cfg = small_config()
-        coupled = [b for b in enumerate_blocks(cfg) if b.coupled]
+        coupled = [b for b in enumerate_blocks(cfg) if len(b.members) == 2]
         assert len(coupled) == cfg.n_max1 * cfg.n_max2
-        targets = [b.target_index for b in coupled]
+        targets = [b.members[1] for b in coupled]
         assert len(set(targets)) == len(targets)
 
     def test_lexicographic_order(self):
-        labels = [(b.n, b.m) for b in enumerate_blocks(small_config())]
+        labels = [sector(b) for b in enumerate_blocks(small_config())]
         assert labels == sorted(labels)
+        assert len(labels) == 36
+
+    def test_members_conserve_both_charges(self):
+        cfg = small_config(n_max1=4, n_max2=3)
+        d_total = cfg.total_energy_diagonal()
+        d_weighted = cfg.weighted_energy_diagonal()
+        for b in enumerate_blocks(cfg):
+            idx = [cfg.basis_index(*member) for member in b.members]
+            assert np.ptp(d_total[idx]) <= 1e-12
+            assert np.ptp(d_weighted[idx]) <= 1e-12
+
+    def test_blocks_are_dense_submatrices(self):
+        cfg = small_config(n_max1=4, n_max2=3)
+        dense = build_interaction_hamiltonian(cfg).entries
+        for b in enumerate_blocks(cfg):
+            idx = [cfg.basis_index(*member) for member in b.members]
+            assert np.array_equal(b.h.entries, dense[np.ix_(idx, idx)])
+            assert not np.any(np.delete(dense[idx], idx, axis=1))
+
+    def test_single_block_matches_enumeration(self):
+        cfg = small_config(n_max1=3, n_max2=2)
+        for b in enumerate_blocks(cfg):
+            one = charge_block(cfg, *sector(b))
+            assert one.members == b.members
+            assert np.array_equal(one.h.entries, b.h.entries)
+
+    @pytest.mark.parametrize("n, m", [(-1, 0), (0, -1), (6, 0), (0, 6)])
+    def test_sector_outside_cutoffs_rejected(self, n, m):
+        with pytest.raises(ValueError, match="outside the cutoffs"):
+            charge_block(small_config(), n, m)
+
+    def test_no_hot_quanta_leaves_every_sector_idle(self):
+        cfg = small_config(n_max1=0)
+        assert [len(b.members) for b in enumerate_blocks(cfg)] == [1] * 6
 
 
 class TestInteractionHamiltonian:
@@ -101,9 +140,9 @@ class TestInteractionHamiltonian:
     def test_single_sector_is_pauli_x_pair(self):
         cfg = small_config(n_max1=1, n_max2=1)
         h = build_interaction_hamiltonian(cfg)
-        blocks = [b for b in enumerate_blocks(cfg) if b.coupled]
+        blocks = [b for b in enumerate_blocks(cfg) if len(b.members) == 2]
         assert len(blocks) == 1
-        s, t = blocks[0].source_index, blocks[0].target_index
+        s, t = (cfg.basis_index(*member) for member in blocks[0].members)
         sub = h.entries[np.ix_([s, t], [s, t])]
         assert np.max(np.abs(sub - cfg.g * np.array([[0, 1], [1, 0]]))) == 0.0
 
@@ -132,7 +171,7 @@ class TestEvolutionOperator:
         cfg = small_config(n_max1=3, n_max2=3)
         h = build_interaction_hamiltonian(cfg)
         for t in (0.0, 0.3 * cfg.tau, cfg.tau):
-            direct = hermitian_exponential(h, t)
+            direct = SpectralPropagator(h).at(t)
             assembled = evolution_operator(cfg, t)
             assert np.max(np.abs(direct.entries - assembled.entries)) <= 1e-12
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import taylor_evolution
-from sltosim.engine import CompactEngineConfig, evolve_cycle
+from sltosim.engine import CompactEngineConfig, charge_block, evolve_cycle
 from sltosim.linalg import (
     DensityMatrix,
     Operator,
@@ -22,7 +22,6 @@ from sltosim.optics import (
     build_effective_hamiltonian,
     build_full_hamiltonian,
     coupling_profile_from_tables,
-    effective_charge_block,
     effective_compact_config,
     full_charge_block,
     inverse_intensity_profile,
@@ -402,7 +401,7 @@ class TestChargeBlockOracle:
                 block = full_charge_block(cfg, make_profile(cfg), n, m)
                 self.assert_block_of(full, block, 3, d2)
                 assert len(block.members) == (1 if n == 0 else 2 if m == cfg.mode2.n_max else 3)
-                pair = effective_charge_block(cfg, n, m)
+                pair = charge_block(effective_compact_config(cfg), n, m)
                 self.assert_block_of(eff, pair, 2, d2)
                 assert len(pair.members) == (1 if n == 0 or m == cfg.mode2.n_max else 2)
 
@@ -411,7 +410,7 @@ class TestChargeBlockOracle:
         with pytest.raises(ValueError):
             full_charge_block(cfg, uniform_exchange_profile(cfg), 5, 0)
         with pytest.raises(ValueError):
-            effective_charge_block(cfg, 0, -1)
+            charge_block(effective_compact_config(cfg), 0, -1)
 
     @staticmethod
     def dense_level_populations(h, n0, m0, times, d1, d2, n_levels):

@@ -49,7 +49,7 @@ class TestGibbsState:
     @given(st.floats(0.1, 3.0), st.floats(0.1, 3.0), st.integers(1, 30))
     @settings(max_examples=40, deadline=None)
     def test_probabilities_follow_geometric_law(self, omega, beta, n_max):
-        p = gibbs_probabilities(TruncatedMode(omega, beta, n_max))
+        p = gibbs_probabilities(omega, beta, n_max)
         q = math.exp(-beta * omega)
         expected = (1 - q) / (1 - q ** (n_max + 1)) * q ** np.arange(n_max + 1)
         assert np.max(np.abs(p - expected)) <= 1e-12
