@@ -387,6 +387,12 @@ def run_optics_cycle_cmd(params: dict, out_dir: Path) -> tuple[dict, dict, list 
     return results, checks, _cycle_series(report)
 
 
+def _slope_band(slope: float | None, low: float, high: float) -> dict:
+    """A slope band check; a series without a slope (None) fails it."""
+    return {"value": slope, "threshold": [low, high],
+            "passed": slope is not None and low <= slope <= high}
+
+
 def run_delta_sweep(params: dict, out_dir: Path) -> tuple[dict, dict, list | None]:
     ratios = params.get("ratios") or [20.0, 40.0, 80.0, 160.0]
     g1 = params.get("g1", 0.5)
@@ -423,10 +429,8 @@ def run_delta_sweep(params: dict, out_dir: Path) -> tuple[dict, dict, list | Non
     checks = {
         "deviation_monotone": {"value": float(not monotone), "threshold": 0.5,
                                "passed": monotone},
-        "deviation_slope_band": {"value": dev_slope, "threshold": [-1.4, -0.6],
-                                 "passed": -1.4 <= dev_slope <= -0.6},
-        "leak_slope_band": {"value": leak_slope, "threshold": [-2.5, -1.5],
-                            "passed": -2.5 <= leak_slope <= -1.5},
+        "deviation_slope_band": _slope_band(dev_slope, -1.4, -0.6),
+        "leak_slope_band": _slope_band(leak_slope, -2.5, -1.5),
         "sampling_density": {"value": density, "threshold": SAMPLES_PER_PERIOD,
                              "passed": density >= SAMPLES_PER_PERIOD},
     }
@@ -435,7 +439,6 @@ def run_delta_sweep(params: dict, out_dir: Path) -> tuple[dict, dict, list | Non
 
 
 def run_design(params: dict, out_dir: Path) -> tuple[dict, dict, list | None]:
-    n_fit = params.get("n_fit", 6)
     q = params.get("q", 4.0)
     if params.get("design_in"):
         spec = json.loads(Path(params["design_in"]).read_text())
@@ -450,10 +453,15 @@ def run_design(params: dict, out_dir: Path) -> tuple[dict, dict, list | None]:
             np.array(spec["targets"]["f"]), np.array(spec["targets"]["theta"]),
             q=spec["targets"].get("q", q), n_work=spec["targets"].get("n_work", 0),
         )
+        if params.get("n_fit", targets.n_fit) != targets.n_fit:
+            raise ConfigError(
+                f"n_fit {params['n_fit']} disagrees with the {targets.n_fit} target "
+                f"entries in {params['design_in']}"
+            )
         sched_in = spec.get("schedule", {})
     else:
         amplitude = params.get("amplitude", 0.0125)
-        targets = DesignTargets.inverse_intensity(amplitude, n_fit, q=q)
+        targets = DesignTargets.inverse_intensity(amplitude, params.get("n_fit", 6), q=q)
         ansatz0 = PotentialAnsatz.zeros()
         sched_in = {}
     schedule = AnnealSchedule(
@@ -465,6 +473,7 @@ def run_design(params: dict, out_dir: Path) -> tuple[dict, dict, list | None]:
     best, trace = mc_optimize(ansatz0, targets, schedule)
     best_cost = design_cost(best, targets)
     f_act, theta_act = fock_matrix_elements(best, targets.n_work)
+    fit = slice(1, targets.n_fit + 1)
     results = {
         "initial_cost": float(trace[0]),
         "best_cost": float(best_cost),
@@ -472,8 +481,8 @@ def run_design(params: dict, out_dir: Path) -> tuple[dict, dict, list | None]:
         "seed": schedule.seed,
         "v_coeffs": [float(c) for c in best.v_coeffs],
         "b_coeffs": [float(c) for c in best.b_coeffs],
-        "f_achieved": [float(v) for v in f_act[1 : n_fit + 1]],
-        "theta_achieved": [float(v) for v in theta_act[1 : n_fit + 1]],
+        "f_achieved": [float(v) for v in f_act[fit]],
+        "theta_achieved": [float(v) for v in theta_act[fit]],
         "f_target": [float(v) for v in targets.f_target],
         "theta_target": [float(v) for v in targets.theta_target],
     }

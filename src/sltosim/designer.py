@@ -10,6 +10,15 @@ a finite exact computation and truncation is controlled by construction:
 a degree-d polynomial in y connects |n> only to |n +- d|, so elements
 are reported only far enough below the workspace cutoff.
 
+Both tables are linear in the coefficients: f(n) = sum_d c_d <n|X^d|n>
+and theta(j) sqrt(j+1) = sum_d c_d <j|X^d|j+1>.  ``FockRows`` holds those
+per-degree rows, read off the powers X^1..X^D once; a table is the
+coefficient-weighted sum of its rows, accumulated from zero in degree
+order (the order of the dense sum over c_d X^d, so the values are the
+same to the bit).  A fit builds the rows of its fit window once and
+scores every proposal from the flat coefficient vector, and the kick
+sensitivities are the norms of the same rows.
+
 The fit is a seeded random-walk descent over the coefficients: one
 coefficient at a time gets a Gaussian kick, downhill moves are always
 kept, and an optional auxiliary temperature admits uphill moves with
@@ -85,6 +94,53 @@ def position_operator(dim: int) -> np.ndarray:
     return x
 
 
+@dataclass(frozen=True)
+class FockRows:
+    """Per-degree rows of the two tables, over a window of levels.
+
+    ``v[k, i]`` is <n|X^d|n> for the k-th potential degree d and
+    ``b[k, i]`` is <j|X^d|j+1> for the k-th mode-function degree, with
+    ``root[i] = sqrt(j+1)`` the theta divisor of the same column.
+    """
+
+    v: np.ndarray
+    b: np.ndarray
+    root: np.ndarray
+
+    @classmethod
+    def build(cls, ansatz: PotentialAnsatz, n_work: int) -> "FockRows":
+        """Rows of every exact element: n <= n_work - D_V, j <= n_work - D_b - 1."""
+        if n_work < ansatz.max_degree + 2:
+            raise ValueError(
+                f"workspace cutoff {n_work} too small for degree {ansatz.max_degree}"
+            )
+        n_f = n_work - int(ansatz.v_degrees[-1]) + 1
+        j_top = n_work - int(ansatz.b_degrees[-1])  # <j|b|j+1> needs j+1+d_b <= n_work
+        v_degrees = set(ansatz.v_degrees.tolist())
+        b_degrees = set(ansatz.b_degrees.tolist())
+        x = position_operator(n_work + 1)
+        power = np.eye(n_work + 1)
+        v_rows, b_rows = [], []
+        for degree in range(1, ansatz.max_degree + 1):
+            power = power @ x
+            if degree in v_degrees:
+                v_rows.append(np.diagonal(power)[:n_f].copy())
+            if degree in b_degrees:
+                b_rows.append(np.diagonal(power, 1)[:j_top].copy())
+        return cls(np.array(v_rows), np.array(b_rows), np.sqrt(np.arange(1, j_top + 1)))
+
+    def tables(self, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(f, theta) of the flat coefficient vector (potential slots first).
+
+        Each table is summed from zero in degree order and theta is
+        divided after the sum, the order of the dense sum over c X^d.
+        """
+        nv = self.v.shape[0]
+        f = (coeffs[:nv, None] * self.v).sum(axis=0, initial=0.0)
+        theta = (coeffs[nv:, None] * self.b).sum(axis=0, initial=0.0) / self.root
+        return f, theta
+
+
 def fock_matrix_elements(
     ansatz: PotentialAnsatz, n_work: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -95,31 +151,7 @@ def fock_matrix_elements(
     j <= n_work - D_b - 1.  Higher entries are contaminated by the
     cutoff and never reported.
     """
-    if n_work < ansatz.max_degree + 2:
-        raise ValueError(
-            f"workspace cutoff {n_work} too small for degree {ansatz.max_degree}"
-        )
-    dim = n_work + 1
-    x = position_operator(dim)
-    power = np.eye(dim)
-    v_mat = np.zeros((dim, dim))
-    b_mat = np.zeros((dim, dim))
-    v_by_degree = dict(zip(ansatz.v_degrees.tolist(), ansatz.v_coeffs))
-    b_by_degree = dict(zip(ansatz.b_degrees.tolist(), ansatz.b_coeffs))
-    for degree in range(1, ansatz.max_degree + 1):
-        power = power @ x
-        if degree in v_by_degree:
-            v_mat += v_by_degree[degree] * power
-        if degree in b_by_degree:
-            b_mat += b_by_degree[degree] * power
-    d_v = int(ansatz.v_degrees[-1])
-    d_b = int(ansatz.b_degrees[-1])
-    f_act = np.diag(v_mat)[: n_work - d_v + 1].copy()
-    j_top = n_work - d_b  # exact elements <j|b|j+1> need j+1+d_b <= n_work
-    theta_act = np.array(
-        [b_mat[j, j + 1] / math.sqrt(j + 1) for j in range(j_top)]
-    )
-    return f_act, theta_act
+    return FockRows.build(ansatz, n_work).tables(ansatz.flat())
 
 
 @dataclass(frozen=True)
@@ -178,20 +210,32 @@ class DesignTargets:
         return cls(f_act[1 : n_fit + 1], theta_act[1 : n_fit + 1], q=q, n_work=n_work)
 
 
-def design_cost(ansatz: PotentialAnsatz, targets: DesignTargets) -> float:
-    """L2 mismatch of the f table plus Lq mismatch of the theta table."""
-    f_act, theta_act = fock_matrix_elements(ansatz, targets.n_work)
+def _fit_rows(ansatz: PotentialAnsatz, targets: DesignTargets) -> FockRows:
+    """The rows over the fit window n = 1..n_fit."""
+    rows = FockRows.build(ansatz, targets.n_work)
     n_fit = targets.n_fit
-    if f_act.size < n_fit + 1 or theta_act.size < n_fit + 1:
+    if rows.v.shape[1] < n_fit + 1 or rows.b.shape[1] < n_fit + 1:
         raise ValueError(
             f"workspace cutoff {targets.n_work} cannot reach fit index {n_fit} "
             f"for degrees up to {ansatz.max_degree}"
         )
-    df = f_act[1 : n_fit + 1] - targets.f_target
-    dth = theta_act[1 : n_fit + 1] - targets.theta_target
-    f_norm = math.sqrt(float(np.sum(df**2)))
-    th_norm = float(np.sum(np.abs(dth) ** targets.q)) ** (1.0 / targets.q)
+    fit = slice(1, n_fit + 1)
+    return FockRows(rows.v[:, fit], rows.b[:, fit], rows.root[fit])
+
+
+def _fit_cost(rows: FockRows, coeffs: np.ndarray, targets: DesignTargets) -> float:
+    """The design cost of flat coefficients, from the fit-window rows."""
+    f_act, theta_act = rows.tables(coeffs)
+    df = f_act - targets.f_target
+    dth = theta_act - targets.theta_target
+    f_norm = math.sqrt(float((df**2).sum()))
+    th_norm = float((np.abs(dth) ** targets.q).sum()) ** (1.0 / targets.q)
     return f_norm + th_norm
+
+
+def design_cost(ansatz: PotentialAnsatz, targets: DesignTargets) -> float:
+    """L2 mismatch of the f table plus Lq mismatch of the theta table."""
+    return _fit_cost(_fit_rows(ansatz, targets), ansatz.flat(), targets)
 
 
 @dataclass(frozen=True)
@@ -218,20 +262,12 @@ class AnnealSchedule:
             raise ValueError("mc_temperature must be >= 0")
 
 
-def _coefficient_sensitivities(ansatz0: PotentialAnsatz, targets: DesignTargets) -> np.ndarray:
-    """Cost-space gain of a unit kick on each coefficient (exact: the
-    tables are linear in the coefficients, so this is a one-time setup)."""
-    n_fit = targets.n_fit
-    zeros = np.zeros(ansatz0.flat().size)
-    sens = np.empty(zeros.size)
-    for k in range(zeros.size):
-        unit = zeros.copy()
-        unit[k] = 1.0
-        f, th = fock_matrix_elements(ansatz0.with_flat(unit), targets.n_work)
-        sens[k] = math.sqrt(
-            float(np.sum(f[1 : n_fit + 1] ** 2) + np.sum(th[1 : n_fit + 1] ** 2))
-        )
-    return np.maximum(sens, 1e-30)
+def _coefficient_sensitivities(rows: FockRows) -> np.ndarray:
+    """Cost-space gain of a unit kick on each coefficient: the norm of
+    its row over the fit window, since the tables are linear in the
+    coefficients."""
+    table_rows = np.concatenate([rows.v, rows.b / rows.root])
+    return np.maximum(np.sqrt(np.sum(table_rows**2, axis=1)), 1e-30)
 
 
 def mc_optimize(
@@ -243,17 +279,19 @@ def mc_optimize(
     step whose width is proposal_scale * (current cost) / (that
     coefficient's cost sensitivity), so kicks stay commensurate with the
     remaining error: high-degree coefficients move in proportionally
-    tiny steps and the walk has no resolution floor.
+    tiny steps and the walk has no resolution floor.  The table rows are
+    built once, and each proposal is scored from its coefficients.
 
     Returns the best ansatz ever visited and the accepted-cost trace
     (length iterations + 1, starting at the initial cost).  The trace's
     running minimum is non-increasing, and at zero temperature the trace
     itself is.  Identical seeds give identical traces.
     """
+    rows = _fit_rows(ansatz0, targets)
     rng = np.random.default_rng(schedule.seed)
-    sens = _coefficient_sensitivities(ansatz0, targets)
+    sens = _coefficient_sensitivities(rows)
     coeffs = ansatz0.flat()
-    current = design_cost(ansatz0, targets)
+    current = _fit_cost(rows, coeffs, targets)
     best_coeffs = coeffs.copy()
     best_cost = current
     trace = np.empty(schedule.iterations + 1)
@@ -264,7 +302,7 @@ def mc_optimize(
         step = rng.normal(0.0, width)
         proposal = coeffs.copy()
         proposal[k] += step
-        cost = design_cost(ansatz0.with_flat(proposal), targets)
+        cost = _fit_cost(rows, proposal, targets)
         dc = cost - current
         accept = dc < 0 or (
             schedule.mc_temperature > 0

@@ -476,11 +476,20 @@ def adiabatic_elimination_error(
     return points
 
 
-def sweep_slopes(points: Sequence[SweepPoint]) -> tuple[float, float]:
-    """Log-log slopes of (population deviation, leak) against the detuning."""
+def sweep_slopes(points: Sequence[SweepPoint]) -> tuple[float | None, float | None]:
+    """Log-log slopes of (population deviation, leak) against the detuning.
+
+    A series with a non-positive entry (a probe state that never leaks)
+    has no logarithm, so its slope is None.
+    """
     if len(points) < 2:
         raise ValueError("need at least two sweep points to fit a slope")
     x = np.log([p.delta for p in points])
-    dev = np.polyfit(x, np.log([p.population_deviation for p in points]), 1)[0]
-    leak = np.polyfit(x, np.log([p.leak_max for p in points]), 1)[0]
-    return float(dev), float(leak)
+
+    def slope(values: list[float]) -> float | None:
+        if min(values) <= 0.0:
+            return None
+        return float(np.polyfit(x, np.log(values), 1)[0])
+
+    return (slope([p.population_deviation for p in points]),
+            slope([p.leak_max for p in points]))

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from sltosim.cli import (
     verify_slto,
     write_matrix_file,
 )
+from sltosim.designer import DesignTargets, PotentialAnsatz
 from sltosim.engine import CompactEngineConfig, evolution_operator
 from sltosim.linalg import Operator
 
@@ -160,6 +162,23 @@ class TestDeltaSweepCommand:
         assert not (tmp_path / "report.json").exists()
 
 
+    def test_probe_without_leak_reports_null_slope(self, tmp_path):
+        # the vacuum row never reaches the upper level, so its leak series is
+        # all zero and has no log-log slope
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(["delta-sweep", "--ratios", "20,40", "--block", "0,2",
+                         "--out", str(tmp_path), "--no-color"])
+        assert code == 1
+        report = json.loads((tmp_path / "report.json").read_text(), parse_constant=reject)
+        assert report["results"]["leak_slope"] is None
+        band = report["checks"]["leak_slope_band"]
+        assert band["value"] is None and band["passed"] is False
+
+
 class TestDesignCommand:
     def test_deterministic_reports(self, tmp_path):
         args = ["design", "--iterations", "800", "--seed", "42", "--no-color"]
@@ -185,6 +204,50 @@ class TestDesignCommand:
         report = load_report(out2)
         # warm start must not be worse than the stored best by construction
         assert report["results"]["best_cost"] <= load_report(out1)["results"]["best_cost"] + 1e-12
+
+    def test_design_file_keeps_its_fit_size(self, tmp_path):
+        design_path = tmp_path / "fit8.json"
+        assert main(["design", "--n-fit", "8", "--iterations", "50",
+                     "--design-out", str(design_path), "--out", str(tmp_path / "first"),
+                     "--no-color"]) == 0
+        out = tmp_path / "second"
+        assert main(["design", "--design-in", str(design_path), "--iterations", "50",
+                     "--out", str(out), "--no-color"]) == 0
+        results = load_report(out)["results"]
+        written = json.loads((out / "design.json").read_text())["result"]
+        for tables in (results, written):
+            assert len(tables["f_achieved"]) == len(tables["theta_achieved"]) == 8
+        assert len(results["f_target"]) == 8
+
+    def test_design_file_disagreeing_fit_size_rejected(self, tmp_path, capsys):
+        design_path = tmp_path / "fit8.json"
+        assert main(["design", "--n-fit", "8", "--iterations", "50",
+                     "--design-out", str(design_path), "--out", str(tmp_path / "first"),
+                     "--no-color"]) == 0
+        capsys.readouterr()
+        out = tmp_path / "second"
+        code = main(["design", "--design-in", str(design_path), "--n-fit", "6",
+                     "--iterations", "50", "--out", str(out), "--no-color"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "n_fit 6" in err and "8 target entries" in err
+        assert not (out / "report.json").exists()
+
+    def test_design_file_workspace_short_of_fit_range(self, tmp_path, capsys):
+        targets = DesignTargets.inverse_intensity(0.0125, 6, n_work=10)
+        ansatz = PotentialAnsatz.zeros()
+        design_path = tmp_path / "short.json"
+        design_path.write_text(json.dumps({
+            "ansatz": {"v_coeffs": ansatz.v_coeffs.tolist(),
+                       "b_coeffs": ansatz.b_coeffs.tolist()},
+            "targets": {"f": targets.f_target.tolist(),
+                        "theta": targets.theta_target.tolist(),
+                        "q": targets.q, "n_work": targets.n_work},
+        }))
+        code = main(["design", "--design-in", str(design_path), "--iterations", "50",
+                     "--out", str(tmp_path / "out"), "--no-color"])
+        assert code == 2
+        assert "cannot reach fit index 6" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flags", [
         ["--proposal-scale", "nan"],

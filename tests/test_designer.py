@@ -9,6 +9,8 @@ from sltosim.designer import (
     AnnealSchedule,
     DesignTargets,
     PotentialAnsatz,
+    _coefficient_sensitivities,
+    _fit_rows,
     design_cost,
     fock_matrix_elements,
     mc_optimize,
@@ -29,7 +31,77 @@ def quartic_generator() -> PotentialAnsatz:
     return PotentialAnsatz(np.array([1.0, 0.1, 0.0, 0.0]), np.array([1.0, 0.0, 0.0, 0.0]))
 
 
+def dense_tables(ansatz: PotentialAnsatz, n_work: int) -> tuple[np.ndarray, np.ndarray]:
+    """The tables read off the dense operators V(X) = sum c X^d and b(X)."""
+    dim = n_work + 1
+    x = np.diag(np.sqrt(np.arange(1, dim) / 2.0), 1)
+    x = x + x.T
+    v = sum((c * np.linalg.matrix_power(x, d)
+             for d, c in zip(ansatz.v_degrees, ansatz.v_coeffs)), np.zeros_like(x))
+    b = sum((c * np.linalg.matrix_power(x, d)
+             for d, c in zip(ansatz.b_degrees, ansatz.b_coeffs)), np.zeros_like(x))
+    j = np.arange(n_work - ansatz.b_degrees[-1])
+    return np.diag(v)[: n_work - ansatz.v_degrees[-1] + 1], b[j, j + 1] / np.sqrt(j + 1)
+
+
+def unit_kick_sensitivities(ansatz0: PotentialAnsatz, targets: DesignTargets) -> np.ndarray:
+    """Norm of the fit-window tables of each unit coefficient vector."""
+    n_fit = targets.n_fit
+    size = ansatz0.flat().size
+    sens = np.empty(size)
+    for k in range(size):
+        unit = np.zeros(size)
+        unit[k] = 1.0
+        f, th = fock_matrix_elements(ansatz0.with_flat(unit), targets.n_work)
+        sens[k] = math.sqrt(
+            float(np.sum(f[1 : n_fit + 1] ** 2) + np.sum(th[1 : n_fit + 1] ** 2))
+        )
+    return np.maximum(sens, 1e-30)
+
+
+def reference_walk(ansatz0: PotentialAnsatz, targets: DesignTargets,
+                   schedule: AnnealSchedule) -> tuple[np.ndarray, np.ndarray]:
+    """The mc_optimize walk, scoring every proposal through design_cost."""
+    rng = np.random.default_rng(schedule.seed)
+    sens = unit_kick_sensitivities(ansatz0, targets)
+    coeffs = ansatz0.flat()
+    current = design_cost(ansatz0, targets)
+    best_coeffs, best_cost = coeffs.copy(), current
+    trace = [current]
+    for _ in range(schedule.iterations):
+        k = int(rng.integers(coeffs.size))
+        step = rng.normal(0.0, schedule.proposal_scale * current / sens[k])
+        proposal = coeffs.copy()
+        proposal[k] += step
+        cost = design_cost(ansatz0.with_flat(proposal), targets)
+        dc = cost - current
+        if dc < 0 or (schedule.mc_temperature > 0
+                      and rng.random() < math.exp(-dc / schedule.mc_temperature)):
+            coeffs, current = proposal, cost
+            if cost < best_cost:
+                best_cost, best_coeffs = cost, proposal.copy()
+        trace.append(current)
+    return best_coeffs, np.array(trace)
+
+
 class TestFockMatrixElements:
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    @pytest.mark.parametrize("extra", [0, 5, 17])
+    def test_matches_dense_operator_sum(self, seed, extra):
+        rng = np.random.default_rng(seed)
+        ansatz = PotentialAnsatz(rng.normal(size=rng.integers(1, 6)),
+                                 rng.normal(size=rng.integers(1, 6)))
+        n_work = ansatz.max_degree + 2 + extra
+        f, theta = fock_matrix_elements(ansatz, n_work)
+        f_dense, theta_dense = dense_tables(ansatz, n_work)
+        assert f.shape == f_dense.shape and theta.shape == theta_dense.shape
+        # rounding scale per entry: the tables with every term made positive
+        f_abs, theta_abs = dense_tables(
+            PotentialAnsatz(np.abs(ansatz.v_coeffs), np.abs(ansatz.b_coeffs)), n_work
+        )
+        assert np.all(np.abs(f - f_dense) <= 1e-13 * f_abs)
+        assert np.all(np.abs(theta - theta_dense) <= 1e-13 * theta_abs)
+
     def test_harmonic_diagonal(self):
         # V(y) = y^2 has <n|V|n> = n + 1/2 exactly
         ansatz = PotentialAnsatz(np.array([1.0]), np.array([1.0]))
@@ -203,6 +275,72 @@ class TestMcOptimize:
             start, targets, AnnealSchedule(iterations=2000, mc_temperature=0.05, seed=4)
         )
         assert design_cost(best, targets) <= np.min(trace) + 1e-15
+
+
+class TestLinearTables:
+    """mc_optimize scores proposals from table rows built once per fit."""
+
+    @staticmethod
+    def fits():
+        gen = quartic_generator()
+        return [
+            (PotentialAnsatz.zeros(), DesignTargets.inverse_intensity(0.0125, 6)),
+            (gen.with_flat(gen.flat() * 1.1), DesignTargets.from_ansatz(gen, n_fit=9)),
+        ]
+
+    @pytest.mark.parametrize("fit", [0, 1])
+    def test_sensitivities_are_unit_kick_norms(self, fit):
+        ansatz0, targets = self.fits()[fit]
+        assert np.array_equal(
+            _coefficient_sensitivities(_fit_rows(ansatz0, targets)),
+            unit_kick_sensitivities(ansatz0, targets),
+        )
+
+    @pytest.mark.parametrize("fit", [0, 1])
+    @pytest.mark.parametrize("seed", [0, 42])
+    @pytest.mark.parametrize("temperature", [0.0, 0.01])
+    def test_walk_equals_design_cost_reference(self, fit, seed, temperature):
+        ansatz0, targets = self.fits()[fit]
+        schedule = AnnealSchedule(iterations=400, mc_temperature=temperature, seed=seed)
+        best, trace = mc_optimize(ansatz0, targets, schedule)
+        ref_best, ref_trace = reference_walk(ansatz0, targets, schedule)
+        assert np.array_equal(trace, ref_trace)
+        assert np.array_equal(best.flat(), ref_best)
+
+
+class TestWorkspaceGuards:
+    @staticmethod
+    def short_of_fit_range():
+        # degree 8 fits in n_work = 10, but f then stops at n = 2 < n_fit
+        return PotentialAnsatz.zeros(), DesignTargets.inverse_intensity(0.0125, 6, n_work=10)
+
+    @staticmethod
+    def too_small_for_degree():
+        return (PotentialAnsatz.zeros(v_degree=12),
+                DesignTargets.inverse_intensity(0.0125, 6, n_work=12))
+
+    @pytest.mark.parametrize("case, message", [
+        ("short_of_fit_range", "cannot reach fit index 6"),
+        ("too_small_for_degree", "workspace cutoff 12 too small for degree 12"),
+    ])
+    def test_design_cost_rejects(self, case, message):
+        ansatz, targets = getattr(self, case)()
+        with pytest.raises(ValueError, match=message):
+            design_cost(ansatz, targets)
+
+    @pytest.mark.parametrize("case, message", [
+        ("short_of_fit_range", "cannot reach fit index 6"),
+        ("too_small_for_degree", "workspace cutoff 12 too small for degree 12"),
+    ])
+    def test_mc_optimize_rejects_before_drawing(self, case, message, monkeypatch):
+        class NoDraws:
+            def __getattr__(self, name):
+                raise AssertionError(f"drew {name} before checking the workspace")
+
+        monkeypatch.setattr(np.random, "default_rng", lambda seed=None: NoDraws())
+        ansatz, targets = getattr(self, case)()
+        with pytest.raises(ValueError, match=message):
+            mc_optimize(ansatz, targets, AnnealSchedule(iterations=10))
 
 
 class TestValidateDesign:

@@ -1,0 +1,32 @@
+"""Smoke tests of the experiment scripts, run as their users run them."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_script(name: str, *args: str) -> subprocess.CompletedProcess:
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, timeout=120,
+    )
+
+
+def test_fit_inverse_intensity_writes_design(tmp_path):
+    out = tmp_path / "d.json"
+    proc = run_script("fit_inverse_intensity.py",
+                      "--iterations", "200", "--seeds", "0", "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    design = json.loads(out.read_text())
+    assert design["schedule"] == {"iterations": 200, "seed": 0}
+    assert len(design["ansatz"]["v_coeffs"]) == len(design["ansatz"]["v_degrees"])
+    assert len(design["ansatz"]["b_coeffs"]) == len(design["ansatz"]["b_degrees"])
+    result = design["result"]
+    assert len(result["f_achieved"]) == len(result["theta_achieved"]) == 6
+    assert result["best_cost"] <= result["initial_cost"]
