@@ -18,6 +18,12 @@ lists the engine's 2x2 pairs and 1x1 idle blocks, and the cavity model in
 ``optics`` builds its <= 3-state blocks with the same type.  Dense
 full-space matrices are assembled only for export and as the test oracle
 (``build_interaction_hamiltonian``).
+
+``evolve_cycle`` propagates the one 2x2 pair block over the whole time
+grid and takes every per-sample diagnostic from its amplitude rows in
+closed form (entanglement entropy, energy spread, Fubini-Study
+distance).  Sector weights, bath energies and the charge gaps behind the
+commutator residuals are read from the members of the enumerated blocks.
 """
 
 from __future__ import annotations
@@ -30,15 +36,15 @@ from typing import Sequence
 import numpy as np
 
 from .linalg import (
+    EIGENVALUE_FLOOR,
     Operator,
     SpectralPropagator,
     StateVector,
     basis_state,
-    DensityMatrix,
-    energy_uncertainty,
-    fubini_study_distance,
-    von_neumann_entropy,
+    max_abs,
 )
+# unused here; bench/tracing.py patches these by name
+from .linalg import DensityMatrix, energy_uncertainty, fubini_study_distance, von_neumann_entropy
 from .thermal import gibbs_probabilities
 
 RESONANCE_ATOL = 1e-12
@@ -307,80 +313,84 @@ def default_times(cfg) -> np.ndarray:
 def evolve_cycle(
     cfg: CompactEngineConfig, times: Sequence[float] | None = None
 ) -> CycleReport:
-    """Run one cycle from gibbs x gibbs x |0><0| and collect every diagnostic."""
+    """Run one cycle from gibbs x gibbs x |0><0| and collect every diagnostic.
+
+    Every coupled sector evolves under the same 2x2 generator, so the
+    whole ensemble is one propagated pair.  The diagnostics come in
+    closed form from its amplitude rows over the grid: the entropy of
+    diag(1 - p, p), the energy spread of g*sigma_x and the Fubini-Study
+    distance from the first row.  Sector weights, bath energies and the
+    charge gaps behind the commutator residuals come from the members of
+    the blocks that ``enumerate_blocks`` returns.
+    """
     if cfg.g == 0:
         raise ValueError("the cycle needs a positive coupling (tau is undefined at g = 0)")
     times = default_times(cfg) if times is None else np.array(times, dtype=float)
     tau_index = _require_tau(times, cfg.tau)
     blocks = enumerate_blocks(cfg)
-    pairs = [b.members for b in blocks if len(b.members) == 2]
-    idle = [b.members[0] for b in blocks if len(b.members) == 1]
+    # members as (n, m, level): (P, 2, 3) for the pairs (source, target), (I, 3) idle
+    pairs = np.array([b.members for b in blocks if len(b.members) == 2], dtype=int)
+    pairs = pairs.reshape(-1, 2, 3)
+    idle = np.array([b.members[0] for b in blocks if len(b.members) == 1], dtype=int)
+    idle = idle.reshape(-1, 3)
 
     p1 = gibbs_probabilities(cfg.omega1, cfg.beta1, cfg.n_max1)
     p2 = gibbs_probabilities(cfg.omega2, cfg.beta2, cfg.n_max2)
-    pair_n = np.array([n for (n, _, _), _ in pairs], dtype=int)
-    pair_m = np.array([m for (_, m, _), _ in pairs], dtype=int)
-    pair_w = p1[pair_n] * p2[pair_m] if pair_n.size else np.zeros(0)
-    idle_n = np.array([n for n, _, _ in idle], dtype=int)
-    idle_m = np.array([m for _, m, _ in idle], dtype=int)
-    idle_w = p1[idle_n] * p2[idle_m] if idle_n.size else np.zeros(0)
+    pair_w = p1[pairs[:, 0, 0]] * p2[pairs[:, 0, 1]]
+    idle_w = p1[idle[:, 0]] * p2[idle[:, 1]]
 
     success_weight = float(pair_w.sum())
     vacuum_weight = float(p1[0])
     boundary_weight = float((1.0 - p1[0]) * p2[cfg.n_max2])
 
-    gen2 = pair_generator(cfg.g)
-    amps = SpectralPropagator(gen2).states(basis_state(2, 0), times)
+    amps = SpectralPropagator(pair_generator(cfg.g)).states(basis_state(2, 0), times)
+    norms = np.linalg.norm(amps, axis=1)
+    bad = np.flatnonzero(~(np.abs(norms - 1.0) <= 1e-10))  # a NaN norm fails too
+    if bad.size:
+        k = bad[0]
+        raise ValueError(
+            f"state vector norm {float(norms[k])!r} at t = {float(times[k])!r} "
+            "differs from 1 by > 1e-10"
+        )
+    psi0 = StateVector(amps[0])
     transfer = np.abs(amps[:, 1]) ** 2  # per-sector excited probability
 
     ideal = np.stack(
         [np.cos(cfg.g * times), -1j * np.sin(cfg.g * times)], axis=1
     )
-    amplitude_residual = float(np.max(np.abs(amps - ideal))) if pair_n.size else 0.0
+    amplitude_residual = float(np.max(np.abs(amps - ideal))) if pairs.size else 0.0
 
-    entanglement = np.empty_like(times)
-    speed = np.empty_like(times)
-    fs_dist = np.empty_like(times)
-    psi0 = StateVector(amps[0])
-    for k in range(times.size):
-        psi = StateVector(amps[k])
-        pr = np.clip(np.array([1.0 - transfer[k], transfer[k]]), 0.0, 1.0)
-        pr = pr / pr.sum()
-        entanglement[k] = von_neumann_entropy(
-            DensityMatrix(np.diag(pr.astype(np.complex128)))
-        )
-        speed[k] = energy_uncertainty(gen2, psi)
-        fs_dist[k] = fubini_study_distance(psi0, psi)
+    # entropy of the system's diag(1 - p, p); a sum of two terms needs no eigvalsh order
+    pr = np.clip(np.stack([1.0 - transfer, transfer], axis=1), 0.0, 1.0)
+    pr = pr / pr.sum(axis=1, keepdims=True)
+    kept = pr > EIGENVALUE_FLOOR
+    terms = np.where(kept, pr * np.log(np.where(kept, pr, 1.0)), 0.0)
+    entanglement = -np.sum(terms, axis=1) + 0.0
+    # spread of g*sigma_x: it swaps the pair's amplitudes
+    hpsi = cfg.g * amps[:, ::-1]
+    mean = np.real(np.sum(amps.conj() * hpsi, axis=1))
+    second = np.sum(hpsi.real**2 + hpsi.imag**2, axis=1)
+    speed = np.sqrt(np.maximum(second - mean**2, 0.0))
+    fs_dist = 0.5 * (1.0 - np.abs(amps @ psi0.amplitudes.conj()) ** 2)
 
     pop_excited = success_weight * transfer
     population_trace = np.stack([1.0 - pop_excited, pop_excited], axis=1)
 
-    e1_pairs = (
-        (np.outer(1.0 - transfer, pair_n) + np.outer(transfer, pair_n - 1))
-        @ pair_w * cfg.omega1
-        if pair_n.size
-        else np.zeros_like(times)
+    # a pair holds its source occupations with weight 1 - p, its target ones with p
+    source, target = pairs[:, 0], pairs[:, 1]
+    bath1_energy, bath2_energy = (
+        (np.outer(1.0 - transfer, source[:, q]) + np.outer(transfer, target[:, q])) @ pair_w
+        * omega
+        + float(idle_w @ idle[:, q]) * omega
+        for q, omega in ((0, cfg.omega1), (1, cfg.omega2))
     )
-    e1_idle = float(idle_w @ idle_n) * cfg.omega1 if idle_n.size else 0.0
-    e2_pairs = (
-        (np.outer(1.0 - transfer, pair_m) + np.outer(transfer, pair_m + 1))
-        @ pair_w * cfg.omega2
-        if pair_m.size
-        else np.zeros_like(times)
-    )
-    e2_idle = float(idle_w @ idle_m) * cfg.omega2 if idle_m.size else 0.0
-    bath1_energy = e1_pairs + e1_idle
-    bath2_energy = e2_pairs + e2_idle
 
-    d_total = cfg.total_energy_diagonal()
-    d_weighted = cfg.weighted_energy_diagonal()
-    if pair_n.size:
-        src = np.array([cfg.basis_index(*source) for source, _ in pairs])
-        tgt = np.array([cfg.basis_index(*target) for _, target in pairs])
-        gap_total = float(np.max(np.abs(d_total[src] - d_total[tgt])))
-        gap_weighted = float(np.max(np.abs(d_weighted[src] - d_weighted[tgt])))
-    else:
-        gap_total = gap_weighted = 0.0
+    # [U(t), D] on a pair block is |<1|U(t)|0>| times the gap of D between its members
+    n, m, level = pairs[..., 0], pairs[..., 1], pairs[..., 2]
+    e_total = n * cfg.omega1 + m * cfg.omega2 + np.array([cfg.a0, cfg.a1])[level]
+    e_weighted = cfg.beta1 * n * cfg.omega1 + cfg.beta2 * m * cfg.omega2
+    gap_total = max_abs(e_total[:, 0] - e_total[:, 1])
+    gap_weighted = max_abs(e_weighted[:, 0] - e_weighted[:, 1])
     off = np.abs(amps[:, 1])  # the only off-diagonal entries of U(t)
     residual_energy_trace = off * gap_total
     residual_weighted_trace = off * gap_weighted

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import warnings
@@ -5,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from sltosim import engine
 from sltosim.cli import (
     ConfigError,
     main,
@@ -108,6 +110,28 @@ class TestAbstractCycleCommand:
                      "--out", str(tmp_path), "--no-color"])
         assert code == 2
         assert not (tmp_path / "report.json").exists()
+
+    def test_non_conserving_pairing_fails_both_commutator_checks(self, tmp_path, monkeypatch):
+        pairing = engine._blocks
+
+        def cold_ladder_left_out(cfg, sectors):
+            # |n, m, 0> <-> |n-1, m, 1>: the cold ladder gains no quantum
+            return [dataclasses.replace(b, members=(b.members[0], (b.members[0][0] - 1,
+                                                                   b.members[0][1], 1)))
+                    if len(b.members) == 2 else b
+                    for b in pairing(cfg, sectors)]
+
+        monkeypatch.setattr(engine, "_blocks", cold_ladder_left_out)
+        code = main(["abstract-cycle", "--beta1", "0.5", "--beta2", "1", "--omega1", "2",
+                     "--g", "0.05", "--n-max1", "4", "--n-max2", "4",
+                     "--out", str(tmp_path), "--no-color"])
+        assert code == 1
+        checks = load_report(tmp_path)["checks"]
+        assert {name for name, c in checks.items() if not c["passed"]} == {
+            "commutator_energy", "commutator_weighted"}
+        # the gaps are omega2 = 1 and beta1 * omega1 = 1, at full transfer
+        assert checks["commutator_energy"]["value"] == pytest.approx(1.0, abs=1e-12)
+        assert checks["commutator_weighted"]["value"] == pytest.approx(1.0, abs=1e-12)
 
     def test_seed_flag_rejected(self, tmp_path):
         # only design draws random numbers, so only design takes --seed
@@ -248,6 +272,27 @@ class TestDesignCommand:
                      "--out", str(tmp_path / "out"), "--no-color"])
         assert code == 2
         assert "cannot reach fit index 6" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section, key", [
+        ("ansatz", "v_coeffs"), ("ansatz", "b_coeffs"), ("targets", "f"), ("targets", "theta"),
+    ])
+    def test_design_file_missing_entry_named(self, tmp_path, capsys, section, key):
+        targets = DesignTargets.inverse_intensity(0.0125, 6)
+        ansatz = PotentialAnsatz.zeros()
+        spec = {
+            "ansatz": {"v_coeffs": ansatz.v_coeffs.tolist(), "b_coeffs": ansatz.b_coeffs.tolist()},
+            "targets": {"f": targets.f_target.tolist(), "theta": targets.theta_target.tolist()},
+        }
+        del spec[section][key]
+        design_path = tmp_path / "partial.json"
+        design_path.write_text(json.dumps(spec))
+        out = tmp_path / "out"
+        code = main(["design", "--design-in", str(design_path), "--iterations", "50",
+                     "--out", str(out), "--no-color"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"lacks {section}.{key}" in err and str(design_path) in err
+        assert not (out / "report.json").exists()
 
     @pytest.mark.parametrize("flags", [
         ["--proposal-scale", "nan"],

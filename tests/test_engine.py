@@ -7,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import taylor_evolution
+from sltosim import engine
 from sltosim.engine import (
     CompactEngineConfig,
+    CycleReport,
     DegenerateCycleError,
     NoGradientError,
     battery_split,
@@ -19,9 +21,21 @@ from sltosim.engine import (
     enumerate_blocks,
     evolution_operator,
     evolve_cycle,
+    pair_generator,
     speed_and_geodesic,
 )
-from sltosim.linalg import Operator, SpectralPropagator, commutator_norm
+from sltosim.linalg import (
+    DensityMatrix,
+    Operator,
+    SpectralPropagator,
+    StateVector,
+    basis_state,
+    commutator_norm,
+    energy_uncertainty,
+    fubini_study_distance,
+    von_neumann_entropy,
+)
+from sltosim.thermal import gibbs_probabilities
 
 
 def small_config(**overrides) -> CompactEngineConfig:
@@ -272,12 +286,130 @@ class TestEvolveCycle:
         assert abs(de1 + report.q1_ensemble) <= 1e-12
         assert abs(de2 + report.q2_ensemble) <= 1e-12
 
+    def test_norm_drift_in_a_propagated_row_raises(self, monkeypatch):
+        class Drifting(SpectralPropagator):
+            def states(self, psi0, times):
+                amps = super().states(psi0, times)
+                amps[1:] *= 1 + 1e-8  # row 0 stays a valid state
+                return amps
+
+        monkeypatch.setattr(engine, "SpectralPropagator", Drifting)
+        with pytest.raises(ValueError, match=r"norm .* at t = .* differs from 1 by > 1e-10"):
+            evolve_cycle(small_config())
+
+    def test_non_finite_time_sample_raises(self):
+        cfg = small_config()
+        with pytest.raises(ValueError, match="norm nan at t = nan"):
+            evolve_cycle(cfg, times=[0.0, math.nan, cfg.tau])
+
     def test_degenerate_equal_temperature_cycle(self):
         cfg = small_config(beta1=1.0, beta2=1.0, omega1=1.0, omega2=1.0)
         report = evolve_cycle(cfg)
         assert report.w_ext == 0.0
         assert report.eta == 0.0
         assert report.q1 > 0.0
+
+
+def loop_cycle(cfg: CompactEngineConfig, times: np.ndarray) -> dict:
+    """Every CycleReport field, from a state-by-state loop over the grid.
+
+    The reference for ``evolve_cycle``: one validated StateVector and
+    DensityMatrix per sample, the linalg entropy, spread and distance
+    helpers, sector data indexed through the dense energy diagonals, and
+    bath energies from the pairing rule n -> n - 1, m -> m + 1.
+    """
+    tau_index = int(np.flatnonzero(np.isclose(times, cfg.tau, rtol=1e-9, atol=0.0))[0])
+    sectors = [(n, m) for n in range(cfg.n_max1 + 1) for m in range(cfg.n_max2 + 1)]
+    pairs = [(n, m) for n, m in sectors if n >= 1 and m < cfg.n_max2]
+    idle = [(n, m) for n, m in sectors if not (n >= 1 and m < cfg.n_max2)]
+    p1 = gibbs_probabilities(cfg.omega1, cfg.beta1, cfg.n_max1)
+    p2 = gibbs_probabilities(cfg.omega2, cfg.beta2, cfg.n_max2)
+    pair_n = np.array([n for n, _ in pairs], dtype=int)
+    pair_m = np.array([m for _, m in pairs], dtype=int)
+    pair_w = p1[pair_n] * p2[pair_m]
+    idle_n = np.array([n for n, _ in idle], dtype=int)
+    idle_m = np.array([m for _, m in idle], dtype=int)
+    idle_w = p1[idle_n] * p2[idle_m]
+    success_weight = float(pair_w.sum())
+
+    gen2 = pair_generator(cfg.g)
+    amps = SpectralPropagator(gen2).states(basis_state(2, 0), times)
+    transfer = np.abs(amps[:, 1]) ** 2
+    ideal = np.stack([np.cos(cfg.g * times), -1j * np.sin(cfg.g * times)], axis=1)
+
+    entanglement = np.empty_like(times)
+    speed = np.empty_like(times)
+    fs_dist = np.empty_like(times)
+    psi0 = StateVector(amps[0])
+    for k in range(times.size):
+        psi = StateVector(amps[k])
+        pr = np.clip(np.array([1.0 - transfer[k], transfer[k]]), 0.0, 1.0)
+        pr = pr / pr.sum()
+        entanglement[k] = von_neumann_entropy(DensityMatrix(np.diag(pr.astype(np.complex128))))
+        speed[k] = energy_uncertainty(gen2, psi)
+        fs_dist[k] = fubini_study_distance(psi0, psi)
+
+    pop_excited = success_weight * transfer
+    population_trace = np.stack([1.0 - pop_excited, pop_excited], axis=1)
+    bath1 = ((np.outer(1.0 - transfer, pair_n) + np.outer(transfer, pair_n - 1)) @ pair_w
+             * cfg.omega1 + float(idle_w @ idle_n) * cfg.omega1)
+    bath2 = ((np.outer(1.0 - transfer, pair_m) + np.outer(transfer, pair_m + 1)) @ pair_w
+             * cfg.omega2 + float(idle_w @ idle_m) * cfg.omega2)
+
+    d_total = cfg.total_energy_diagonal()
+    d_weighted = cfg.weighted_energy_diagonal()
+    gap_total = gap_weighted = 0.0
+    for n, m in pairs:
+        src, tgt = cfg.basis_index(n, m, 0), cfg.basis_index(n - 1, m + 1, 1)
+        gap_total = max(gap_total, abs(d_total[src] - d_total[tgt]))
+        gap_weighted = max(gap_weighted, abs(d_weighted[src] - d_weighted[tgt]))
+    residual_energy = np.abs(amps[:, 1]) * gap_total
+    residual_weighted = np.abs(amps[:, 1]) * gap_weighted
+
+    ps_tau = float(transfer[tau_index])
+    q1, q2 = (cfg.omega1 * ps_tau, -cfg.omega2 * ps_tau) if pairs else (0.0, 0.0)
+    return {
+        "engine": "abstract-cycle",
+        "beta1": cfg.beta1, "beta2": cfg.beta2, "omega1": cfg.omega1, "omega2": cfg.omega2,
+        "g": cfg.g, "w_ext": cfg.w_ext, "q1": q1, "q2": q2,
+        "q1_ensemble": success_weight * q1, "q2_ensemble": success_weight * q2,
+        "eta": cfg.w_ext / q1 if q1 > 0 else 0.0,
+        "tau": cfg.tau, "power": cfg.w_ext / cfg.tau,
+        "clausius_residual": abs(cfg.beta1 * q1 + cfg.beta2 * q2),
+        "commutator_residual_energy": float(np.max(residual_energy)),
+        "commutator_residual_weighted": float(np.max(residual_weighted)),
+        "amplitude_residual": float(np.max(np.abs(amps - ideal))) if pairs else 0.0,
+        "success_weight": success_weight,
+        "vacuum_weight": float(p1[0]),
+        "boundary_weight": float((1.0 - p1[0]) * p2[cfg.n_max2]),
+        "partition_function1": 1.0 / (1.0 - math.exp(-cfg.beta1 * cfg.omega1)),
+        "partition_function2": 1.0 / (1.0 - math.exp(-cfg.beta2 * cfg.omega2)),
+        "times": times,
+        "population_trace": population_trace,
+        "entanglement_trace": np.stack([times, entanglement], axis=1),
+        "speed_trace": np.stack([times, speed], axis=1),
+        "fs_distance_trace": np.stack([times, fs_dist], axis=1),
+        "amplitude_trace": amps,
+        "bath1_energy_trace": bath1,
+        "bath2_energy_trace": bath2,
+        "residual_energy_trace": residual_energy,
+        "residual_weighted_trace": residual_weighted,
+        "final_system_populations": population_trace[tau_index],
+    }
+
+
+class TestCycleAgainstLoopOracle:
+    @pytest.mark.parametrize("cutoffs", [(0, 3), (4, 4), (11, 7), (40, 40)])
+    @pytest.mark.parametrize("grid", ["default", "past_tau"])
+    def test_every_field_equals_the_loop(self, cutoffs, grid):
+        cfg = small_config(g=0.37, a0=0.25, n_max1=cutoffs[0], n_max2=cutoffs[1])
+        times = None if grid == "default" else np.linspace(0.0, 1.5 * cfg.tau, 61)
+        report = evolve_cycle(cfg, times)
+        expected = loop_cycle(cfg, report.times)
+        if times is not None:
+            assert report.times[-1] > cfg.tau
+        for field in dataclasses.fields(CycleReport):
+            assert np.array_equal(getattr(report, field.name), expected[field.name]), field.name
 
 
 class TestClausius:

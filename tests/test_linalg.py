@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import loop_kron, random_density, random_hermitian, random_state, taylor_evolution
@@ -90,6 +90,7 @@ class TestHermitianExponential:
         assert abs(final[1] - (-1j)) <= 1e-12
 
     @given(st.integers(2, 8), st.floats(-3.0, 3.0), st.integers(0, 10**6))
+    @example(dim=8, t=3.0, seed=0)
     @settings(max_examples=30, deadline=None)
     def test_matches_series_oracle(self, dim, t, seed):
         h = random_hermitian(dim, np.random.default_rng(seed))
