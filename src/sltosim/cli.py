@@ -7,7 +7,9 @@ Subcommands map one-to-one onto the experiment kinds:
 * ``delta-sweep``     full-vs-effective model comparison over detunings
 * ``design``          Monte Carlo fit of cavity intensity profiles
 * ``verify-slto``     check an externally supplied unitary against the
-                      conservation laws and the thermal fixed point
+                      conservation laws, the thermal fixed point and
+                      unitarity, factor by factor (no embedded d x d
+                      Hamiltonian; two d^3 products)
 
 Each kind is declared once, as an ``ExperimentKind`` entry in ``KINDS``:
 its runner, help line, series header and parameters.  The subcommand's
@@ -24,7 +26,8 @@ config, 3 I/O failure.
 
 Matrix files are plain text: the first line holds the matrix dimension
 followed optionally by the tensor-factor dimensions; each following
-line is one row of complex entries like ``0.5-0.25j``.
+line is one row of complex entries like ``0.5-0.25j`` (lower-case ``j``),
+all parsed by one ``np.loadtxt`` call.
 """
 
 from __future__ import annotations
@@ -57,15 +60,9 @@ from .engine import (
     evolution_operator,
     evolve_cycle,
 )
-from .linalg import (
-    Operator,
-    ShapeError,
-    SubsystemLayout,
-    commutator_norm,
-    identity,
-    max_abs,
-    tensor_product,
-)
+from .linalg import Operator, ShapeError, SubsystemLayout, max_abs
+# unused here; bench/tracing.py patches these by name
+from .linalg import commutator_norm, tensor_product
 from .optics import (
     SAMPLES_PER_PERIOD,
     OpticsEngineConfig,
@@ -109,6 +106,19 @@ def write_matrix_file(path, entries: np.ndarray, layout: tuple[int, ...] | None 
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def _row_problem(rows: list[str], dim: int) -> str:
+    """The first row of a matrix file that is ragged or does not parse."""
+    for i, line in enumerate(rows):
+        count = len(line.split())
+        if count != dim:
+            return f"row {i} has {count} entries"
+        try:
+            np.loadtxt([line], dtype=np.complex128, comments=None)
+        except ValueError:
+            return f"unparsable entry in row {i}"
+    return f"rows do not form a {dim}x{dim} matrix"
+
+
 def read_matrix_file(path) -> tuple[np.ndarray, tuple[int, ...] | None]:
     text = Path(path).read_text().strip().splitlines()
     if not text:
@@ -118,20 +128,20 @@ def read_matrix_file(path) -> tuple[np.ndarray, tuple[int, ...] | None]:
         dims = [int(tok) for tok in header]
     except ValueError as err:
         raise ConfigError(f"{path}: bad header {text[0]!r}") from err
+    if dims[0] < 1:
+        raise ConfigError(f"{path}: bad header {text[0]!r}")
     dim, layout = dims[0], tuple(dims[1:]) or None
     if len(text) != dim + 1:
         raise ConfigError(f"{path}: expected {dim} rows, found {len(text) - 1}")
-    rows = []
-    for line in text[1:]:
-        try:
-            rows.append([complex(tok) for tok in line.split()])
-        except ValueError as err:
-            raise ConfigError(f"{path}: unparsable entry in row {len(rows)}") from err
-        if len(rows[-1]) != dim:
-            raise ConfigError(f"{path}: row {len(rows) - 1} has {len(rows[-1])} entries")
+    rows = text[1:]
+    try:
+        entries = np.loadtxt(rows, dtype=np.complex128, ndmin=2, comments=None)
+    except ValueError:
+        entries = None
+    if entries is None or entries.shape != (dim, dim):  # loadtxt skips blank rows
+        raise ConfigError(f"{path}: {_row_problem(rows, dim)}")
     if layout is not None and int(np.prod(layout)) != dim:
         raise ConfigError(f"{path}: layout {layout} does not multiply to {dim}")
-    entries = np.array(rows, dtype=np.complex128)
     bad_rows = np.flatnonzero(~np.isfinite(entries).all(axis=1))
     if bad_rows.size:
         raise ConfigError(f"{path}: non-finite entry in row {bad_rows[0]}")
@@ -148,6 +158,7 @@ class SltoCheckReport:
     residual_weighted: float
     off_block_max: float
     fixed_point_residual: float
+    unitarity_residual: float
     threshold: float = PASS_THRESHOLDS["verify_slto"]
 
     @property
@@ -157,7 +168,18 @@ class SltoCheckReport:
             and self.residual_weighted <= self.threshold
             and self.off_block_max <= self.threshold
             and self.fixed_point_residual <= self.threshold
+            and self.unitarity_residual <= self.threshold
         )
+
+
+def _apply_factor(m: np.ndarray, a: np.ndarray, dims: tuple[int, ...], k: int) -> np.ndarray:
+    """(I x .. x a x .. x I) @ m, with ``a`` on tensor factor ``k`` of m's rows.
+
+    The row index of ``m`` splits into ``dims``; the factors before ``k``
+    become a leading batch of one matmul, so the cost is d^2 * dims[k].
+    """
+    lead = math.prod(dims[:k])
+    return np.matmul(a, m.reshape(lead, dims[k], -1)).reshape(m.shape)
 
 
 def verify_slto(
@@ -171,59 +193,88 @@ def verify_slto(
 ) -> SltoCheckReport:
     """Check the defining properties of a semi-local thermal operation.
 
-    The factor Hamiltonians are embedded into the (bath1, bath2, system)
-    product space of the unitary.  Residuals reported: commutator with
-    the total energy, commutator with the weighted energy beta1 H_B1 +
-    beta2 H_B2 (+ an optional weighted system term), the worst unitary
-    matrix element connecting different total-energy eigenspaces, and
-    the invariance defect of the semi-Gibbs product state
-    gibbs(beta1) x gibbs(beta2) x exp(-W_S)/Z.
+    Residuals reported: commutator with the total energy, commutator with
+    the weighted energy beta1 H_B1 + beta2 H_B2 (+ an optional weighted
+    system term), the worst unitary matrix element connecting different
+    total-energy eigenspaces, the invariance defect of the semi-Gibbs
+    product state gibbs(beta1) x gibbs(beta2) x exp(-W_S)/Z, and the
+    unitarity defect max |U^dag U - I|.
+
+    Every energy operator is a Kronecker sum of the (bath1, bath2, system)
+    factors, so it is applied factor by factor to the rows of U (A U) or
+    of U^T (U A = (A^T U^T)^T) and never embedded: O(d^2 (d1 + d2 + ds))
+    work plus two d^3 products, U gamma U^dag and U^dag U.  The
+    commutators are measured in the input basis, the off-block mass in
+    the product basis of the factor eigenvectors.
     """
     for name, beta in (("beta1", beta1), ("beta2", beta2)):
         if not math.isfinite(beta):
             raise ConfigError(f"{name} must be finite, got {beta}")
-    d1, d2, ds = h_bath1.dim, h_bath2.dim, h_system.dim
+    d1, d2, ds = dims = (h_bath1.dim, h_bath2.dim, h_system.dim)
     if d1 * d2 * ds != u.dim:
         raise ShapeError(
-            f"factors {(d1, d2, ds)} do not multiply to the unitary dim {u.dim}"
+            f"factors {dims} do not multiply to the unitary dim {u.dim}"
         )
-    big1 = tensor_product(tensor_product(h_bath1, identity(d2)), identity(ds))
-    big2 = tensor_product(tensor_product(identity(d1), h_bath2), identity(ds))
-    bigs = tensor_product(tensor_product(identity(d1), identity(d2)), h_system)
-    h_total = Operator(big1.entries + big2.entries + bigs.entries, hermitian_hint=True)
-    weighted = beta1 * big1.entries + beta2 * big2.entries
-    sigma_s = None
+    if w_system is not None and w_system.dim != ds:
+        raise ShapeError(f"weighted system term has dim {w_system.dim}, system has {ds}")
+    factors = (h_bath1.entries, h_bath2.entries, h_system.entries)
+    u_t = np.ascontiguousarray(u.entries.T)
+
+    # [U, A]^T = (U A)^T - (A U)^T for every factor term A; each energy
+    # commutator is a weighted sum of these
+    terms = [(a, k) for k, a in enumerate(factors)]
     if w_system is not None:
-        bigw = tensor_product(tensor_product(identity(d1), identity(d2)), w_system)
-        weighted = weighted + bigw.entries
-        sigma_s = gibbs_density(w_system, 1.0)
-    h_weighted = Operator(weighted, hermitian_hint=True)
+        terms.append((w_system.entries, 2))
+    brackets = [
+        _apply_factor(u_t, a.T, dims, k) - _apply_factor(u.entries, a, dims, k).T
+        for a, k in terms
+    ]
+    residual_energy = max_abs(brackets[0] + brackets[1] + brackets[2])
+    weighted = beta1 * brackets[0] + beta2 * brackets[1]
+    if w_system is not None:
+        weighted += brackets[3]
+    residual_weighted = max_abs(weighted)
 
-    residual_energy = commutator_norm(u, h_total)
-    residual_weighted = commutator_norm(u, h_weighted)
-
-    # off-block mass of U between different total-energy eigenspaces
-    eigvals, eigvecs = np.linalg.eigh(h_total.entries)
-    m = eigvecs.conj().T @ u.entries @ eigvecs
+    # off-block mass of U between different total-energy eigenspaces, read
+    # in the product basis V = V1 x V2 x VS of the factor eigenvectors
+    spectra = [np.linalg.eigh(a) for a in factors]
+    m = u.entries
+    for k, (_, v) in enumerate(spectra):
+        m = _apply_factor(m, v.conj().T, dims, k)
+    m = np.ascontiguousarray(m.T)
+    for k, (_, v) in enumerate(spectra):
+        m = _apply_factor(m, v.T, dims, k)  # (V^dag U V)^T
+    e1, e2, es = (e for e, _ in spectra)
+    eigvals = (e1[:, None, None] + e2[None, :, None] + es[None, None, :]).ravel()
+    # the mask is symmetric, so it reads m^T as it would m
     different = np.abs(eigvals[:, None] - eigvals[None, :]) > 1e-8
-    off_block = max_abs(m[different]) if different.any() else 0.0
+    off_block = max_abs(m[different])
 
-    if sigma_s is None:
-        sigma_s_entries = np.eye(ds, dtype=np.complex128) / ds
+    if w_system is None:
+        sigma_s = np.eye(ds, dtype=np.complex128) / ds
     else:
-        sigma_s_entries = sigma_s.entries
-    gamma = np.kron(
-        np.kron(gibbs_density(h_bath1, beta1).entries, gibbs_density(h_bath2, beta2).entries),
-        sigma_s_entries,
-    )
-    moved = u.entries @ gamma @ u.entries.conj().T
-    fixed_point = max_abs(moved - gamma)
+        sigma_s = gibbs_density(w_system, 1.0).entries
+    gammas = (gibbs_density(h_bath1, beta1).entries,
+              gibbs_density(h_bath2, beta2).entries, sigma_s)
+    u_gamma_t = u_t
+    for k, g in enumerate(gammas):
+        u_gamma_t = _apply_factor(u_gamma_t, g.T, dims, k)
+    u_dag = u.entries.conj().T
+    moved = (u_gamma_t.T @ u_dag).reshape(d1 * d2, ds, d1 * d2, ds)
+    # gamma = (g1 x g2) x sigma_s, indexed (baths, system, baths, system)
+    moved -= np.kron(gammas[0], gammas[1])[:, None, :, None] * sigma_s[None, :, None, :]
+    fixed_point = max_abs(moved)
+
+    gram = u_dag @ u.entries
+    gram.flat[:: u.dim + 1] -= 1.0
+    unitarity = max_abs(gram)
 
     return SltoCheckReport(
         residual_energy=residual_energy,
         residual_weighted=residual_weighted,
         off_block_max=off_block,
         fixed_point_residual=fixed_point,
+        unitarity_residual=unitarity,
     )
 
 
@@ -546,6 +597,11 @@ def run_verify_slto(params: dict, out_dir: Path) -> tuple[dict, dict, list | Non
     w_system = None
     if params.get("weighted_system"):
         ws, _ = read_matrix_file(params["weighted_system"])
+        if ws.shape[0] != hs.shape[0]:
+            raise ConfigError(
+                f"{params['weighted_system']}: weighted system term has dim {ws.shape[0]}, "
+                f"the system Hamiltonian {params['system']} has dim {hs.shape[0]}"
+            )
         w_system = Operator(ws, hermitian_hint=True)
     check = verify_slto(
         Operator(u_entries),
@@ -563,6 +619,7 @@ def run_verify_slto(params: dict, out_dir: Path) -> tuple[dict, dict, list | Non
         "commutator_weighted": _check(check.residual_weighted, check.threshold),
         "block_diagonality": _check(check.off_block_max, check.threshold),
         "semi_gibbs_fixed_point": _check(check.fixed_point_residual, check.threshold),
+        "unitarity": _check(check.unitarity_residual, check.threshold),
     }
     return results, checks, None
 
@@ -675,10 +732,11 @@ def run_experiment(
     series_path = None
     if write_series and series is not None:
         series_path = out_dir / "series.csv"
+        # %.17g writes an int (the design iteration) as str() does
+        row_format = ",".join(["%.17g"] * (spec.series_header.count(",") + 1)) + "\n"
         with open(series_path, "w") as fh:
             fh.write(spec.series_header + "\n")
-            for row in series:
-                fh.write(",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row) + "\n")
+            fh.write("".join([row_format % tuple(row) for row in series]))
     return RunArtifact(
         kind=kind,
         report_path=str(report_path),

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 from sltosim import engine
 from sltosim.cli import (
+    KINDS,
     ConfigError,
     main,
     read_matrix_file,
@@ -17,7 +19,9 @@ from sltosim.cli import (
 )
 from sltosim.designer import DesignTargets, PotentialAnsatz
 from sltosim.engine import CompactEngineConfig, evolution_operator
-from sltosim.linalg import Operator
+from sltosim.linalg import Operator, ShapeError
+
+from conftest import dense_slto_residuals, random_hermitian
 
 
 def load_report(out_dir):
@@ -51,6 +55,38 @@ class TestMatrixFiles:
         path = tmp_path / "m.txt"
         path.write_text(f"2\n1+0j 0+0j\n0+0j {token}\n")
         with pytest.raises(ConfigError, match=r"m\.txt: non-finite entry in row 1"):
+            read_matrix_file(path)
+
+    def test_round_trip_is_bit_exact(self, tmp_path):
+        rng = np.random.default_rng(7)
+        special = [0.0, -0.0, 1e-300, -1e-300, 5e-324, -5e-324, 2.2250738585072014e-308,
+                   1e-310, 1.7976931348623157e308]
+        n = 12
+        parts = [rng.normal(size=n * n) * 10.0 ** rng.integers(-300, 300, n * n)
+                 for _ in range(2)]
+        for part in parts:
+            part[rng.choice(n * n, len(special), replace=False)] = special
+        m = (parts[0] + 1j * parts[1]).reshape(n, n)
+        path = tmp_path / "m.txt"
+        write_matrix_file(path, m, layout=(3, 4))
+        back, layout = read_matrix_file(path)
+        assert layout == (3, 4)
+        assert back.tobytes() == m.tobytes()  # also keeps the sign of every zero
+
+    @pytest.mark.parametrize("body, message", [
+        ("2\n1+0j 0+0j\n0+0j\n", "row 1 has 1 entries"),  # ragged row
+        ("2\n1+0j 0+0j 0+0j\n0+0j 1+0j 0+0j\n", "row 0 has 3 entries"),
+        ("2\n1+0j 0+0j\n\n0+0j 1+0j\n", "expected 2 rows, found 3"),  # blank row
+        ("3\n1 0 0\n0 1 0\n", "expected 3 rows, found 2"),  # missing row
+        ("2\n1 0\n0 1\n0 0\n", "expected 2 rows, found 3"),  # extra row
+        ("2\n1+0j 0+0j\n0+0j 1+0k\n", "unparsable entry in row 1"),
+        ("1\n1+2J\n", "unparsable entry in row 0"),  # the format's unit is lower-case j
+        ("0\n", "bad header '0'"),
+    ])
+    def test_malformed_rows_named(self, tmp_path, body, message):
+        path = tmp_path / "m.txt"
+        path.write_text(body)
+        with pytest.raises(ConfigError, match=rf"m\.txt: {re.escape(message)}$"):
             read_matrix_file(path)
 
 
@@ -430,6 +466,19 @@ class TestVerifySltoCommand:
                 math.nan, 1.0,
             )
 
+    def test_weighted_system_dimension_mismatch_rejected_by_api(self, engine_matrices):
+        cfg, d = engine_matrices
+        u, _ = read_matrix_file(d / "u.txt")
+        h1, _ = read_matrix_file(d / "h1.txt")
+        h2, _ = read_matrix_file(d / "h2.txt")
+        hs, _ = read_matrix_file(d / "hs.txt")
+        with pytest.raises(ShapeError, match="weighted system term has dim 3, system has 2"):
+            verify_slto(
+                Operator(u), Operator(h1, hermitian_hint=True),
+                Operator(h2, hermitian_hint=True), Operator(hs, hermitian_hint=True),
+                0.5, 1.0, w_system=Operator(np.eye(3), hermitian_hint=True),
+            )
+
     def test_layout_disagreement_rejected(self, tmp_path, engine_matrices):
         cfg, d = engine_matrices
         write_matrix_file(d / "bad.txt", np.eye(50, dtype=complex), (10, 5))
@@ -453,6 +502,122 @@ class TestVerifySltoCommand:
         assert check.passed
         assert check.off_block_max <= 1e-12
         assert check.fixed_point_residual <= 1e-12
+
+    @staticmethod
+    def verify_args(d, unitary: str, out) -> list[str]:
+        return ["verify-slto", "--unitary", str(d / unitary),
+                "--bath1", str(d / "h1.txt"), "--bath2", str(d / "h2.txt"),
+                "--system", str(d / "hs.txt"), "--beta1", "0.5", "--beta2", "1",
+                "--out", str(out), "--no-color"]
+
+    def test_non_unitary_input_fails_only_unitarity(self, tmp_path):
+        export = tmp_path / "export"
+        assert main(["abstract-cycle", "--beta1", "0.5", "--beta2", "1", "--omega1", "2",
+                     "--omega2", "1", "--g", "0.1", "--n-max1", "11", "--n-max2", "11",
+                     "--export-matrices", str(export), "--out", str(tmp_path / "cycle"),
+                     "--no-color"]) == 0
+        for name, short in (("h_bath1", "h1"), ("h_bath2", "h2"), ("h_system", "hs")):
+            (export / f"{name}.txt").rename(export / f"{short}.txt")
+        assert main(self.verify_args(export, "u_tau.txt", tmp_path / "genuine")) == 0
+        genuine = load_report(tmp_path / "genuine")
+        assert genuine["results"]["unitarity_residual"] <= 1e-12
+
+        u, layout = read_matrix_file(export / "u_tau.txt")
+        corner = np.ravel_multi_index((11, 11, 1), layout)  # |11, 11, 1>
+        u[corner, corner] *= 1.001
+        write_matrix_file(export / "scaled.txt", u, layout)
+        assert main(self.verify_args(export, "scaled.txt", tmp_path / "scaled")) == 1
+        checks = load_report(tmp_path / "scaled")["checks"]
+        assert [name for name, c in checks.items() if not c["passed"]] == ["unitarity"]
+        assert checks["unitarity"]["value"] == pytest.approx(2.0e-3, rel=1e-3)
+
+    def test_weighted_system_identity_shift_passes(self, tmp_path, engine_matrices):
+        cfg, d = engine_matrices
+        write_matrix_file(d / "ws.txt", 0.3 * np.eye(2, dtype=complex))
+        code = main([*self.verify_args(d, "u.txt", tmp_path / "o"),
+                     "--weighted-system", str(d / "ws.txt")])
+        assert code == 0
+
+    def test_weighted_system_gap_fails_weighted_commutator(self, tmp_path, engine_matrices):
+        cfg, d = engine_matrices
+        write_matrix_file(d / "ws.txt", np.diag([0.0, 1.0]).astype(complex))
+        code = main([*self.verify_args(d, "u.txt", tmp_path / "o"),
+                     "--weighted-system", str(d / "ws.txt")])
+        assert code == 1
+        checks = load_report(tmp_path / "o")["checks"]
+        assert not checks["commutator_weighted"]["passed"]
+        assert checks["commutator_energy"]["passed"]
+
+    def test_weighted_system_dimension_mismatch_named(self, tmp_path, engine_matrices,
+                                                      capsys):
+        cfg, d = engine_matrices
+        write_matrix_file(d / "ws.txt", np.eye(3, dtype=complex))
+        code = main([*self.verify_args(d, "u.txt", tmp_path / "o"),
+                     "--weighted-system", str(d / "ws.txt")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "ws.txt: weighted system term has dim 3" in err
+        assert "hs.txt has dim 2" in err
+        assert not (tmp_path / "o" / "report.json").exists()
+
+
+def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    q, r = np.linalg.qr(a)
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+class TestVerifierAgainstDenseOracle:
+    """The factored verifier against the dense embedding it replaced."""
+
+    RESIDUALS = ("residual_energy", "residual_weighted", "off_block_max",
+                 "fixed_point_residual", "unitarity_residual")
+
+    def assert_matches_oracle(self, u, h1, h2, hs, beta1, beta2, w_system=None):
+        check = verify_slto(
+            Operator(u), Operator(h1, hermitian_hint=True), Operator(h2, hermitian_hint=True),
+            Operator(hs, hermitian_hint=True), beta1, beta2,
+            w_system=None if w_system is None else Operator(w_system, hermitian_hint=True),
+        )
+        oracle = dense_slto_residuals(u, h1, h2, hs, beta1, beta2, w_system)
+        for name in self.RESIDUALS:
+            value = getattr(check, name)
+            assert abs(value - oracle[name]) <= 1e-12, name
+            assert (value <= check.threshold) == (oracle[name] <= check.threshold), name
+        assert check.passed == all(v <= check.threshold for v in oracle.values())
+        return check
+
+    @pytest.mark.parametrize("cutoff", [4, 8])
+    @pytest.mark.parametrize("rotated", [False, True])
+    def test_exported_engine_unitary(self, tmp_path, cutoff, rotated):
+        omega1, omega2 = 2.0, 1.0
+        assert main(["abstract-cycle", "--beta1", "0.5", "--beta2", "1",
+                     "--omega1", str(omega1), "--omega2", str(omega2), "--g", "0.3",
+                     "--n-max1", str(cutoff), "--n-max2", str(cutoff),
+                     "--export-matrices", str(tmp_path), "--out", str(tmp_path / "o"),
+                     "--no-color"]) == 0
+        u, layout = read_matrix_file(tmp_path / "u_tau.txt")
+        h1, h2, hs = (read_matrix_file(tmp_path / f"{name}.txt")[0]
+                      for name in ("h_bath1", "h_bath2", "h_system"))
+        if rotated:  # mix two states of different total energy, keeping U unitary
+            i = np.ravel_multi_index((1, 0, 0), layout)
+            j = np.ravel_multi_index((cutoff, 2, 1), layout)
+            c, s = math.cos(1e-3), math.sin(1e-3)
+            u[[i, j]] = c * u[i] - s * u[j], s * u[i] + c * u[j]
+        check = self.assert_matches_oracle(u, h1, h2, hs, 0.5, 1.0)
+        assert check.passed is not rotated
+
+    @pytest.mark.parametrize("dims, seed", [((3, 4, 2), 0), ((4, 3, 3), 1), ((2, 2, 2), 2)])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_haar_unitary_with_generic_factors(self, dims, seed, weighted):
+        rng = np.random.default_rng(seed)
+        u = haar_unitary(math.prod(dims), rng)
+        h1, h2, hs = (random_hermitian(d, rng) for d in dims)
+        w_system = random_hermitian(dims[2], rng) if weighted else None
+        if weighted:
+            assert np.max(np.abs(hs @ w_system - w_system @ hs)) > 1e-3
+        check = self.assert_matches_oracle(u, h1, h2, hs, 0.7, 1.3, w_system)
+        assert not check.passed
 
 
 class TestRunExperimentApi:
@@ -485,6 +650,20 @@ class TestRunExperimentApi:
 
         assert strip_wall_clock(first_report) == strip_wall_clock(second_report)
         assert (tmp_path / "series.csv").read_bytes() == first_series
+
+    @pytest.mark.parametrize("kind, params", [
+        ("abstract-cycle", {"beta1": 0.5, "beta2": 1.0, "omega1": 2.0, "g": 0.1,
+                            "n_max1": 3, "n_max2": 4}),
+        ("delta-sweep", {"ratios": [20.0, 40.0]}),
+        ("design", {"iterations": 40, "seed": 2}),
+    ])
+    def test_series_rows_keep_17_significant_digits(self, tmp_path, kind, params):
+        _, _, series = KINDS[kind].runner(params, tmp_path / "direct")
+        artifact = run_experiment(kind, params, tmp_path / "run", write_series=True)
+        lines = open(artifact.series_path).read().splitlines()
+        expected = [",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row)
+                    for row in series]
+        assert lines[1:] == expected
 
     def test_artifact_paths(self, tmp_path):
         artifact = run_experiment(
