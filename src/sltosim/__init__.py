@@ -17,13 +17,11 @@ from .linalg import (
     ShapeError,
     SpectralPropagator,
     StateVector,
-    SubsystemLayout,
     basis_state,
     commutator_norm,
     energy_uncertainty,
     fubini_study_distance,
     identity,
-    partial_trace,
     tensor_product,
     von_neumann_entropy,
 )
@@ -44,15 +42,11 @@ from .engine import (
     ChargeBlock,
     CompactEngineConfig,
     CycleReport,
-    DegenerateCycleError,
     NoGradientError,
     SpeedDiagnostics,
     battery_split,
     build_interaction_hamiltonian,
     charge_block,
-    clausius_check,
-    default_times,
-    efficiency_and_power,
     enumerate_blocks,
     evolution_operator,
     evolve_cycle,

@@ -53,10 +53,6 @@ RESONANCE_ATOL = 1e-12
 DEFAULT_GRID_POINTS = 101
 
 
-class DegenerateCycleError(ValueError):
-    """The cycle moved no hot heat, so efficiency is undefined."""
-
-
 class NoGradientError(ValueError):
     """beta1 > beta2 leaves no temperature gradient to run the engine on."""
 
@@ -239,9 +235,12 @@ class CycleReport:
     """All thermodynamic outputs of one engine cycle.
 
     Heats q1, q2 are per successful exchange (conditioned on the coupled
-    sectors); q1_ensemble, q2_ensemble are success-weighted.  Trace
-    arrays are sampled on ``times``; pair-style traces carry (t, value)
-    rows.  Residuals are maxima over the sampled grid.
+    sectors); q1_ensemble, q2_ensemble are success-weighted.  Every trace
+    is sampled on ``times``, one entry (or row) per sample.  Each
+    quantity is stored once: efficiency, power, the ensemble heats, the
+    Clausius and commutator residuals and the partition functions are
+    read-only properties computed from the stored fields.  Residuals are
+    maxima over the sampled grid.
     """
 
     engine: str
@@ -253,20 +252,11 @@ class CycleReport:
     w_ext: float
     q1: float
     q2: float
-    q1_ensemble: float
-    q2_ensemble: float
-    eta: float
     tau: float
-    power: float
-    clausius_residual: float
-    commutator_residual_energy: float
-    commutator_residual_weighted: float
     amplitude_residual: float
     success_weight: float
     vacuum_weight: float
     boundary_weight: float
-    partition_function1: float
-    partition_function2: float
     times: np.ndarray
     population_trace: np.ndarray
     entanglement_trace: np.ndarray
@@ -280,13 +270,48 @@ class CycleReport:
     final_system_populations: np.ndarray
 
     def __post_init__(self):
-        if self.q1 > 0 and abs(self.eta - self.w_ext / self.q1) > 1e-9:
-            raise ValueError("report inconsistency: eta != w_ext / q1")
-        if abs(self.power - self.w_ext / self.tau) > 1e-12:
-            raise ValueError("report inconsistency: power != w_ext / tau")
         for value in vars(self).values():
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
+
+    @property
+    def q1_ensemble(self) -> float:
+        return self.success_weight * self.q1
+
+    @property
+    def q2_ensemble(self) -> float:
+        return self.success_weight * self.q2
+
+    @property
+    def eta(self) -> float:
+        """w_ext / q1, and 0.0 for a cycle that moved no hot heat."""
+        return self.w_ext / self.q1 if self.q1 > 0 else 0.0
+
+    @property
+    def power(self) -> float:
+        return self.w_ext / self.tau
+
+    @property
+    def clausius_residual(self) -> float:
+        """|beta1*q1 + beta2*q2| for the per-exchange heats."""
+        return abs(self.beta1 * self.q1 + self.beta2 * self.q2)
+
+    @property
+    def commutator_residual_energy(self) -> float:
+        return float(np.max(self.residual_energy_trace))
+
+    @property
+    def commutator_residual_weighted(self) -> float:
+        return float(np.max(self.residual_weighted_trace))
+
+    @property
+    def partition_function1(self) -> float:
+        """Untruncated hot-ladder partition function 1 / (1 - e^{-beta1 omega1})."""
+        return 1.0 / (1.0 - math.exp(-self.beta1 * self.omega1))
+
+    @property
+    def partition_function2(self) -> float:
+        return 1.0 / (1.0 - math.exp(-self.beta2 * self.omega2))
 
     @property
     def corrected_final_populations(self) -> np.ndarray:
@@ -306,10 +331,6 @@ def _require_tau(times: np.ndarray, tau: float) -> int:
     return int(hits[0])
 
 
-def default_times(cfg) -> np.ndarray:
-    return np.linspace(0.0, cfg.tau, DEFAULT_GRID_POINTS)
-
-
 def evolve_cycle(
     cfg: CompactEngineConfig, times: Sequence[float] | None = None
 ) -> CycleReport:
@@ -325,7 +346,8 @@ def evolve_cycle(
     """
     if cfg.g == 0:
         raise ValueError("the cycle needs a positive coupling (tau is undefined at g = 0)")
-    times = default_times(cfg) if times is None else np.array(times, dtype=float)
+    times = (np.linspace(0.0, cfg.tau, DEFAULT_GRID_POINTS) if times is None
+             else np.array(times, dtype=float))
     tau_index = _require_tau(times, cfg.tau)
     blocks = enumerate_blocks(cfg)
     # members as (n, m, level): (P, 2, 3) for the pairs (source, target), (I, 3) idle
@@ -401,11 +423,6 @@ def evolve_cycle(
         q2 = -cfg.omega2 * ps_tau
     else:
         q1 = q2 = 0.0
-    eta = cfg.w_ext / q1 if q1 > 0 else 0.0
-    power = cfg.w_ext / cfg.tau
-
-    z1 = 1.0 / (1.0 - math.exp(-cfg.beta1 * cfg.omega1))
-    z2 = 1.0 / (1.0 - math.exp(-cfg.beta2 * cfg.omega2))
 
     return CycleReport(
         engine="abstract-cycle",
@@ -417,25 +434,16 @@ def evolve_cycle(
         w_ext=cfg.w_ext,
         q1=q1,
         q2=q2,
-        q1_ensemble=success_weight * q1,
-        q2_ensemble=success_weight * q2,
-        eta=eta,
         tau=cfg.tau,
-        power=power,
-        clausius_residual=abs(cfg.beta1 * q1 + cfg.beta2 * q2),
-        commutator_residual_energy=float(np.max(residual_energy_trace)),
-        commutator_residual_weighted=float(np.max(residual_weighted_trace)),
         amplitude_residual=amplitude_residual,
         success_weight=success_weight,
         vacuum_weight=vacuum_weight,
         boundary_weight=boundary_weight,
-        partition_function1=z1,
-        partition_function2=z2,
         times=times,
         population_trace=population_trace,
-        entanglement_trace=np.stack([times, entanglement], axis=1),
-        speed_trace=np.stack([times, speed], axis=1),
-        fs_distance_trace=np.stack([times, fs_dist], axis=1),
+        entanglement_trace=entanglement,
+        speed_trace=speed,
+        fs_distance_trace=fs_dist,
         amplitude_trace=amps,
         bath1_energy_trace=bath1_energy,
         bath2_energy_trace=bath2_energy,
@@ -443,18 +451,6 @@ def evolve_cycle(
         residual_weighted_trace=residual_weighted_trace,
         final_system_populations=population_trace[tau_index].copy(),
     )
-
-
-def clausius_check(report: CycleReport) -> float:
-    """|beta1*Q1 + beta2*Q2| for the per-exchange heats of a report."""
-    return abs(report.beta1 * report.q1 + report.beta2 * report.q2)
-
-
-def efficiency_and_power(report: CycleReport) -> tuple[float, float]:
-    """Recompute (eta, power) from the report's heats and duration."""
-    if report.q1 <= 0:
-        raise DegenerateCycleError("no heat left the hot bath; efficiency undefined")
-    return report.w_ext / report.q1, report.w_ext / report.tau
 
 
 @dataclass(frozen=True)
@@ -475,9 +471,9 @@ class SpeedDiagnostics:
 
 def speed_and_geodesic(report: CycleReport) -> SpeedDiagnostics:
     """Check constant evolution speed g and the half-sine-squared distance law."""
-    t = report.speed_trace[:, 0]
-    v = report.speed_trace[:, 1]
-    s = report.fs_distance_trace[:, 1]
+    t = report.times
+    v = report.speed_trace
+    s = report.fs_distance_trace
     expected_s = 0.5 * np.sin(report.g * t) ** 2
     on_cycle = t <= report.tau * (1 + 1e-12)
     ds = np.diff(s[on_cycle])

@@ -17,7 +17,7 @@ checks at 1e-10, physics assertions at 1e-9.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -129,29 +129,6 @@ class DensityMatrix:
         return self.entries.shape[0]
 
 
-@dataclass(frozen=True)
-class SubsystemLayout:
-    """Ordered tensor-factor dimensions of a composite space."""
-
-    dims: tuple[int, ...]
-
-    def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
-        if not dims or any(d < 1 for d in dims):
-            raise ValueError(f"factor dimensions must be positive, got {dims}")
-        object.__setattr__(self, "dims", dims)
-
-    @property
-    def total_dim(self) -> int:
-        return int(np.prod(self.dims))
-
-    def check(self, dim: int) -> None:
-        if self.total_dim != dim:
-            raise ShapeError(
-                f"layout {self.dims} has product {self.total_dim}, object has dim {dim}"
-            )
-
-
 def identity(dim: int) -> Operator:
     return Operator(np.eye(dim, dtype=np.complex128), hermitian_hint=True)
 
@@ -206,31 +183,6 @@ class SpectralPropagator:
         c0 = self.eigvecs.conj().T @ psi0.amplitudes
         phases = np.exp(-1j * np.outer(np.asarray(times, dtype=float), self.eigvals))
         return (phases * c0) @ self.eigvecs.T
-
-
-def partial_trace(
-    rho: DensityMatrix, layout: SubsystemLayout, keep: Iterable[int]
-) -> DensityMatrix:
-    """Trace out all factors not in ``keep``; kept factors retain layout order."""
-    layout.check(rho.dim)
-    dims = layout.dims
-    n = len(dims)
-    keep = sorted(set(int(k) for k in keep))
-    if any(k < 0 or k >= n for k in keep):
-        raise ShapeError(f"keep indices {keep} out of range for {n} factors")
-    drop = [i for i in range(n) if i not in keep]
-    if not drop:
-        return rho
-    t = rho.entries.reshape(dims + dims)
-    perm = keep + drop
-    t = np.transpose(t, axes=perm + [i + n for i in perm])
-    d_keep = int(np.prod([dims[i] for i in keep])) if keep else 1
-    d_drop = int(np.prod([dims[i] for i in drop]))
-    t = t.reshape(d_keep, d_drop, d_keep, d_drop)
-    reduced = np.einsum("aibi->ab", t)
-    # guard against accumulated asymmetry before revalidation
-    reduced = (reduced + reduced.conj().T) / 2
-    return DensityMatrix(reduced)
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:

@@ -70,9 +70,10 @@ def dense_slto_residuals(u, h1, h2, hs, beta1, beta2, w_system=None) -> dict:
     """The five verify-slto residuals with every operator embedded densely.
 
     The factor Hamiltonians are Kronecker-embedded into the full space,
-    the off-block mass is read in the eigenbasis of the embedded total
-    energy, and the semi-Gibbs state is the Kronecker product of the
-    factor Gibbs states: d x d matrices and O(d^3) work throughout.
+    the off-block mass is the largest Frobenius norm of a block of U
+    between two eigenspaces of the embedded total energy, and the
+    semi-Gibbs state is the Kronecker product of the factor Gibbs states:
+    d x d matrices and O(d^3) work throughout.
     """
 
     def gibbs(h, beta):
@@ -95,12 +96,16 @@ def dense_slto_residuals(u, h1, h2, hs, beta1, beta2, w_system=None) -> dict:
         sigma_s = gibbs(w_system, 1.0)
     eigvals, eigvecs = np.linalg.eigh(h_total)
     m = eigvecs.conj().T @ u @ eigvecs
-    different = np.abs(eigvals[:, None] - eigvals[None, :]) > 1e-8
+    # eigh sorts the eigenvalues; an eigenspace ends where the next one is > 1e-8 up
+    ends = [k + 1 for k in range(len(eigvals) - 1) if eigvals[k + 1] - eigvals[k] > 1e-8]
+    spaces = [range(lo, hi) for lo, hi in zip([0, *ends], [*ends, len(eigvals)])]
+    off_block = max((float(np.linalg.norm(m[np.ix_(a, b)]))
+                     for a in spaces for b in spaces if a != b), default=0.0)
     gamma = np.kron(np.kron(gibbs(h1, beta1), gibbs(h2, beta2)), sigma_s)
     return {
         "residual_energy": comm_max(u, h_total),
         "residual_weighted": comm_max(u, h_weighted),
-        "off_block_max": float(np.max(np.abs(m[different]))) if different.any() else 0.0,
+        "off_block_max": off_block,
         "fixed_point_residual": float(np.max(np.abs(u @ gamma @ u.conj().T - gamma))),
         "unitarity_residual": float(np.max(np.abs(u.conj().T @ u - np.eye(len(u))))),
     }

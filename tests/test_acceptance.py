@@ -18,7 +18,6 @@ from sltosim.engine import (
     CompactEngineConfig,
     battery_split,
     build_interaction_hamiltonian,
-    clausius_check,
     evolution_operator,
     evolve_cycle,
     speed_and_geodesic,
@@ -120,7 +119,7 @@ def test_03_conservation_laws():
 
 def test_04_clausius_equality():
     started = time.perf_counter()
-    residual = clausius_check(evolve_cycle(reference_engine()))
+    residual = evolve_cycle(reference_engine()).clausius_residual
     elapsed = time.perf_counter() - started
     ok = residual <= 1e-9 and elapsed < 1.0
     assert _report(4, "per-sector Clausius equality", ok, f"(residual {residual:.2e})")
@@ -131,7 +130,7 @@ def test_05_entangled_trajectory():
     report = evolve_cycle(reference_engine())
     assert len(report.times) == 101
     amp_gap = report.amplitude_residual
-    s_ent = report.entanglement_trace[:, 1]
+    s_ent = report.entanglement_trace
     mid = len(s_ent) // 2
     endpoint_gap = max(abs(s_ent[0]), abs(s_ent[-1]))
     midpoint_gap = abs(s_ent[mid] - math.log(2))

@@ -57,7 +57,9 @@ class TestMatrixFiles:
         with pytest.raises(ConfigError, match=r"m\.txt: non-finite entry in row 1"):
             read_matrix_file(path)
 
-    def test_round_trip_is_bit_exact(self, tmp_path):
+    @staticmethod
+    def special_values_matrix() -> np.ndarray:
+        """12x12, entries over 600 decades plus signed zeros, subnormals and extremes."""
         rng = np.random.default_rng(7)
         special = [0.0, -0.0, 1e-300, -1e-300, 5e-324, -5e-324, 2.2250738585072014e-308,
                    1e-310, 1.7976931348623157e308]
@@ -66,12 +68,22 @@ class TestMatrixFiles:
                  for _ in range(2)]
         for part in parts:
             part[rng.choice(n * n, len(special), replace=False)] = special
-        m = (parts[0] + 1j * parts[1]).reshape(n, n)
+        return (parts[0] + 1j * parts[1]).reshape(n, n)
+
+    def test_round_trip_is_bit_exact(self, tmp_path):
+        m = self.special_values_matrix()
         path = tmp_path / "m.txt"
         write_matrix_file(path, m, layout=(3, 4))
         back, layout = read_matrix_file(path)
         assert layout == (3, 4)
         assert back.tobytes() == m.tobytes()  # also keeps the sign of every zero
+
+    def test_written_bytes_match_per_entry_format(self, tmp_path):
+        m = self.special_values_matrix()
+        path = tmp_path / "m.txt"
+        write_matrix_file(path, m.T, layout=(3, 4))  # a non-contiguous input too
+        rows = [" ".join(f"{z.real:.17g}{z.imag:+.17g}j" for z in row) for row in m.T]
+        assert path.read_text() == "12 3 4\n" + "\n".join(rows) + "\n"
 
     @pytest.mark.parametrize("body, message", [
         ("2\n1+0j 0+0j\n0+0j\n", "row 1 has 1 entries"),  # ragged row
@@ -488,6 +500,14 @@ class TestVerifySltoCommand:
                      "--out", str(tmp_path / "o")])
         assert code == 2
 
+    def test_non_positive_layout_factor_named(self, tmp_path, engine_matrices, capsys):
+        cfg, d = engine_matrices
+        (d / "bad.txt").write_text("4 -2 -2\n" + "1+0j 0+0j 0+0j 0+0j\n" * 4)
+        code = main(self.verify_args(d, "bad.txt", tmp_path / "o"))
+        assert code == 2
+        assert "bad.txt: bad header '4 -2 -2'" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "report.json").exists()
+
     def test_block_structure_api(self, engine_matrices):
         cfg, d = engine_matrices
         u, _ = read_matrix_file(d / "u.txt")
@@ -618,6 +638,18 @@ class TestVerifierAgainstDenseOracle:
             assert np.max(np.abs(hs @ w_system - w_system @ hs)) > 1e-3
         check = self.assert_matches_oracle(u, h1, h2, hs, 0.7, 1.3, w_system)
         assert not check.passed
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_degenerate_total_spectrum_with_rotated_factors(self, seed):
+        # spectra {0,1,2}, {0,1,2}, {0,1}: the summed energies 0..5 are degenerate, so
+        # the factor basis and the dense eigh basis differ inside each eigenspace
+        rng = np.random.default_rng(seed)
+        factors = []
+        for spectrum in ([0.0, 1.0, 2.0], [0.0, 1.0, 2.0], [0.0, 1.0]):
+            q = haar_unitary(len(spectrum), rng)
+            factors.append((q * spectrum) @ q.conj().T)
+        check = self.assert_matches_oracle(haar_unitary(18, rng), *factors, 0.7, 1.3)
+        assert check.off_block_max > 1.0
 
 
 class TestRunExperimentApi:

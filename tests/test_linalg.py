@@ -14,13 +14,11 @@ from sltosim.linalg import (
     ShapeError,
     SpectralPropagator,
     StateVector,
-    SubsystemLayout,
     basis_state,
     commutator_norm,
     energy_uncertainty,
     fubini_study_distance,
     identity,
-    partial_trace,
     tensor_product,
     von_neumann_entropy,
 )
@@ -133,53 +131,6 @@ class TestSpectralPropagator:
         assert np.max(np.abs(norms - 1)) <= 1e-10
 
 
-class TestPartialTrace:
-    def test_product_state(self):
-        rng = np.random.default_rng(1)
-        rho_a = DensityMatrix(random_density(2, rng))
-        rho_b = DensityMatrix(random_density(3, rng))
-        joint = tensor_product(rho_a, rho_b)
-        out = partial_trace(joint, SubsystemLayout((2, 3)), keep=[0])
-        assert np.max(np.abs(out.entries - rho_a.entries)) <= 1e-12
-
-    def test_bell_state_reduces_to_maximally_mixed(self):
-        bell = np.zeros(4, dtype=complex)
-        bell[0] = bell[3] = 1 / math.sqrt(2)
-        rho = DensityMatrix(np.outer(bell, bell.conj()))
-        out = partial_trace(rho, SubsystemLayout((2, 2)), keep=[0])
-        assert np.max(np.abs(out.entries - np.eye(2) / 2)) <= 1e-12
-
-    def test_trace_over_nothing_returns_input(self):
-        rho = DensityMatrix(random_density(4, np.random.default_rng(2)))
-        out = partial_trace(rho, SubsystemLayout((2, 2)), keep=[0, 1])
-        assert out is rho
-
-    def test_exchange_pair_state_reduces_to_even_mixture(self):
-        # cos|1,0,s0> - i sin|0,1,s1> at a half-way angle, atom kept
-        dims = (2, 2, 2)
-        psi = np.zeros(8, dtype=complex)
-        c = s = 1 / math.sqrt(2)
-        psi[(1 * 2 + 0) * 2 + 0] = c
-        psi[(0 * 2 + 1) * 2 + 1] = -1j * s
-        rho = DensityMatrix(np.outer(psi, psi.conj()))
-        out = partial_trace(rho, SubsystemLayout(dims), keep=[2])
-        assert np.max(np.abs(out.entries - np.diag([0.5, 0.5]))) <= 1e-12
-
-    def test_inconsistent_layout_rejected(self):
-        rho = DensityMatrix(random_density(4, np.random.default_rng(3)))
-        with pytest.raises(ShapeError):
-            partial_trace(rho, SubsystemLayout((2, 3)), keep=[0])
-
-    @given(st.integers(2, 3), st.integers(2, 3), st.integers(0, 10**6))
-    @settings(max_examples=25, deadline=None)
-    def test_preserves_trace_and_hermiticity(self, da, db, seed):
-        rng = np.random.default_rng(seed)
-        rho = DensityMatrix(random_density(da * db, rng))
-        out = partial_trace(rho, SubsystemLayout((da, db)), keep=[1])
-        assert abs(np.trace(out.entries) - 1) <= 1e-12
-        assert np.max(np.abs(out.entries - out.entries.conj().T)) <= 1e-12
-
-
 class TestEntropy:
     def test_pure_state_zero(self):
         psi = random_state(5, np.random.default_rng(4))
@@ -273,10 +224,6 @@ class TestTypeInvariants:
     def test_density_matrix_positivity_enforced(self):
         with pytest.raises(ValueError):
             DensityMatrix(np.diag([1.5, -0.5]).astype(complex))
-
-    def test_layout_checks_product(self):
-        with pytest.raises(ShapeError):
-            SubsystemLayout((2, 2)).check(6)
 
     def test_operators_are_immutable(self):
         op = identity(3)

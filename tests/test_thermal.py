@@ -139,8 +139,14 @@ class TestBathPropertySuite:
         )
         assert report.grid_residual is not None
         assert abs(report.grid_residual) == 0.0
-        assert report.grid_pair_exists
         assert report.passed
+
+    @pytest.mark.parametrize("grid", [(0.0, 1.0), (2.0, -1.0), (math.nan, 1.0),
+                                      (2.0, math.inf)])
+    def test_resonance_grid_off_the_ladder_rejected(self, grid):
+        with pytest.raises(ValueError, match="finite and positive"):
+            bath_property_suite(DegeneracyModel(0.5), DegeneracyModel(1.0), [(0.1, 0.2)],
+                                resonance_grid=grid)
 
 
 class TestGibbsDensity:
