@@ -7,9 +7,7 @@ intensity-dependent couplings.
 """
 
 from .linalg import (
-    ATOL_PHYSICS,
     ATOL_STRUCTURE,
-    ATOL_UNITARY,
     DensityMatrix,
     DimensionLimitError,
     HermiticityError,

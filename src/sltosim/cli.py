@@ -234,6 +234,7 @@ def verify_slto(
     if w_system is not None:
         weighted += brackets[3]
     residual_weighted = max_abs(weighted)
+    del brackets, weighted  # free them before the two d^3 products below
 
     # off-block mass of U between different total-energy eigenspaces, read
     # in the product basis V = V1 x V2 x VS of the factor eigenvectors
@@ -290,12 +291,9 @@ def verify_slto(
 
 @dataclass(frozen=True)
 class RunArtifact:
-    kind: str
     report_path: str
     series_path: str | None
-    config: dict
     tool_version: str
-    wall_clock_seconds: float
     all_checks_passed: bool
 
 
@@ -386,10 +384,10 @@ def run_abstract_cycle(params: dict, out_dir: Path) -> tuple[dict, dict, list | 
     )
     report = evolve_cycle(cfg)
     if params.get("export_matrices"):
+        u_tau = evolution_operator(cfg, cfg.tau).entries  # checks the dense cap first
         target = Path(params["export_matrices"])
         target.mkdir(parents=True, exist_ok=True)
-        layout = (cfg.n_max1 + 1, cfg.n_max2 + 1, 2)
-        write_matrix_file(target / "u_tau.txt", evolution_operator(cfg, cfg.tau).entries, layout)
+        write_matrix_file(target / "u_tau.txt", u_tau, (cfg.n_max1 + 1, cfg.n_max2 + 1, 2))
         write_matrix_file(target / "h_bath1.txt", np.diag(omega1 * np.arange(cfg.n_max1 + 1)).astype(complex))
         write_matrix_file(target / "h_bath2.txt", np.diag(omega2 * np.arange(cfg.n_max2 + 1)).astype(complex))
         write_matrix_file(target / "h_system.txt", np.diag([cfg.a0, cfg.a1]).astype(complex))
@@ -743,12 +741,9 @@ def run_experiment(
             fh.write(spec.series_header + "\n")
             fh.write("".join([row_format % tuple(row) for row in series]))
     return RunArtifact(
-        kind=kind,
         report_path=str(report_path),
         series_path=str(series_path) if series_path else None,
-        config=params,
         tool_version=__version__,
-        wall_clock_seconds=wall,
         all_checks_passed=all_passed,
     )
 

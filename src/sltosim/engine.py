@@ -12,23 +12,25 @@ cutoff) have no partner and stay idle, which keeps both conservation
 laws exact at finite truncation; their weight is reported instead of
 being approximated away.
 
-A ``ChargeBlock`` is one such sector: a small Hermitian matrix on the
-basis states of one value of the conserved charges.  ``enumerate_blocks``
-lists the engine's 2x2 pairs and 1x1 idle blocks, and the cavity model in
-``optics`` builds its <= 3-state blocks with the same type.  Dense
-full-space matrices are assembled only for export and as the test oracle
-(``build_interaction_hamiltonian``).
+``enumerate_blocks`` lists every sector's members as one int table of
+shape (sectors, 2, 3): row k is the pair (|n, m, 0>, |n-1, m+1, 1>) in
+lexicographic (n, m) order, with -1 in the partner slot of an idle
+sector.  A ``ChargeBlock`` is one sector as a small Hermitian matrix on
+its members: ``charge_block`` builds the engine's 2x2 pair or 1x1 idle
+block for one (n, m), and the cavity model in ``optics`` builds its
+<= 3-state blocks with the same type.  Dense full-space matrices are
+assembled only for export (``evolution_operator``) and as the test
+oracle (``build_interaction_hamiltonian``).
 
 ``evolve_cycle`` propagates the one 2x2 pair block over the whole time
 grid and takes every per-sample diagnostic from its amplitude rows in
 closed form (entanglement entropy, energy spread, Fubini-Study
 distance).  Sector weights, bath energies and the charge gaps behind the
-commutator residuals are read from the members of the enumerated blocks.
+commutator residuals are read from the member table.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -51,6 +53,11 @@ RESONANCE_ATOL = 1e-12
 
 #: default number of uniform time samples on [0, tau]
 DEFAULT_GRID_POINTS = 101
+
+#: caps checked before allocating: the (n, m) sectors of an engine (a cycle takes
+#: about 1.7 kB per sector) and the dimension of the dense ``evolution_operator``
+MAX_SECTORS = 250_000
+MAX_DENSE_DIM = 8192
 
 
 class NoGradientError(ValueError):
@@ -103,6 +110,9 @@ class CompactEngineConfig:
             raise ValueError(f"coupling g must be non-negative, got {self.g}")
         if self.n_max1 < 0 or self.n_max2 < 0:
             raise ValueError("cutoffs must be non-negative")
+        if (self.n_max1 + 1) * (self.n_max2 + 1) > MAX_SECTORS:
+            raise ValueError(f"cutoffs n_max1 = {self.n_max1}, n_max2 = {self.n_max2} "
+                             f"give more than the cap of {MAX_SECTORS} sectors")
 
     @property
     def dim(self) -> int:
@@ -176,33 +186,33 @@ def pair_generator(g: float) -> Operator:
     return Operator(np.array([[0.0, g], [g, 0.0]], dtype=np.complex128), hermitian_hint=True)
 
 
-def _blocks(cfg: CompactEngineConfig, sectors) -> list[ChargeBlock]:
-    # the pairing rule: |n, m, 0> <-> |n-1, m+1, 1>, idle without a partner
-    pair = pair_generator(cfg.g)
-    idle = Operator(np.zeros((1, 1), dtype=np.complex128), hermitian_hint=True)
-    return [
-        ChargeBlock(pair, ((n, m, 0), (n - 1, m + 1, 1)))
-        if n >= 1 and m < cfg.n_max2
-        else ChargeBlock(idle, ((n, m, 0),))
-        for n, m in sectors
-    ]
+def _sector_members(cfg: CompactEngineConfig, n: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """The pairing rule over the sectors (n[k], m[k]): row k of the (k, 2, 3) int
+    table is (|n, m, 0>, |n-1, m+1, 1>), each state as (n, m, level), with -1 in
+    the partner slot of a sector without one (n = 0, or m at the cold cutoff)."""
+    coupled = ((n >= 1) & (m < cfg.n_max2))[:, None]
+    source = np.stack([n, m, 0 * n], axis=1)
+    target = np.where(coupled, np.stack([n - 1, m + 1, 0 * n + 1], axis=1), -1)
+    return np.stack([source, target], axis=1)
 
 
-def enumerate_blocks(cfg: CompactEngineConfig) -> list[ChargeBlock]:
-    """Every (n, m) sector's block, in lexicographic (n, m) order.
-
-    Coupled sectors are the pair |n, m, 0>, |n-1, m+1, 1> under
-    ``pair_generator(cfg.g)``; sectors without a partner (n = 0, or m at
-    the cold cutoff) are a 1x1 zero block on |n, m, 0>.
-    """
-    return _blocks(cfg, itertools.product(range(cfg.n_max1 + 1), range(cfg.n_max2 + 1)))
+def enumerate_blocks(cfg: CompactEngineConfig) -> np.ndarray:
+    """Every (n, m) sector's members as one (sectors, 2, 3) int table in
+    lexicographic (n, m) order; ``pair_generator(cfg.g)`` couples each row's
+    pair, and a row with -1 in its partner slot is an idle sector."""
+    n, m = np.divmod(np.arange((cfg.n_max1 + 1) * (cfg.n_max2 + 1)), cfg.n_max2 + 1)
+    return _sector_members(cfg, n, m)
 
 
 def charge_block(cfg: CompactEngineConfig, n: int, m: int) -> ChargeBlock:
-    """The block of sector (n, m), as ``enumerate_blocks`` lists it."""
+    """The block of sector (n, m): the 2x2 pair, or a 1x1 zero block when idle."""
     if not (0 <= n <= cfg.n_max1 and 0 <= m <= cfg.n_max2):
         raise ValueError(f"sector {(n, m)} outside the cutoffs")
-    return _blocks(cfg, [(n, m)])[0]
+    source, target = _sector_members(cfg, np.array([n]), np.array([m]))[0].tolist()
+    if target[0] < 0:
+        idle = Operator(np.zeros((1, 1), dtype=np.complex128), hermitian_hint=True)
+        return ChargeBlock(idle, (tuple(source),))
+    return ChargeBlock(pair_generator(cfg.g), (tuple(source), tuple(target)))
 
 
 def build_interaction_hamiltonian(cfg: CompactEngineConfig) -> Operator:
@@ -220,13 +230,16 @@ def build_interaction_hamiltonian(cfg: CompactEngineConfig) -> Operator:
 
 
 def evolution_operator(cfg: CompactEngineConfig, t: float) -> Operator:
-    """Dense engine unitary at time t, assembled block by block."""
+    """Dense engine unitary at time t: the pair propagator on every coupled sector."""
+    if cfg.dim > MAX_DENSE_DIM:
+        raise ValueError(f"cutoffs n_max1 = {cfg.n_max1}, n_max2 = {cfg.n_max2} give dense "
+                         f"dimension {cfg.dim}, above the cap {MAX_DENSE_DIM}")
     u2 = SpectralPropagator(pair_generator(cfg.g)).at(t).entries
+    members = enumerate_blocks(cfg)
+    pairs = members[members[:, 1, 0] >= 0]
+    idx = cfg.basis_index(pairs[..., 0], pairs[..., 1], pairs[..., 2])  # (pairs, 2)
     u = np.eye(cfg.dim, dtype=np.complex128)
-    for block in enumerate_blocks(cfg):
-        if len(block.members) == 2:
-            idx = [cfg.basis_index(*member) for member in block.members]
-            u[np.ix_(idx, idx)] = u2
+    u[idx[:, :, None], idx[:, None, :]] = u2
     return Operator(u)
 
 
@@ -243,7 +256,6 @@ class CycleReport:
     maxima over the sampled grid.
     """
 
-    engine: str
     beta1: float
     beta2: float
     omega1: float
@@ -341,20 +353,19 @@ def evolve_cycle(
     closed form from its amplitude rows over the grid: the entropy of
     diag(1 - p, p), the energy spread of g*sigma_x and the Fubini-Study
     distance from the first row.  Sector weights, bath energies and the
-    charge gaps behind the commutator residuals come from the members of
-    the blocks that ``enumerate_blocks`` returns.
+    charge gaps behind the commutator residuals come from the member
+    table that ``enumerate_blocks`` returns.
     """
     if cfg.g == 0:
         raise ValueError("the cycle needs a positive coupling (tau is undefined at g = 0)")
     times = (np.linspace(0.0, cfg.tau, DEFAULT_GRID_POINTS) if times is None
              else np.array(times, dtype=float))
     tau_index = _require_tau(times, cfg.tau)
-    blocks = enumerate_blocks(cfg)
+    members = enumerate_blocks(cfg)
+    coupled = members[:, 1, 0] >= 0
     # members as (n, m, level): (P, 2, 3) for the pairs (source, target), (I, 3) idle
-    pairs = np.array([b.members for b in blocks if len(b.members) == 2], dtype=int)
-    pairs = pairs.reshape(-1, 2, 3)
-    idle = np.array([b.members[0] for b in blocks if len(b.members) == 1], dtype=int)
-    idle = idle.reshape(-1, 3)
+    pairs = members[coupled]
+    idle = members[~coupled, 0]
 
     p1 = gibbs_probabilities(cfg.omega1, cfg.beta1, cfg.n_max1)
     p2 = gibbs_probabilities(cfg.omega2, cfg.beta2, cfg.n_max2)
@@ -425,7 +436,6 @@ def evolve_cycle(
         q1 = q2 = 0.0
 
     return CycleReport(
-        engine="abstract-cycle",
         beta1=cfg.beta1,
         beta2=cfg.beta2,
         omega1=cfg.omega1,

@@ -22,8 +22,6 @@ from typing import Sequence, Union
 import numpy as np
 
 ATOL_STRUCTURE = 1e-12
-ATOL_UNITARY = 1e-10
-ATOL_PHYSICS = 1e-9
 
 #: refuse Kronecker products beyond this composite dimension
 MAX_TENSOR_DIM = 20000

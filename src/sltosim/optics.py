@@ -39,7 +39,6 @@ only asymptotically in j and is kept as the design target family.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -59,8 +58,10 @@ from .engine import (
 from .linalg import Operator, ShapeError, SpectralPropagator
 from .thermal import TruncatedMode, truncation_for_tail
 
-#: time samples per period of the fastest frequency the detuning sweep asks for
+#: time samples per period of the fastest frequency the detuning sweep asks for,
+#: and the most samples per detuning (past it the sweep reports a lower density)
 SAMPLES_PER_PERIOD = 8.0
+MAX_SAMPLES = 200_000
 
 
 @dataclass(frozen=True)
@@ -357,8 +358,7 @@ def run_optics_cycle(
     cfg: OpticsEngineConfig, times: Sequence[float] | None = None
 ) -> CycleReport:
     """One cycle from gibbs x gibbs x |1><1| under the effective Hamiltonian."""
-    report = evolve_cycle(effective_compact_config(cfg), times)
-    return dataclasses.replace(report, engine="optics-cycle")
+    return evolve_cycle(effective_compact_config(cfg), times)
 
 
 @dataclass(frozen=True)
@@ -408,8 +408,6 @@ def adiabatic_elimination_error(
     profile: CouplingProfile,
     delta_sweep: Sequence[float],
     initial_block: tuple[int, int] = (3, 1),
-    samples_per_period: float = SAMPLES_PER_PERIOD,
-    max_samples: int = 200_000,
 ) -> list[SweepPoint]:
     """Compare full and effective evolutions over one cycle per detuning.
 
@@ -458,7 +456,7 @@ def adiabatic_elimination_error(
         window = cfg_d.tau if math.isfinite(cfg_d.tau) else 1.0
         periods = window * (delta + 4.0 * g_top) / (2.0 * math.pi)
         n_samples = int(min(
-            max_samples, max(2001, math.ceil(samples_per_period * periods))
+            MAX_SAMPLES, max(2001, math.ceil(SAMPLES_PER_PERIOD * periods))
         ))
         times = np.linspace(0.0, window, n_samples)
 

@@ -1,8 +1,8 @@
-import dataclasses
 import json
 import math
 import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -159,17 +159,38 @@ class TestAbstractCycleCommand:
         assert code == 2
         assert not (tmp_path / "report.json").exists()
 
+    def test_sector_cap_is_usage_error(self, tmp_path, capsys):
+        # the tail rule derives n_max1 = n_max2 = 13815510941 here
+        code = main(["abstract-cycle", "--beta1", "1e-9", "--beta2", "1", "--omega1", "1",
+                     "--g", "0.1", "--out", str(tmp_path / "o"),
+                     "--export-matrices", str(tmp_path / "x"), "--no-color"])
+        assert code == 2
+        assert "n_max1 = 13815510941" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "report.json").exists()
+        assert not (tmp_path / "x").exists()
+
+    def test_dense_cap_is_usage_error(self, tmp_path, capsys):
+        # 2 * 65 * 65 = 8450 > MAX_DENSE_DIM; the cycle itself runs
+        assert 2 * 65 * 65 > engine.MAX_DENSE_DIM >= 2 * 61 * 61
+        code = main(["abstract-cycle", "--beta1", "0.5", "--beta2", "1", "--omega1", "2",
+                     "--g", "0.1", "--n-max1", "64", "--n-max2", "64",
+                     "--out", str(tmp_path / "o"), "--export-matrices", str(tmp_path / "x"),
+                     "--no-color"])
+        assert code == 2
+        assert "n_max1 = 64, n_max2 = 64" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "report.json").exists()
+        assert not (tmp_path / "x").exists()
+
     def test_non_conserving_pairing_fails_both_commutator_checks(self, tmp_path, monkeypatch):
-        pairing = engine._blocks
+        pairing = engine._sector_members
 
-        def cold_ladder_left_out(cfg, sectors):
+        def cold_ladder_left_out(cfg, n, m):
             # |n, m, 0> <-> |n-1, m, 1>: the cold ladder gains no quantum
-            return [dataclasses.replace(b, members=(b.members[0], (b.members[0][0] - 1,
-                                                                   b.members[0][1], 1)))
-                    if len(b.members) == 2 else b
-                    for b in pairing(cfg, sectors)]
+            members = pairing(cfg, n, m)
+            members[members[:, 1, 0] >= 0, 1, 1] -= 1
+            return members
 
-        monkeypatch.setattr(engine, "_blocks", cold_ladder_left_out)
+        monkeypatch.setattr(engine, "_sector_members", cold_ladder_left_out)
         code = main(["abstract-cycle", "--beta1", "0.5", "--beta2", "1", "--omega1", "2",
                      "--g", "0.05", "--n-max1", "4", "--n-max2", "4",
                      "--out", str(tmp_path), "--no-color"])
@@ -692,7 +713,7 @@ class TestRunExperimentApi:
     def test_series_rows_keep_17_significant_digits(self, tmp_path, kind, params):
         _, _, series = KINDS[kind].runner(params, tmp_path / "direct")
         artifact = run_experiment(kind, params, tmp_path / "run", write_series=True)
-        lines = open(artifact.series_path).read().splitlines()
+        lines = Path(artifact.series_path).read_text().splitlines()
         expected = [",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row)
                     for row in series]
         assert lines[1:] == expected

@@ -71,66 +71,81 @@ class TestConfig:
         assert abs(cfg.a1 - (0.3 + 1.0)) <= 1e-15
 
 
-def sector(block) -> tuple[int, int]:
-    n, m, _ = block.members[0]
-    return n, m
+def pair_rows(cfg: CompactEngineConfig) -> np.ndarray:
+    """The rows of the member table whose sector has a partner."""
+    members = enumerate_blocks(cfg)
+    return members[members[:, 1, 0] >= 0]
 
 
 class TestBlockEnumeration:
+    def test_table_shape_and_dtype(self):
+        members = enumerate_blocks(small_config(n_max1=4, n_max2=3))
+        assert members.shape == (20, 2, 3)
+        assert members.dtype.kind == "i"
+
     def test_exchange_partner_of_interior_sector(self):
         cfg = small_config()
-        blocks = {sector(b): b for b in enumerate_blocks(cfg)}
-        b = blocks[(3, 2)]
-        assert b.members == ((3, 2, 0), (2, 3, 1))
-        assert np.array_equal(b.h.entries, [[0, cfg.g], [cfg.g, 0]])
+        members = enumerate_blocks(cfg)
+        row = members[3 * (cfg.n_max2 + 1) + 2]
+        assert row.tolist() == [[3, 2, 0], [2, 3, 1]]
+        assert charge_block(cfg, 3, 2).members == ((3, 2, 0), (2, 3, 1))
+        assert np.array_equal(charge_block(cfg, 3, 2).h.entries, [[0, cfg.g], [cfg.g, 0]])
 
     def test_vacuum_sectors_idle(self):
         cfg = small_config()
-        for b in enumerate_blocks(cfg):
-            if sector(b)[0] == 0:
-                assert len(b.members) == 1 and not np.any(b.h.entries)
+        members = enumerate_blocks(cfg)
+        vacuum = members[members[:, 0, 0] == 0]
+        assert len(vacuum) == cfg.n_max2 + 1
+        assert np.all(vacuum[:, 1] == -1)
+        for m in range(cfg.n_max2 + 1):
+            b = charge_block(cfg, 0, m)
+            assert b.members == ((0, m, 0),) and not np.any(b.h.entries)
 
     def test_cold_cutoff_sectors_idle(self):
         cfg = small_config()
-        for b in enumerate_blocks(cfg):
-            if sector(b)[1] == cfg.n_max2:
-                assert len(b.members) == 1
+        members = enumerate_blocks(cfg)
+        boundary = members[members[:, 0, 1] == cfg.n_max2]
+        assert len(boundary) == cfg.n_max1 + 1
+        assert np.all(boundary[:, 1] == -1)
 
     def test_pairing_is_a_bijection(self):
         cfg = small_config()
-        coupled = [b for b in enumerate_blocks(cfg) if len(b.members) == 2]
-        assert len(coupled) == cfg.n_max1 * cfg.n_max2
-        targets = [b.members[1] for b in coupled]
-        assert len(set(targets)) == len(targets)
+        targets = pair_rows(cfg)[:, 1]
+        assert len(targets) == cfg.n_max1 * cfg.n_max2
+        assert len(np.unique(targets, axis=0)) == len(targets)
+        # every target lies inside the cutoffs and is an excited-level state
+        assert np.all(targets[:, 0] >= 0) and np.all(targets[:, 1] <= cfg.n_max2)
+        assert np.all(targets[:, 2] == 1)
 
     def test_lexicographic_order(self):
-        labels = [sector(b) for b in enumerate_blocks(small_config())]
-        assert labels == sorted(labels)
-        assert len(labels) == 36
+        members = enumerate_blocks(small_config())
+        labels = [tuple(row) for row in members[:, 0, :2].tolist()]
+        assert labels == sorted(labels) == [(n, m) for n in range(6) for m in range(6)]
+        assert np.all(members[:, 0, 2] == 0)
 
     def test_members_conserve_both_charges(self):
         cfg = small_config(n_max1=4, n_max2=3)
         d_total = cfg.total_energy_diagonal()
         d_weighted = cfg.weighted_energy_diagonal()
-        for b in enumerate_blocks(cfg):
-            idx = [cfg.basis_index(*member) for member in b.members]
-            assert np.ptp(d_total[idx]) <= 1e-12
-            assert np.ptp(d_weighted[idx]) <= 1e-12
+        pairs = pair_rows(cfg)
+        idx = cfg.basis_index(pairs[..., 0], pairs[..., 1], pairs[..., 2])
+        assert np.max(np.abs(d_total[idx[:, 0]] - d_total[idx[:, 1]])) <= 1e-12
+        assert np.max(np.abs(d_weighted[idx[:, 0]] - d_weighted[idx[:, 1]])) <= 1e-12
 
     def test_blocks_are_dense_submatrices(self):
         cfg = small_config(n_max1=4, n_max2=3)
         dense = build_interaction_hamiltonian(cfg).entries
-        for b in enumerate_blocks(cfg):
+        for n, m, _ in enumerate_blocks(cfg)[:, 0].tolist():
+            b = charge_block(cfg, n, m)
             idx = [cfg.basis_index(*member) for member in b.members]
             assert np.array_equal(b.h.entries, dense[np.ix_(idx, idx)])
             assert not np.any(np.delete(dense[idx], idx, axis=1))
 
     def test_single_block_matches_enumeration(self):
         cfg = small_config(n_max1=3, n_max2=2)
-        for b in enumerate_blocks(cfg):
-            one = charge_block(cfg, *sector(b))
-            assert one.members == b.members
-            assert np.array_equal(one.h.entries, b.h.entries)
+        for row in enumerate_blocks(cfg).tolist():
+            one = charge_block(cfg, *row[0][:2])
+            assert one.members == tuple(tuple(member) for member in row if member[0] >= 0)
 
     @pytest.mark.parametrize("n, m", [(-1, 0), (0, -1), (6, 0), (0, 6)])
     def test_sector_outside_cutoffs_rejected(self, n, m):
@@ -139,7 +154,22 @@ class TestBlockEnumeration:
 
     def test_no_hot_quanta_leaves_every_sector_idle(self):
         cfg = small_config(n_max1=0)
-        assert [len(b.members) for b in enumerate_blocks(cfg)] == [1] * 6
+        assert enumerate_blocks(cfg).shape == (6, 2, 3)
+        assert pair_rows(cfg).size == 0
+
+    def test_single_cold_level_leaves_every_sector_idle(self):
+        cfg = small_config(n_max2=0)
+        assert pair_rows(cfg).size == 0
+        assert enumerate_blocks(cfg)[:, 0].tolist() == [[n, 0, 0] for n in range(6)]
+
+    def test_one_one_cutoffs_have_one_pair(self):
+        members = enumerate_blocks(small_config(n_max1=1, n_max2=1))
+        assert members.tolist() == [
+            [[0, 0, 0], [-1, -1, -1]],
+            [[0, 1, 0], [-1, -1, -1]],
+            [[1, 0, 0], [0, 1, 1]],
+            [[1, 1, 0], [-1, -1, -1]],
+        ]
 
 
 class TestInteractionHamiltonian:
@@ -151,9 +181,9 @@ class TestInteractionHamiltonian:
     def test_single_sector_is_pauli_x_pair(self):
         cfg = small_config(n_max1=1, n_max2=1)
         h = build_interaction_hamiltonian(cfg)
-        blocks = [b for b in enumerate_blocks(cfg) if len(b.members) == 2]
-        assert len(blocks) == 1
-        s, t = (cfg.basis_index(*member) for member in blocks[0].members)
+        pairs = pair_rows(cfg)
+        assert len(pairs) == 1
+        s, t = (cfg.basis_index(*member) for member in pairs[0])
         sub = h.entries[np.ix_([s, t], [s, t])]
         assert np.max(np.abs(sub - cfg.g * np.array([[0, 1], [1, 0]]))) == 0.0
 
@@ -366,7 +396,6 @@ def loop_cycle(cfg: CompactEngineConfig, times: np.ndarray) -> dict:
     ps_tau = float(transfer[tau_index])
     q1, q2 = (cfg.omega1 * ps_tau, -cfg.omega2 * ps_tau) if pairs else (0.0, 0.0)
     return {
-        "engine": "abstract-cycle",
         "beta1": cfg.beta1, "beta2": cfg.beta2, "omega1": cfg.omega1, "omega2": cfg.omega2,
         "g": cfg.g, "w_ext": cfg.w_ext, "q1": q1, "q2": q2,
         "q1_ensemble": success_weight * q1, "q2_ensemble": success_weight * q2,
