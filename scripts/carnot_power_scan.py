@@ -32,10 +32,8 @@ def main() -> int:
     print(f"{'beta1':>6} {'beta2':>6} {'omega1':>7} {'g':>6} | "
           f"{'eta':>10} {'eta_C':>10} | {'tau':>10} {'P':>12} {'2gW/pi':>12}")
     for beta1, beta2, omega1 in pairs:
-        omega2 = beta1 * omega1 / beta2
         for g in couplings:
-            cfg = CompactEngineConfig(beta1=beta1, beta2=beta2, omega1=omega1,
-                                      omega2=omega2, g=g,
+            cfg = CompactEngineConfig(beta1=beta1, beta2=beta2, omega1=omega1, g=g,
                                       n_max1=args.cutoff, n_max2=args.cutoff)
             rep = evolve_cycle(cfg)
             p_formula = 2 * g * cfg.w_ext / math.pi

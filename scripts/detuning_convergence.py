@@ -33,9 +33,9 @@ def main() -> int:
     args = ap.parse_args()
 
     ratios = [float(r) for r in args.ratios.split(",")]
-    cfg = OpticsEngineConfig.resonant(
+    cfg = OpticsEngineConfig(
         beta1=0.5, beta2=1.0, omega1=2.0, g1=args.g, g2=args.g,
-        detuning=min(ratios) * args.g, n_max1=args.cutoff, n_max2=args.cutoff,
+        delta=min(ratios) * args.g, n_max1=args.cutoff, n_max2=args.cutoff,
         min_detuning_ratio=5.0,
     )
     profile = uniform_exchange_profile(cfg)

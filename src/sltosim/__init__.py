@@ -28,7 +28,6 @@ from .thermal import (
     DegeneracyModel,
     GibbsState,
     TailReport,
-    TruncatedMode,
     bath_property_suite,
     degeneracy_conservation_check,
     gibbs_probabilities,
@@ -40,6 +39,7 @@ from .engine import (
     ChargeBlock,
     CompactEngineConfig,
     CycleReport,
+    InvariantError,
     NoGradientError,
     SpeedDiagnostics,
     battery_split,
@@ -52,7 +52,6 @@ from .engine import (
 )
 from .optics import (
     CouplingProfile,
-    LambdaAtom,
     OpticsEngineConfig,
     SweepPoint,
     WorkRecord,

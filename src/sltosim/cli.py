@@ -20,9 +20,10 @@ come from that entry.  Only ``design`` is random, so only it takes
 
 Every run writes ``report.json`` into the output directory (also on
 physics failure, with the failing checks flagged); ``--series`` adds a
-CSV time series, ``--json-report`` echoes the report to stdout.  Exit
-codes: 0 all checks pass, 1 a physics check failed, 2 bad usage or
-config, 3 I/O failure.
+CSV time series, ``--json-report`` echoes the report to stdout.  A run
+that stops on an error writes nothing.  Exit codes: 0 all checks pass,
+1 a physics check failed, 2 bad usage or config, 3 I/O failure, 4 an
+internal invariant failed (a bug, not bad input).
 
 Matrix files are plain text: the first line holds the matrix dimension
 followed optionally by the tensor-factor dimensions; each following
@@ -57,6 +58,7 @@ from .designer import (
 from .engine import (
     CompactEngineConfig,
     CycleReport,
+    InvariantError,
     evolution_operator,
     evolve_cycle,
 )
@@ -71,7 +73,9 @@ from .optics import (
     sweep_slopes,
     uniform_exchange_profile,
 )
-from .thermal import gibbs_density, truncation_for_tail
+from .thermal import gibbs_density
+# unused here; bench/tracing.py patches it by name
+from .thermal import truncation_for_tail
 
 SCHEMA_VERSION = 1
 
@@ -364,23 +368,12 @@ SERIES_HEADER = "t,pop1,pop2,pop3,S_ent,E_B1,E_B2,resid_energy,resid_weighted"
 
 
 def run_abstract_cycle(params: dict, out_dir: Path) -> tuple[dict, dict, list | None]:
-    beta1, beta2 = params["beta1"], params["beta2"]
-    omega1 = params["omega1"]
-    omega2 = params.get("omega2")
-    if omega2 is None:
-        omega2 = beta1 * omega1 / beta2
-    if beta1 >= beta2:
+    if params["beta1"] >= params["beta2"]:
         raise ConfigError("abstract-cycle needs beta1 < beta2")
-    tail_delta = params.get("tail_delta", 1e-6)
-    n_max1 = params.get("n_max1")
-    if n_max1 is None:
-        n_max1 = truncation_for_tail(omega1, beta1, tail_delta).n_max_used
-    n_max2 = params.get("n_max2")
-    if n_max2 is None:
-        n_max2 = truncation_for_tail(omega2, beta2, tail_delta).n_max_used
     cfg = CompactEngineConfig(
-        beta1=beta1, beta2=beta2, omega1=omega1, omega2=omega2,
-        g=params["g"], n_max1=n_max1, n_max2=n_max2, a0=params.get("a0", 0.0),
+        beta1=params["beta1"], beta2=params["beta2"], omega1=params["omega1"], g=params["g"],
+        n_max1=params.get("n_max1"), n_max2=params.get("n_max2"), a0=params.get("a0", 0.0),
+        tail_delta=params.get("tail_delta", 1e-6),
     )
     report = evolve_cycle(cfg)
     if params.get("export_matrices"):
@@ -388,31 +381,29 @@ def run_abstract_cycle(params: dict, out_dir: Path) -> tuple[dict, dict, list | 
         target = Path(params["export_matrices"])
         target.mkdir(parents=True, exist_ok=True)
         write_matrix_file(target / "u_tau.txt", u_tau, (cfg.n_max1 + 1, cfg.n_max2 + 1, 2))
-        write_matrix_file(target / "h_bath1.txt", np.diag(omega1 * np.arange(cfg.n_max1 + 1)).astype(complex))
-        write_matrix_file(target / "h_bath2.txt", np.diag(omega2 * np.arange(cfg.n_max2 + 1)).astype(complex))
+        write_matrix_file(target / "h_bath1.txt", np.diag(cfg.omega1 * np.arange(cfg.n_max1 + 1)).astype(complex))
+        write_matrix_file(target / "h_bath2.txt", np.diag(cfg.omega2 * np.arange(cfg.n_max2 + 1)).astype(complex))
         write_matrix_file(target / "h_system.txt", np.diag([cfg.a0, cfg.a1]).astype(complex))
     results = _cycle_results(report)
     results["config_used"] = {
-        "beta1": beta1, "beta2": beta2, "omega1": omega1, "omega2": omega2,
-        "g": cfg.g, "n_max1": n_max1, "n_max2": n_max2, "a0": cfg.a0, "a1": cfg.a1,
+        "beta1": cfg.beta1, "beta2": cfg.beta2, "omega1": cfg.omega1, "omega2": cfg.omega2,
+        "g": cfg.g, "n_max1": cfg.n_max1, "n_max2": cfg.n_max2, "a0": cfg.a0, "a1": cfg.a1,
     }
     return results, _cycle_checks(report), _cycle_series(report)
 
 
 def run_optics_cycle_cmd(params: dict, out_dir: Path) -> tuple[dict, dict, list | None]:
-    if params["beta1"] >= params["beta2"]:
-        raise ConfigError("optics-cycle needs beta1 < beta2")
-    cfg = OpticsEngineConfig.resonant(
+    cfg = OpticsEngineConfig(
         beta1=params["beta1"],
         beta2=params["beta2"],
         omega1=params["omega1"],
         g1=params.get("g1", 2.0),
         g2=params.get("g2", 2.0),
-        detuning=params.get("detuning", 80.0),
+        delta=params.get("detuning", 80.0),
         n_max1=params.get("n_max1"),
         n_max2=params.get("n_max2"),
-        tail_delta=params.get("tail_delta", 1e-6),
         min_detuning_ratio=params.get("min_ratio", 20.0),
+        tail_delta=params.get("tail_delta", 1e-6),
     )
     report = run_optics_cycle(cfg)
     results = _cycle_results(report)
@@ -431,10 +422,9 @@ def run_optics_cycle_cmd(params: dict, out_dir: Path) -> tuple[dict, dict, list 
         float(np.max(np.abs(corrected - expected))), PASS_THRESHOLDS["final_state_formula"]
     )
     results["config_used"] = {
-        "beta1": cfg.mode1.beta, "beta2": cfg.mode2.beta,
-        "omega1": cfg.mode1.omega, "omega2": cfg.mode2.omega,
+        "beta1": cfg.beta1, "beta2": cfg.beta2, "omega1": cfg.omega1, "omega2": cfg.omega2,
         "omega0": cfg.omega0, "g1": cfg.g1, "g2": cfg.g2,
-        "delta": cfg.delta, "n_max1": cfg.mode1.n_max, "n_max2": cfg.mode2.n_max,
+        "delta": cfg.delta, "n_max1": cfg.n_max1, "n_max2": cfg.n_max2,
     }
     return results, checks, _cycle_series(report)
 
@@ -449,13 +439,13 @@ def run_delta_sweep(params: dict, out_dir: Path) -> tuple[dict, dict, list | Non
     ratios = params.get("ratios") or [20.0, 40.0, 80.0, 160.0]
     g1 = params.get("g1", 0.5)
     g2 = params.get("g2", 0.5)
-    cfg = OpticsEngineConfig.resonant(
+    cfg = OpticsEngineConfig(
         beta1=params.get("beta1", 0.5),
         beta2=params.get("beta2", 1.0),
         omega1=params.get("omega1", 2.0),
         g1=g1,
         g2=g2,
-        detuning=min(ratios) * max(g1, g2),
+        delta=min(ratios) * max(g1, g2),
         n_max1=params.get("n_max1", 4),
         n_max2=params.get("n_max2", 4),
         min_detuning_ratio=5.0,
@@ -656,15 +646,17 @@ class ExperimentKind:
 KINDS = {
     "abstract-cycle": ExperimentKind(
         run_abstract_cycle, "two-ladder engine cycle", SERIES_HEADER,
-        {"beta1": float, "beta2": float, "omega1": float, "omega2": float, "g": float,
+        {"beta1": float, "beta2": float, "omega1": float, "g": float,
          "n_max1": int, "n_max2": int, "a0": float, "tail_delta": float,
          "export_matrices": str},
+        required=frozenset({"beta1", "beta2", "omega1", "g"}),
     ),
     "optics-cycle": ExperimentKind(
         run_optics_cycle_cmd, "cavity engine effective cycle", SERIES_HEADER,
         {"beta1": float, "beta2": float, "omega1": float, "g1": float, "g2": float,
          "detuning": float, "n_max1": int, "n_max2": int, "tail_delta": float,
          "min_ratio": float},
+        required=frozenset({"beta1", "beta2", "omega1"}),
     ),
     "delta-sweep": ExperimentKind(
         run_delta_sweep, "full vs effective model over detunings",
@@ -714,10 +706,10 @@ def run_experiment(
     if missing:
         raise ConfigError(f"{kind}: missing required keys {sorted(missing)}")
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
     results, checks, series = spec.runner(params, out_dir)
     wall = time.perf_counter() - started
+    out_dir.mkdir(parents=True, exist_ok=True)
     all_passed = all(c["passed"] for c in checks.values())
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -823,6 +815,9 @@ def main(argv=None) -> int:
     except (ConfigError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except InvariantError as err:
+        print(f"internal error: {err}", file=sys.stderr)
+        return 4
     except OSError as err:
         print(f"i/o error: {err}", file=sys.stderr)
         return 3

@@ -27,6 +27,7 @@ Boltzmann probability.  Identical seeds reproduce identical traces.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -346,26 +347,14 @@ def validate_design(
     final-state infidelity is reported as the degradation caused by the
     residual fitting error.
     """
-    from .optics import (
-        OpticsEngineConfig,
-        coupling_profile_from_tables,
-        full_charge_block,
-    )
-    from .thermal import TruncatedMode
+    from .optics import coupling_profile_from_tables, full_charge_block
 
     f_act, theta_act = fock_matrix_elements(best, targets.n_work)
     n_fit = targets.n_fit
     f_err = np.abs(f_act[1 : n_fit + 1] - targets.f_target)
     th_err = np.abs(theta_act[1 : n_fit + 1] - targets.theta_target)
 
-    probe = OpticsEngineConfig(
-        mode1=TruncatedMode(cfg.mode1.omega, cfg.mode1.beta, n_fit),
-        mode2=TruncatedMode(cfg.mode2.omega, cfg.mode2.beta, n_fit),
-        atom=cfg.atom,
-        g1=cfg.g1,
-        g2=cfg.g2,
-        min_detuning_ratio=cfg.min_detuning_ratio,
-    )
+    probe = dataclasses.replace(cfg, n_max1=n_fit, n_max2=n_fit)
 
     def tables_to_profile(f_table, th_table):
         theta = np.zeros(n_fit + 1)

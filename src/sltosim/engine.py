@@ -2,15 +2,18 @@
 
 The working system is a two-level system S whose gap equals the spacing
 difference of two thermal ladders B1 (hot) and B2 (cold) held at
-resonance beta1*omega1 = beta2*omega2.  Total-energy sectors pair the
-basis states |n, m, 0> and |n-1, m+1, 1>, and the driving Hamiltonian
-couples every pair with one uniform strength g.  Each pair is then an
-exact 2x2 problem: over a half Rabi period the hot ladder loses one
-quantum, the cold ladder gains one, and S is excited, extracting the
-energy difference as work.  Boundary sectors (n = 0, or m at the cold
-cutoff) have no partner and stay idle, which keeps both conservation
-laws exact at finite truncation; their weight is reported instead of
-being approximated away.
+resonance beta1*omega1 = beta2*omega2.  ``CompactEngineConfig`` holds
+only what these two resonances leave free (beta1, beta2, omega1, the
+coupling g, the cutoffs and the lower level a0) and derives omega2 and
+the upper level a1, so both resonances hold by construction.
+Total-energy sectors pair the basis states |n, m, 0> and |n-1, m+1, 1>,
+and the driving Hamiltonian couples every pair with one uniform
+strength g.  Each pair is then an exact 2x2 problem: over a half Rabi
+period the hot ladder loses one quantum, the cold ladder gains one, and
+S is excited, extracting the energy difference as work.  Boundary
+sectors (n = 0, or m at the cold cutoff) have no partner and stay idle,
+which keeps both conservation laws exact at finite truncation; their
+weight is reported instead of being approximated away.
 
 ``enumerate_blocks`` lists every sector's members as one int table of
 shape (sectors, 2, 3): row k is the pair (|n, m, 0>, |n-1, m+1, 1>) in
@@ -47,9 +50,7 @@ from .linalg import (
 )
 # unused here; bench/tracing.py patches these by name
 from .linalg import DensityMatrix, energy_uncertainty, fubini_study_distance, von_neumann_entropy
-from .thermal import gibbs_probabilities
-
-RESONANCE_ATOL = 1e-12
+from .thermal import gibbs_probabilities, truncation_for_tail
 
 #: default number of uniform time samples on [0, tau]
 DEFAULT_GRID_POINTS = 101
@@ -64,55 +65,68 @@ class NoGradientError(ValueError):
     """beta1 > beta2 leaves no temperature gradient to run the engine on."""
 
 
+class InvariantError(RuntimeError):
+    """A computed quantity broke an invariant that valid input cannot break."""
+
+
 @dataclass(frozen=True)
 class CompactEngineConfig:
-    """Parameters of the two-ladder engine.
+    """Free parameters of the two-ladder engine; the resonances fix the rest.
 
-    Constraints: every energy, temperature and the coupling finite,
-    beta1 <= beta2 (equality gives the degenerate engine
-    with zero work), resonance beta1*omega1 = beta2*omega2 to 1e-12,
-    and system gap a1 - a0 = omega1 - omega2 to 1e-12.
+    omega2 = beta1*omega1/beta2 (so beta1*omega1 = beta2*omega2) and the
+    excited level a1 = a0 + (omega1 - omega2) are derived, never stored.
+    A cutoff left as None is the smallest one whose Gibbs tail is below
+    ``tail_delta``.  Constraints: every energy, temperature and the
+    coupling finite, beta1 <= beta2 (equality gives the degenerate engine
+    with zero work), and a derived omega2 that is finite and positive.
     """
 
     beta1: float
     beta2: float
     omega1: float
-    omega2: float
     g: float
-    n_max1: int
-    n_max2: int
+    n_max1: int | None = None
+    n_max2: int | None = None
     a0: float = 0.0
-    a1: float | None = None
+    tail_delta: float = 1e-6
 
     def __post_init__(self):
-        if self.a1 is None:
-            object.__setattr__(self, "a1", self.a0 + self.omega1 - self.omega2)
-        for name in ("beta1", "beta2", "omega1", "omega2", "g", "a0", "a1"):
+        for name in ("beta1", "beta2", "omega1", "g", "a0"):
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
-        if min(self.beta1, self.beta2, self.omega1, self.omega2) <= 0:
+        if min(self.beta1, self.beta2, self.omega1) <= 0:
             raise ValueError("temperatures and frequencies must be positive")
         if self.beta1 > self.beta2:
             raise NoGradientError(
                 f"beta1 = {self.beta1} must not exceed beta2 = {self.beta2}"
             )
-        if abs(self.beta1 * self.omega1 - self.beta2 * self.omega2) > RESONANCE_ATOL:
-            raise ValueError(
-                "resonance violated: beta1*omega1 != beta2*omega2 "
-                f"({self.beta1 * self.omega1} vs {self.beta2 * self.omega2})"
-            )
-        if abs((self.a1 - self.a0) - (self.omega1 - self.omega2)) > RESONANCE_ATOL:
-            raise ValueError("system gap a1 - a0 must equal omega1 - omega2")
-        if self.a1 < self.a0:
-            raise ValueError("a1 must not be below a0")
+        if not 0 < self.omega2 < math.inf:
+            raise ValueError(f"derived omega2 = beta1*omega1/beta2 = {self.omega2} "
+                             "must be finite and positive")
+        # at beta1 = beta2 the rounding of beta*omega/beta can put omega2 above omega1
+        if not self.a0 <= self.a1 < math.inf:
+            raise ValueError(f"derived a1 = {self.a1} must be finite and not below a0")
         if self.g < 0:
             raise ValueError(f"coupling g must be non-negative, got {self.g}")
+        for name, omega, beta in (("n_max1", self.omega1, self.beta1),
+                                  ("n_max2", self.omega2, self.beta2)):
+            if getattr(self, name) is None:
+                n_max = truncation_for_tail(omega, beta, self.tail_delta).n_max_used
+                object.__setattr__(self, name, n_max)
         if self.n_max1 < 0 or self.n_max2 < 0:
             raise ValueError("cutoffs must be non-negative")
         if (self.n_max1 + 1) * (self.n_max2 + 1) > MAX_SECTORS:
             raise ValueError(f"cutoffs n_max1 = {self.n_max1}, n_max2 = {self.n_max2} "
                              f"give more than the cap of {MAX_SECTORS} sectors")
+
+    @property
+    def omega2(self) -> float:
+        return self.beta1 * self.omega1 / self.beta2
+
+    @property
+    def a1(self) -> float:
+        return self.a0 + (self.omega1 - self.omega2)
 
     @property
     def dim(self) -> int:
@@ -360,6 +374,8 @@ def evolve_cycle(
         raise ValueError("the cycle needs a positive coupling (tau is undefined at g = 0)")
     times = (np.linspace(0.0, cfg.tau, DEFAULT_GRID_POINTS) if times is None
              else np.array(times, dtype=float))
+    if not np.all(np.isfinite(times)):
+        raise ValueError("times must be finite")
     tau_index = _require_tau(times, cfg.tau)
     members = enumerate_blocks(cfg)
     coupled = members[:, 1, 0] >= 0
@@ -381,7 +397,7 @@ def evolve_cycle(
     bad = np.flatnonzero(~(np.abs(norms - 1.0) <= 1e-10))  # a NaN norm fails too
     if bad.size:
         k = bad[0]
-        raise ValueError(
+        raise InvariantError(
             f"state vector norm {float(norms[k])!r} at t = {float(times[k])!r} "
             "differs from 1 by > 1e-10"
         )

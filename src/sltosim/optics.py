@@ -7,6 +7,13 @@ mediates: a hot photon is absorbed, a cold photon emitted, and the atom
 ends in |2>, from which the stored gap energy can leave by stimulated
 emission into a resonant extraction mode (bookkept, not simulated).
 
+``OpticsEngineConfig`` holds only the free parameters: the two
+temperatures, the hot frequency omega1, the leg couplings g1, g2, the
+detuning Delta of |3> from both photons, and the cutoffs.  The ladder
+resonance beta1*omega1 = beta2*omega2 fixes the cold frequency and the
+two-mode resonance fixes the work gap omega0 = omega1 - omega2, so both
+are derived properties and hold by construction.
+
 Two Hamiltonians live here.  The full three-level model keeps the upper
 level and the intensity profiles explicitly; it is the ground truth for
 the detuning sweep.  The effective two-level model couples the sectors
@@ -39,6 +46,7 @@ only asymptotically in j and is kept as the design target family.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -46,7 +54,6 @@ from typing import Sequence
 import numpy as np
 
 from .engine import (
-    RESONANCE_ATOL,
     ChargeBlock,
     CompactEngineConfig,
     CycleReport,
@@ -56,7 +63,7 @@ from .engine import (
 )
 # SpectralPropagator is unused here; bench/tracing.py patches it by name
 from .linalg import Operator, ShapeError, SpectralPropagator
-from .thermal import TruncatedMode, truncation_for_tail
+from .thermal import truncation_for_tail
 
 #: time samples per period of the fastest frequency the detuning sweep asks for,
 #: and the most samples per detuning (past it the sweep reports a lower density)
@@ -65,41 +72,41 @@ MAX_SAMPLES = 200_000
 
 
 @dataclass(frozen=True)
-class LambdaAtom:
-    """Three-level atom with E1 = 0 < E2 < E3 (E2 is the work gap omega0)."""
-
-    e2: float
-    e3: float
-
-    def __post_init__(self):
-        if not 0.0 < self.e2 < self.e3:
-            raise ValueError(f"need 0 < e2 < e3, got e2={self.e2}, e3={self.e3}")
-
-
-@dataclass(frozen=True)
 class OpticsEngineConfig:
-    """Two thermal cavities plus the atom, with all resonances pinned.
+    """Free parameters of the cavity engine; the resonances fix the rest.
 
-    Requires beta1 < beta2, beta1*omega1 = beta2*omega2, the two-mode
-    resonance omega0 = omega1 - omega2 (which also makes the upper-level
-    detuning identical on both legs), and Delta/g_k at or above
-    ``min_detuning_ratio``.
+    The cold frequency omega2 = beta1*omega1/beta2 and the atom's work gap
+    omega0 = omega1 - omega2 are derived, never stored, and the upper
+    level lies ``delta`` above the photon on both legs.  A cutoff left as
+    None is the smallest one whose Gibbs tail is below ``tail_delta``.
+    Requires finite parameters, beta1 < beta2, cutoffs of at least 1, and
+    delta/g_k at or above ``min_detuning_ratio``.
     """
 
-    mode1: TruncatedMode
-    mode2: TruncatedMode
-    atom: LambdaAtom
+    beta1: float
+    beta2: float
+    omega1: float
     g1: float
     g2: float
+    delta: float
+    n_max1: int | None = None
+    n_max2: int | None = None
     min_detuning_ratio: float = 20.0
+    tail_delta: float = 1e-6
 
     def __post_init__(self):
-        if self.mode1.beta >= self.mode2.beta:
+        for name in ("beta1", "beta2", "omega1", "g1", "g2", "delta", "min_detuning_ratio"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+        if min(self.beta1, self.beta2, self.omega1) <= 0:
+            raise ValueError("temperatures and frequencies must be positive")
+        if self.beta1 >= self.beta2:
             raise ValueError("need beta1 < beta2 (a real temperature gradient)")
-        if abs(self.mode1.beta * self.mode1.omega - self.mode2.beta * self.mode2.omega) > RESONANCE_ATOL:
-            raise ValueError("resonance violated: beta1*omega1 != beta2*omega2")
-        if abs(self.atom.e2 - (self.mode1.omega - self.mode2.omega)) > RESONANCE_ATOL:
-            raise ValueError("two-mode resonance violated: omega0 != omega1 - omega2")
+        # rounding can still put omega2 at or above omega1 when beta1 is just below beta2
+        if not 0 < self.omega2 < self.omega1:
+            raise ValueError(f"derived omega2 = beta1*omega1/beta2 = {self.omega2} "
+                             "must lie in (0, omega1)")
         if self.g1 < 0 or self.g2 < 0:
             raise ValueError("couplings g1, g2 must be non-negative")
         if self.delta <= 0:
@@ -111,15 +118,21 @@ class OpticsEngineConfig:
                     f"detuning ratio {ratio:.2f} below configured minimum "
                     f"{self.min_detuning_ratio}"
                 )
+        for name, omega, beta in (("n_max1", self.omega1, self.beta1),
+                                  ("n_max2", self.omega2, self.beta2)):
+            if getattr(self, name) is None:
+                n_max = truncation_for_tail(omega, beta, self.tail_delta).n_max_used
+                object.__setattr__(self, name, n_max)
+        if self.n_max1 < 1 or self.n_max2 < 1:
+            raise ValueError(f"cutoffs must be >= 1, got {self.n_max1}, {self.n_max2}")
+
+    @property
+    def omega2(self) -> float:
+        return self.beta1 * self.omega1 / self.beta2
 
     @property
     def omega0(self) -> float:
-        return self.atom.e2
-
-    @property
-    def delta(self) -> float:
-        # identical for both legs once the two-mode resonance holds
-        return self.atom.e3 - self.mode1.omega
+        return self.omega1 - self.omega2
 
     @property
     def g(self) -> float:
@@ -131,37 +144,7 @@ class OpticsEngineConfig:
 
     @property
     def full_dim(self) -> int:
-        return self.mode1.dim * self.mode2.dim * 3
-
-    @classmethod
-    def resonant(
-        cls,
-        beta1: float,
-        beta2: float,
-        omega1: float,
-        g1: float,
-        g2: float,
-        detuning: float,
-        n_max1: int | None = None,
-        n_max2: int | None = None,
-        tail_delta: float = 1e-6,
-        min_detuning_ratio: float = 20.0,
-    ) -> "OpticsEngineConfig":
-        """Derive omega2, the atom levels, and cutoffs from the resonances."""
-        omega2 = beta1 * omega1 / beta2
-        if n_max1 is None:
-            n_max1 = truncation_for_tail(omega1, beta1, tail_delta).n_max_used
-        if n_max2 is None:
-            n_max2 = truncation_for_tail(omega2, beta2, tail_delta).n_max_used
-        atom = LambdaAtom(e2=omega1 - omega2, e3=detuning + omega1)
-        return cls(
-            mode1=TruncatedMode(omega1, beta1, n_max1),
-            mode2=TruncatedMode(omega2, beta2, n_max2),
-            atom=atom,
-            g1=g1,
-            g2=g2,
-            min_detuning_ratio=min_detuning_ratio,
-        )
+        return (self.n_max1 + 1) * (self.n_max2 + 1) * 3
 
 
 @dataclass(frozen=True)
@@ -204,10 +187,10 @@ def coupling_profile_from_tables(
     """Build a profile for cfg's cutoffs, deriving or checking the f tables."""
     theta1 = np.array(theta1, dtype=float)
     theta2 = np.array(theta2, dtype=float)
-    if theta1.size != cfg.mode1.dim or theta2.size != cfg.mode2.dim:
+    if theta1.size != cfg.n_max1 + 1 or theta2.size != cfg.n_max2 + 1:
         raise ShapeError(
             f"theta tables must cover Fock indices 0..n_max "
-            f"({cfg.mode1.dim}, {cfg.mode2.dim} entries)"
+            f"({cfg.n_max1 + 1}, {cfg.n_max2 + 1} entries)"
         )
     rule1 = (cfg.g1**2 / cfg.delta) * theta1**2
     rule2 = (cfg.g2**2 / cfg.delta) * theta2**2
@@ -221,7 +204,7 @@ def coupling_profile_from_tables(
         float(np.max(np.abs(f1[1:] - rule1[1:]))) if f1.size > 1 else 0.0,
         float(np.max(np.abs(f2[1:] - rule2[1:]))) if f2.size > 1 else 0.0,
     )
-    if require_rule and residual > RESONANCE_ATOL:
+    if require_rule and residual > 1e-12:
         raise ValueError(
             f"f tables deviate from (g^2/Delta) theta^2 by {residual:.3e}"
         )
@@ -235,8 +218,8 @@ def uniform_exchange_profile(cfg: OpticsEngineConfig) -> CouplingProfile:
     model reproduces the uniform effective engine on all sectors that
     avoid the lowest transition of either mode.
     """
-    j1 = np.arange(cfg.mode1.dim, dtype=float)
-    j2 = np.arange(cfg.mode2.dim, dtype=float)
+    j1 = np.arange(cfg.n_max1 + 1, dtype=float)
+    j2 = np.arange(cfg.n_max2 + 1, dtype=float)
     t1 = 1.0 / np.sqrt(j1 + 1.0)
     t2 = 1.0 / np.sqrt(j2 + 1.0)
     t1[0] = 0.0
@@ -250,10 +233,10 @@ def inverse_intensity_profile(cfg: OpticsEngineConfig) -> CouplingProfile:
     This is the design-target family; its transition elements approach 1
     only for large occupation.
     """
-    t1 = np.zeros(cfg.mode1.dim)
-    t2 = np.zeros(cfg.mode2.dim)
-    j1 = np.arange(1, cfg.mode1.dim, dtype=float)
-    j2 = np.arange(1, cfg.mode2.dim, dtype=float)
+    t1 = np.zeros(cfg.n_max1 + 1)
+    t2 = np.zeros(cfg.n_max2 + 1)
+    j1 = np.arange(1, cfg.n_max1 + 1, dtype=float)
+    j2 = np.arange(1, cfg.n_max2 + 1, dtype=float)
     t1[1:] = 1.0 / np.sqrt(j1)
     t2[1:] = 1.0 / np.sqrt(j2)
     return coupling_profile_from_tables(cfg, t1, t2)
@@ -277,7 +260,7 @@ def build_full_hamiltonian(cfg: OpticsEngineConfig, profile: CouplingProfile) ->
     The two-mode resonance makes this time independent, so evolving under
     it is exact (no rotating-wave step beyond the resonance choice).
     """
-    d1, d2 = cfg.mode1.dim, cfg.mode2.dim
+    d1, d2 = cfg.n_max1 + 1, cfg.n_max2 + 1
     if profile.theta1.size != d1 or profile.theta2.size != d2:
         raise ShapeError("profile tables do not match the configured cutoffs")
     id1, id2, id_atom = np.eye(d1), np.eye(d2), np.eye(3)
@@ -301,18 +284,10 @@ def build_full_hamiltonian(cfg: OpticsEngineConfig, profile: CouplingProfile) ->
 
 
 def effective_compact_config(cfg: OpticsEngineConfig) -> CompactEngineConfig:
-    """The two-level reduction is the ladder-exchange engine on {|1>, |2>}."""
-    return CompactEngineConfig(
-        beta1=cfg.mode1.beta,
-        beta2=cfg.mode2.beta,
-        omega1=cfg.mode1.omega,
-        omega2=cfg.mode2.omega,
-        g=cfg.g,
-        n_max1=cfg.mode1.n_max,
-        n_max2=cfg.mode2.n_max,
-        a0=-cfg.omega0 / 2.0,
-        a1=cfg.omega0 / 2.0,
-    )
+    """The two-level reduction is the ladder-exchange engine on {|1>, |2>},
+    with the atom's levels at -omega0/2 and omega0/2."""
+    return CompactEngineConfig(beta1=cfg.beta1, beta2=cfg.beta2, omega1=cfg.omega1, g=cfg.g,
+                               n_max1=cfg.n_max1, n_max2=cfg.n_max2, a0=-cfg.omega0 / 2.0)
 
 
 def build_effective_hamiltonian(cfg: OpticsEngineConfig) -> Operator:
@@ -321,7 +296,7 @@ def build_effective_hamiltonian(cfg: OpticsEngineConfig) -> Operator:
 
 
 def _check_sector(cfg: OpticsEngineConfig, n: int, m: int) -> None:
-    if not (0 <= n <= cfg.mode1.n_max and 0 <= m <= cfg.mode2.n_max):
+    if not (0 <= n <= cfg.n_max1 and 0 <= m <= cfg.n_max2):
         raise ValueError(f"sector {(n, m)} outside the cutoffs")
 
 
@@ -334,7 +309,7 @@ def full_charge_block(
     for n >= 1, the last only below the cold cutoff.  Entries are
     computed as the dense builder computes them, so they agree exactly.
     """
-    if profile.theta1.size != cfg.mode1.dim or profile.theta2.size != cfg.mode2.dim:
+    if profile.theta1.size != cfg.n_max1 + 1 or profile.theta2.size != cfg.n_max2 + 1:
         raise ShapeError("profile tables do not match the configured cutoffs")
     _check_sector(cfg, n, m)
     f1, f2 = profile.f1, profile.f2
@@ -343,7 +318,7 @@ def full_charge_block(
     if n >= 1:
         members.append((n - 1, m, 2))
         diag.append(cfg.delta + f1[n - 1] + f2[m])
-        if m < cfg.mode2.n_max:
+        if m < cfg.n_max2:
             members.append((n - 1, m + 1, 1))
             diag.append(f1[n - 1] + f2[m + 1])
     h = np.diag(diag).astype(np.complex128)
@@ -443,13 +418,8 @@ def adiabatic_elimination_error(
         ratios.append(ratio)
     points = []
     for delta, ratio in zip(deltas, ratios):
-        cfg_d = OpticsEngineConfig(
-            mode1=cfg.mode1,
-            mode2=cfg.mode2,
-            atom=LambdaAtom(e2=cfg.atom.e2, e3=delta + cfg.mode1.omega),
-            g1=cfg.g1,
-            g2=cfg.g2,
-            min_detuning_ratio=min(cfg.min_detuning_ratio, 5.0),
+        cfg_d = dataclasses.replace(
+            cfg, delta=delta, min_detuning_ratio=min(cfg.min_detuning_ratio, 5.0)
         )
         profile_d = coupling_profile_from_tables(cfg_d, profile.theta1, profile.theta2)
         # with no coupling both models are static; any window shows deviation 0

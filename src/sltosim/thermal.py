@@ -20,27 +20,6 @@ from .linalg import DensityMatrix
 
 
 @dataclass(frozen=True)
-class TruncatedMode:
-    """Bosonic mode with frequency omega, inverse temperature beta, cutoff n_max."""
-
-    omega: float
-    beta: float
-    n_max: int
-
-    def __post_init__(self):
-        if self.omega <= 0:
-            raise ValueError(f"omega must be positive, got {self.omega}")
-        if self.beta <= 0:
-            raise ValueError(f"beta must be positive, got {self.beta}")
-        if self.n_max < 1:
-            raise ValueError(f"n_max must be >= 1, got {self.n_max}")
-
-    @property
-    def dim(self) -> int:
-        return self.n_max + 1
-
-
-@dataclass(frozen=True)
 class DegeneracyModel:
     """Microcanonical degeneracy d(E) = d0 * exp(beta * E) of a large bath."""
 
@@ -76,19 +55,15 @@ class GibbsState(NamedTuple):
 
 
 def gibbs_probabilities(omega: float, beta: float, n_max: int) -> np.ndarray:
-    """Occupations 0..n_max of the truncated, renormalized Gibbs state.
-
-    Takes the mode's numbers rather than a ``TruncatedMode`` because the
-    exchange engine also allows the cutoff n_max = 0.
-    """
+    """Occupations 0..n_max of the truncated, renormalized Gibbs state."""
     w = np.exp(-beta * omega * np.arange(n_max + 1, dtype=float))
     return w / w.sum()
 
 
-def gibbs_state(mode: TruncatedMode) -> GibbsState:
+def gibbs_state(omega: float, beta: float, n_max: int) -> GibbsState:
     """Truncated thermal state plus the untruncated partition function."""
-    p = gibbs_probabilities(mode.omega, mode.beta, mode.n_max)
-    z = 1.0 / (1.0 - math.exp(-mode.beta * mode.omega))
+    p = gibbs_probabilities(omega, beta, n_max)
+    z = 1.0 / (1.0 - math.exp(-beta * omega))
     return GibbsState(DensityMatrix(np.diag(p.astype(np.complex128))), z)
 
 
@@ -108,14 +83,16 @@ def truncated_mass(omega: float, beta: float, n_max: int) -> float:
 
 
 def truncation_for_tail(omega: float, beta: float, delta: float) -> TailReport:
-    """Smallest n_max whose truncated Gibbs mass is at least 1 - delta."""
+    """Smallest n_max >= 1 whose truncated Gibbs mass is at least 1 - delta."""
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    if omega <= 0 or beta <= 0:
-        raise ValueError("omega and beta must be positive")
-    q = math.exp(-beta * omega)
+    if not (0 < omega < math.inf and 0 < beta < math.inf):
+        raise ValueError(f"omega and beta must be finite and positive, got {omega}, {beta}")
+    q = math.exp(-beta * omega)  # 0.0 once beta*omega > ~745: no tail at all
+    if q == 1.0:
+        raise ValueError(f"beta*omega = {beta * omega} is too small for a finite cutoff")
     # tail mass q^(n+1) <= delta  =>  n >= log(delta)/log(q) - 1
-    n = max(1, math.ceil(math.log(delta) / math.log(q)) - 1)
+    n = max(1, math.ceil(math.log(delta) / math.log(q)) - 1) if q > 0 else 1
     while truncated_mass(omega, beta, n) < 1.0 - delta:  # guard fp edge cases
         n += 1
     while n > 1 and truncated_mass(omega, beta, n - 1) >= 1.0 - delta:

@@ -41,8 +41,7 @@ def _report(num: int, description: str, ok: bool, detail: str = ""):
 
 
 def reference_engine(**overrides) -> CompactEngineConfig:
-    params = dict(beta1=0.5, beta2=1.0, omega1=2.0, omega2=1.0,
-                  g=0.05, n_max1=6, n_max2=6)
+    params = dict(beta1=0.5, beta2=1.0, omega1=2.0, g=0.05, n_max1=6, n_max2=6)
     params.update(overrides)
     return CompactEngineConfig(**params)
 
@@ -55,9 +54,8 @@ def test_01_carnot_efficiency():
     ]
     worst = 0.0
     for beta1, beta2, omega1 in parameter_sets:
-        omega2 = beta1 * omega1 / beta2
         cfg = CompactEngineConfig(beta1=beta1, beta2=beta2, omega1=omega1,
-                                  omega2=omega2, g=0.1, n_max1=7, n_max2=7)
+                                  g=0.1, n_max1=7, n_max2=7)
         report = evolve_cycle(cfg)
         worst = max(worst, abs(report.eta - (1 - beta1 / beta2)))
     elapsed = time.perf_counter() - started
@@ -82,8 +80,8 @@ def test_03_conservation_laws():
     started = time.perf_counter()
     ladder_cfg = reference_engine(n_max1=4, n_max2=4)
     ladder_report = evolve_cycle(ladder_cfg)
-    optics_cfg = OpticsEngineConfig.resonant(
-        beta1=0.5, beta2=1.0, omega1=2.0, g1=0.5, g2=0.5, detuning=20.0,
+    optics_cfg = OpticsEngineConfig(
+        beta1=0.5, beta2=1.0, omega1=2.0, g1=0.5, g2=0.5, delta=20.0,
         n_max1=4, n_max2=4, min_detuning_ratio=5.0,
     )
     optics_report = run_optics_cycle(optics_cfg)
@@ -156,8 +154,8 @@ def test_07_final_state_formula():
     worst = 0.0
     for beta1_omega1 in (0.5, 1.0, 2.0):
         beta1 = beta1_omega1 / 2.0
-        cfg = OpticsEngineConfig.resonant(
-            beta1=beta1, beta2=2 * beta1, omega1=2.0, g1=2.0, g2=2.0, detuning=80.0,
+        cfg = OpticsEngineConfig(
+            beta1=beta1, beta2=2 * beta1, omega1=2.0, g1=2.0, g2=2.0, delta=80.0,
         )
         report = run_optics_cycle(cfg)
         corrected = report.corrected_final_populations
@@ -173,8 +171,8 @@ def test_07_final_state_formula():
 def test_08_adiabatic_elimination():
     started = time.perf_counter()
     g = 0.5
-    cfg = OpticsEngineConfig.resonant(
-        beta1=0.5, beta2=1.0, omega1=2.0, g1=g, g2=g, detuning=20.0 * g,
+    cfg = OpticsEngineConfig(
+        beta1=0.5, beta2=1.0, omega1=2.0, g1=g, g2=g, delta=20.0 * g,
         n_max1=4, n_max2=4, min_detuning_ratio=5.0,
     )
     points = adiabatic_elimination_error(

@@ -106,7 +106,7 @@ class TestAbstractCycleCommand:
     def test_reference_run(self, tmp_path, capsys):
         code = main([
             "abstract-cycle", "--beta1", "0.5", "--beta2", "1", "--omega1", "2",
-            "--omega2", "1", "--g", "0.05", "--out", str(tmp_path), "--no-color",
+            "--g", "0.05", "--out", str(tmp_path), "--no-color",
         ])
         assert code == 0
         report = load_report(tmp_path)
@@ -202,6 +202,37 @@ class TestAbstractCycleCommand:
         assert checks["commutator_energy"]["value"] == pytest.approx(1.0, abs=1e-12)
         assert checks["commutator_weighted"]["value"] == pytest.approx(1.0, abs=1e-12)
 
+    def test_derived_omega2_runs_where_a_given_one_missed_the_resonance(self, tmp_path):
+        # beta1*omega1 = 8968 but 35 * (4*2242/35) = 8968.000000000002
+        code = main(["abstract-cycle", "--beta1", "4", "--beta2", "35", "--omega1", "2242",
+                     "--g", "0.1", "--n-max1", "2", "--n-max2", "2",
+                     "--out", str(tmp_path), "--no-color"])
+        assert code != 2
+        used = load_report(tmp_path)["results"]["config_used"]
+        assert used["omega2"] == 4 * 2242 / 35
+
+    def test_omega2_is_not_an_input(self, tmp_path):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["abstract-cycle", "--beta1", "0.5", "--beta2", "1", "--omega1", "2",
+                  "--omega2", "1", "--g", "0.05", "--out", str(tmp_path)])
+        assert exit_info.value.code == 2
+        with pytest.raises(ConfigError, match="unknown keys \\['omega2'\\]"):
+            run_experiment("abstract-cycle", {"beta1": 0.5, "beta2": 1.0, "omega1": 2.0,
+                                              "omega2": 1.0, "g": 0.05}, tmp_path)
+
+    def test_drifting_propagator_is_an_internal_error(self, tmp_path, monkeypatch, capsys):
+        class Drifting(engine.SpectralPropagator):
+            def states(self, psi0, times):
+                return super().states(psi0, times) * (1 + 1e-8)
+
+        monkeypatch.setattr(engine, "SpectralPropagator", Drifting)
+        code = main(["abstract-cycle", "--beta1", "0.5", "--beta2", "1", "--omega1", "2",
+                     "--g", "0.05", "--n-max1", "4", "--n-max2", "4",
+                     "--out", str(tmp_path / "o"), "--no-color"])
+        assert code == 4
+        assert capsys.readouterr().err.startswith("internal error: state vector norm")
+        assert not (tmp_path / "o").exists()
+
     def test_seed_flag_rejected(self, tmp_path):
         # only design draws random numbers, so only design takes --seed
         with pytest.raises(SystemExit) as exit_info:
@@ -223,6 +254,49 @@ class TestOpticsCycleCommand:
         code = main(["optics-cycle", "--beta1", "1", "--beta2", "1",
                      "--omega1", "2", "--out", str(tmp_path)])
         assert code == 2
+
+    def test_derived_omega2_runs_where_a_given_one_missed_the_resonance(self, tmp_path):
+        code = main(["optics-cycle", "--beta1", "4", "--beta2", "35", "--omega1", "2242",
+                     "--n-max1", "2", "--n-max2", "2", "--out", str(tmp_path), "--no-color"])
+        assert code != 2
+        used = load_report(tmp_path)["results"]["config_used"]
+        assert used["omega2"] == 4 * 2242 / 35
+        assert used["omega0"] == used["omega1"] - used["omega2"]
+
+    def test_missing_required_keys_named(self, tmp_path, capsys):
+        code = main(["optics-cycle", "--omega1", "2", "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "missing required keys ['beta1', 'beta2']" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv", [
+        # the sector cap
+        ["abstract-cycle", "--beta1", "1e-9", "--beta2", "1", "--omega1", "1", "--g", "0.1"],
+        # no temperature gradient
+        ["optics-cycle", "--beta1", "1", "--beta2", "0.5", "--omega1", "2"],
+    ])
+    def test_no_output_directory_on_a_usage_error(self, tmp_path, argv):
+        assert main([*argv, "--out", str(tmp_path / "o"), "--no-color"]) == 2
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("argv, field", [
+        (["optics-cycle", "--beta1", "nan", "--beta2", "1", "--omega1", "2"], "beta1"),
+        (["optics-cycle", "--beta1", "nan", "--beta2", "1", "--omega1", "2",
+          "--n-max1", "4", "--n-max2", "4"], "beta1"),
+        (["optics-cycle", "--beta1", "0.5", "--beta2", "1", "--omega1", "2",
+          "--detuning", "nan"], "delta"),
+        (["delta-sweep", "--g1", "nan"], "g1"),
+        (["delta-sweep", "--omega1", "nan"], "omega1"),
+        (["abstract-cycle", "--beta1", "0.5", "--beta2", "1", "--omega1", "inf",
+          "--g", "0.1"], "omega1"),
+        (["optics-cycle", "--beta1", "0.5", "--beta2", "1", "--omega1", "inf"], "omega1"),
+    ])
+    def test_non_finite_input_named(self, tmp_path, capsys, argv, field):
+        assert main([*argv, "--out", str(tmp_path / "o"), "--no-color"]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {field} must be finite, got ")
+        assert not (tmp_path / "o").exists()
 
 
 class TestDeltaSweepCommand:
@@ -387,8 +461,7 @@ class TestDesignCommand:
 class TestVerifySltoCommand:
     @pytest.fixture()
     def engine_matrices(self, tmp_path):
-        cfg = CompactEngineConfig(beta1=0.5, beta2=1.0, omega1=2.0, omega2=1.0,
-                                  g=0.1, n_max1=4, n_max2=4)
+        cfg = CompactEngineConfig(beta1=0.5, beta2=1.0, omega1=2.0, g=0.1, n_max1=4, n_max2=4)
         d = tmp_path / "mats"
         d.mkdir()
         layout = (cfg.n_max1 + 1, cfg.n_max2 + 1, 2)
@@ -554,7 +627,7 @@ class TestVerifySltoCommand:
     def test_non_unitary_input_fails_only_unitarity(self, tmp_path):
         export = tmp_path / "export"
         assert main(["abstract-cycle", "--beta1", "0.5", "--beta2", "1", "--omega1", "2",
-                     "--omega2", "1", "--g", "0.1", "--n-max1", "11", "--n-max2", "11",
+                     "--g", "0.1", "--n-max1", "11", "--n-max2", "11",
                      "--export-matrices", str(export), "--out", str(tmp_path / "cycle"),
                      "--no-color"]) == 0
         for name, short in (("h_bath1", "h1"), ("h_bath2", "h2"), ("h_system", "hs")):
@@ -631,9 +704,8 @@ class TestVerifierAgainstDenseOracle:
     @pytest.mark.parametrize("cutoff", [4, 8])
     @pytest.mark.parametrize("rotated", [False, True])
     def test_exported_engine_unitary(self, tmp_path, cutoff, rotated):
-        omega1, omega2 = 2.0, 1.0
         assert main(["abstract-cycle", "--beta1", "0.5", "--beta2", "1",
-                     "--omega1", str(omega1), "--omega2", str(omega2), "--g", "0.3",
+                     "--omega1", "2", "--g", "0.3",
                      "--n-max1", str(cutoff), "--n-max2", str(cutoff),
                      "--export-matrices", str(tmp_path), "--out", str(tmp_path / "o"),
                      "--no-color"]) == 0

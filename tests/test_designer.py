@@ -23,7 +23,6 @@ from sltosim.optics import (
     build_full_hamiltonian,
     coupling_profile_from_tables,
 )
-from sltosim.thermal import TruncatedMode
 
 
 def quartic_generator() -> PotentialAnsatz:
@@ -347,9 +346,9 @@ class TestValidateDesign:
     def test_exact_tables_show_no_degradation(self):
         gen = quartic_generator()
         targets = DesignTargets.from_ansatz(gen, n_fit=6)
-        cfg = OpticsEngineConfig.resonant(beta1=0.5, beta2=1.0, omega1=2.0,
-                                          g1=0.5, g2=0.5, detuning=20.0,
-                                          n_max1=4, n_max2=4, min_detuning_ratio=5.0)
+        cfg = OpticsEngineConfig(beta1=0.5, beta2=1.0, omega1=2.0,
+                                 g1=0.5, g2=0.5, delta=20.0,
+                                 n_max1=4, n_max2=4, min_detuning_ratio=5.0)
         report = validate_design(gen, targets, cfg)
         assert report.max_f_error <= 1e-12
         assert report.max_theta_error <= 1e-12
@@ -362,9 +361,9 @@ class TestValidateDesign:
         # keeps f linear in n (pure y^2) so the exchange stays on resonance.
         gen = PotentialAnsatz(np.array([0.00625, 0, 0, 0]), np.array([1.0, 0, 0, 0]))
         targets = DesignTargets.from_ansatz(gen, n_fit=6)
-        cfg = OpticsEngineConfig.resonant(beta1=0.5, beta2=1.0, omega1=2.0,
-                                          g1=0.5, g2=0.5, detuning=20.0,
-                                          n_max1=4, n_max2=4, min_detuning_ratio=5.0)
+        cfg = OpticsEngineConfig(beta1=0.5, beta2=1.0, omega1=2.0,
+                                 g1=0.5, g2=0.5, delta=20.0,
+                                 n_max1=4, n_max2=4, min_detuning_ratio=5.0)
         degradations = []
         for eps in (0.01, 0.02):
             bumped = PotentialAnsatz(gen.v_coeffs, gen.b_coeffs * (1 + eps))
@@ -379,9 +378,9 @@ class TestValidateDesign:
     def test_probe_block_must_be_inside_fit_range(self):
         gen = quartic_generator()
         targets = DesignTargets.from_ansatz(gen, n_fit=6)
-        cfg = OpticsEngineConfig.resonant(beta1=0.5, beta2=1.0, omega1=2.0,
-                                          g1=0.5, g2=0.5, detuning=20.0,
-                                          n_max1=4, n_max2=4, min_detuning_ratio=5.0)
+        cfg = OpticsEngineConfig(beta1=0.5, beta2=1.0, omega1=2.0,
+                                 g1=0.5, g2=0.5, delta=20.0,
+                                 n_max1=4, n_max2=4, min_detuning_ratio=5.0)
         with pytest.raises(ValueError):
             validate_design(gen, targets, cfg, probe_block=(7, 0))
 
@@ -391,16 +390,15 @@ class TestValidateDesign:
         gen = PotentialAnsatz(np.array([0.00625, 0, 0, 0]), np.array([1.0, 0, 0, 0]))
         targets = DesignTargets.from_ansatz(gen, n_fit=6)
         bumped = PotentialAnsatz(gen.v_coeffs, gen.b_coeffs * 1.02)
-        cfg = OpticsEngineConfig.resonant(beta1=0.5, beta2=1.0, omega1=2.0,
-                                          g1=0.5, g2=0.5, detuning=20.0,
-                                          n_max1=4, n_max2=4, min_detuning_ratio=5.0)
+        cfg = OpticsEngineConfig(beta1=0.5, beta2=1.0, omega1=2.0,
+                                 g1=0.5, g2=0.5, delta=20.0,
+                                 n_max1=4, n_max2=4, min_detuning_ratio=5.0)
         report = validate_design(bumped, targets, cfg, probe_block=probe_block)
 
         n_fit = targets.n_fit
         probe = OpticsEngineConfig(
-            mode1=TruncatedMode(cfg.mode1.omega, cfg.mode1.beta, n_fit),
-            mode2=TruncatedMode(cfg.mode2.omega, cfg.mode2.beta, n_fit),
-            atom=cfg.atom, g1=cfg.g1, g2=cfg.g2, min_detuning_ratio=5.0,
+            beta1=cfg.beta1, beta2=cfg.beta2, omega1=cfg.omega1, g1=cfg.g1, g2=cfg.g2,
+            delta=cfg.delta, n_max1=n_fit, n_max2=n_fit, min_detuning_ratio=5.0,
         )
         f_act, theta_act = fock_matrix_elements(bumped, targets.n_work)
         finals = []
@@ -412,7 +410,7 @@ class TestValidateDesign:
                 probe, th_table, th_table, f_table, f_table, require_rule=False
             )
             n0, m0 = probe_block
-            psi0 = basis_state(probe.full_dim, (n0 * probe.mode2.dim + m0) * 3)
+            psi0 = basis_state(probe.full_dim, (n0 * (probe.n_max2 + 1) + m0) * 3)
             prop = SpectralPropagator(build_full_hamiltonian(probe, profile))
             finals.append(prop.states(psi0, [probe.tau])[0])
         oracle = max(0.0, 1.0 - abs(np.vdot(finals[0], finals[1])) ** 2)

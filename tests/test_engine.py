@@ -32,26 +32,39 @@ from sltosim.linalg import (
     fubini_study_distance,
     von_neumann_entropy,
 )
-from sltosim.thermal import gibbs_probabilities
+from sltosim.optics import OpticsEngineConfig, run_optics_cycle
+from sltosim.thermal import gibbs_probabilities, truncation_for_tail
 
 
 def small_config(**overrides) -> CompactEngineConfig:
-    params = dict(beta1=0.5, beta2=1.0, omega1=2.0, omega2=1.0,
-                  g=0.05, n_max1=5, n_max2=5)
+    params = dict(beta1=0.5, beta2=1.0, omega1=2.0, g=0.05, n_max1=5, n_max2=5)
     params.update(overrides)
     return CompactEngineConfig(**params)
 
 
 class TestConfig:
-    def test_resonance_enforced(self):
-        with pytest.raises(ValueError):
-            small_config(omega2=1.01)
+    def test_resonances_hold_by_construction(self):
+        cfg = small_config(beta1=4.0, beta2=35.0, omega1=2242.0, n_max1=2, n_max2=2)
+        assert cfg.omega2 == 4.0 * 2242.0 / 35.0
+        assert abs(cfg.beta1 * cfg.omega1 - cfg.beta2 * cfg.omega2) <= 1e-12 * cfg.beta1 * cfg.omega1
+        assert cfg.w_ext == cfg.omega1 - cfg.omega2
 
-    def test_gap_must_match_frequency_difference(self):
-        with pytest.raises(ValueError):
-            small_config(a1=5.0)
+    def test_derived_omega2_must_be_finite(self):
+        with pytest.raises(ValueError, match="derived omega2"):
+            small_config(beta1=10.0, beta2=20.0, omega1=1e308)
 
-    @pytest.mark.parametrize("field", ["beta1", "beta2", "omega1", "omega2", "g", "a0", "a1"])
+    def test_upper_level_below_lower_rejected(self):
+        # at beta1 = beta2 the rounding of beta1*omega1/beta2 puts omega2 one ulp above omega1
+        assert 0.7 * 2.89 / 0.7 == math.nextafter(2.89, 3.0)
+        with pytest.raises(ValueError, match="derived a1"):
+            small_config(beta1=0.7, beta2=0.7, omega1=2.89)
+
+    def test_missing_cutoffs_come_from_the_tail(self):
+        cfg = small_config(n_max1=None, n_max2=None, tail_delta=1e-4)
+        assert cfg.n_max1 == truncation_for_tail(cfg.omega1, cfg.beta1, 1e-4).n_max_used
+        assert cfg.n_max2 == truncation_for_tail(cfg.omega2, cfg.beta2, 1e-4).n_max_used
+
+    @pytest.mark.parametrize("field", ["beta1", "beta2", "omega1", "g", "a0"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_inputs_rejected(self, field, value):
         with pytest.raises(ValueError, match="must be finite"):
@@ -59,10 +72,10 @@ class TestConfig:
 
     def test_inverted_gradient_rejected(self):
         with pytest.raises(NoGradientError):
-            small_config(beta1=2.0, beta2=1.0, omega1=1.0, omega2=2.0)
+            small_config(beta1=2.0, beta2=1.0, omega1=1.0)
 
     def test_equal_temperatures_allowed_as_degenerate_engine(self):
-        cfg = small_config(beta1=1.0, beta2=1.0, omega1=1.0, omega2=1.0)
+        cfg = small_config(beta1=1.0, beta2=1.0, omega1=1.0)
         assert cfg.w_ext == 0.0
         assert cfg.carnot_efficiency == 0.0
 
@@ -259,8 +272,7 @@ class TestEvolveCycle:
         assert np.max(np.abs(norms - 1.0)) <= 1e-12
 
     def test_success_weight_against_geometric_oracle(self):
-        cfg = small_config(beta1=0.5, beta2=1.0, omega1=2.0, omega2=1.0,
-                           n_max1=40, n_max2=40)
+        cfg = small_config(beta1=0.5, beta2=1.0, omega1=2.0, n_max1=40, n_max2=40)
         report = evolve_cycle(cfg)
         q1 = math.exp(-cfg.beta1 * cfg.omega1)
         q2 = math.exp(-cfg.beta2 * cfg.omega2)
@@ -321,16 +333,17 @@ class TestEvolveCycle:
                 return amps
 
         monkeypatch.setattr(engine, "SpectralPropagator", Drifting)
-        with pytest.raises(ValueError, match=r"norm .* at t = .* differs from 1 by > 1e-10"):
+        with pytest.raises(engine.InvariantError,
+                           match=r"norm .* at t = .* differs from 1 by > 1e-10"):
             evolve_cycle(small_config())
 
     def test_non_finite_time_sample_raises(self):
         cfg = small_config()
-        with pytest.raises(ValueError, match="norm nan at t = nan"):
+        with pytest.raises(ValueError, match="times must be finite"):
             evolve_cycle(cfg, times=[0.0, math.nan, cfg.tau])
 
     def test_degenerate_equal_temperature_cycle(self):
-        cfg = small_config(beta1=1.0, beta2=1.0, omega1=1.0, omega2=1.0)
+        cfg = small_config(beta1=1.0, beta2=1.0, omega1=1.0)
         report = evolve_cycle(cfg)
         assert report.w_ext == 0.0
         assert report.eta == 0.0
@@ -469,8 +482,7 @@ class TestClausius:
 
 class TestEfficiencyAndPower:
     def test_reference_point(self):
-        cfg = CompactEngineConfig(beta1=1.0, beta2=2.0, omega1=2.0, omega2=1.0,
-                                  g=0.2, n_max1=6, n_max2=6)
+        cfg = CompactEngineConfig(beta1=1.0, beta2=2.0, omega1=2.0, g=0.2, n_max1=6, n_max2=6)
         report = evolve_cycle(cfg)
         assert abs(report.w_ext - 1.0) <= 1e-12
         assert abs(report.q1 - 2.0) <= 1e-9
@@ -495,8 +507,45 @@ class TestEfficiencyAndPower:
         assert broken.power == report.power
 
     def test_equal_temperatures_give_zero_efficiency(self):
-        cfg = small_config(beta1=1.0, beta2=1.0, omega1=1.0, omega2=1.0)
+        cfg = small_config(beta1=1.0, beta2=1.0, omega1=1.0)
         assert evolve_cycle(cfg).eta == 0.0
+
+
+def assert_cycle_invariants(report: CycleReport):
+    """The paper's claims for one cycle, at the tolerances the report checks use."""
+    assert abs(report.eta - (1 - report.beta1 / report.beta2)) <= 1e-9
+    assert abs(report.power - 2 * report.g * report.w_ext / math.pi) <= 1e-10
+    assert report.clausius_residual <= 1e-9
+    assert report.commutator_residual_energy <= 1e-10
+    assert report.commutator_residual_weighted <= 1e-10
+    assert report.amplitude_residual <= 1e-10
+    hot = report.beta1 * report.omega1
+    assert abs(hot - report.beta2 * report.omega2) <= 1e-12 * hot
+
+
+free_parameters = dict(
+    beta2=st.floats(0.2, 3.0), ratio=st.floats(0.05, 0.95), omega1=st.floats(0.2, 5.0),
+    n_max1=st.integers(1, 12), n_max2=st.integers(1, 12),
+)
+
+
+class TestCycleProperties:
+    """Every config drawn from the free parameters alone satisfies the cycle claims."""
+
+    @given(g=st.floats(0.01, 2.0), a0=st.floats(-3.0, 3.0), **free_parameters)
+    @settings(max_examples=40, deadline=None)
+    def test_exchange_engine(self, beta2, ratio, omega1, g, n_max1, n_max2, a0):
+        cfg = CompactEngineConfig(beta1=ratio * beta2, beta2=beta2, omega1=omega1, g=g,
+                                  n_max1=n_max1, n_max2=n_max2, a0=a0)
+        assert_cycle_invariants(evolve_cycle(cfg))
+
+    @given(leg=st.floats(0.05, 2.0), detuning_ratio=st.floats(20.0, 200.0), **free_parameters)
+    @settings(max_examples=40, deadline=None)
+    def test_cavity_engine(self, beta2, ratio, omega1, leg, detuning_ratio, n_max1, n_max2):
+        cfg = OpticsEngineConfig(beta1=ratio * beta2, beta2=beta2, omega1=omega1, g1=leg,
+                                 g2=leg, delta=detuning_ratio * leg,
+                                 n_max1=n_max1, n_max2=n_max2)
+        assert_cycle_invariants(run_optics_cycle(cfg))
 
 
 class TestSpeedAndGeodesic:

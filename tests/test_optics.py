@@ -14,7 +14,6 @@ from sltosim.linalg import (
     commutator_norm,
 )
 from sltosim.optics import (
-    LambdaAtom,
     OpticsEngineConfig,
     adiabatic_elimination_error,
     build_effective_hamiltonian,
@@ -28,46 +27,54 @@ from sltosim.optics import (
     sweep_slopes,
     uniform_exchange_profile,
 )
-from sltosim.thermal import TruncatedMode
+from sltosim.thermal import gibbs_state, truncation_for_tail
 
 
 def small_optics(**overrides) -> OpticsEngineConfig:
     params = dict(beta1=0.5, beta2=1.0, omega1=2.0, g1=0.5, g2=0.5,
-                  detuning=20.0, n_max1=4, n_max2=4, min_detuning_ratio=5.0)
+                  delta=20.0, n_max1=4, n_max2=4, min_detuning_ratio=5.0)
     params.update(overrides)
-    return OpticsEngineConfig.resonant(**params)
+    return OpticsEngineConfig(**params)
 
 
 class TestConfig:
-    def test_atom_level_ordering_enforced(self):
-        with pytest.raises(ValueError):
-            LambdaAtom(e2=2.0, e3=1.0)
-
     def test_equal_temperatures_rejected(self):
         with pytest.raises(ValueError):
             small_optics(beta1=1.0, beta2=1.0)
 
-    def test_two_mode_resonance_enforced(self):
-        cfg = small_optics()
-        with pytest.raises(ValueError):
-            OpticsEngineConfig(
-                mode1=cfg.mode1, mode2=cfg.mode2,
-                atom=LambdaAtom(e2=cfg.omega0 * 1.01, e3=cfg.atom.e3),
-                g1=cfg.g1, g2=cfg.g2, min_detuning_ratio=5.0,
-            )
+    def test_resonances_hold_by_construction(self):
+        cfg = small_optics(beta1=4.0, beta2=35.0, omega1=2242.0)
+        assert cfg.omega2 == 4.0 * 2242.0 / 35.0
+        assert abs(cfg.beta1 * cfg.omega1 - cfg.beta2 * cfg.omega2) <= 1e-12 * cfg.beta1 * cfg.omega1
+        assert cfg.omega0 == cfg.omega1 - cfg.omega2
+        compact = effective_compact_config(cfg)
+        assert (compact.omega2, compact.w_ext) == (cfg.omega2, cfg.omega0)
 
-    def test_ladder_resonance_enforced(self):
-        cfg = small_optics()
-        with pytest.raises(ValueError):
-            OpticsEngineConfig(
-                mode1=cfg.mode1,
-                mode2=TruncatedMode(cfg.mode2.omega * 1.01, cfg.mode2.beta, cfg.mode2.n_max),
-                atom=cfg.atom, g1=cfg.g1, g2=cfg.g2, min_detuning_ratio=5.0,
-            )
+    def test_derived_cold_frequency_must_stay_below_hot(self):
+        # beta1 one ulp below beta2: the rounded omega2 is not below omega1
+        beta1 = math.nextafter(1.58, 0.0)
+        assert beta1 * 2.08 / 1.58 == 2.08
+        with pytest.raises(ValueError, match="derived omega2"):
+            small_optics(beta1=beta1, beta2=1.58, omega1=2.08)
+
+    def test_cutoffs_at_least_one(self):
+        with pytest.raises(ValueError, match="cutoffs must be >= 1"):
+            small_optics(n_max2=0)
+
+    def test_missing_cutoffs_come_from_the_tail(self):
+        cfg = small_optics(n_max1=None, n_max2=None, tail_delta=1e-4)
+        assert cfg.n_max1 == truncation_for_tail(cfg.omega1, cfg.beta1, 1e-4).n_max_used
+        assert cfg.n_max2 == truncation_for_tail(cfg.omega2, cfg.beta2, 1e-4).n_max_used
+
+    @pytest.mark.parametrize("field", ["beta1", "beta2", "omega1", "g1", "g2", "delta",
+                                       "min_detuning_ratio"])
+    def test_non_finite_inputs_rejected(self, field):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            small_optics(**{field: math.nan})
 
     def test_detuning_ratio_floor(self):
         with pytest.raises(ValueError):
-            small_optics(min_detuning_ratio=20.0, detuning=5.0)
+            small_optics(min_detuning_ratio=20.0, delta=5.0)
 
     def test_derived_quantities(self):
         cfg = small_optics()
@@ -79,14 +86,14 @@ class TestConfig:
 class TestCouplingProfile:
     def test_vacuum_regularization_enforced(self):
         cfg = small_optics()
-        theta = np.ones(cfg.mode1.dim)
+        theta = np.ones((cfg.n_max1 + 1))
         with pytest.raises(ValueError):
-            coupling_profile_from_tables(cfg, theta, np.ones(cfg.mode2.dim))
+            coupling_profile_from_tables(cfg, theta, np.ones((cfg.n_max2 + 1)))
 
     def test_shift_rule_derived_from_theta(self):
         cfg = small_optics()
         prof = inverse_intensity_profile(cfg)
-        n = np.arange(1, cfg.mode1.dim, dtype=float)
+        n = np.arange(1, (cfg.n_max1 + 1), dtype=float)
         assert np.max(np.abs(prof.f1[1:] - (cfg.g1**2 / cfg.delta) / n)) <= 1e-15
         assert prof.f1[0] == 0.0
         assert prof.rule_residual == 0.0
@@ -102,14 +109,14 @@ class TestCouplingProfile:
     def test_table_length_checked(self):
         cfg = small_optics()
         with pytest.raises(ShapeError):
-            coupling_profile_from_tables(cfg, np.zeros(3), np.zeros(cfg.mode2.dim))
+            coupling_profile_from_tables(cfg, np.zeros(3), np.zeros((cfg.n_max2 + 1)))
 
     def test_uniform_profile_elements(self):
         cfg = small_optics()
         prof = uniform_exchange_profile(cfg)
         # transition element theta(n-1) sqrt(n) is 1 everywhere above the
         # regularized lowest step
-        for n in range(2, cfg.mode1.dim):
+        for n in range(2, (cfg.n_max1 + 1)):
             assert abs(prof.theta1[n - 1] * math.sqrt(n) - 1.0) <= 1e-12
         assert prof.theta1[0] == 0.0
 
@@ -125,7 +132,7 @@ class TestFullHamiltonian:
     def test_vacuum_column_uncoupled(self):
         cfg = small_optics()
         h = build_full_hamiltonian(cfg, inverse_intensity_profile(cfg))
-        d2 = cfg.mode2.dim
+        d2 = (cfg.n_max2 + 1)
         col = (0 * d2 + 2) * 3 + 0  # |0, 2, atom 1>
         column = h.entries[:, col].copy()
         column[col] = 0.0
@@ -135,7 +142,7 @@ class TestFullHamiltonian:
         # <n-1, m, 3| H |n, m, 1> = g1 theta1(n-1) sqrt(n)
         cfg = small_optics()
         h = build_full_hamiltonian(cfg, inverse_intensity_profile(cfg))
-        d2 = cfg.mode2.dim
+        d2 = (cfg.n_max2 + 1)
 
         def idx(n, m, atom):
             return (n * d2 + m) * 3 + atom
@@ -149,7 +156,7 @@ class TestFullHamiltonian:
     def test_detuning_sits_on_upper_level(self):
         cfg = small_optics(g1=0.0, g2=0.0)
         h = build_full_hamiltonian(cfg, uniform_exchange_profile(cfg))
-        d2 = cfg.mode2.dim
+        d2 = (cfg.n_max2 + 1)
         assert abs(h.entries[(0 * d2 + 0) * 3 + 2, (0 * d2 + 0) * 3 + 2] - cfg.delta) <= 1e-12
 
     def test_profile_cutoff_mismatch_rejected(self):
@@ -163,7 +170,7 @@ class TestEffectiveHamiltonian:
     def test_first_sector_is_pauli_pair(self):
         cfg = small_optics()
         h = build_effective_hamiltonian(cfg)
-        d2 = cfg.mode2.dim
+        d2 = (cfg.n_max2 + 1)
 
         def idx(n, m, atom):
             return (n * d2 + m) * 2 + atom
@@ -174,8 +181,8 @@ class TestEffectiveHamiltonian:
     def test_vacuum_sectors_uncoupled(self):
         cfg = small_optics()
         h = build_effective_hamiltonian(cfg)
-        d2 = cfg.mode2.dim
-        for m in range(cfg.mode2.dim):
+        d2 = (cfg.n_max2 + 1)
+        for m in range((cfg.n_max2 + 1)):
             col = (0 * d2 + m) * 2 + 0
             assert np.max(np.abs(h.entries[:, col])) == 0.0
 
@@ -202,8 +209,8 @@ class TestEffectiveHamiltonian:
 
 class TestOpticsCycle:
     def test_final_state_formula_with_boundary_correction(self):
-        cfg = OpticsEngineConfig.resonant(beta1=0.5, beta2=1.0, omega1=2.0,
-                                          g1=2.0, g2=2.0, detuning=80.0)
+        cfg = OpticsEngineConfig(beta1=0.5, beta2=1.0, omega1=2.0,
+                                 g1=2.0, g2=2.0, delta=80.0)
         report = run_optics_cycle(cfg)
         corrected = report.corrected_final_populations
         z1 = report.partition_function1
@@ -212,9 +219,9 @@ class TestOpticsCycle:
 
     def test_hot_limit_excites_almost_surely(self):
         # beta1 -> 0 keeps barely any weight in the hot vacuum
-        cfg = OpticsEngineConfig.resonant(beta1=0.05, beta2=1.0, omega1=2.0,
-                                          g1=2.0, g2=2.0, detuning=80.0,
-                                          n_max1=300, n_max2=40)
+        cfg = OpticsEngineConfig(beta1=0.05, beta2=1.0, omega1=2.0,
+                                 g1=2.0, g2=2.0, delta=80.0,
+                                 n_max1=300, n_max2=40)
         report = run_optics_cycle(cfg)
         assert report.final_system_populations[1] > 0.85
         assert abs(report.final_system_populations[1]
@@ -232,29 +239,27 @@ class TestOpticsCycle:
         report = run_optics_cycle(cfg)
         compact = effective_compact_config(cfg)
         # dense path: evolve the product state and trace out both modes
-        from sltosim.thermal import gibbs_state
-        rho1, _ = gibbs_state(cfg.mode1)
-        rho2, _ = gibbs_state(cfg.mode2)
+        rho1, _ = gibbs_state(cfg.omega1, cfg.beta1, cfg.n_max1)
+        rho2, _ = gibbs_state(cfg.omega2, cfg.beta2, cfg.n_max2)
         atom = np.zeros((2, 2), dtype=complex)
         atom[0, 0] = 1.0
         joint = np.kron(np.kron(rho1.entries, rho2.entries), atom)
         u = SpectralPropagator(build_effective_hamiltonian(cfg)).at(cfg.tau).entries
         final = DensityMatrix(u @ joint @ u.conj().T)
-        baths = cfg.mode1.dim * cfg.mode2.dim
+        baths = (cfg.n_max1 + 1) * (cfg.n_max2 + 1)
         rho_s = np.einsum("iaib->ab", final.entries.reshape(baths, 2, baths, 2))
         off_diag = abs(rho_s[0, 1])
         assert off_diag <= 1e-10
         assert np.max(np.abs(np.real(np.diagonal(rho_s))
                              - report.final_system_populations)) <= 1e-10
-        assert compact.dim == cfg.mode1.dim * cfg.mode2.dim * 2
+        assert compact.dim == (cfg.n_max1 + 1) * (cfg.n_max2 + 1) * 2
 
     def test_agreement_with_ladder_engine(self):
         cfg = small_optics()
         optics_report = run_optics_cycle(cfg)
         ladder = CompactEngineConfig(
-            beta1=cfg.mode1.beta, beta2=cfg.mode2.beta,
-            omega1=cfg.mode1.omega, omega2=cfg.mode2.omega,
-            g=cfg.g, n_max1=cfg.mode1.n_max, n_max2=cfg.mode2.n_max,
+            beta1=cfg.beta1, beta2=cfg.beta2, omega1=cfg.omega1,
+            g=cfg.g, n_max1=cfg.n_max1, n_max2=cfg.n_max2,
         )
         ladder_report = evolve_cycle(ladder)
         assert abs(optics_report.eta - ladder_report.eta) <= 1e-10
@@ -393,15 +398,15 @@ class TestChargeBlockOracle:
         cfg = small_optics(n_max1=cutoffs[0], n_max2=cutoffs[1])
         full = build_full_hamiltonian(cfg, make_profile(cfg)).entries
         eff = build_effective_hamiltonian(cfg).entries
-        d2 = cfg.mode2.dim
-        for n in range(cfg.mode1.dim):
+        d2 = (cfg.n_max2 + 1)
+        for n in range((cfg.n_max1 + 1)):
             for m in range(d2):
                 block = full_charge_block(cfg, make_profile(cfg), n, m)
                 self.assert_block_of(full, block, 3, d2)
-                assert len(block.members) == (1 if n == 0 else 2 if m == cfg.mode2.n_max else 3)
+                assert len(block.members) == (1 if n == 0 else 2 if m == cfg.n_max2 else 3)
                 pair = charge_block(effective_compact_config(cfg), n, m)
                 self.assert_block_of(eff, pair, 2, d2)
-                assert len(pair.members) == (1 if n == 0 or m == cfg.mode2.n_max else 2)
+                assert len(pair.members) == (1 if n == 0 or m == cfg.n_max2 else 2)
 
     def test_sector_outside_cutoffs_rejected(self):
         cfg = small_optics()
@@ -425,9 +430,9 @@ class TestChargeBlockOracle:
         deltas = [10.0, 25.0]
         points = adiabatic_elimination_error(cfg, make_profile(cfg), deltas,
                                              initial_block=block)
-        d1, d2 = cfg.mode1.dim, cfg.mode2.dim
+        d1, d2 = (cfg.n_max1 + 1), (cfg.n_max2 + 1)
         for delta, point in zip(deltas, points):
-            cfg_d = small_optics(detuning=delta)
+            cfg_d = small_optics(delta=delta)
             times = np.linspace(0.0, cfg_d.tau, point.samples)
             full = self.dense_level_populations(
                 build_full_hamiltonian(cfg_d, make_profile(cfg_d)), *block, times, d1, d2, 3
@@ -445,7 +450,7 @@ class TestFullModelOracle:
         from sltosim.linalg import basis_state
         cfg = small_optics()
         h = build_full_hamiltonian(cfg, uniform_exchange_profile(cfg))
-        d2 = cfg.mode2.dim
+        d2 = (cfg.n_max2 + 1)
         psi0 = basis_state(cfg.full_dim, (2 * d2 + 1) * 3 + 0)
         amps = SpectralPropagator(h).states(psi0, np.linspace(0, cfg.tau, 200))
         norms = np.linalg.norm(amps, axis=1)

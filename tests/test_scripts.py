@@ -30,3 +30,25 @@ def test_fit_inverse_intensity_writes_design(tmp_path):
     result = design["result"]
     assert len(result["f_achieved"]) == len(result["theta_achieved"]) == 6
     assert result["best_cost"] <= result["initial_cost"]
+
+
+def test_carnot_power_scan_rows_reach_carnot(tmp_path):
+    csv = tmp_path / "scan.csv"
+    proc = run_script("carnot_power_scan.py", "--csv", str(csv))
+    assert proc.returncode == 0, proc.stderr
+    printed = [line.split("|")[1].split() for line in proc.stdout.splitlines()[1:] if "|" in line]
+    assert len(printed) == 16
+    assert all(eta == eta_c for eta, eta_c in printed)
+    header, *rows = csv.read_text().splitlines()
+    column = header.split(",").index
+    for row in (list(map(float, r.split(","))) for r in rows):
+        assert abs(row[column("eta")] - row[column("eta_carnot")]) <= 1e-9
+
+
+def test_detuning_convergence_prints_both_sectors():
+    proc = run_script("detuning_convergence.py", "--ratios", "20,40,80")
+    assert proc.returncode == 0, proc.stderr
+    slopes = [line.split() for line in proc.stdout.splitlines() if "slopes:" in line]
+    assert len(slopes) == 2
+    # the shift-balanced sector converges second order in 1/Delta
+    assert -2.5 <= float(slopes[1][2].rstrip(",")) <= -1.5

@@ -9,7 +9,6 @@ from conftest import random_hermitian
 from sltosim.linalg import Operator
 from sltosim.thermal import (
     DegeneracyModel,
-    TruncatedMode,
     bath_property_suite,
     degeneracy_conservation_check,
     gibbs_density,
@@ -23,24 +22,22 @@ from sltosim.thermal import (
 class TestGibbsState:
     def test_half_quarter_ladder(self):
         # beta*omega = ln 2 makes the ladder a halving sequence
-        mode = TruncatedMode(omega=1.0, beta=math.log(2), n_max=45)
-        rho, _ = gibbs_state(mode)
+        rho, _ = gibbs_state(omega=1.0, beta=math.log(2), n_max=45)
         p = np.real(np.diagonal(rho.entries))
         assert abs(p[0] - 0.5) <= 1e-9
         assert abs(p[1] - 0.25) <= 1e-9
 
     def test_zero_temperature_limit(self):
-        mode = TruncatedMode(omega=1.0, beta=500.0, n_max=10)
-        rho, _ = gibbs_state(mode)
+        rho, _ = gibbs_state(omega=1.0, beta=500.0, n_max=10)
         assert abs(rho.entries[0, 0].real - 1.0) <= 1e-12
 
     def test_partition_function_value(self):
-        _, z = gibbs_state(TruncatedMode(omega=1.0, beta=1.0, n_max=5))
+        _, z = gibbs_state(omega=1.0, beta=1.0, n_max=5)
         assert abs(z - 1.0 / (1.0 - math.exp(-1.0))) <= 1e-12
         assert abs(z - 1.5820) <= 5e-5
 
     def test_output_is_diagonal_and_normalized(self):
-        rho, _ = gibbs_state(TruncatedMode(omega=2.0, beta=0.7, n_max=12))
+        rho, _ = gibbs_state(omega=2.0, beta=0.7, n_max=12)
         off = rho.entries - np.diag(np.diagonal(rho.entries))
         assert np.max(np.abs(off)) == 0.0
         assert abs(np.trace(rho.entries) - 1.0) <= 1e-12
@@ -78,6 +75,21 @@ class TestTruncationForTail:
         assert report.achieved_mass >= 1 - 1e-6
         # minimality: one level less must miss the target
         assert truncated_mass(2.0, 0.25, report.n_max_used - 1) < 1 - 1e-6
+
+    def test_underflowing_tail_needs_one_level(self):
+        # exp(-800) underflows to 0: the whole Gibbs mass sits in the ground level
+        report = truncation_for_tail(1.0, 800.0, 1e-6)
+        assert (report.n_max_used, report.achieved_mass) == (1, 1.0)
+
+    @pytest.mark.parametrize("omega, beta", [(math.nan, 1.0), (1.0, math.inf), (0.0, 1.0)])
+    def test_non_finite_or_non_positive_mode_rejected(self, omega, beta):
+        with pytest.raises(ValueError, match="finite and positive"):
+            truncation_for_tail(omega, beta, 1e-6)
+
+    def test_vanishing_exponent_rejected(self):
+        # beta*omega = 1e-18 rounds exp(-beta*omega) to 1: no cutoff reaches any tail
+        with pytest.raises(ValueError, match="too small for a finite cutoff"):
+            truncation_for_tail(1e-9, 1e-9, 1e-6)
 
     @given(st.floats(0.1, 3.0), st.floats(0.1, 3.0), st.integers(1, 40))
     @settings(max_examples=40, deadline=None)
