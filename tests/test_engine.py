@@ -542,8 +542,11 @@ class TestCycleProperties:
     @given(leg=st.floats(0.05, 2.0), detuning_ratio=st.floats(20.0, 200.0), **free_parameters)
     @settings(max_examples=40, deadline=None)
     def test_cavity_engine(self, beta2, ratio, omega1, leg, detuning_ratio, n_max1, n_max2):
+        # one step up from the rounded product keeps delta / leg >= detuning_ratio,
+        # so the drawn ratio 20.0 meets the configured minimum instead of rounding below it
+        delta = math.nextafter(detuning_ratio * leg, math.inf)
         cfg = OpticsEngineConfig(beta1=ratio * beta2, beta2=beta2, omega1=omega1, g1=leg,
-                                 g2=leg, delta=detuning_ratio * leg,
+                                 g2=leg, delta=delta,
                                  n_max1=n_max1, n_max2=n_max2)
         assert_cycle_invariants(run_optics_cycle(cfg))
 
