@@ -97,15 +97,27 @@ class ConfigError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# matrix file interchange
+# output files and matrix file interchange
 # ---------------------------------------------------------------------------
+
+def _open_new(path):
+    """Open ``path`` for writing as a new file, removing any file already there.
+
+    Every output goes through here.  A new file is cheaper than truncating
+    the old one in place, which on ext4 forces block allocation when it is
+    closed.  A hard link to the old file keeps the old bytes, and a symlink
+    at ``path`` is replaced, not written through.
+    """
+    Path(path).unlink(missing_ok=True)
+    return open(path, "w")
+
 
 def write_matrix_file(path, entries: np.ndarray, layout: tuple[int, ...] | None = None):
     entries = np.ascontiguousarray(entries, dtype=np.complex128)
     dim = entries.shape[0]
     # one format per row over its interleaved (real, imag) Python floats
     row_format = " ".join(["%.17g%+.17gj"] * dim) + "\n"
-    with open(path, "w") as fh:
+    with _open_new(path) as fh:
         fh.write(" ".join(str(d) for d in (dim, *(layout or ()))) + "\n")
         fh.writelines(row_format % tuple(row.tolist()) for row in entries.view(np.float64))
 
@@ -570,7 +582,8 @@ def run_design(params: dict, out_dir: Path) -> tuple[dict, dict, list | None]:
     }
     out_path = Path(params.get("design_out") or out_dir / "design.json")
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    out_path.write_text(json.dumps(design_out, indent=2, sort_keys=True) + "\n")
+    with _open_new(out_path) as fh:
+        fh.write(json.dumps(design_out, indent=2, sort_keys=True) + "\n")
     results["design_path"] = str(out_path)
     series = [[i, float(c)] for i, c in enumerate(trace)]
     return results, checks, series
@@ -723,13 +736,14 @@ def run_experiment(
         "wall_clock_seconds": wall,
     }
     report_path = out_dir / "report.json"
-    report_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    with _open_new(report_path) as fh:
+        fh.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
     series_path = None
     if write_series and series is not None:
         series_path = out_dir / "series.csv"
         # %.17g writes an int (the design iteration) as str() does
         row_format = ",".join(["%.17g"] * (spec.series_header.count(",") + 1)) + "\n"
-        with open(series_path, "w") as fh:
+        with _open_new(series_path) as fh:
             fh.write(spec.series_header + "\n")
             fh.write("".join([row_format % tuple(row) for row in series]))
     return RunArtifact(

@@ -28,8 +28,11 @@ oracle (``build_interaction_hamiltonian``).
 ``evolve_cycle`` propagates the one 2x2 pair block over the whole time
 grid and takes every per-sample diagnostic from its amplitude rows in
 closed form (entanglement entropy, energy spread, Fubini-Study
-distance).  Sector weights, bath energies and the charge gaps behind the
-commutator residuals are read from the member table.
+distance).  Sector weights and the charge gaps behind the commutator
+residuals are read from the member table.  A pair holds its source
+occupations with weight 1 - p(t) and its target ones with weight p(t),
+so each bath-energy trace is two weighted sums over the member table,
+broadcast over the grid by the transfer p(t).
 """
 
 from __future__ import annotations
@@ -59,6 +62,13 @@ DEFAULT_GRID_POINTS = 101
 #: about 1.7 kB per sector) and the dimension of the dense ``evolution_operator``
 MAX_SECTORS = 250_000
 MAX_DENSE_DIM = 8192
+
+
+def check_sector_cap(n_max1: int, n_max2: int):
+    """Refuse cutoffs with more than MAX_SECTORS (n, m) sectors, before any allocation."""
+    if (n_max1 + 1) * (n_max2 + 1) > MAX_SECTORS:
+        raise ValueError(f"cutoffs n_max1 = {n_max1}, n_max2 = {n_max2} "
+                         f"give more than the cap of {MAX_SECTORS} sectors")
 
 
 class NoGradientError(ValueError):
@@ -116,9 +126,7 @@ class CompactEngineConfig:
                 object.__setattr__(self, name, n_max)
         if self.n_max1 < 0 or self.n_max2 < 0:
             raise ValueError("cutoffs must be non-negative")
-        if (self.n_max1 + 1) * (self.n_max2 + 1) > MAX_SECTORS:
-            raise ValueError(f"cutoffs n_max1 = {self.n_max1}, n_max2 = {self.n_max2} "
-                             f"give more than the cap of {MAX_SECTORS} sectors")
+        check_sector_cap(self.n_max1, self.n_max2)
 
     @property
     def omega2(self) -> float:
@@ -366,9 +374,14 @@ def evolve_cycle(
     whole ensemble is one propagated pair.  The diagnostics come in
     closed form from its amplitude rows over the grid: the entropy of
     diag(1 - p, p), the energy spread of g*sigma_x and the Fubini-Study
-    distance from the first row.  Sector weights, bath energies and the
-    charge gaps behind the commutator residuals come from the member
-    table that ``enumerate_blocks`` returns.
+    distance from the first row.  Sector weights and the charge gaps
+    behind the commutator residuals come from the member table that
+    ``enumerate_blocks`` returns.  Each bath energy is
+    (1 - p(t)) * sum_w(source) + p(t) * sum_w(target) quanta, the two sums
+    taken once over the pairs with their thermal weights, plus the idle
+    sectors' constant share.  The heats q1 = omega1 * p(tau) and
+    q2 = -omega2 * p(tau) are per exchange: they need a coupled sector,
+    not a nonzero success weight.
     """
     if cfg.g == 0:
         raise ValueError("the cycle needs a positive coupling (tau is undefined at g = 0)")
@@ -428,7 +441,7 @@ def evolve_cycle(
     # a pair holds its source occupations with weight 1 - p, its target ones with p
     source, target = pairs[:, 0], pairs[:, 1]
     bath1_energy, bath2_energy = (
-        (np.outer(1.0 - transfer, source[:, q]) + np.outer(transfer, target[:, q])) @ pair_w
+        ((1.0 - transfer) * (source[:, q] @ pair_w) + transfer * (target[:, q] @ pair_w))
         * omega
         + float(idle_w @ idle[:, q]) * omega
         for q, omega in ((0, cfg.omega1), (1, cfg.omega2))
@@ -445,7 +458,7 @@ def evolve_cycle(
     residual_weighted_trace = off * gap_weighted
 
     ps_tau = float(transfer[tau_index])
-    if success_weight > 0:
+    if pairs.size:
         q1 = cfg.omega1 * ps_tau
         q2 = -cfg.omega2 * ps_tau
     else:

@@ -59,6 +59,7 @@ from .engine import (
     CycleReport,
     build_interaction_hamiltonian,
     charge_block,
+    check_sector_cap,
     evolve_cycle,
 )
 # SpectralPropagator is unused here; bench/tracing.py patches it by name
@@ -79,8 +80,9 @@ class OpticsEngineConfig:
     omega0 = omega1 - omega2 are derived, never stored, and the upper
     level lies ``delta`` above the photon on both legs.  A cutoff left as
     None is the smallest one whose Gibbs tail is below ``tail_delta``.
-    Requires finite parameters, beta1 < beta2, cutoffs of at least 1, and
-    delta/g_k at or above ``min_detuning_ratio``.
+    Requires finite parameters, beta1 < beta2, cutoffs of at least 1 with
+    at most ``engine.MAX_SECTORS`` sectors, and delta/g_k at or above
+    ``min_detuning_ratio``.
     """
 
     beta1: float
@@ -125,6 +127,7 @@ class OpticsEngineConfig:
                 object.__setattr__(self, name, n_max)
         if self.n_max1 < 1 or self.n_max2 < 1:
             raise ValueError(f"cutoffs must be >= 1, got {self.n_max1}, {self.n_max2}")
+        check_sector_cap(self.n_max1, self.n_max2)
 
     @property
     def omega2(self) -> float:

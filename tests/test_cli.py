@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sltosim import engine
+from sltosim import cli, engine
 from sltosim.cli import (
     KINDS,
     ConfigError,
@@ -18,7 +18,7 @@ from sltosim.cli import (
     write_matrix_file,
 )
 from sltosim.designer import DesignTargets, PotentialAnsatz
-from sltosim.engine import CompactEngineConfig, evolution_operator
+from sltosim.engine import CompactEngineConfig, evolution_operator, evolve_cycle
 from sltosim.linalg import Operator, ShapeError
 
 from conftest import dense_slto_residuals, random_hermitian
@@ -211,6 +211,30 @@ class TestAbstractCycleCommand:
         used = load_report(tmp_path)["results"]["config_used"]
         assert used["omega2"] == 4 * 2242 / 35
 
+    def test_empty_ensemble_keeps_the_per_exchange_heats(self, tmp_path):
+        # exp(-beta1 * omega1) = exp(-8968) underflows: every pair has weight 0
+        code = main(["abstract-cycle", "--beta1", "4", "--beta2", "35", "--omega1", "2242",
+                     "--g", "0.1", "--n-max1", "2", "--n-max2", "2",
+                     "--out", str(tmp_path), "--no-color"])
+        assert code == 0
+        res = load_report(tmp_path)["results"]
+        assert res["success_weight"] == 0.0
+        assert res["q1_ensemble"] == 0.0
+        cfg = CompactEngineConfig(beta1=4.0, beta2=35.0, omega1=2242.0, g=0.1,
+                                  n_max1=2, n_max2=2)
+        transfer = abs(evolve_cycle(cfg).amplitude_trace[-1, 1]) ** 2
+        assert res["q1"] == 2242.0 * transfer
+        assert res["eta"] == pytest.approx(res["eta_carnot"], abs=1e-9)
+
+    @pytest.mark.parametrize("cutoffs", [("0", "3"), ("3", "0")])
+    def test_cutoffs_without_pairs_move_no_heat(self, tmp_path, cutoffs):
+        code = main(["abstract-cycle", "--beta1", "0.5", "--beta2", "1", "--omega1", "2",
+                     "--g", "0.1", "--n-max1", cutoffs[0], "--n-max2", cutoffs[1],
+                     "--out", str(tmp_path), "--no-color"])
+        assert code == 1  # no exchange, so no Carnot efficiency
+        res = load_report(tmp_path)["results"]
+        assert res["q1"] == res["q2"] == res["eta"] == 0.0
+
     def test_omega2_is_not_an_input(self, tmp_path):
         with pytest.raises(SystemExit) as exit_info:
             main(["abstract-cycle", "--beta1", "0.5", "--beta2", "1", "--omega1", "2",
@@ -279,6 +303,19 @@ class TestUsageErrors:
     ])
     def test_no_output_directory_on_a_usage_error(self, tmp_path, argv):
         assert main([*argv, "--out", str(tmp_path / "o"), "--no-color"]) == 2
+        assert not (tmp_path / "o").exists()
+
+    def test_delta_sweep_sector_cap_before_any_profile(self, tmp_path, capsys, monkeypatch):
+        def unreachable(cfg):
+            raise AssertionError("profile tables built before the sector cap")
+
+        monkeypatch.setattr(cli, "uniform_exchange_profile", unreachable)
+        code = main(["delta-sweep", "--n-max1", "2000000", "--out", str(tmp_path / "o"),
+                     "--no-color"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: cutoffs n_max1 = 2000000, n_max2 = 4 give more than the cap of "
+            f"{engine.MAX_SECTORS} sectors\n")
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("argv, field", [
@@ -775,6 +812,36 @@ class TestRunExperimentApi:
 
         assert strip_wall_clock(first_report) == strip_wall_clock(second_report)
         assert (tmp_path / "series.csv").read_bytes() == first_series
+
+    def test_rerun_replaces_the_files_instead_of_rewriting_them(self, tmp_path):
+        out = tmp_path / "out"
+        params = {"beta1": 0.5, "beta2": 1.0, "omega1": 2.0, "g": 0.1,
+                  "n_max1": 3, "n_max2": 3}
+        run_experiment("abstract-cycle", params, out, write_series=True)
+        old = {}
+        for name in ("report.json", "series.csv"):
+            (tmp_path / name).hardlink_to(out / name)
+            old[name] = (out / name).read_bytes()
+        artifact = run_experiment("abstract-cycle", {**params, "g": 0.2}, out,
+                                  write_series=True)
+        for name in ("report.json", "series.csv"):
+            assert (tmp_path / name).read_bytes() == old[name]
+            assert not (out / name).samefile(tmp_path / name)
+        assert load_report(out)["config"]["g"] == 0.2
+        assert Path(artifact.series_path).read_bytes() != old["series.csv"]
+
+    def test_symlinked_outputs_are_replaced_not_written_through(self, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        target = tmp_path / "target.txt"
+        target.write_text("kept\n")
+        for name in ("report.json", "design.json"):
+            (out / name).symlink_to(target)
+        run_experiment("design", {"iterations": 20, "seed": 1}, out)
+        assert target.read_text() == "kept\n"
+        for name in ("report.json", "design.json"):
+            assert not (out / name).is_symlink()
+            json.loads((out / name).read_text())
 
     @pytest.mark.parametrize("kind, params", [
         ("abstract-cycle", {"beta1": 0.5, "beta2": 1.0, "omega1": 2.0, "g": 0.1,

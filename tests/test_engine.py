@@ -325,6 +325,36 @@ class TestEvolveCycle:
         assert abs(de1 + report.q1_ensemble) <= 1e-12
         assert abs(de2 + report.q2_ensemble) <= 1e-12
 
+    @pytest.mark.parametrize("cutoffs", [(1, 1), (4, 4), (11, 7), (40, 40)])
+    def test_bath_energy_moves_by_one_weighted_quantum(self, cutoffs):
+        cfg = small_config(g=0.37, n_max1=cutoffs[0], n_max2=cutoffs[1])
+        report = evolve_cycle(cfg, np.linspace(0.0, 1.5 * cfg.tau, 61))
+        k = int(np.flatnonzero(np.isclose(report.times, cfg.tau, rtol=1e-9, atol=0.0))[0])
+        moved = report.success_weight * np.abs(report.amplitude_trace[k, 1]) ** 2
+        de1 = report.bath1_energy_trace[k] - report.bath1_energy_trace[0]
+        de2 = report.bath2_energy_trace[k] - report.bath2_energy_trace[0]
+        assert de1 == pytest.approx(-cfg.omega1 * moved, rel=1e-12, abs=1e-15)
+        assert de2 == pytest.approx(cfg.omega2 * moved, rel=1e-12, abs=1e-15)
+
+    def test_bath_traces_match_the_outer_product_form(self):
+        # the (grid x pairs) matrices the two weighted sums replace
+        cfg = small_config(g=0.37, n_max1=40, n_max2=40)
+        report = evolve_cycle(cfg)
+        members = enumerate_blocks(cfg)
+        coupled = members[:, 1, 0] >= 0
+        pairs, idle = members[coupled], members[~coupled, 0]
+        p1 = gibbs_probabilities(cfg.omega1, cfg.beta1, cfg.n_max1)
+        p2 = gibbs_probabilities(cfg.omega2, cfg.beta2, cfg.n_max2)
+        pair_w = p1[pairs[:, 0, 0]] * p2[pairs[:, 0, 1]]
+        idle_w = p1[idle[:, 0]] * p2[idle[:, 1]]
+        transfer = np.abs(report.amplitude_trace[:, 1]) ** 2
+        for q, omega, trace in ((0, cfg.omega1, report.bath1_energy_trace),
+                                (1, cfg.omega2, report.bath2_energy_trace)):
+            outer = (np.outer(1.0 - transfer, pairs[:, 0, q])
+                     + np.outer(transfer, pairs[:, 1, q])) @ pair_w
+            expected = outer * omega + float(idle_w @ idle[:, q]) * omega
+            np.testing.assert_allclose(trace, expected, rtol=1e-14, atol=0.0)
+
     def test_norm_drift_in_a_propagated_row_raises(self, monkeypatch):
         class Drifting(SpectralPropagator):
             def states(self, psi0, times):
@@ -391,9 +421,9 @@ def loop_cycle(cfg: CompactEngineConfig, times: np.ndarray) -> dict:
 
     pop_excited = success_weight * transfer
     population_trace = np.stack([1.0 - pop_excited, pop_excited], axis=1)
-    bath1 = ((np.outer(1.0 - transfer, pair_n) + np.outer(transfer, pair_n - 1)) @ pair_w
+    bath1 = (((1.0 - transfer) * (pair_n @ pair_w) + transfer * ((pair_n - 1) @ pair_w))
              * cfg.omega1 + float(idle_w @ idle_n) * cfg.omega1)
-    bath2 = ((np.outer(1.0 - transfer, pair_m) + np.outer(transfer, pair_m + 1)) @ pair_w
+    bath2 = (((1.0 - transfer) * (pair_m @ pair_w) + transfer * ((pair_m + 1) @ pair_w))
              * cfg.omega2 + float(idle_w @ idle_m) * cfg.omega2)
 
     d_total = cfg.total_energy_diagonal()
