@@ -38,6 +38,7 @@ import dataclasses
 import json
 import math
 import os
+import stat
 import sys
 import time
 from collections.abc import Callable, Iterable
@@ -100,15 +101,44 @@ class ConfigError(ValueError):
 # output files and matrix file interchange
 # ---------------------------------------------------------------------------
 
-def _open_new(path):
-    """Open ``path`` for writing as a new file, removing any file already there.
+def _replaceable(path) -> bool:
+    """Whether a new file may take the place of what is at ``path``.
 
-    Every output goes through here.  A new file is cheaper than truncating
-    the old one in place, which on ext4 forces block allocation when it is
-    closed.  A hard link to the old file keeps the old bytes, and a symlink
-    at ``path`` is replaced, not written through.
+    Only a regular file, or a symlink straight to a regular file on the
+    link's own file system or to nothing, is replaced.  A device, FIFO or
+    socket, a link into another file system such as ``/proc/self/fd/1``,
+    and a chain of links such as ``/dev/stdout`` -> ``/proc/self/fd/1``,
+    are written through.
     """
-    Path(path).unlink(missing_ok=True)
+    try:
+        link = os.lstat(path)
+    except FileNotFoundError:
+        return False
+    if not stat.S_ISLNK(link.st_mode):
+        return stat.S_ISREG(link.st_mode)
+    try:
+        target = os.stat(path)
+    except FileNotFoundError:
+        return True
+    hop = os.path.join(os.path.dirname(path), os.readlink(path))
+    return (stat.S_ISREG(target.st_mode) and target.st_dev == link.st_dev
+            and not os.path.islink(hop))
+
+
+def _open_new(path):
+    """Open ``path`` for writing, as a new file where it holds a file already.
+
+    Every output goes through here.  A rerun replaces its old files rather
+    than rewriting them in place: a hard link to the old file keeps the old
+    bytes, and a symlink at ``path`` is replaced, not written through.  What
+    ``_replaceable`` refuses, and a file in a directory that may not be
+    written to, is opened with ``"w"`` as it stands.
+    """
+    if _replaceable(path):
+        try:
+            os.unlink(path)
+        except OSError:
+            pass
     return open(path, "w")
 
 

@@ -1,6 +1,8 @@
 import json
 import math
+import os
 import re
+import stat
 import warnings
 from pathlib import Path
 
@@ -842,6 +844,66 @@ class TestRunExperimentApi:
         for name in ("report.json", "design.json"):
             assert not (out / name).is_symlink()
             json.loads((out / name).read_text())
+
+    def test_fifo_design_out_is_written_through(self, tmp_path):
+        fifo = tmp_path / "design.fifo"
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            assert main(["design", "--iterations", "20", "--design-out", str(fifo),
+                         "--out", str(tmp_path / "out"), "--no-color"]) == 0
+            assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+            written = os.read(reader, 1 << 16)
+        finally:
+            os.close(reader)
+        assert "result" in json.loads(written)
+
+    def test_chained_symlink_is_written_through(self, tmp_path):
+        # like /dev/stdout -> /proc/self/fd/1 -> the file stdout goes to
+        target = tmp_path / "target.json"
+        target.write_text("old\n")
+        (tmp_path / "hop").symlink_to(target)
+        chain = tmp_path / "chain"
+        chain.symlink_to(tmp_path / "hop")
+        assert main(["design", "--iterations", "20", "--design-out", str(chain),
+                     "--out", str(tmp_path / "out"), "--no-color"]) == 0
+        assert chain.is_symlink() and (tmp_path / "hop").is_symlink()
+        assert "result" in json.loads(target.read_text())
+
+    def test_symlink_into_another_file_system_is_written_through(self, tmp_path, monkeypatch):
+        # like /proc/self/fd/1 when stdout goes to a file
+        target = tmp_path / "target.json"
+        target.write_text("old\n")
+        link = tmp_path / "link"
+        link.symlink_to(target)
+        lstat = os.lstat
+
+        def other_device(path, *args, **kwargs):
+            fields = list(lstat(path, *args, **kwargs))
+            if Path(path) == link:
+                fields[stat.ST_DEV] += 1
+            return os.stat_result(fields)
+
+        monkeypatch.setattr(cli.os, "lstat", other_device)
+        assert main(["design", "--iterations", "20", "--design-out", str(link),
+                     "--out", str(tmp_path / "out"), "--no-color"]) == 0
+        assert link.is_symlink()
+        assert "result" in json.loads(target.read_text())
+
+    def test_file_that_cannot_be_removed_is_rewritten_in_place(self, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        argv = ["abstract-cycle", "--beta1", "0.5", "--beta2", "1.0", "--omega1", "2.0",
+                "--n-max1", "3", "--n-max2", "3", "--out", str(out), "--no-color"]
+        assert main([*argv, "--g", "0.1"]) == 0
+        (tmp_path / "link.json").hardlink_to(out / "report.json")
+
+        def refuse(path, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(path))
+
+        monkeypatch.setattr(cli.os, "unlink", refuse)
+        assert main([*argv, "--g", "0.2"]) == 0
+        assert (out / "report.json").samefile(tmp_path / "link.json")
+        assert load_report(out)["config"]["g"] == 0.2
 
     @pytest.mark.parametrize("kind, params", [
         ("abstract-cycle", {"beta1": 0.5, "beta2": 1.0, "omega1": 2.0, "g": 0.1,
