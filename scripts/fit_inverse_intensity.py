@@ -15,14 +15,12 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
+from sltosim.cli import design_document
 from sltosim.designer import (
     AnnealSchedule,
     DesignTargets,
     PotentialAnsatz,
     design_cost,
-    fock_matrix_elements,
     mc_optimize,
 )
 
@@ -49,35 +47,18 @@ def main() -> int:
         cost = design_cost(best, targets)
         print(f"seed {seed:>5}: cost {initial:.4f} -> {cost:.6f}")
         if best_overall is None or cost < best_overall[1]:
-            best_overall = (best, cost, seed)
+            best_overall = (best, cost, schedule)
 
-    best, cost, seed = best_overall
-    f_act, theta_act = fock_matrix_elements(best, targets.n_work)
-    print(f"\nbest run (seed {seed}), residual floor {cost:.6f}:")
+    best, cost, schedule = best_overall
+    design = design_document(best, targets, schedule, initial, cost)
+    result = design["result"]
+    print(f"\nbest run (seed {schedule.seed}), residual floor {cost:.6f}:")
     print(f"  {'n':>3} {'f target':>12} {'f achieved':>12} {'theta target':>13} {'theta achieved':>15}")
-    for n in range(1, args.n_fit + 1):
-        print(f"  {n:>3} {targets.f_target[n-1]:12.6f} {f_act[n]:12.6f} "
-              f"{targets.theta_target[n-1]:13.6f} {theta_act[n]:15.6f}")
+    rows = zip(targets.f_target, result["f_achieved"],
+               targets.theta_target, result["theta_achieved"])
+    for n, (f_t, f_a, theta_t, theta_a) in enumerate(rows, start=1):
+        print(f"  {n:>3} {f_t:12.6f} {f_a:12.6f} {theta_t:13.6f} {theta_a:15.6f}")
 
-    design = {
-        "ansatz": {
-            "v_degrees": [int(d) for d in best.v_degrees],
-            "v_coeffs": [float(c) for c in best.v_coeffs],
-            "b_degrees": [int(d) for d in best.b_degrees],
-            "b_coeffs": [float(c) for c in best.b_coeffs],
-        },
-        "targets": {
-            "f": [float(v) for v in targets.f_target],
-            "theta": [float(v) for v in targets.theta_target],
-            "q": targets.q, "n_work": targets.n_work,
-        },
-        "schedule": {"iterations": args.iterations, "seed": seed},
-        "result": {
-            "initial_cost": float(initial), "best_cost": float(cost),
-            "f_achieved": [float(v) for v in f_act[1 : args.n_fit + 1]],
-            "theta_achieved": [float(v) for v in theta_act[1 : args.n_fit + 1]],
-        },
-    }
     with open(args.out, "w") as fh:
         json.dump(design, fh, indent=2, sort_keys=True)
         fh.write("\n")

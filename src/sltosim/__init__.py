@@ -24,14 +24,8 @@ from .linalg import (
     von_neumann_entropy,
 )
 from .thermal import (
-    BathPropertyReport,
-    DegeneracyModel,
-    GibbsState,
     TailReport,
-    bath_property_suite,
-    degeneracy_conservation_check,
     gibbs_probabilities,
-    gibbs_state,
     truncation_for_tail,
 )
 from .engine import (
@@ -54,7 +48,6 @@ from .optics import (
     CouplingProfile,
     OpticsEngineConfig,
     SweepPoint,
-    WorkRecord,
     adiabatic_elimination_error,
     build_effective_hamiltonian,
     build_full_hamiltonian,
@@ -63,7 +56,6 @@ from .optics import (
     full_charge_block,
     inverse_intensity_profile,
     run_optics_cycle,
-    stimulated_emission_bookkeeping,
     sweep_slopes,
     uniform_exchange_profile,
 )

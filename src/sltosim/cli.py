@@ -522,6 +522,38 @@ def run_delta_sweep(params: dict, out_dir: Path) -> tuple[dict, dict, list | Non
     return results, checks, series
 
 
+def design_document(
+    best: PotentialAnsatz,
+    targets: DesignTargets,
+    schedule: AnnealSchedule,
+    initial_cost: float,
+    best_cost: float,
+) -> dict:
+    """The design file of a fit, as ``design --design-in`` reads it back."""
+    f_act, theta_act = fock_matrix_elements(best, targets.n_work)
+    fit = slice(1, targets.n_fit + 1)
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "ansatz": {
+            "v_degrees": [int(d) for d in best.v_degrees],
+            "v_coeffs": [float(c) for c in best.v_coeffs],
+            "b_degrees": [int(d) for d in best.b_degrees],
+            "b_coeffs": [float(c) for c in best.b_coeffs],
+        },
+        "targets": {
+            "f": [float(v) for v in targets.f_target],
+            "theta": [float(v) for v in targets.theta_target],
+            "q": targets.q, "n_work": targets.n_work,
+        },
+        "schedule": dataclasses.asdict(schedule),
+        "result": {
+            "initial_cost": float(initial_cost), "best_cost": float(best_cost),
+            "f_achieved": [float(v) for v in f_act[fit]],
+            "theta_achieved": [float(v) for v in theta_act[fit]],
+        },
+    }
+
+
 def _design_entry(spec: dict, section: str, key: str, path):
     """spec[section][key] of a design file; a missing entry is a ConfigError."""
     try:
@@ -567,19 +599,15 @@ def run_design(params: dict, out_dir: Path) -> tuple[dict, dict, list | None]:
     )
     best, trace = mc_optimize(ansatz0, targets, schedule)
     best_cost = design_cost(best, targets)
-    f_act, theta_act = fock_matrix_elements(best, targets.n_work)
-    fit = slice(1, targets.n_fit + 1)
+    design = design_document(best, targets, schedule, trace[0], best_cost)
     results = {
-        "initial_cost": float(trace[0]),
-        "best_cost": float(best_cost),
+        **design["result"],
         "iterations": schedule.iterations,
         "seed": schedule.seed,
-        "v_coeffs": [float(c) for c in best.v_coeffs],
-        "b_coeffs": [float(c) for c in best.b_coeffs],
-        "f_achieved": [float(v) for v in f_act[fit]],
-        "theta_achieved": [float(v) for v in theta_act[fit]],
-        "f_target": [float(v) for v in targets.f_target],
-        "theta_target": [float(v) for v in targets.theta_target],
+        "v_coeffs": design["ansatz"]["v_coeffs"],
+        "b_coeffs": design["ansatz"]["b_coeffs"],
+        "f_target": design["targets"]["f"],
+        "theta_target": design["targets"]["theta"],
     }
     running_min = np.minimum.accumulate(trace)
     checks = {
@@ -592,28 +620,10 @@ def run_design(params: dict, out_dir: Path) -> tuple[dict, dict, list | None]:
             "passed": bool(best_cost <= trace[0]),
         },
     }
-    design_out = {
-        "schema_version": SCHEMA_VERSION,
-        "ansatz": {
-            "v_degrees": [int(d) for d in best.v_degrees],
-            "v_coeffs": results["v_coeffs"],
-            "b_degrees": [int(d) for d in best.b_degrees],
-            "b_coeffs": results["b_coeffs"],
-        },
-        "targets": {
-            "f": results["f_target"], "theta": results["theta_target"],
-            "q": targets.q, "n_work": targets.n_work,
-        },
-        "schedule": dataclasses.asdict(schedule),
-        "result": {
-            "initial_cost": results["initial_cost"], "best_cost": results["best_cost"],
-            "f_achieved": results["f_achieved"], "theta_achieved": results["theta_achieved"],
-        },
-    }
     out_path = Path(params.get("design_out") or out_dir / "design.json")
     out_path.parent.mkdir(parents=True, exist_ok=True)
     with _open_new(out_path) as fh:
-        fh.write(json.dumps(design_out, indent=2, sort_keys=True) + "\n")
+        fh.write(json.dumps(design, indent=2, sort_keys=True) + "\n")
     results["design_path"] = str(out_path)
     series = [[i, float(c)] for i, c in enumerate(trace)]
     return results, checks, series
@@ -759,15 +769,17 @@ def run_experiment(
         "tool": "sltosim",
         "tool_version": __version__,
         "kind": kind,
-        "config": _jsonable(params),
-        "results": _jsonable(results),
-        "checks": _jsonable(checks),
+        "config": params,
+        "results": results,
+        "checks": checks,
         "all_checks_passed": all_passed,
         "wall_clock_seconds": wall,
     }
     report_path = out_dir / "report.json"
     with _open_new(report_path) as fh:
-        fh.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
+        # np.float64 subclasses float; other numpy scalars and arrays go through tolist()
+        fh.write(json.dumps(report, indent=2, sort_keys=True, default=lambda o: o.tolist())
+                 + "\n")
     series_path = None
     if write_series and series is not None:
         series_path = out_dir / "series.csv"
@@ -782,18 +794,6 @@ def run_experiment(
         tool_version=__version__,
         all_checks_passed=all_passed,
     )
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    return obj
 
 
 # ---------------------------------------------------------------------------

@@ -71,6 +71,12 @@ def check_sector_cap(n_max1: int, n_max2: int):
                          f"give more than the cap of {MAX_SECTORS} sectors")
 
 
+def check_sector(cfg, n: int, m: int):
+    """Refuse a sector (n, m) outside the cutoffs of ``cfg``, a config of either engine."""
+    if not (0 <= n <= cfg.n_max1 and 0 <= m <= cfg.n_max2):
+        raise ValueError(f"sector {(n, m)} outside the cutoffs")
+
+
 class NoGradientError(ValueError):
     """beta1 > beta2 leaves no temperature gradient to run the engine on."""
 
@@ -228,8 +234,7 @@ def enumerate_blocks(cfg: CompactEngineConfig) -> np.ndarray:
 
 def charge_block(cfg: CompactEngineConfig, n: int, m: int) -> ChargeBlock:
     """The block of sector (n, m): the 2x2 pair, or a 1x1 zero block when idle."""
-    if not (0 <= n <= cfg.n_max1 and 0 <= m <= cfg.n_max2):
-        raise ValueError(f"sector {(n, m)} outside the cutoffs")
+    check_sector(cfg, n, m)
     source, target = _sector_members(cfg, np.array([n]), np.array([m]))[0].tolist()
     if target[0] < 0:
         idle = Operator(np.zeros((1, 1), dtype=np.complex128), hermitian_hint=True)

@@ -4,8 +4,7 @@ The atom has a V-shaped level pair |1>, |2> bridged through a detuned
 upper level |3>; each leg couples to its own cavity mode with an
 intensity-dependent strength.  At large detuning the upper level only
 mediates: a hot photon is absorbed, a cold photon emitted, and the atom
-ends in |2>, from which the stored gap energy can leave by stimulated
-emission into a resonant extraction mode (bookkept, not simulated).
+ends in |2>, one work gap omega0 above |1>.
 
 ``OpticsEngineConfig`` holds only the free parameters: the two
 temperatures, the hot frequency omega1, the leg couplings g1, g2, the
@@ -59,6 +58,7 @@ from .engine import (
     CycleReport,
     build_interaction_hamiltonian,
     charge_block,
+    check_sector,
     check_sector_cap,
     evolve_cycle,
 )
@@ -298,11 +298,6 @@ def build_effective_hamiltonian(cfg: OpticsEngineConfig) -> Operator:
     return build_interaction_hamiltonian(effective_compact_config(cfg))
 
 
-def _check_sector(cfg: OpticsEngineConfig, n: int, m: int) -> None:
-    if not (0 <= n <= cfg.n_max1 and 0 <= m <= cfg.n_max2):
-        raise ValueError(f"sector {(n, m)} outside the cutoffs")
-
-
 def full_charge_block(
     cfg: OpticsEngineConfig, profile: CouplingProfile, n: int, m: int
 ) -> ChargeBlock:
@@ -314,7 +309,7 @@ def full_charge_block(
     """
     if profile.theta1.size != cfg.n_max1 + 1 or profile.theta2.size != cfg.n_max2 + 1:
         raise ShapeError("profile tables do not match the configured cutoffs")
-    _check_sector(cfg, n, m)
+    check_sector(cfg, n, m)
     f1, f2 = profile.f1, profile.f2
     members = [(n, m, 0)]
     diag = [f1[n] + f2[m]]
@@ -337,31 +332,6 @@ def run_optics_cycle(
 ) -> CycleReport:
     """One cycle from gibbs x gibbs x |1><1| under the effective Hamiltonian."""
     return evolve_cycle(effective_compact_config(cfg), times)
-
-
-@dataclass(frozen=True)
-class WorkRecord:
-    """Extractable-work bookkeeping for the resonant emission mode."""
-
-    omega0: float
-    success_population: float
-    work_per_success: float
-    expected_work: float
-    eta: float
-    power: float
-
-
-def stimulated_emission_bookkeeping(report: CycleReport) -> WorkRecord:
-    """Work released as one photon at omega0 per successful excitation."""
-    p2 = float(report.final_system_populations[1])
-    return WorkRecord(
-        omega0=report.w_ext,
-        success_population=p2,
-        work_per_success=report.w_ext,
-        expected_work=p2 * report.w_ext,
-        eta=1.0 - report.beta1 / report.beta2,
-        power=2.0 * report.g * report.w_ext / math.pi,
-    )
 
 
 @dataclass(frozen=True)
@@ -406,7 +376,7 @@ def adiabatic_elimination_error(
     roughly first order before flooring at the residual's square.
     """
     n0, m0 = initial_block
-    _check_sector(cfg, n0, m0)
+    check_sector(cfg, n0, m0)
     g_top = max(cfg.g1, cfg.g2)
     deltas = list(delta_sweep)
     ratios = []

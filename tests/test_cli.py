@@ -30,6 +30,10 @@ def load_report(out_dir):
     return json.loads((out_dir / "report.json").read_text())
 
 
+def strip_wall_clock(raw: bytes) -> bytes:
+    return b"\n".join(line for line in raw.splitlines() if b"wall_clock_seconds" not in line)
+
+
 class TestMatrixFiles:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -798,6 +802,23 @@ class TestRunExperimentApi:
         with pytest.raises(ConfigError):
             run_experiment("abstract-cycle", {"beta1": 0.5, "nope": 1}, tmp_path)
 
+    @pytest.mark.parametrize("kind, params, numpy_params", [
+        ("abstract-cycle",
+         {"beta1": 0.5, "beta2": 1.0, "omega1": 2.0, "g": 0.1, "n_max1": 3, "n_max2": 3},
+         {"beta1": np.float64(0.5), "beta2": np.float64(1.0), "omega1": np.float64(2.0),
+          "g": np.float64(0.1), "n_max1": np.int64(3), "n_max2": np.int64(3)}),
+        ("delta-sweep",
+         {"ratios": [20.0, 40.0], "block": [3, 1], "g1": 0.5},
+         {"ratios": (np.float64(20.0), np.float64(40.0)),
+          "block": (np.int64(3), np.int64(1)), "g1": np.float64(0.5)}),
+    ])
+    def test_numpy_params_write_the_python_typed_report(self, tmp_path, kind, params,
+                                                        numpy_params):
+        run_experiment(kind, params, tmp_path / "python")
+        run_experiment(kind, numpy_params, tmp_path / "numpy")
+        assert (strip_wall_clock((tmp_path / "numpy" / "report.json").read_bytes())
+                == strip_wall_clock((tmp_path / "python" / "report.json").read_bytes()))
+
     def test_identical_reruns_are_byte_identical_modulo_wall_clock(self, tmp_path):
         params = {"beta1": 0.5, "beta2": 1.0, "omega1": 2.0, "g": 0.1,
                   "n_max1": 3, "n_max2": 3}
@@ -806,12 +827,6 @@ class TestRunExperimentApi:
         first_series = (tmp_path / "series.csv").read_bytes()
         run_experiment("abstract-cycle", params, tmp_path, write_series=True)
         second_report = (tmp_path / "report.json").read_bytes()
-
-        def strip_wall_clock(raw: bytes) -> bytes:
-            return b"\n".join(
-                line for line in raw.splitlines() if b"wall_clock_seconds" not in line
-            )
-
         assert strip_wall_clock(first_report) == strip_wall_clock(second_report)
         assert (tmp_path / "series.csv").read_bytes() == first_series
 

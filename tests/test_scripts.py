@@ -9,13 +9,17 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_script(name: str, *args: str) -> subprocess.CompletedProcess:
+def run_python(*args: str) -> subprocess.CompletedProcess:
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / name), *args],
+        [sys.executable, *args],
         env=dict(os.environ, PYTHONPATH=path),
         capture_output=True, text=True, timeout=120,
     )
+
+
+def run_script(name: str, *args: str) -> subprocess.CompletedProcess:
+    return run_python(str(ROOT / "scripts" / name), *args)
 
 
 def test_fit_inverse_intensity_writes_design(tmp_path):
@@ -24,12 +28,28 @@ def test_fit_inverse_intensity_writes_design(tmp_path):
                       "--iterations", "200", "--seeds", "0", "--out", str(out))
     assert proc.returncode == 0, proc.stderr
     design = json.loads(out.read_text())
-    assert design["schedule"] == {"iterations": 200, "seed": 0}
+    assert design["schema_version"] == 1
+    assert design["schedule"] == {"iterations": 200, "proposal_scale": 0.2,
+                                  "mc_temperature": 0.0, "seed": 0}
     assert len(design["ansatz"]["v_coeffs"]) == len(design["ansatz"]["v_degrees"])
     assert len(design["ansatz"]["b_coeffs"]) == len(design["ansatz"]["b_degrees"])
     result = design["result"]
     assert len(result["f_achieved"]) == len(result["theta_achieved"]) == 6
     assert result["best_cost"] <= result["initial_cost"]
+
+
+def test_fit_inverse_intensity_design_feeds_the_design_command(tmp_path):
+    design_path = tmp_path / "d.json"
+    proc = run_script("fit_inverse_intensity.py",
+                      "--iterations", "200", "--seeds", "0", "--out", str(design_path))
+    assert proc.returncode == 0, proc.stderr
+    out = tmp_path / "run"
+    proc = run_python("-m", "sltosim.cli", "design", "--design-in", str(design_path),
+                      "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    results = json.loads((out / "report.json").read_text())["results"]
+    # the schedule is read back from the file
+    assert (results["iterations"], results["seed"]) == (200, 0)
 
 
 def test_carnot_power_scan_rows_reach_carnot(tmp_path):
