@@ -19,7 +19,7 @@ from sltosim.cli import (
     verify_slto,
     write_matrix_file,
 )
-from sltosim.designer import DesignTargets, PotentialAnsatz
+from sltosim.designer import AnnealSchedule, DesignTargets, PotentialAnsatz, design_cost
 from sltosim.engine import CompactEngineConfig, evolution_operator, evolve_cycle
 from sltosim.linalg import Operator, ShapeError
 
@@ -414,6 +414,24 @@ class TestDesignCommand:
         report = load_report(out2)
         # warm start must not be worse than the stored best by construction
         assert report["results"]["best_cost"] <= load_report(out1)["results"]["best_cost"] + 1e-12
+
+    def test_design_file_is_the_document_of_its_own_contents(self, tmp_path):
+        assert main(["design", "--iterations", "300", "--seed", "3",
+                     "--out", str(tmp_path), "--no-color"]) == 0
+        written = json.loads((tmp_path / "design.json").read_text())
+        ansatz = PotentialAnsatz(np.array(written["ansatz"]["v_coeffs"]),
+                                 np.array(written["ansatz"]["b_coeffs"]))
+        targets = DesignTargets(np.array(written["targets"]["f"]),
+                                np.array(written["targets"]["theta"]),
+                                q=written["targets"]["q"], n_work=written["targets"]["n_work"])
+        schedule = AnnealSchedule(iterations=300, seed=3)
+        best_cost = design_cost(ansatz, targets)
+        # the achieved tables and the best cost are recomputed from the stored ansatz
+        assert cli.design_document(ansatz, targets, schedule,
+                                   written["result"]["initial_cost"], best_cost) == written
+        assert load_report(tmp_path)["results"]["best_cost"] == best_cost
+        assert written["schedule"] == {"iterations": 300, "proposal_scale": 0.2,
+                                       "mc_temperature": 0.0, "seed": 3}
 
     def test_design_file_keeps_its_fit_size(self, tmp_path):
         design_path = tmp_path / "fit8.json"

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -183,6 +184,31 @@ class TestBlockEnumeration:
             [[1, 0, 0], [0, 1, 1]],
             [[1, 1, 0], [-1, -1, -1]],
         ]
+
+
+# one config of each engine, cutoffs (3, 2)
+SECTOR_CONFIGS = {
+    "compact": lambda: small_config(n_max1=3, n_max2=2),
+    "optics": lambda: OpticsEngineConfig(beta1=0.5, beta2=1.0, omega1=2.0, g1=0.5, g2=0.5,
+                                         delta=20.0, n_max1=3, n_max2=2,
+                                         min_detuning_ratio=5.0),
+}
+
+
+class TestCheckSector:
+    @pytest.mark.parametrize("kind", SECTOR_CONFIGS)
+    def test_every_sector_inside_the_cutoffs_accepted(self, kind):
+        cfg = SECTOR_CONFIGS[kind]()
+        for n in range(cfg.n_max1 + 1):
+            for m in range(cfg.n_max2 + 1):
+                assert engine.check_sector(cfg, n, m) is None
+
+    @pytest.mark.parametrize("kind", SECTOR_CONFIGS)
+    @pytest.mark.parametrize("n, m", [(-1, 0), (0, -1), (4, 0), (0, 3), (4, 3)])
+    def test_one_step_past_an_edge_rejected(self, kind, n, m):
+        message = re.escape(f"sector ({n}, {m}) outside the cutoffs")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            engine.check_sector(SECTOR_CONFIGS[kind](), n, m)
 
 
 class TestInteractionHamiltonian:

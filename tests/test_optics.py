@@ -385,6 +385,22 @@ class TestChargeBlockOracle:
         with pytest.raises(ValueError, match=r"sector \(0, -1\) outside the cutoffs"):
             charge_block(effective_compact_config(cfg), 0, -1)
 
+    @pytest.mark.parametrize("n, m", [(-1, 0), (0, -1), (5, 0), (0, 5)])
+    def test_every_caller_names_the_sector_alike(self, n, m):
+        cfg = small_optics()
+        profile = uniform_exchange_profile(cfg)
+        calls = [
+            lambda: charge_block(effective_compact_config(cfg), n, m),
+            lambda: full_charge_block(cfg, profile, n, m),
+            lambda: adiabatic_elimination_error(cfg, profile, [20.0], initial_block=(n, m)),
+        ]
+        messages = set()
+        for call in calls:
+            with pytest.raises(ValueError) as err:
+                call()
+            messages.add(str(err.value))
+        assert messages == {f"sector {(n, m)} outside the cutoffs"}
+
     @staticmethod
     def dense_level_populations(h, n0, m0, times, d1, d2, n_levels):
         psi0 = basis_state(d1 * d2 * n_levels, (n0 * d2 + m0) * n_levels)
