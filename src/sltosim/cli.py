@@ -9,7 +9,9 @@ Subcommands map one-to-one onto the experiment kinds:
 * ``verify-slto``     check an externally supplied unitary against the
                       conservation laws, the thermal fixed point and
                       unitarity, factor by factor (no embedded d x d
-                      Hamiltonian; two d^3 products)
+                      Hamiltonian; O(d^2) apart from two dense d^3
+                      products, which a unitary with no entry between
+                      the eigenspaces of diagonal factors skips)
 
 Each kind is declared once, as an ``ExperimentKind`` entry in ``KINDS``:
 its runner, help line, series header and parameters.  The subcommand's
@@ -28,7 +30,8 @@ internal invariant failed (a bug, not bad input).
 Matrix files are plain text: the first line holds the matrix dimension
 followed optionally by the tensor-factor dimensions; each following
 line is one row of complex entries like ``0.5-0.25j`` (lower-case ``j``),
-all parsed by one ``np.loadtxt`` call.
+all parsed by one ``np.loadtxt`` call.  The header is checked first: a
+dimension above ``engine.MAX_DENSE_DIM`` is refused before any row is read.
 """
 
 from __future__ import annotations
@@ -57,6 +60,7 @@ from .designer import (
     mc_optimize,
 )
 from .engine import (
+    MAX_DENSE_DIM,
     CompactEngineConfig,
     CycleReport,
     InvariantError,
@@ -166,28 +170,31 @@ def _row_problem(rows: list[str], dim: int) -> str:
 
 
 def read_matrix_file(path) -> tuple[np.ndarray, tuple[int, ...] | None]:
-    text = Path(path).read_text().strip().splitlines()
-    if not text:
-        raise ConfigError(f"{path}: empty matrix file")
-    header = text[0].split()
-    try:
-        dims = [int(tok) for tok in header]
-    except ValueError as err:
-        raise ConfigError(f"{path}: bad header {text[0]!r}") from err
-    if min(dims) < 1:  # the dimension and every layout factor
-        raise ConfigError(f"{path}: bad header {text[0]!r}")
-    dim, layout = dims[0], tuple(dims[1:]) or None
-    if len(text) != dim + 1:
-        raise ConfigError(f"{path}: expected {dim} rows, found {len(text) - 1}")
-    rows = text[1:]
+    """The matrix and layout of a matrix file; its header is checked before any row is read."""
+    with open(path) as fh:
+        header = next((line.strip() for line in fh if line.strip()), "")
+        if not header:
+            raise ConfigError(f"{path}: empty matrix file")
+        try:
+            dims = [int(tok) for tok in header.split()]
+        except ValueError as err:
+            raise ConfigError(f"{path}: bad header {header!r}") from err
+        if min(dims) < 1:  # the dimension and every layout factor
+            raise ConfigError(f"{path}: bad header {header!r}")
+        dim, layout = dims[0], tuple(dims[1:]) or None
+        if dim > MAX_DENSE_DIM:
+            raise ConfigError(f"{path}: dimension {dim}, above the cap {MAX_DENSE_DIM}")
+        if layout is not None and math.prod(layout) != dim:
+            raise ConfigError(f"{path}: layout {layout} does not multiply to {dim}")
+        rows = fh.read().rstrip().splitlines()
+    if len(rows) != dim:
+        raise ConfigError(f"{path}: expected {dim} rows, found {len(rows)}")
     try:
         entries = np.loadtxt(rows, dtype=np.complex128, ndmin=2, comments=None)
     except ValueError:
         entries = None
     if entries is None or entries.shape != (dim, dim):  # loadtxt skips blank rows
         raise ConfigError(f"{path}: {_row_problem(rows, dim)}")
-    if layout is not None and int(np.prod(layout)) != dim:
-        raise ConfigError(f"{path}: layout {layout} does not multiply to {dim}")
     bad_rows = np.flatnonzero(~np.isfinite(entries).all(axis=1))
     if bad_rows.size:
         raise ConfigError(f"{path}: non-finite entry in row {bad_rows[0]}")
@@ -228,6 +235,82 @@ def _apply_factor(m: np.ndarray, a: np.ndarray, dims: tuple[int, ...], k: int) -
     return np.matmul(a, m.reshape(lead, dims[k], -1)).reshape(m.shape)
 
 
+def _diagonal(a: np.ndarray) -> np.ndarray | None:
+    """The diagonal of ``a`` if every off-diagonal entry is exactly 0, else None."""
+    diag = np.diagonal(a)
+    return diag if np.count_nonzero(a) == np.count_nonzero(diag) else None
+
+
+def _lift(diag: np.ndarray, dims: tuple[int, ...], k: int) -> np.ndarray:
+    """The diagonal of I x .. x diag(diag) x .. x I, with ``diag`` on factor ``k``."""
+    return np.tile(np.repeat(diag, math.prod(dims[k + 1:])), math.prod(dims[:k]))
+
+
+def _commutator_residuals(brackets: list[np.ndarray], beta1: float,
+                          beta2: float) -> tuple[float, float]:
+    """max |[U, H]| and max |[U, beta1 H_B1 + beta2 H_B2 (+ W_S)]| from [U, A] per term."""
+    energy = max_abs(brackets[0] + brackets[1] + brackets[2])
+    weighted = beta1 * brackets[0] + beta2 * brackets[1]
+    if len(brackets) == 4:
+        weighted += brackets[3]
+    return energy, max_abs(weighted)
+
+
+#: entries of U per slab of rows on the diagonal path: 125 KiB of complex
+#: entries, under the 128 KiB from which glibc's malloc maps fresh pages, so
+#: each temporary is reused from the heap and stays in cache instead of
+#: faulting its pages in anew
+_SLAB_ENTRIES = 8000
+
+
+def _diagonal_commutators(u: np.ndarray, lifted: list[np.ndarray], beta1: float,
+                          beta2: float) -> tuple[float, float]:
+    """``_commutator_residuals`` for diagonal factors, a slab of rows at a time.
+
+    [U, A] = U diag(e) - diag(e) U, both a broadcast multiply by the lifted
+    diagonal e of A.
+    """
+    rows = max(1, _SLAB_ENTRIES // u.shape[0])
+    slabs = [
+        _commutator_residuals(
+            [u[lo:lo + rows] * e - e[lo:lo + rows, None] * u[lo:lo + rows] for e in lifted],
+            beta1, beta2)
+        for lo in range(0, u.shape[0], rows)
+    ]
+    return max(r for r, _ in slabs), max(r for _, r in slabs)
+
+
+def _block_residuals(u: np.ndarray, order: np.ndarray, starts: np.ndarray,
+                     gammas: list[np.ndarray]) -> tuple[float, float] | None:
+    """max |U gamma U^dag - gamma| and max |U^dag U - I| eigenspace by eigenspace.
+
+    Eigenspace j holds the indices order[starts[j]:starts[j + 1]], and
+    ``gammas`` are the lifted diagonals of the three factor Gibbs states,
+    multiplied in the order of the dense path.  None if U has an entry
+    between two eigenspaces, read from the entries themselves, not from
+    squared sums, in which 1e-170 is 0.  Otherwise both products are exactly
+    0 between eigenspaces, and the equal-size blocks are one stacked matmul.
+    """
+    sizes = np.diff(starts, append=u.shape[0])
+    spaces = [order[starts[sizes == size][:, None] + np.arange(size)]
+              for size in np.unique(sizes)]
+    blocks = [u[idx[:, :, None], idx[:, None, :]] for idx in spaces]
+    if sum(np.count_nonzero(b) for b in blocks) != np.count_nonzero(u):
+        return None
+    fixed_point = unitarity = 0.0
+    for idx, b in zip(spaces, blocks):
+        g1, g2, gs = (g[idx] for g in gammas)
+        b_dag = b.conj().transpose(0, 2, 1)
+        moved = (b * g1[:, None, :] * g2[:, None, :] * gs[:, None, :]) @ b_dag
+        gram = b_dag @ b
+        diag = np.arange(idx.shape[1])
+        moved[:, diag, diag] -= g1 * g2 * gs
+        gram[:, diag, diag] -= 1.0
+        fixed_point = max(fixed_point, max_abs(moved))
+        unitarity = max(unitarity, max_abs(gram))
+    return fixed_point, unitarity
+
+
 def verify_slto(
     u: Operator,
     h_bath1: Operator,
@@ -248,10 +331,17 @@ def verify_slto(
 
     Every energy operator is a Kronecker sum of the (bath1, bath2, system)
     factors, so it is applied factor by factor to the rows of U (A U) or
-    of U^T (U A = (A^T U^T)^T) and never embedded: O(d^2 (d1 + d2 + ds))
-    work plus two d^3 products, U gamma U^dag and U^dag U.  The
-    commutators are measured in the input basis, the off-block mass in
-    the product basis of the factor eigenvectors.
+    of U^T (U A = (A^T U^T)^T) and never embedded.  The commutators are
+    measured in the input basis, the off-block mass in the product basis
+    of the factor eigenvectors.  Apart from U gamma U^dag and U^dag U this
+    is O(d^2 (d1 + d2 + ds)) work.
+
+    When every factor (and W_S) is exactly diagonal, as every exported and
+    every physical bath is, a factor term is a broadcast multiply and the
+    product basis is the input basis: O(d^2).  If U then has no entry
+    between two eigenspaces, its off-block mass is 0 and the two products
+    are taken per eigenspace, O(d) for the exported engine's 1x1 and 2x2
+    blocks.  Otherwise they are two dense d^3 products.
     """
     for name, beta in (("beta1", beta1), ("beta2", beta2)):
         if not math.isfinite(beta):
@@ -264,44 +354,40 @@ def verify_slto(
     if w_system is not None and w_system.dim != ds:
         raise ShapeError(f"weighted system term has dim {w_system.dim}, system has {ds}")
     factors = (h_bath1.entries, h_bath2.entries, h_system.entries)
-    u_t = np.ascontiguousarray(u.entries.T)
-
-    # [U, A]^T = (U A)^T - (A U)^T for every factor term A; each energy
-    # commutator is a weighted sum of these
     terms = [(a, k) for k, a in enumerate(factors)]
     if w_system is not None:
         terms.append((w_system.entries, 2))
-    brackets = [
-        _apply_factor(u_t, a.T, dims, k) - _apply_factor(u.entries, a, dims, k).T
-        for a, k in terms
-    ]
-    residual_energy = max_abs(brackets[0] + brackets[1] + brackets[2])
-    weighted = beta1 * brackets[0] + beta2 * brackets[1]
-    if w_system is not None:
-        weighted += brackets[3]
-    residual_weighted = max_abs(weighted)
-    del brackets, weighted  # free them before the two d^3 products below
+    diagonals = [_diagonal(a) for a, _ in terms]
+    diagonal = all(e is not None for e in diagonals)
 
-    # off-block mass of U between different total-energy eigenspaces, read
-    # in the product basis V = V1 x V2 x VS of the factor eigenvectors
-    spectra = [np.linalg.eigh(a) for a in factors]
-    m = u.entries
-    for k, (_, v) in enumerate(spectra):
-        m = _apply_factor(m, v.conj().T, dims, k)
-    m = np.ascontiguousarray(m.T)
-    for k, (_, v) in enumerate(spectra):
-        m = _apply_factor(m, v.T, dims, k)  # (V^dag U V)^T
-    e1, e2, es = (e for e, _ in spectra)
+    # [U, A] for every factor term A; each energy commutator is a weighted
+    # sum of these (max-entry norms and sums do not depend on the layout)
+    if diagonal:
+        residual_energy, residual_weighted = _diagonal_commutators(
+            u.entries, [_lift(e, dims, k) for e, (_, k) in zip(diagonals, terms)],
+            beta1, beta2)
+    else:
+        u_t = np.ascontiguousarray(u.entries.T)
+        # [U, A]^T = (U A)^T - (A U)^T = A^T U^T - (A U)^T
+        residual_energy, residual_weighted = _commutator_residuals([
+            _apply_factor(u_t, a.T, dims, k) - _apply_factor(u.entries, a, dims, k).T
+            for a, k in terms
+        ], beta1, beta2)
+        del u_t
+
+    # total-energy eigenspaces: runs of sorted summed factor eigenvalues whose
+    # neighbours differ by <= 1e-8, in the product basis V = V1 x V2 x VS of
+    # the factor eigenvectors.  For diagonal factors V is the identity (eigh
+    # reads only the real part of a diagonal).
+    if diagonal:
+        levels = [e.real for e in diagonals[:3]]
+    else:
+        spectra = [np.linalg.eigh(a) for a in factors]
+        levels = [e for e, _ in spectra]
+    e1, e2, es = levels
     eigvals = (e1[:, None, None] + e2[None, :, None] + es[None, None, :]).ravel()
-    # eigenspaces: runs of sorted eigenvalues whose neighbours differ by <= 1e-8.
-    # A block's Frobenius norm does not depend on the basis chosen inside a
-    # degenerate eigenspace; the transpose only swaps which block is which.
     order = np.argsort(eigvals, kind="stable")
     starts = np.flatnonzero(np.diff(eigvals[order], prepend=-np.inf) > 1e-8)
-    blocks = np.add.reduceat((m.real**2 + m.imag**2)[np.ix_(order, order)], starts, axis=0)
-    blocks = np.add.reduceat(blocks, starts, axis=1)
-    np.fill_diagonal(blocks, 0.0)
-    off_block = math.sqrt(blocks.max())
 
     if w_system is None:
         sigma_s = np.eye(ds, dtype=np.complex128) / ds
@@ -309,18 +395,45 @@ def verify_slto(
         sigma_s = gibbs_density(w_system, 1.0).entries
     gammas = (gibbs_density(h_bath1, beta1).entries,
               gibbs_density(h_bath2, beta2).entries, sigma_s)
-    u_gamma_t = u_t
-    for k, g in enumerate(gammas):
-        u_gamma_t = _apply_factor(u_gamma_t, g.T, dims, k)
-    u_dag = u.entries.conj().T
-    moved = (u_gamma_t.T @ u_dag).reshape(d1 * d2, ds, d1 * d2, ds)
-    # gamma = (g1 x g2) x sigma_s, indexed (baths, system, baths, system)
-    moved -= np.kron(gammas[0], gammas[1])[:, None, :, None] * sigma_s[None, :, None, :]
-    fixed_point = max_abs(moved)
+    products = None
+    if diagonal:
+        products = _block_residuals(
+            u.entries, order, starts, [_lift(np.diagonal(g), dims, k) for k, g in enumerate(gammas)])
+    if products is not None:
+        off_block = 0.0  # every entry between eigenspaces is 0
+        fixed_point, unitarity = products
+    else:
+        # off-block mass: the largest Frobenius norm of a block of V^dag U V
+        # between two eigenspaces.  It does not depend on the basis chosen inside
+        # a degenerate eigenspace; the transpose only swaps which block is which.
+        if diagonal:
+            m = u.entries.T  # V = I; oriented like (V^dag U V)^T below, same sums
+        else:
+            m = u.entries
+            for k, (_, v) in enumerate(spectra):
+                m = _apply_factor(m, v.conj().T, dims, k)
+            m = np.ascontiguousarray(m.T)
+            for k, (_, v) in enumerate(spectra):
+                m = _apply_factor(m, v.T, dims, k)  # (V^dag U V)^T
+        mass = np.add.reduceat((m.real**2 + m.imag**2)[np.ix_(order, order)], starts, axis=0)
+        mass = np.add.reduceat(mass, starts, axis=1)
+        np.fill_diagonal(mass, 0.0)
+        off_block = math.sqrt(mass.max())
+        del m, mass  # free them before the two d^3 products below
 
-    gram = u_dag @ u.entries
-    gram.flat[:: u.dim + 1] -= 1.0
-    unitarity = max_abs(gram)
+        u_gamma_t = np.ascontiguousarray(u.entries.T)
+        for k, g in enumerate(gammas):
+            u_gamma_t = _apply_factor(u_gamma_t, g.T, dims, k)
+        u_dag = u.entries.conj().T
+        moved = (u_gamma_t.T @ u_dag).reshape(d1 * d2, ds, d1 * d2, ds)
+        # gamma = (g1 x g2) x sigma_s, indexed (baths, system, baths, system)
+        moved -= np.kron(gammas[0], gammas[1])[:, None, :, None] * sigma_s[None, :, None, :]
+        fixed_point = max_abs(moved)
+        del u_gamma_t, moved
+
+        gram = u_dag @ u.entries
+        gram.flat[:: u.dim + 1] -= 1.0
+        unitarity = max_abs(gram)
 
     return SltoCheckReport(
         residual_energy=residual_energy,

@@ -107,6 +107,21 @@ class TestMatrixFiles:
         with pytest.raises(ConfigError, match=rf"m\.txt: {re.escape(message)}$"):
             read_matrix_file(path)
 
+    @pytest.mark.parametrize("dim, refused", [(3, False), (4, True)])
+    def test_dimension_cap_checked_before_any_row(self, tmp_path, monkeypatch, dim, refused):
+        monkeypatch.setattr(cli, "MAX_DENSE_DIM", 3)
+        path = tmp_path / "m.txt"
+        write_matrix_file(path, np.eye(dim, dtype=complex))
+        parsed = []
+        loadtxt = np.loadtxt
+        monkeypatch.setattr(np, "loadtxt", lambda *a, **k: parsed.append(1) or loadtxt(*a, **k))
+        if refused:
+            with pytest.raises(ConfigError, match=r"m\.txt: dimension 4, above the cap 3$"):
+                read_matrix_file(path)
+            assert not parsed
+        else:
+            assert read_matrix_file(path)[0].shape == (3, 3)
+
 
 class TestAbstractCycleCommand:
     def test_reference_run(self, tmp_path, capsys):
@@ -706,6 +721,36 @@ class TestVerifySltoCommand:
         assert [name for name, c in checks.items() if not c["passed"]] == ["unitarity"]
         assert checks["unitarity"]["value"] == pytest.approx(2.0e-3, rel=1e-3)
 
+    def test_unitary_above_the_dense_cap_named(self, tmp_path, engine_matrices, capsys):
+        cfg, d = engine_matrices
+        (d / "big.txt").write_text("9000 90 50 2\n" + "0+0j " * 9000 + "\n")
+        code = main(self.verify_args(d, "big.txt", tmp_path / "o"))
+        assert code == 2
+        assert "big.txt: dimension 9000, above the cap 8192" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "report.json").exists()
+
+    def test_off_resonance_beta2_fails_only_the_weighted_checks(self, tmp_path, monkeypatch):
+        export = tmp_path / "export"
+        assert main(["abstract-cycle", "--beta1", "0.5", "--beta2", "1", "--omega1", "2",
+                     "--g", "0.1", "--n-max1", "6", "--n-max2", "6",
+                     "--export-matrices", str(export), "--out", str(tmp_path / "cycle"),
+                     "--no-color"]) == 0
+        block_path = []
+        block_residuals = cli._block_residuals
+        monkeypatch.setattr(cli, "_block_residuals",
+                            lambda *a: block_path.append(block_residuals(*a)) or block_path[-1])
+        code = main(["verify-slto", "--unitary", str(export / "u_tau.txt"),
+                     "--bath1", str(export / "h_bath1.txt"),
+                     "--bath2", str(export / "h_bath2.txt"),
+                     "--system", str(export / "h_system.txt"),
+                     "--beta1", "0.5", "--beta2", "1.3",
+                     "--out", str(tmp_path / "o"), "--no-color"])
+        assert code == 1
+        assert len(block_path) == 1 and block_path[0] is not None
+        checks = load_report(tmp_path / "o")["checks"]
+        assert [name for name, c in checks.items() if not c["passed"]] == [
+            "commutator_weighted", "semi_gibbs_fixed_point"]
+
     def test_weighted_system_identity_shift_passes(self, tmp_path, engine_matrices):
         cfg, d = engine_matrices
         write_matrix_file(d / "ws.txt", 0.3 * np.eye(2, dtype=complex))
@@ -740,6 +785,17 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     q, r = np.linalg.qr(a)
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def eigenspace_unitary(h1, h2, hs, rng: np.random.Generator) -> np.ndarray:
+    """A Haar unitary on each eigenspace of the summed diagonal factors, 0 between them."""
+    energy = (np.diag(h1).real[:, None, None] + np.diag(h2).real[None, :, None]
+              + np.diag(hs).real[None, None, :]).ravel()
+    u = np.zeros((energy.size, energy.size), dtype=complex)
+    for level in np.unique(energy):
+        idx = np.flatnonzero(energy == level)
+        u[np.ix_(idx, idx)] = haar_unitary(idx.size, rng)
+    return u
 
 
 class TestVerifierAgainstDenseOracle:
@@ -792,6 +848,94 @@ class TestVerifierAgainstDenseOracle:
             assert np.max(np.abs(hs @ w_system - w_system @ hs)) > 1e-3
         check = self.assert_matches_oracle(u, h1, h2, hs, 0.7, 1.3, w_system)
         assert not check.passed
+
+    @pytest.fixture()
+    def paths(self, monkeypatch) -> dict:
+        """Results of the diagonal-factor commutators and of the per-eigenspace products."""
+        calls = {"_diagonal_commutators": 0, "_block_residuals": 0}
+        for name in calls:
+            def spy(*args, _name=name, _real=getattr(cli, name)):
+                result = _real(*args)
+                calls[_name] += result is not None
+                return result
+            monkeypatch.setattr(cli, name, spy)
+        return calls
+
+    @staticmethod
+    def diagonals(*levels) -> list[np.ndarray]:
+        return [np.diag(np.asarray(x, dtype=complex)) for x in levels]
+
+    #: diagonal factor levels and the size of the largest total-energy eigenspace
+    DEGENERATE = {
+        "system_proportional_to_identity": (([0, 1, 2], [0, 1.5, 3], [0.7, 0.7]), 2),
+        "repeated_bath_levels": (([0, 1, 1, 2], [0, 0, 2], [0, 1]), 7),
+        "commensurate_frequencies": (([0, 2, 4], [0, 1, 2, 3], [0, 1]), 4),  # omega1 = 2 omega2
+    }
+
+    @pytest.mark.parametrize("case", list(DEGENERATE))
+    @pytest.mark.parametrize("block_diagonal", [True, False])
+    def test_degenerate_diagonal_factors(self, paths, case, block_diagonal):
+        levels, largest = self.DEGENERATE[case]
+        energy = np.add.outer(np.add.outer(*levels[:2]), levels[2]).ravel()
+        assert np.unique(energy, return_counts=True)[1].max() == largest
+        rng = np.random.default_rng(4)
+        h1, h2, hs = self.diagonals(*levels)
+        if block_diagonal:
+            u = eigenspace_unitary(h1, h2, hs, rng)
+        else:
+            u = haar_unitary(energy.size, rng)
+        self.assert_matches_oracle(u, h1, h2, hs, 0.7, 1.3)
+        assert paths == {"_diagonal_commutators": 1, "_block_residuals": int(block_diagonal)}
+
+    def test_non_unitary_block(self, paths):
+        levels, _ = self.DEGENERATE["commensurate_frequencies"]
+        h1, h2, hs = self.diagonals(*levels)
+        u = eigenspace_unitary(h1, h2, hs, np.random.default_rng(5))
+        # |2, 0, 0>, the last of the energy-4 eigenspace |0,3,1>, |1,1,1>, |1,2,0>, |2,0,0>
+        u[:, np.ravel_multi_index((2, 0, 0), (3, 4, 2))] *= 1.001
+        check = self.assert_matches_oracle(u, h1, h2, hs, 0.5, 1.0)
+        assert check.unitarity_residual == pytest.approx(2.001e-3)
+        assert paths == {"_diagonal_commutators": 1, "_block_residuals": 1}
+
+    def test_imaginary_part_of_a_diagonal(self, paths):
+        h1, h2, hs = self.diagonals([0, 1, 2], [0, 0.5, 1, 1.5], [0, 0.5])
+        h1 += np.diag([1e-13j, -1e-13j, 0.5e-13j])
+        u = eigenspace_unitary(h1, h2, hs, np.random.default_rng(6))
+        check = self.assert_matches_oracle(u, h1, h2, hs, 0.5, 1.0)
+        assert check.residual_energy > 1e-14  # the 1e-13 imaginary parts, not rounding
+        assert paths == {"_diagonal_commutators": 1, "_block_residuals": 1}
+
+    @pytest.mark.parametrize("block_diagonal", [True, False])
+    def test_diagonal_weighted_system(self, paths, block_diagonal):
+        h1, h2, hs = self.diagonals([0, 1, 2], [0, 0.5, 1, 1.5], [0, 0.5])
+        w_system = np.diag([0.2, 0.9]).astype(complex)
+        rng = np.random.default_rng(8)
+        u = eigenspace_unitary(h1, h2, hs, rng) if block_diagonal else haar_unitary(24, rng)
+        self.assert_matches_oracle(u, h1, h2, hs, 0.5, 1.0, w_system)
+        assert paths == {"_diagonal_commutators": 1, "_block_residuals": int(block_diagonal)}
+
+    def test_non_diagonal_weighted_system_takes_the_general_path(self, paths):
+        h1, h2, hs = self.diagonals([0, 1, 2], [0, 0.5, 1, 1.5], [0, 0.5])
+        rng = np.random.default_rng(9)
+        w_system = random_hermitian(2, rng)
+        self.assert_matches_oracle(eigenspace_unitary(h1, h2, hs, rng), h1, h2, hs,
+                                   0.5, 1.0, w_system)
+        assert paths == {"_diagonal_commutators": 0, "_block_residuals": 0}
+
+    def test_tiny_off_block_entry_takes_the_dense_products(self, tmp_path, paths):
+        assert main(["abstract-cycle", "--beta1", "0.5", "--beta2", "1",
+                     "--omega1", "2", "--g", "0.3", "--n-max1", "4", "--n-max2", "4",
+                     "--export-matrices", str(tmp_path), "--out", str(tmp_path / "o"),
+                     "--no-color"]) == 0
+        u, layout = read_matrix_file(tmp_path / "u_tau.txt")
+        h1, h2, hs = (read_matrix_file(tmp_path / f"{name}.txt")[0]
+                      for name in ("h_bath1", "h_bath2", "h_system"))
+        i, j = (np.ravel_multi_index(state, layout) for state in ((1, 0, 0), (0, 0, 0)))
+        assert u[i, j] == 0
+        u[i, j] = 1e-300  # squares to 0, so only the entry itself shows it
+        check = self.assert_matches_oracle(u, h1, h2, hs, 0.5, 1.0)
+        assert check.passed and check.off_block_max == 0.0
+        assert paths == {"_diagonal_commutators": 1, "_block_residuals": 0}
 
     @pytest.mark.parametrize("seed", [0, 3])
     def test_degenerate_total_spectrum_with_rotated_factors(self, seed):
