@@ -9,9 +9,10 @@ Subcommands map one-to-one onto the experiment kinds:
 * ``verify-slto``     check an externally supplied unitary against the
                       conservation laws, the thermal fixed point and
                       unitarity, factor by factor (no embedded d x d
-                      Hamiltonian; O(d^2) apart from two dense d^3
-                      products, which a unitary with no entry between
-                      the eigenspaces of diagonal factors skips)
+                      Hamiltonian).  Diagonal factors cost O(d^2) plus
+                      the products per eigenspace and O(d^2) per row of
+                      U that leaves its eigenspace; others add two
+                      dense d^3 products
 
 Each kind is declared once, as an ``ExperimentKind`` entry in ``KINDS``:
 its runner, help line, series header and parameters.  The subcommand's
@@ -67,7 +68,7 @@ from .engine import (
     evolution_operator,
     evolve_cycle,
 )
-from .linalg import Operator, ShapeError, max_abs
+from .linalg import HermiticityError, Operator, ShapeError, max_abs
 # unused here; bench/tracing.py patches these by name
 from .linalg import commutator_norm, tensor_product
 from .optics import (
@@ -256,59 +257,95 @@ def _commutator_residuals(brackets: list[np.ndarray], beta1: float,
     return energy, max_abs(weighted)
 
 
-#: entries of U per slab of rows on the diagonal path: 125 KiB of complex
-#: entries, under the 128 KiB from which glibc's malloc maps fresh pages, so
-#: each temporary is reused from the heap and stays in cache instead of
-#: faulting its pages in anew
+def _eigenspaces(eigvals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(order, starts): eigenspace j is order[starts[j]:starts[j + 1]], split at gaps > 1e-8."""
+    order = np.argsort(eigvals, kind="stable")
+    return order, np.flatnonzero(np.diff(eigvals[order], prepend=-np.inf) > 1e-8)
+
+
+#: entries of U per slab of rows of brackets: 125 KiB of complex entries, under
+#: the 128 KiB from which glibc's malloc maps fresh pages, so each temporary is
+#: reused from the heap and stays in cache instead of faulting its pages in anew
 _SLAB_ENTRIES = 8000
 
 
-def _diagonal_commutators(u: np.ndarray, lifted: list[np.ndarray], beta1: float,
-                          beta2: float) -> tuple[float, float]:
-    """``_commutator_residuals`` for diagonal factors, a slab of rows at a time.
+def _bracket_residuals(m: np.ndarray, rows, cols, terms: list[np.ndarray], beta1: float,
+                       beta2: float) -> list[tuple[float, float]]:
+    """``_commutator_residuals`` of each slab of rows of the entries m = U[rows, cols].
 
-    [U, A] = U diag(e) - diag(e) U, both a broadcast multiply by the lifted
-    diagonal e of A.
+    A diagonal term's bracket [U, A] = U diag(e) - diag(e) U is a broadcast
+    multiply by its lifted diagonal e, indexed like m's rows and columns.
     """
-    rows = max(1, _SLAB_ENTRIES // u.shape[0])
-    slabs = [
-        _commutator_residuals(
-            [u[lo:lo + rows] * e - e[lo:lo + rows, None] * u[lo:lo + rows] for e in lifted],
-            beta1, beta2)
-        for lo in range(0, u.shape[0], rows)
-    ]
-    return max(r for r, _ in slabs), max(r for _, r in slabs)
+    step = max(1, _SLAB_ENTRIES * m.shape[-2] // m.size)
+    return [_commutator_residuals([m[..., lo:lo + step, :] * e[cols][..., None, :]
+                                   - e[rows][..., lo:lo + step, None] * m[..., lo:lo + step, :]
+                                   for e in terms], beta1, beta2)
+            for lo in range(0, m.shape[-2], step)]
 
 
-def _block_residuals(u: np.ndarray, order: np.ndarray, starts: np.ndarray,
-                     gammas: list[np.ndarray]) -> tuple[float, float] | None:
-    """max |U gamma U^dag - gamma| and max |U^dag U - I| eigenspace by eigenspace.
+def _diagonal_residuals(u: np.ndarray, terms: list[np.ndarray], gammas: list[np.ndarray],
+                        beta1: float, beta2: float) -> SltoCheckReport:
+    """``verify_slto`` for exactly diagonal factor terms, in the input basis.
 
-    Eigenspace j holds the indices order[starts[j]:starts[j + 1]], and
-    ``gammas`` are the lifted diagonals of the three factor Gibbs states,
-    multiplied in the order of the dense path.  None if U has an entry
-    between two eigenspaces, read from the entries themselves, not from
-    squared sums, in which 1e-170 is 0.  Otherwise both products are exactly
-    0 between eigenspaces, and the equal-size blocks are one stacked matmul.
+    ``terms`` and ``gammas`` are the lifted diagonals of the factor terms and
+    of the three factor Gibbs states.  A row of U is dirty when a nonzero
+    entry (1e-300 counts) lies outside its own eigenspace.  The clean rows
+    are block-diagonal, so each residual is a part per eigenspace, equal-size
+    blocks in one stacked matmul, plus a part over the dirty rows, which hold
+    every entry between eigenspaces: O(d^2 + sum of block^3 + |dirty| d^2).
     """
-    sizes = np.diff(starts, append=u.shape[0])
-    spaces = [order[starts[sizes == size][:, None] + np.arange(size)]
-              for size in np.unique(sizes)]
-    blocks = [u[idx[:, :, None], idx[:, None, :]] for idx in spaces]
-    if sum(np.count_nonzero(b) for b in blocks) != np.count_nonzero(u):
-        return None
-    fixed_point = unitarity = 0.0
-    for idx, b in zip(spaces, blocks):
-        g1, g2, gs = (g[idx] for g in gammas)
+    d = u.shape[0]
+    order, starts = _eigenspaces(terms[0].real + terms[1].real + terms[2].real)
+    sizes = np.diff(starts, append=d)
+    row_nonzeros = np.count_nonzero(u, axis=1)
+    is_dirty = np.zeros(d, dtype=bool)
+    g1, g2, gs = gammas
+    parts, grams, fixed_point, off_block = [], [], 0.0, 0.0
+    for size in np.unique(sizes):
+        idx = order[starts[sizes == size][:, None] + np.arange(size)]
+        b = u[idx[:, :, None], idx[:, None, :]]
+        dirty = is_dirty[idx] = row_nonzeros[idx] > np.count_nonzero(b, axis=2)
+        b[dirty] = 0.0  # the clean rows; the dirty ones are taken in full below
+        parts += _bracket_residuals(b, idx, idx, terms, beta1, beta2)
         b_dag = b.conj().transpose(0, 2, 1)
-        moved = (b * g1[:, None, :] * g2[:, None, :] * gs[:, None, :]) @ b_dag
+        moved = (b * g1[idx][:, None, :] * g2[idx][:, None, :] * gs[idx][:, None, :]) @ b_dag
         gram = b_dag @ b
-        diag = np.arange(idx.shape[1])
-        moved[:, diag, diag] -= g1 * g2 * gs
+        diag = np.arange(size)
+        moved[:, diag, diag] -= np.where(dirty, 0.0, g1[idx] * g2[idx] * gs[idx])
         gram[:, diag, diag] -= 1.0
         fixed_point = max(fixed_point, max_abs(moved))
-        unitarity = max(unitarity, max_abs(gram))
-    return fixed_point, unitarity
+        grams.append((idx, gram))
+    del b, b_dag, moved, gram  # the last group's, before the dense products below
+
+    dirty = np.flatnonzero(is_dirty)  # in index order, as dense products sum them
+    if dirty.size:
+        # off-block mass: the largest Frobenius norm of a block between eigenspaces,
+        # summed over U's column eigenspaces, then its dirty rows in eigenspace order
+        at = np.flatnonzero(is_dirty[order])
+        u_dirty = u[order[at]]
+        mass = np.add.reduceat((u_dirty.real**2 + u_dirty.imag**2).T[order], starts, axis=0)
+        space = np.searchsorted(starts, at, side="right") - 1
+        heads = np.flatnonzero(np.diff(space, prepend=-1))
+        mass = np.add.reduceat(mass, heads, axis=1)
+        mass[space[heads], np.arange(heads.size)] = 0.0
+        off_block = math.sqrt(mass.max())
+        del mass
+        u_dirty = u[dirty]
+        parts += _bracket_residuals(u_dirty, dirty, slice(None), terms, beta1, beta2)
+        # conj(U_R gamma U^dag): the dirty rows of the Hermitian U gamma U^dag
+        # - gamma up to conjugation, which also stand for its dirty columns
+        moved = np.conj(u_dirty * g1 * g2 * gs) @ u.T
+        moved[np.arange(dirty.size), dirty] -= (g1 * g2 * gs)[dirty]
+        fixed_point = max(fixed_point, max_abs(moved))
+        del moved
+        # U^dag U - I: the rank-|dirty| term plus the clean rows' blocks
+        gram = u_dirty.conj().T @ u_dirty
+        for idx, g in grams:
+            gram[idx[:, :, None], idx[:, None, :]] += g
+        grams = [(None, gram)]
+
+    return SltoCheckReport(max(e for e, _ in parts), max(w for _, w in parts), off_block,
+                           fixed_point, max(max_abs(g) for _, g in grams))
 
 
 def verify_slto(
@@ -329,119 +366,84 @@ def verify_slto(
     semi-Gibbs product state gibbs(beta1) x gibbs(beta2) x exp(-W_S)/Z,
     and the unitarity defect max |U^dag U - I|.
 
-    Every energy operator is a Kronecker sum of the (bath1, bath2, system)
-    factors, so it is applied factor by factor to the rows of U (A U) or
-    of U^T (U A = (A^T U^T)^T) and never embedded.  The commutators are
-    measured in the input basis, the off-block mass in the product basis
-    of the factor eigenvectors.  Apart from U gamma U^dag and U^dag U this
-    is O(d^2 (d1 + d2 + ds)) work.
-
-    When every factor (and W_S) is exactly diagonal, as every exported and
-    every physical bath is, a factor term is a broadcast multiply and the
-    product basis is the input basis: O(d^2).  If U then has no entry
-    between two eigenspaces, its off-block mass is 0 and the two products
-    are taken per eigenspace, O(d) for the exported engine's 1x1 and 2x2
-    blocks.  Otherwise they are two dense d^3 products.
+    Exactly diagonal factors (and W_S), as in every export and every
+    physical bath, go to ``_diagonal_residuals``.  Otherwise each energy
+    operator, a Kronecker sum of the (bath1, bath2, system) factors, is
+    applied factor by factor to the rows of U (A U) or of U^T
+    (U A = (A^T U^T)^T) and never embedded; the commutators are measured in
+    the input basis, the off-block mass in the product basis of the factor
+    eigenvectors.  That is O(d^2 (d1 + d2 + ds)) work plus two dense d^3
+    products, U gamma U^dag and U^dag U.
     """
     for name, beta in (("beta1", beta1), ("beta2", beta2)):
         if not math.isfinite(beta):
             raise ConfigError(f"{name} must be finite, got {beta}")
     d1, d2, ds = dims = (h_bath1.dim, h_bath2.dim, h_system.dim)
     if d1 * d2 * ds != u.dim:
-        raise ShapeError(
-            f"factors {dims} do not multiply to the unitary dim {u.dim}"
-        )
+        raise ShapeError(f"factors {dims} do not multiply to the unitary dim {u.dim}")
     if w_system is not None and w_system.dim != ds:
         raise ShapeError(f"weighted system term has dim {w_system.dim}, system has {ds}")
     factors = (h_bath1.entries, h_bath2.entries, h_system.entries)
     terms = [(a, k) for k, a in enumerate(factors)]
     if w_system is not None:
         terms.append((w_system.entries, 2))
+    sigma_s = (np.eye(ds, dtype=np.complex128) / ds if w_system is None
+               else gibbs_density(w_system, 1.0).entries)
+    gammas = (gibbs_density(h_bath1, beta1).entries,
+              gibbs_density(h_bath2, beta2).entries, sigma_s)
+
     diagonals = [_diagonal(a) for a, _ in terms]
-    diagonal = all(e is not None for e in diagonals)
+    if all(e is not None for e in diagonals):
+        return _diagonal_residuals(
+            u.entries, [_lift(e, dims, k) for e, (_, k) in zip(diagonals, terms)],
+            [_lift(np.diagonal(g), dims, k) for k, g in enumerate(gammas)], beta1, beta2)
 
     # [U, A] for every factor term A; each energy commutator is a weighted
     # sum of these (max-entry norms and sums do not depend on the layout)
-    if diagonal:
-        residual_energy, residual_weighted = _diagonal_commutators(
-            u.entries, [_lift(e, dims, k) for e, (_, k) in zip(diagonals, terms)],
-            beta1, beta2)
-    else:
-        u_t = np.ascontiguousarray(u.entries.T)
-        # [U, A]^T = (U A)^T - (A U)^T = A^T U^T - (A U)^T
-        residual_energy, residual_weighted = _commutator_residuals([
-            _apply_factor(u_t, a.T, dims, k) - _apply_factor(u.entries, a, dims, k).T
-            for a, k in terms
-        ], beta1, beta2)
-        del u_t
+    u_t = np.ascontiguousarray(u.entries.T)
+    # [U, A]^T = (U A)^T - (A U)^T = A^T U^T - (A U)^T
+    residual_energy, residual_weighted = _commutator_residuals([
+        _apply_factor(u_t, a.T, dims, k) - _apply_factor(u.entries, a, dims, k).T
+        for a, k in terms
+    ], beta1, beta2)
+    del u_t
 
-    # total-energy eigenspaces: runs of sorted summed factor eigenvalues whose
-    # neighbours differ by <= 1e-8, in the product basis V = V1 x V2 x VS of
-    # the factor eigenvectors.  For diagonal factors V is the identity (eigh
-    # reads only the real part of a diagonal).
-    if diagonal:
-        levels = [e.real for e in diagonals[:3]]
-    else:
-        spectra = [np.linalg.eigh(a) for a in factors]
-        levels = [e for e, _ in spectra]
-    e1, e2, es = levels
-    eigvals = (e1[:, None, None] + e2[None, :, None] + es[None, None, :]).ravel()
-    order = np.argsort(eigvals, kind="stable")
-    starts = np.flatnonzero(np.diff(eigvals[order], prepend=-np.inf) > 1e-8)
+    # total-energy eigenspaces in the product basis V = V1 x V2 x VS of the
+    # factor eigenvectors
+    spectra = [np.linalg.eigh(a) for a in factors]
+    e1, e2, es = (e for e, _ in spectra)
+    order, starts = _eigenspaces(
+        (e1[:, None, None] + e2[None, :, None] + es[None, None, :]).ravel())
 
-    if w_system is None:
-        sigma_s = np.eye(ds, dtype=np.complex128) / ds
-    else:
-        sigma_s = gibbs_density(w_system, 1.0).entries
-    gammas = (gibbs_density(h_bath1, beta1).entries,
-              gibbs_density(h_bath2, beta2).entries, sigma_s)
-    products = None
-    if diagonal:
-        products = _block_residuals(
-            u.entries, order, starts, [_lift(np.diagonal(g), dims, k) for k, g in enumerate(gammas)])
-    if products is not None:
-        off_block = 0.0  # every entry between eigenspaces is 0
-        fixed_point, unitarity = products
-    else:
-        # off-block mass: the largest Frobenius norm of a block of V^dag U V
-        # between two eigenspaces.  It does not depend on the basis chosen inside
-        # a degenerate eigenspace; the transpose only swaps which block is which.
-        if diagonal:
-            m = u.entries.T  # V = I; oriented like (V^dag U V)^T below, same sums
-        else:
-            m = u.entries
-            for k, (_, v) in enumerate(spectra):
-                m = _apply_factor(m, v.conj().T, dims, k)
-            m = np.ascontiguousarray(m.T)
-            for k, (_, v) in enumerate(spectra):
-                m = _apply_factor(m, v.T, dims, k)  # (V^dag U V)^T
-        mass = np.add.reduceat((m.real**2 + m.imag**2)[np.ix_(order, order)], starts, axis=0)
-        mass = np.add.reduceat(mass, starts, axis=1)
-        np.fill_diagonal(mass, 0.0)
-        off_block = math.sqrt(mass.max())
-        del m, mass  # free them before the two d^3 products below
+    # off-block mass: the largest Frobenius norm of a block of V^dag U V
+    # between two eigenspaces.  It does not depend on the basis chosen inside
+    # a degenerate eigenspace; the transpose only swaps which block is which.
+    m = u.entries
+    for k, (_, v) in enumerate(spectra):
+        m = _apply_factor(m, v.conj().T, dims, k)
+    m = np.ascontiguousarray(m.T)
+    for k, (_, v) in enumerate(spectra):
+        m = _apply_factor(m, v.T, dims, k)  # (V^dag U V)^T
+    mass = np.add.reduceat((m.real**2 + m.imag**2)[np.ix_(order, order)], starts, axis=0)
+    mass = np.add.reduceat(mass, starts, axis=1)
+    np.fill_diagonal(mass, 0.0)
+    off_block = math.sqrt(mass.max())
+    del m, mass  # free them before the two d^3 products below
 
-        u_gamma_t = np.ascontiguousarray(u.entries.T)
-        for k, g in enumerate(gammas):
-            u_gamma_t = _apply_factor(u_gamma_t, g.T, dims, k)
-        u_dag = u.entries.conj().T
-        moved = (u_gamma_t.T @ u_dag).reshape(d1 * d2, ds, d1 * d2, ds)
-        # gamma = (g1 x g2) x sigma_s, indexed (baths, system, baths, system)
-        moved -= np.kron(gammas[0], gammas[1])[:, None, :, None] * sigma_s[None, :, None, :]
-        fixed_point = max_abs(moved)
-        del u_gamma_t, moved
+    u_gamma_t = np.ascontiguousarray(u.entries.T)
+    for k, g in enumerate(gammas):
+        u_gamma_t = _apply_factor(u_gamma_t, g.T, dims, k)
+    u_dag = u.entries.conj().T
+    moved = (u_gamma_t.T @ u_dag).reshape(d1 * d2, ds, d1 * d2, ds)
+    # gamma = (g1 x g2) x sigma_s, indexed (baths, system, baths, system)
+    moved -= np.kron(gammas[0], gammas[1])[:, None, :, None] * sigma_s[None, :, None, :]
+    fixed_point = max_abs(moved)
+    del u_gamma_t, moved
 
-        gram = u_dag @ u.entries
-        gram.flat[:: u.dim + 1] -= 1.0
-        unitarity = max_abs(gram)
-
-    return SltoCheckReport(
-        residual_energy=residual_energy,
-        residual_weighted=residual_weighted,
-        off_block_max=off_block,
-        fixed_point_residual=fixed_point,
-        unitarity_residual=unitarity,
-    )
+    gram = u_dag @ u.entries
+    gram.flat[:: u.dim + 1] -= 1.0
+    return SltoCheckReport(residual_energy, residual_weighted, off_block, fixed_point,
+                           max_abs(gram))
 
 
 # ---------------------------------------------------------------------------
@@ -591,7 +593,9 @@ def _slope_band(slope: float | None, low: float, high: float) -> dict:
 
 
 def run_delta_sweep(params: dict, out_dir: Path) -> tuple[dict, dict, list | None]:
-    ratios = params.get("ratios") or [20.0, 40.0, 80.0, 160.0]
+    ratios = params.get("ratios", [20.0, 40.0, 80.0, 160.0])
+    if not hasattr(ratios, "__len__") or len(ratios) < 2:
+        raise ConfigError(f"ratios: need at least two sweep points, got {ratios!r}")
     g1 = params.get("g1", 0.5)
     g2 = params.get("g2", 0.5)
     cfg = OpticsEngineConfig(
@@ -742,35 +746,30 @@ def run_design(params: dict, out_dir: Path) -> tuple[dict, dict, list | None]:
     return results, checks, series
 
 
+def _hermitian_file(params: dict, key: str) -> Operator:
+    """The Hermitian operator in the matrix file ``params[key]``, named by its flag if not."""
+    entries, _ = read_matrix_file(params[key])
+    try:
+        return Operator(entries, hermitian_hint=True)
+    except HermiticityError as err:
+        raise ConfigError(f"--{key.replace('_', '-')} {params[key]}: {err}") from err
+
+
 def run_verify_slto(params: dict, out_dir: Path) -> tuple[dict, dict, list | None]:
     u_entries, layout = read_matrix_file(params["unitary"])
-    h1, _ = read_matrix_file(params["bath1"])
-    h2, _ = read_matrix_file(params["bath2"])
-    hs, _ = read_matrix_file(params["system"])
-    if layout is not None:
-        if (h1.shape[0], h2.shape[0], hs.shape[0]) != tuple(layout):
-            raise ConfigError(
-                f"factor files {(h1.shape[0], h2.shape[0], hs.shape[0])} disagree "
-                f"with the unitary layout {layout}"
-            )
+    h1, h2, hs = (_hermitian_file(params, key) for key in ("bath1", "bath2", "system"))
+    if layout is not None and (h1.dim, h2.dim, hs.dim) != tuple(layout):
+        raise ConfigError(f"factor files {(h1.dim, h2.dim, hs.dim)} disagree "
+                          f"with the unitary layout {layout}")
     w_system = None
     if params.get("weighted_system"):
-        ws, _ = read_matrix_file(params["weighted_system"])
-        if ws.shape[0] != hs.shape[0]:
-            raise ConfigError(
-                f"{params['weighted_system']}: weighted system term has dim {ws.shape[0]}, "
-                f"the system Hamiltonian {params['system']} has dim {hs.shape[0]}"
-            )
-        w_system = Operator(ws, hermitian_hint=True)
-    check = verify_slto(
-        Operator(u_entries),
-        Operator(h1, hermitian_hint=True),
-        Operator(h2, hermitian_hint=True),
-        Operator(hs, hermitian_hint=True),
-        params["beta1"],
-        params["beta2"],
-        w_system=w_system,
-    )
+        w_system = _hermitian_file(params, "weighted_system")
+        if w_system.dim != hs.dim:
+            raise ConfigError(f"{params['weighted_system']}: weighted system term has dim "
+                              f"{w_system.dim}, the system Hamiltonian {params['system']} "
+                              f"has dim {hs.dim}")
+    check = verify_slto(Operator(u_entries), h1, h2, hs, params["beta1"], params["beta2"],
+                        w_system=w_system)
     results = dataclasses.asdict(check)
     results["passed"] = check.passed
     checks = {

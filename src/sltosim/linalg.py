@@ -72,7 +72,7 @@ class Operator:
             dev = max_abs(a - a.conj().T)
             if dev > ATOL_STRUCTURE:
                 raise HermiticityError(
-                    f"hermitian_hint set but max |A - A^†| = {dev:.3e}"
+                    f"not Hermitian, max |A - A^†| = {dev:.3e}"
                 )
         a.flags.writeable = False
         object.__setattr__(self, "entries", a)

@@ -3,6 +3,7 @@ import math
 import os
 import re
 import stat
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -386,6 +387,29 @@ class TestDeltaSweepCommand:
         assert code == 2
         assert not (tmp_path / "report.json").exists()
 
+    @pytest.mark.parametrize("ratios", [[], None])
+    def test_empty_ratios_in_config_are_not_replaced_by_the_defaults(self, tmp_path, capsys,
+                                                                      ratios):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"ratios": ratios}))
+        code = main(["delta-sweep", "--config", str(config), "--out", str(tmp_path / "o"),
+                     "--no-color"])
+        assert code == 2
+        assert f"ratios: need at least two sweep points, got {ratios!r}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_one_ratio_rejected_before_any_sweep_is_built(self, tmp_path, monkeypatch, capsys):
+        def never(*args, **kwargs):
+            raise AssertionError("built a sweep for a single ratio")
+
+        for name in ("OpticsEngineConfig", "uniform_exchange_profile",
+                     "adiabatic_elimination_error"):
+            monkeypatch.setattr(cli, name, never)
+        code = main(["delta-sweep", "--ratios", "40", "--out", str(tmp_path / "o"),
+                     "--no-color"])
+        assert code == 2
+        assert "ratios: need at least two sweep points, got [40.0]" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_probe_without_leak_reports_null_slope(self, tmp_path):
         # the vacuum row never reaches the upper level, so its leak series is
@@ -735,10 +759,11 @@ class TestVerifySltoCommand:
                      "--g", "0.1", "--n-max1", "6", "--n-max2", "6",
                      "--export-matrices", str(export), "--out", str(tmp_path / "cycle"),
                      "--no-color"]) == 0
-        block_path = []
-        block_residuals = cli._block_residuals
-        monkeypatch.setattr(cli, "_block_residuals",
-                            lambda *a: block_path.append(block_residuals(*a)) or block_path[-1])
+        diagonal_path = []
+        diagonal_residuals = cli._diagonal_residuals
+        monkeypatch.setattr(cli, "_diagonal_residuals",
+                            lambda *a: diagonal_path.append(diagonal_residuals(*a))
+                            or diagonal_path[-1])
         code = main(["verify-slto", "--unitary", str(export / "u_tau.txt"),
                      "--bath1", str(export / "h_bath1.txt"),
                      "--bath2", str(export / "h_bath2.txt"),
@@ -746,7 +771,7 @@ class TestVerifySltoCommand:
                      "--beta1", "0.5", "--beta2", "1.3",
                      "--out", str(tmp_path / "o"), "--no-color"])
         assert code == 1
-        assert len(block_path) == 1 and block_path[0] is not None
+        assert len(diagonal_path) == 1
         checks = load_report(tmp_path / "o")["checks"]
         assert [name for name, c in checks.items() if not c["passed"]] == [
             "commutator_weighted", "semi_gibbs_fixed_point"]
@@ -767,6 +792,24 @@ class TestVerifySltoCommand:
         checks = load_report(tmp_path / "o")["checks"]
         assert not checks["commutator_weighted"]["passed"]
         assert checks["commutator_energy"]["passed"]
+
+    @pytest.mark.parametrize("key, dim", [("bath1", 5), ("bath2", 5), ("system", 2),
+                                          ("weighted_system", 2)])
+    def test_non_hermitian_factor_named(self, tmp_path, engine_matrices, capsys, key, dim):
+        cfg, d = engine_matrices
+        bad = np.eye(dim, dtype=complex)
+        bad[0, 1] = 0.5
+        write_matrix_file(d / "h_bad.txt", bad)
+        flag = "--" + key.replace("_", "-")
+        args = self.verify_args(d, "u.txt", tmp_path / "o")
+        if key == "weighted_system":
+            args += [flag, str(d / "h_bad.txt")]
+        else:
+            args[args.index(flag) + 1] = str(d / "h_bad.txt")
+        assert main(args) == 2
+        assert (f"{flag} {d / 'h_bad.txt'}: not Hermitian, max |A - A^†| = 5.000e-01"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "o" / "report.json").exists()
 
     def test_weighted_system_dimension_mismatch_named(self, tmp_path, engine_matrices,
                                                       capsys):
@@ -851,14 +894,22 @@ class TestVerifierAgainstDenseOracle:
 
     @pytest.fixture()
     def paths(self, monkeypatch) -> dict:
-        """Results of the diagonal-factor commutators and of the per-eigenspace products."""
-        calls = {"_diagonal_commutators": 0, "_block_residuals": 0}
-        for name in calls:
-            def spy(*args, _name=name, _real=getattr(cli, name)):
-                result = _real(*args)
-                calls[_name] += result is not None
-                return result
-            monkeypatch.setattr(cli, name, spy)
+        """Calls of the diagonal-factor path, and the rows it bracketed in full: its dirty rows."""
+        calls = {"_diagonal_residuals": 0, "dirty_rows": 0}
+        diagonal_residuals = cli._diagonal_residuals
+        commutator_residuals = cli._commutator_residuals
+
+        def diagonal_spy(*args):
+            calls["_diagonal_residuals"] += 1
+            return diagonal_residuals(*args)
+
+        def commutator_spy(brackets, *args):
+            if calls["_diagonal_residuals"] and brackets[0].ndim == 2:  # a slab of rows
+                calls["dirty_rows"] += brackets[0].shape[0]
+            return commutator_residuals(brackets, *args)
+
+        monkeypatch.setattr(cli, "_diagonal_residuals", diagonal_spy)
+        monkeypatch.setattr(cli, "_commutator_residuals", commutator_spy)
         return calls
 
     @staticmethod
@@ -882,10 +933,76 @@ class TestVerifierAgainstDenseOracle:
         h1, h2, hs = self.diagonals(*levels)
         if block_diagonal:
             u = eigenspace_unitary(h1, h2, hs, rng)
-        else:
+        else:  # every row dirty
             u = haar_unitary(energy.size, rng)
         self.assert_matches_oracle(u, h1, h2, hs, 0.7, 1.3)
-        assert paths == {"_diagonal_commutators": 1, "_block_residuals": int(block_diagonal)}
+        dirty = 0 if block_diagonal else energy.size
+        assert paths == {"_diagonal_residuals": 1, "dirty_rows": dirty}
+
+    @staticmethod
+    def rotate_across_eigenspaces(u, energy, pairs: int, rng, first=None):
+        """Rotate ``pairs`` disjoint pairs of rows of different energy into each other."""
+        rows = list(rng.permutation(energy.size))
+        if first is not None:
+            rows.remove(first)
+            rows.insert(0, first)
+        for _ in range(pairs):
+            i = rows.pop(0)
+            j = next(k for k in rows if abs(energy[k] - energy[i]) > 1e-6)
+            rows.remove(j)
+            c, s = math.cos(0.3), math.sin(0.3)
+            u[[i, j]] = c * u[i] - s * u[j], s * u[i] + c * u[j]
+
+    @pytest.mark.parametrize("case", list(DEGENERATE))
+    @pytest.mark.parametrize("pairs", [1, 2, 5])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_rows_rotated_across_eigenspaces(self, paths, case, pairs, weighted):
+        levels, _ = self.DEGENERATE[case]
+        energy = np.add.outer(np.add.outer(*levels[:2]), levels[2]).ravel()
+        rng = np.random.default_rng(10 + pairs)
+        h1, h2, hs = self.diagonals(*levels)
+        u = eigenspace_unitary(h1, h2, hs, rng)
+        self.rotate_across_eigenspaces(u, energy, pairs, rng)
+        w_system = np.diag([0.2, 0.9]).astype(complex) if weighted else None
+        check = self.assert_matches_oracle(u, h1, h2, hs, 0.7, 1.3, w_system)
+        assert check.off_block_max > 0.1 and check.unitarity_residual <= 1e-12
+        assert paths == {"_diagonal_residuals": 1, "dirty_rows": 2 * pairs}
+
+    def test_dirty_row_inside_the_largest_eigenspace(self, paths):
+        levels, largest = self.DEGENERATE["repeated_bath_levels"]
+        energy = np.add.outer(np.add.outer(*levels[:2]), levels[2]).ravel()
+        level, count = max(zip(*np.unique(energy, return_counts=True)), key=lambda lc: lc[1])
+        assert count == largest == 7
+        rng = np.random.default_rng(11)
+        h1, h2, hs = self.diagonals(*levels)
+        u = eigenspace_unitary(h1, h2, hs, rng)
+        first = np.flatnonzero(energy == level)[3]
+        self.rotate_across_eigenspaces(u, energy, 1, rng, first=first)
+        check = self.assert_matches_oracle(u, h1, h2, hs, 0.5, 1.0)
+        assert not check.passed
+        assert paths == {"_diagonal_residuals": 1, "dirty_rows": 2}
+
+    def test_dirty_row_and_scaled_column_fail_only_their_checks(self, paths):
+        layout = (3, 4, 2)
+        h1, h2, hs = self.diagonals([0, 1, 2], [0, 0.5, 1, 1.5], [0, 0.5])
+        # phases commute with every energy and keep gamma: an SLTO
+        u = np.diag(np.exp(2j * np.pi * np.random.default_rng(12).random(24)))
+        # |0,0,0> gets 1.2e-9 of |0,1,0> and of |0,0,1>, the eigenspace half an
+        # energy unit up: a block of norm 1.7e-9, commutator entries of 6e-10
+        i = np.ravel_multi_index((0, 0, 0), layout)
+        for state in ((0, 1, 0), (0, 0, 1)):
+            u[i, np.ravel_multi_index(state, layout)] = 1.2e-9
+        # the column of least Gibbs weight, so that gamma barely moves
+        u[:, np.ravel_multi_index((2, 3, 1), layout)] *= 1 + 1e-8
+        check = self.assert_matches_oracle(u, h1, h2, hs, 0.5, 1.0)
+        failing = {name for name, value in (("block_diagonality", check.off_block_max),
+                                            ("commutator_energy", check.residual_energy),
+                                            ("commutator_weighted", check.residual_weighted),
+                                            ("semi_gibbs_fixed_point", check.fixed_point_residual),
+                                            ("unitarity", check.unitarity_residual))
+                   if value > check.threshold}
+        assert failing == {"block_diagonality", "unitarity"}
+        assert paths == {"_diagonal_residuals": 1, "dirty_rows": 1}
 
     def test_non_unitary_block(self, paths):
         levels, _ = self.DEGENERATE["commensurate_frequencies"]
@@ -895,7 +1012,7 @@ class TestVerifierAgainstDenseOracle:
         u[:, np.ravel_multi_index((2, 0, 0), (3, 4, 2))] *= 1.001
         check = self.assert_matches_oracle(u, h1, h2, hs, 0.5, 1.0)
         assert check.unitarity_residual == pytest.approx(2.001e-3)
-        assert paths == {"_diagonal_commutators": 1, "_block_residuals": 1}
+        assert paths == {"_diagonal_residuals": 1, "dirty_rows": 0}
 
     def test_imaginary_part_of_a_diagonal(self, paths):
         h1, h2, hs = self.diagonals([0, 1, 2], [0, 0.5, 1, 1.5], [0, 0.5])
@@ -903,7 +1020,7 @@ class TestVerifierAgainstDenseOracle:
         u = eigenspace_unitary(h1, h2, hs, np.random.default_rng(6))
         check = self.assert_matches_oracle(u, h1, h2, hs, 0.5, 1.0)
         assert check.residual_energy > 1e-14  # the 1e-13 imaginary parts, not rounding
-        assert paths == {"_diagonal_commutators": 1, "_block_residuals": 1}
+        assert paths == {"_diagonal_residuals": 1, "dirty_rows": 0}
 
     @pytest.mark.parametrize("block_diagonal", [True, False])
     def test_diagonal_weighted_system(self, paths, block_diagonal):
@@ -912,7 +1029,7 @@ class TestVerifierAgainstDenseOracle:
         rng = np.random.default_rng(8)
         u = eigenspace_unitary(h1, h2, hs, rng) if block_diagonal else haar_unitary(24, rng)
         self.assert_matches_oracle(u, h1, h2, hs, 0.5, 1.0, w_system)
-        assert paths == {"_diagonal_commutators": 1, "_block_residuals": int(block_diagonal)}
+        assert paths == {"_diagonal_residuals": 1, "dirty_rows": 0 if block_diagonal else 24}
 
     def test_non_diagonal_weighted_system_takes_the_general_path(self, paths):
         h1, h2, hs = self.diagonals([0, 1, 2], [0, 0.5, 1, 1.5], [0, 0.5])
@@ -920,9 +1037,9 @@ class TestVerifierAgainstDenseOracle:
         w_system = random_hermitian(2, rng)
         self.assert_matches_oracle(eigenspace_unitary(h1, h2, hs, rng), h1, h2, hs,
                                    0.5, 1.0, w_system)
-        assert paths == {"_diagonal_commutators": 0, "_block_residuals": 0}
+        assert paths == {"_diagonal_residuals": 0, "dirty_rows": 0}
 
-    def test_tiny_off_block_entry_takes_the_dense_products(self, tmp_path, paths):
+    def test_tiny_off_block_entry_makes_a_dirty_row(self, tmp_path, paths):
         assert main(["abstract-cycle", "--beta1", "0.5", "--beta2", "1",
                      "--omega1", "2", "--g", "0.3", "--n-max1", "4", "--n-max2", "4",
                      "--export-matrices", str(tmp_path), "--out", str(tmp_path / "o"),
@@ -935,7 +1052,27 @@ class TestVerifierAgainstDenseOracle:
         u[i, j] = 1e-300  # squares to 0, so only the entry itself shows it
         check = self.assert_matches_oracle(u, h1, h2, hs, 0.5, 1.0)
         assert check.passed and check.off_block_max == 0.0
-        assert paths == {"_diagonal_commutators": 1, "_block_residuals": 0}
+        assert paths == {"_diagonal_residuals": 1, "dirty_rows": 1}
+
+    #: traced peak of one call as a multiple of U's bytes: 4.30 when every row
+    #: of U still took two dense d^3 products (measured on the input below)
+    PEAK_BOUND = 4.3
+
+    def test_peak_memory_on_a_haar_unitary(self, paths):
+        # every row is dirty, so this is the most the diagonal path can hold
+        rng = np.random.default_rng(13)
+        u = Operator(haar_unitary(576, rng))
+        h1, h2, hs = (Operator(h, hermitian_hint=True) for h in self.diagonals(
+            np.arange(24.0), 0.7 * np.arange(12.0), [0.0, 0.3]))
+        tracemalloc.start()
+        try:
+            check = verify_slto(u, h1, h2, hs, 0.5, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not check.passed
+        assert peak <= self.PEAK_BOUND * u.entries.nbytes
+        assert paths == {"_diagonal_residuals": 1, "dirty_rows": 576}
 
     @pytest.mark.parametrize("seed", [0, 3])
     def test_degenerate_total_spectrum_with_rotated_factors(self, seed):
