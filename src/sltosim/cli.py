@@ -17,8 +17,9 @@ Subcommands map one-to-one onto the experiment kinds:
 Each kind is declared once, as an ``ExperimentKind`` entry in ``KINDS``:
 its runner, help line, series header and parameters.  The subcommand's
 flags (``--`` plus the key with dashes), the keys a ``--config`` file or
-a ``run_experiment`` caller may pass, and the ``series.csv`` header all
-come from that entry.  Only ``design`` is random, so only it takes
+a ``run_experiment`` caller may pass, the type each of their values must
+have (``VALUE_KINDS``), and the ``series.csv`` header all come from that
+entry.  Only ``design`` is random, so only it takes
 ``--seed``.
 
 Every run writes ``report.json`` into the output directory (also on
@@ -41,6 +42,7 @@ import argparse
 import dataclasses
 import json
 import math
+import numbers
 import os
 import stat
 import sys
@@ -768,8 +770,9 @@ def run_verify_slto(params: dict, out_dir: Path) -> tuple[dict, dict, list | Non
             raise ConfigError(f"{params['weighted_system']}: weighted system term has dim "
                               f"{w_system.dim}, the system Hamiltonian {params['system']} "
                               f"has dim {hs.dim}")
-    check = verify_slto(Operator(u_entries), h1, h2, hs, params["beta1"], params["beta2"],
-                        w_system=w_system)
+    # the parsed array has no other holder, so it is handed over, not copied
+    check = verify_slto(Operator(u_entries, copy=False), h1, h2, hs, params["beta1"],
+                        params["beta2"], w_system=w_system)
     results = dataclasses.asdict(check)
     results["passed"] = check.passed
     checks = {
@@ -856,6 +859,39 @@ def _validate_keys(mapping: dict, allowed: Iterable[str], source: str):
         raise ConfigError(f"{source}: unknown keys {sorted(unknown)}")
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+#: per flag type of ``ExperimentKind.params``: what a value must be, and its name
+VALUE_KINDS = {
+    float: (_is_number, "a number"),
+    int: (_is_integer, "an integer"),
+    str: (lambda v: isinstance(v, str), "a path string"),
+    _float_list: (lambda v: isinstance(v, (list, tuple)) and all(map(_is_number, v)),
+                  "a list of numbers"),
+    _int_list: (lambda v: isinstance(v, (list, tuple)) and all(map(_is_integer, v)),
+                "a list of integers"),
+}
+
+#: keys whose null the runners give a meaning: a cutoff derived from the Gibbs
+#: tail, an optional path left out, and sweep ratios refused by the sweep itself
+NULLABLE = frozenset({"n_max1", "n_max2", "export_matrices", "weighted_system",
+                      "design_in", "design_out", "ratios"})
+
+
+def _validate_values(params: dict, spec: ExperimentKind, kind: str):
+    """Refuse a value that is not of its key's declared type, before anything runs."""
+    for key, value in params.items():
+        accepts, what = VALUE_KINDS[spec.params[key]]
+        if not (accepts(value) or (value is None and key in NULLABLE)):
+            raise ConfigError(f"{kind}: {key} must be {what}, got {value!r}")
+
+
 def run_experiment(
     kind: str,
     params: dict,
@@ -867,6 +903,7 @@ def run_experiment(
         raise ConfigError(f"unknown experiment kind {kind!r}")
     spec = KINDS[kind]
     _validate_keys(params, spec.params, kind)
+    _validate_values(params, spec, kind)
     missing = spec.required.difference(params)
     if missing:
         raise ConfigError(f"{kind}: missing required keys {sorted(missing)}")

@@ -21,9 +21,13 @@ lexicographic (n, m) order, with -1 in the partner slot of an idle
 sector.  A ``ChargeBlock`` is one sector as a small Hermitian matrix on
 its members: ``charge_block`` builds the engine's 2x2 pair or 1x1 idle
 block for one (n, m), and the cavity model in ``optics`` builds its
-<= 3-state blocks with the same type.  Dense full-space matrices are
-assembled only for export (``evolution_operator``) and as the test
-oracle (``build_interaction_hamiltonian``).
+<= 3-state blocks with the same type.  A block's probe populations per
+system level (``ChargeBlock.level_populations``) come in closed form from
+its eigenpairs: a constant plus one cosine per eigenvalue gap, with the
+members of each level summed into the coefficients once, and no
+amplitude formed.  Dense full-space matrices are assembled only for
+export (``evolution_operator``) and as the test oracle
+(``build_interaction_hamiltonian``).
 
 ``evolve_cycle`` propagates the one 2x2 pair block over the whole time
 grid and takes every per-sample diagnostic from its amplitude rows in
@@ -201,12 +205,24 @@ class ChargeBlock:
         return SpectralPropagator(self.h).states(psi0, times)
 
     def level_populations(self, times: Sequence[float], n_levels: int) -> np.ndarray:
-        """Probe populations summed per system level; one row per time."""
-        probs = np.abs(self.probe_states(times)) ** 2
-        out = np.zeros((probs.shape[0], n_levels))
-        for k, (_, _, level) in enumerate(self.members):
-            out[:, level] += probs[:, k]
-        return out
+        """Probe populations summed per system level; one row per time.
+
+        They come in closed form from the block's eigenpairs
+        (``SpectralPropagator.group_populations``), a constant plus one
+        cosine per eigenvalue gap, without forming amplitudes.  No unitary
+        is propagated, so each row must sum to 1 within 1e-10 instead.
+        """
+        levels = [level for _, _, level in self.members]
+        pops = SpectralPropagator(self.h).group_populations(0, times, levels, n_levels)
+        total = pops.sum(axis=1)
+        bad = np.flatnonzero(~(np.abs(total - 1.0) <= 1e-10))  # a NaN sum fails too
+        if bad.size:
+            k = bad[0]
+            raise InvariantError(
+                f"level populations sum to {float(total[k])!r} at "
+                f"t = {float(np.asarray(times, dtype=float)[k])!r}, not 1 within 1e-10"
+            )
+        return pops
 
 
 def pair_generator(g: float) -> Operator:

@@ -16,7 +16,8 @@ checks at 1e-10, physics assertions at 1e-9.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
+from dataclasses import InitVar, dataclass
 from typing import Sequence, Union
 
 import numpy as np
@@ -42,8 +43,8 @@ class HermiticityError(ValueError):
     """An operator contract required a Hermitian matrix."""
 
 
-def _complex_matrix(entries) -> np.ndarray:
-    a = np.array(entries, dtype=np.complex128)
+def _complex_matrix(entries, copy: bool = True) -> np.ndarray:
+    a = np.array(entries, dtype=np.complex128) if copy else np.asarray(entries, np.complex128)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ShapeError(f"expected a square matrix, got shape {a.shape}")
     return a
@@ -58,17 +59,23 @@ def max_abs(a: np.ndarray) -> float:
 class Operator:
     """Dense complex square matrix with an optional Hermiticity promise.
 
-    If ``hermitian_hint`` is set the constructor verifies it to 1e-12;
-    operations that require Hermiticity (exponentials, uncertainties)
-    insist on the hint so the contract is explicit at call sites.
+    If ``hermitian_hint`` is set the constructor verifies it to 1e-12, and
+    a NaN or infinite entry fails it; operations that require Hermiticity
+    (exponentials, uncertainties) insist on the hint so the contract is
+    explicit at call sites.  The entries are copied unless ``copy=False``
+    hands over a complex128 array that the caller no longer writes to,
+    since the operator makes it read-only.
     """
 
     entries: np.ndarray
     hermitian_hint: bool = False
+    copy: InitVar[bool] = True
 
-    def __post_init__(self):
-        a = _complex_matrix(self.entries)
+    def __post_init__(self, copy: bool):
+        a = _complex_matrix(self.entries, copy)
         if self.hermitian_hint:
+            if not np.isfinite(a).all():
+                raise HermiticityError("not Hermitian, non-finite entry")
             dev = max_abs(a - a.conj().T)
             if dev > ATOL_STRUCTURE:
                 raise HermiticityError(
@@ -163,7 +170,9 @@ class SpectralPropagator:
     """Eigendecomposition of a Hermitian generator, reused across many times.
 
     ``at(t)`` is the unitary exp(-i t h); ``states`` evolves a fixed
-    initial vector over a whole time grid in one pass.
+    initial vector over a whole time grid in one pass, and
+    ``group_populations`` gives a basis state's populations over the grid,
+    summed over groups of basis states, without forming amplitudes.
     """
 
     def __init__(self, h: Operator):
@@ -181,6 +190,37 @@ class SpectralPropagator:
         c0 = self.eigvecs.conj().T @ psi0.amplitudes
         phases = np.exp(-1j * np.outer(np.asarray(times, dtype=float), self.eigvals))
         return (phases * c0) @ self.eigvecs.T
+
+    def group_populations(self, start: int, times: Sequence[float],
+                          groups: Sequence[int], n_groups: int) -> np.ndarray:
+        """Populations of exp(-i t h) |start>, summed over groups of basis states,
+        in closed form; one row per time, basis state j counted in ``groups[j]``.
+
+        With a_jk = V_jk conj(V_start,k) over the eigenpairs (lam_k, v_k),
+        basis state j holds sum_k |a_jk|^2 + 2 sum_{k<l} Re(a_jk conj(a_jl)
+        e^{-i (lam_k - lam_l) t}).  Each group's sums are folded into a
+        constant and one coefficient per eigenvalue pair, so the grid costs
+        one real cosine per pair and sample and a (groups x pairs) matmul,
+        plus a sine per pair only when a coefficient is complex.  No
+        amplitude is formed and nothing here enforces unitarity: callers
+        check that the populations still sum to 1.
+        """
+        dim = self.h.dim
+        members = np.zeros((n_groups, dim))
+        members[groups, np.arange(dim)] = 1.0
+        a = self.eigvecs * self.eigvecs[start].conj()
+        pairs = list(itertools.combinations(range(dim), 2))
+        k, l = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+        coef = 2.0 * (members @ (a[:, k] * a[:, l].conj()))  # (groups, pairs)
+        # (pairs, samples), so that every array over the grid is a contiguous row per pair
+        phase = np.multiply.outer(self.eigvals[k] - self.eigvals[l],
+                                  np.asarray(times, dtype=float))
+        sines = np.sin(phase) if np.any(coef.imag) else None
+        pops = coef.real @ np.cos(phase, out=phase)
+        if sines is not None:
+            pops += coef.imag @ sines
+        pops += (members @ (a.real**2 + a.imag**2).sum(axis=1))[:, None]
+        return pops.T
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:

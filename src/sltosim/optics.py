@@ -27,7 +27,10 @@ effective one, with members outside the cutoffs dropped.  Both are
 ``engine.ChargeBlock``s: ``full_charge_block`` builds the <= 3-state
 block straight from the profile tables, and the effective block is the
 exchange engine's own ``charge_block`` of ``effective_compact_config``.
-The detuning sweep and the design check evolve only these blocks.  The
+The detuning sweep and the design check evolve only these blocks; the
+sweep takes each block's level populations in closed form from its
+eigenpairs (``ChargeBlock.level_populations``), a constant plus one
+cosine per eigenvalue gap over the time grid, with no amplitudes.  The
 dense builders ``build_full_hamiltonian`` and
 ``build_effective_hamiltonian`` assemble the whole product space; they
 are the reference the tests compare the blocks against.
@@ -364,7 +367,9 @@ def adiabatic_elimination_error(
     rule.  The initial state |n0, m0, 1> is evolved under both models
     over [0, pi/(2g)], each inside its charge block, and the worst
     population mismatch on the |1>, |2> levels plus the worst transient
-    |3> occupation are recorded.
+    |3> occupation are recorded.  The populations come in closed form
+    from each block's eigenpairs; a sample whose levels do not sum to 1
+    within 1e-10 raises ``engine.InvariantError``.
 
     The probe sector matters.  The f-table rule cancels the second-order
     level shifts of the eliminated upper state only up to a one-step

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -371,6 +372,21 @@ class TestDeltaSweepCommand:
         assert lines[0] == "delta,ratio,population_deviation,leak_max"
         assert len(lines) == 5
 
+    def test_populations_off_unit_sum_are_an_internal_error(self, tmp_path, monkeypatch,
+                                                             capsys):
+        class Stretched(engine.SpectralPropagator):
+            def __init__(self, h):
+                super().__init__(h)
+                self.eigvecs = self.eigvecs * (1 + 1e-8)
+
+        monkeypatch.setattr(engine, "SpectralPropagator", Stretched)
+        code = main(["delta-sweep", "--ratios", "20,40", "--out", str(tmp_path / "o"),
+                     "--no-color"])
+        assert code == 4
+        assert re.fullmatch(r"internal error: level populations sum to \S+ at t = 0\.0, "
+                            r"not 1 within 1e-10\n", capsys.readouterr().err)
+        assert not (tmp_path / "o").exists()
+
     def test_capped_sampling_fails_density_check(self, tmp_path):
         code = main(["delta-sweep", "--ratios", "20,640", "--out", str(tmp_path),
                      "--no-color"])
@@ -633,6 +649,38 @@ class TestVerifySltoCommand:
         assert code == 2
         assert "missing required keys ['beta2']" in capsys.readouterr().err
         assert not (tmp_path / "o" / "report.json").exists()
+
+    def test_parsed_unitary_is_handed_over_without_a_copy(self, tmp_path, monkeypatch):
+        cfg = CompactEngineConfig(beta1=0.5, beta2=1.0, omega1=2.0, g=0.1, n_max1=9, n_max2=9)
+        d = tmp_path / "mats"
+        d.mkdir()
+        write_matrix_file(d / "u.txt", evolution_operator(cfg, cfg.tau).entries, (10, 10, 2))
+        for name, diag in (("h1", cfg.omega1 * np.arange(10)), ("h2", cfg.omega2 * np.arange(10)),
+                           ("hs", [cfg.a0, cfg.a1])):
+            write_matrix_file(d / f"{name}.txt", np.diag(diag).astype(complex))
+        parsed, handed = [], []
+
+        def read(path):
+            entries, layout = read_matrix_file(path)
+            parsed.append((entries, tracemalloc.get_traced_memory()[0]))
+            return entries, layout
+
+        def verify(u, *args, **kwargs):
+            handed.append((u, tracemalloc.get_traced_memory()[0]))
+            return verify_slto(u, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "read_matrix_file", read)
+        monkeypatch.setattr(cli, "verify_slto", verify)
+        tracemalloc.start()
+        try:
+            run_experiment("verify-slto", self.full_params(d), tmp_path / "o")
+        finally:
+            tracemalloc.stop()
+        (entries, after_read), (u, at_call) = parsed[0], handed[0]
+        assert u.entries is entries and not entries.flags.writeable
+        # the three 10x10 / 2x2 factor files are all that was added; a copy is 640 kB
+        assert at_call - after_read < entries.nbytes / 8
+        assert load_report(tmp_path / "o")["all_checks_passed"]
 
     @pytest.mark.parametrize("flag, value", [("--beta1", "nan"), ("--beta2", "inf")])
     def test_non_finite_temperature_named(self, tmp_path, engine_matrices, capsys,
@@ -1096,6 +1144,44 @@ class TestRunExperimentApi:
         with pytest.raises(ConfigError, match="missing required keys"):
             run_experiment("verify-slto", {}, tmp_path)
         assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("kind, key, value, what", [
+        ("delta-sweep", "g1", "x", "a number"),
+        ("optics-cycle", "beta1", True, "a number"),
+        ("delta-sweep", "n_max1", 4.0, "an integer"),
+        ("design", "seed", None, "an integer"),
+        ("verify-slto", "unitary", 3, "a path string"),
+        ("delta-sweep", "ratios", [20.0, "40"], "a list of numbers"),
+        ("delta-sweep", "block", [3.0, 1.0], "a list of integers"),
+        ("delta-sweep", "block", "3,1", "a list of integers"),
+    ])
+    def test_wrong_value_type_named_before_the_run(self, tmp_path, monkeypatch, kind, key,
+                                                   value, what):
+        def never(params, out_dir):
+            raise AssertionError("ran an experiment with a mistyped parameter")
+
+        monkeypatch.setitem(KINDS, kind, dataclasses.replace(KINDS[kind], runner=never))
+        with pytest.raises(ConfigError,
+                           match=re.escape(f"{kind}: {key} must be {what}, got {value!r}")):
+            run_experiment(kind, {key: value}, tmp_path / "o")
+        assert not (tmp_path / "o").exists()
+
+    def test_mistyped_config_value_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"g1": "x"}))
+        code = main(["delta-sweep", "--config", str(config), "--out", str(tmp_path / "o"),
+                     "--no-color"])
+        assert code == 2
+        assert capsys.readouterr().err == "error: delta-sweep: g1 must be a number, got 'x'\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_null_cutoffs_are_still_derived(self, tmp_path):
+        params = {"beta1": 0.5, "beta2": 1.0, "omega1": 2.0, "g": 0.1, "tail_delta": 1e-3}
+        run_experiment("abstract-cycle", {**params, "n_max1": None, "n_max2": None},
+                       tmp_path / "null")
+        run_experiment("abstract-cycle", params, tmp_path / "absent")
+        null, absent = (load_report(tmp_path / name) for name in ("null", "absent"))
+        assert null["results"] == absent["results"]
 
     def test_unknown_param_rejected(self, tmp_path):
         with pytest.raises(ConfigError):

@@ -113,6 +113,26 @@ class TestHermitianExponential:
         with pytest.raises(HermiticityError):
             Operator(np.array([[0, 1], [0, 0]], dtype=complex), hermitian_hint=True)
 
+    @pytest.mark.parametrize("entries", [
+        [[math.nan, 0.0], [0.0, 1.0]],
+        [[0.0, math.nan], [math.nan, 1.0]],
+        [[math.inf, 0.0], [0.0, 1.0]],
+    ])
+    def test_hint_on_non_finite_entries_rejected(self, entries):
+        with pytest.raises(HermiticityError, match="not Hermitian, non-finite entry"):
+            Operator(np.array(entries, dtype=complex), hermitian_hint=True)
+
+    def test_entries_copied_unless_handed_over(self):
+        a = np.eye(3, dtype=complex)
+        copied = Operator(a)
+        assert not np.shares_memory(copied.entries, a) and a.flags.writeable
+        handed = Operator(a, copy=False)
+        assert handed.entries is a and not a.flags.writeable
+        # a conversion still copies, and leaves the caller's array alone
+        real = np.eye(3)
+        assert not np.shares_memory(Operator(real, copy=False).entries, real)
+        assert real.flags.writeable
+
 
 class TestSpectralPropagator:
     def test_reused_propagator_matches_series_oracle(self):

@@ -3,8 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from conftest import taylor_evolution
-from sltosim.engine import CompactEngineConfig, charge_block, evolve_cycle
+from conftest import random_hermitian, taylor_evolution
+from sltosim import engine
+from sltosim.engine import (
+    ChargeBlock,
+    CompactEngineConfig,
+    InvariantError,
+    charge_block,
+    evolve_cycle,
+)
 from sltosim.linalg import (
     DensityMatrix,
     Operator,
@@ -429,6 +436,62 @@ class TestChargeBlockOracle:
             deviation = np.max(np.abs(full[:, :2] - eff))
             assert abs(point.population_deviation - deviation) <= 1e-10
             assert abs(point.leak_max - np.max(full[:, 2])) <= 1e-10
+
+
+class TestLevelPopulations:
+    """``ChargeBlock.level_populations`` against |probe amplitudes|^2 summed per level."""
+
+    @staticmethod
+    def reference(block: ChargeBlock, times, n_levels: int) -> np.ndarray:
+        probs = np.abs(block.probe_states(times)) ** 2
+        out = np.zeros((len(times), n_levels))
+        for k, (_, _, level) in enumerate(block.members):
+            out[:, level] += probs[:, k]
+        return out
+
+    def assert_matches(self, block: ChargeBlock, times, n_levels: int):
+        pops = block.level_populations(times, n_levels)
+        assert pops.shape == (len(times), n_levels)
+        np.testing.assert_allclose(pops, self.reference(block, times, n_levels),
+                                   rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("sector", [(0, 2), (3, 1)])  # idle 1x1, coupled 2x2 pair
+    def test_effective_blocks(self, sector):
+        cfg = effective_compact_config(small_optics())
+        block = charge_block(cfg, *sector)
+        assert len(block.members) == (1 if sector == (0, 2) else 2)
+        self.assert_matches(block, np.linspace(0.0, 1.7 * cfg.tau, 401), 2)
+
+    @pytest.mark.parametrize("cutoff", range(1, 7))
+    @pytest.mark.parametrize("make_profile", [uniform_exchange_profile,
+                                              inverse_intensity_profile])
+    def test_every_full_block(self, cutoff, make_profile):
+        cfg = small_optics(n_max1=cutoff, n_max2=cutoff, delta=12.0)
+        profile = make_profile(cfg)
+        times = np.linspace(0.0, cfg.tau, 501)
+        for n in range(cutoff + 1):
+            for m in range(cutoff + 1):
+                self.assert_matches(full_charge_block(cfg, profile, n, m), times, 3)
+
+    def test_complex_hermitian_block_takes_the_sine_terms(self):
+        h = random_hermitian(3, np.random.default_rng(15))
+        block = ChargeBlock(Operator(h, hermitian_hint=True),
+                            ((2, 1, 0), (1, 1, 2), (1, 2, 1)))
+        assert np.any(SpectralPropagator(block.h).eigvecs.imag)  # complex coefficients
+        self.assert_matches(block, np.linspace(0.0, 9.0, 301), 3)
+
+    def test_non_orthonormal_eigenbasis_raises(self, monkeypatch):
+        class Skewed(SpectralPropagator):
+            def __init__(self, h):
+                super().__init__(h)
+                self.eigvecs = self.eigvecs + 1e-6 * self.eigvecs[:, ::-1]
+
+        monkeypatch.setattr(engine, "SpectralPropagator", Skewed)
+        cfg = small_optics()
+        block = full_charge_block(cfg, uniform_exchange_profile(cfg), 3, 1)
+        with pytest.raises(InvariantError,
+                           match=r"level populations sum to .* at t = 0\.0, not 1 within 1e-10"):
+            block.level_populations(np.linspace(0.0, cfg.tau, 11), 3)
 
 
 class TestFullModelOracle:
