@@ -15,9 +15,10 @@ and theta(j) sqrt(j+1) = sum_d c_d <j|X^d|j+1>.  ``FockRows`` holds those
 per-degree rows, read off the powers X^1..X^D once; a table is the
 coefficient-weighted sum of its rows, accumulated from zero in degree
 order (the order of the dense sum over c_d X^d, so the values are the
-same to the bit).  A fit builds the rows of its fit window once and
-scores every proposal from the flat coefficient vector, and the kick
-sensitivities are the norms of the same rows.
+same to the bit).  Tables and costs are computed for a stack of
+coefficient vectors at once, one row per vector.  A fit builds the rows
+of its fit window once and scores its proposals as such stacks, and the
+kick sensitivities are the norms of the same rows.
 
 The fit is a seeded random-walk descent over the coefficients: one
 coefficient at a time gets a Gaussian kick, downhill moves are always
@@ -36,6 +37,18 @@ import numpy as np
 
 DEFAULT_V_DEGREE = 8
 DEFAULT_B_DEGREE = 7
+
+#: largest workspace cutoff: ``FockRows.build`` multiplies D dense
+#: (n_work + 1)^2 matrices, 0.3 s at n_work = 1024 on one BLAS thread
+MAX_N_WORK = 1024
+
+#: largest iteration budget: the accepted-cost trace takes 8 bytes per
+#: iteration, 8 MB at the cap
+MAX_ITERATIONS = 1_000_000
+
+#: proposals a zero-temperature walk scores in one stacked evaluation;
+#: 8 to 16 were fastest on the design-fit benchmark and 32 was slower
+PROPOSAL_BATCH = 16
 
 
 @dataclass(frozen=True)
@@ -131,14 +144,15 @@ class FockRows:
         return cls(np.array(v_rows), np.array(b_rows), np.sqrt(np.arange(1, j_top + 1)))
 
     def tables(self, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(f, theta) of the flat coefficient vector (potential slots first).
+        """(f, theta) of a (stack, n_coeffs) array of flat coefficient
+        vectors (potential slots first), one table row per vector.
 
         Each table is summed from zero in degree order and theta is
         divided after the sum, the order of the dense sum over c X^d.
         """
         nv = self.v.shape[0]
-        f = (coeffs[:nv, None] * self.v).sum(axis=0, initial=0.0)
-        theta = (coeffs[nv:, None] * self.b).sum(axis=0, initial=0.0) / self.root
+        f = (coeffs[:, :nv, None] * self.v).sum(axis=-2, initial=0.0)
+        theta = (coeffs[:, nv:, None] * self.b).sum(axis=-2, initial=0.0) / self.root
         return f, theta
 
 
@@ -152,7 +166,8 @@ def fock_matrix_elements(
     j <= n_work - D_b - 1.  Higher entries are contaminated by the
     cutoff and never reported.
     """
-    return FockRows.build(ansatz, n_work).tables(ansatz.flat())
+    f, theta = FockRows.build(ansatz, n_work).tables(ansatz.flat()[None])
+    return f[0], theta[0]
 
 
 @dataclass(frozen=True)
@@ -181,10 +196,7 @@ class DesignTargets:
         object.__setattr__(self, "theta_target", th)
         if self.q <= 2:
             raise ValueError(f"theta norm order must satisfy q > 2, got {self.q}")
-        if self.n_work == 0:
-            object.__setattr__(
-                self, "n_work", self.n_fit + max(DEFAULT_V_DEGREE, DEFAULT_B_DEGREE) + 2
-            )
+        object.__setattr__(self, "n_work", _workspace_cutoff(self.n_fit, self.n_work))
         if self.n_work < self.n_fit + 4:
             raise ValueError("n_work must be at least n_fit + 4")
 
@@ -197,6 +209,7 @@ class DesignTargets:
         cls, amplitude: float, n_fit: int, q: float = 4.0, n_work: int = 0
     ) -> "DesignTargets":
         """f(n) = amplitude/n and theta(n) = n^(-1/2) on n = 1..n_fit."""
+        n_work = _workspace_cutoff(n_fit, n_work)
         n = np.arange(1, n_fit + 1, dtype=float)
         return cls(amplitude / n, 1.0 / np.sqrt(n), q=q, n_work=n_work)
 
@@ -205,10 +218,21 @@ class DesignTargets:
         cls, generator: PotentialAnsatz, n_fit: int, q: float = 4.0, n_work: int = 0
     ) -> "DesignTargets":
         """Tables produced by a known ansatz (self-consistency experiments)."""
-        if n_work == 0:
-            n_work = n_fit + generator.max_degree + 2
+        n_work = _workspace_cutoff(n_fit, n_work, generator.max_degree)
         f_act, theta_act = fock_matrix_elements(generator, n_work)
         return cls(f_act[1 : n_fit + 1], theta_act[1 : n_fit + 1], q=q, n_work=n_work)
+
+
+def _workspace_cutoff(
+    n_fit: int, n_work: int, max_degree: int = max(DEFAULT_V_DEGREE, DEFAULT_B_DEGREE)
+) -> int:
+    """n_work, or n_fit + max_degree + 2 when it is 0; a cutoff above
+    MAX_N_WORK is refused before any table is built."""
+    if n_work == 0:
+        n_work = n_fit + max_degree + 2
+    if n_work > MAX_N_WORK:
+        raise ValueError(f"workspace cutoff {n_work} above the cap {MAX_N_WORK}")
+    return n_work
 
 
 def _fit_rows(ansatz: PotentialAnsatz, targets: DesignTargets) -> FockRows:
@@ -224,19 +248,24 @@ def _fit_rows(ansatz: PotentialAnsatz, targets: DesignTargets) -> FockRows:
     return FockRows(rows.v[:, fit], rows.b[:, fit], rows.root[fit])
 
 
-def _fit_cost(rows: FockRows, coeffs: np.ndarray, targets: DesignTargets) -> float:
-    """The design cost of flat coefficients, from the fit-window rows."""
+def _fit_cost(rows: FockRows, coeffs: np.ndarray, targets: DesignTargets) -> list[float]:
+    """The design costs of a (stack, n_coeffs) array of flat coefficients,
+    from the fit-window rows.
+
+    The norms are taken in Python floats: np.power rounds some Lq roots
+    differently, and a walk then drifts from its seeded trace.
+    """
     f_act, theta_act = rows.tables(coeffs)
     df = f_act - targets.f_target
     dth = theta_act - targets.theta_target
-    f_norm = math.sqrt(float((df**2).sum()))
-    th_norm = float((np.abs(dth) ** targets.q).sum()) ** (1.0 / targets.q)
-    return f_norm + th_norm
+    f_sums = (df**2).sum(axis=-1).tolist()
+    th_sums = (np.abs(dth) ** targets.q).sum(axis=-1).tolist()
+    return [math.sqrt(f) + th ** (1.0 / targets.q) for f, th in zip(f_sums, th_sums)]
 
 
 def design_cost(ansatz: PotentialAnsatz, targets: DesignTargets) -> float:
     """L2 mismatch of the f table plus Lq mismatch of the theta table."""
-    return _fit_cost(_fit_rows(ansatz, targets), ansatz.flat(), targets)
+    return _fit_cost(_fit_rows(ansatz, targets), ansatz.flat()[None], targets)[0]
 
 
 @dataclass(frozen=True)
@@ -253,8 +282,8 @@ class AnnealSchedule:
     seed: int = 0
 
     def __post_init__(self):
-        if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
+        if not 1 <= self.iterations <= MAX_ITERATIONS:
+            raise ValueError(f"iterations must be in 1..{MAX_ITERATIONS}, got {self.iterations}")
         if not (math.isfinite(self.proposal_scale) and math.isfinite(self.mc_temperature)):
             raise ValueError("proposal_scale and mc_temperature must be finite")
         if self.proposal_scale <= 0:
@@ -283,39 +312,67 @@ def mc_optimize(
     tiny steps and the walk has no resolution floor.  The table rows are
     built once, and each proposal is scored from its coefficients.
 
+    A proposal's draws, the coefficient index and the unit normal that
+    scales its width, do not depend on the walk's state.  So the walk
+    draws the next PROPOSAL_BATCH of them, builds every proposal from the
+    current coefficients and cost, scores them as one stack, and moves
+    to the first downhill one; the proposals before it are rejections
+    and the draws after it are kept for the next batch.  That is the
+    same walk, to the bit, as scoring one proposal at a time.  At a
+    positive temperature an uphill proposal takes one more draw, the
+    accept test, so the next proposal's draws depend on this one's
+    outcome and the batch is a single proposal.
+
     Returns the best ansatz ever visited and the accepted-cost trace
     (length iterations + 1, starting at the initial cost).  The trace's
     running minimum is non-increasing, and at zero temperature the trace
-    itself is.  Identical seeds give identical traces.
+    itself is.  Identical seeds give identical traces.  A non-finite
+    initial cost is refused before anything is drawn.
     """
     rows = _fit_rows(ansatz0, targets)
-    rng = np.random.default_rng(schedule.seed)
     sens = _coefficient_sensitivities(rows)
     coeffs = ansatz0.flat()
-    current = _fit_cost(rows, coeffs, targets)
+    with np.errstate(over="ignore", invalid="ignore"):
+        current = _fit_cost(rows, coeffs[None], targets)[0]
+    if not math.isfinite(current):
+        raise ValueError(f"initial design cost is {current}; the walk needs a finite start")
+    rng = np.random.default_rng(schedule.seed)
+    temperature = schedule.mc_temperature
+    batch = PROPOSAL_BATCH if temperature == 0 else 1
     best_coeffs = coeffs.copy()
     best_cost = current
     trace = np.empty(schedule.iterations + 1)
     trace[0] = current
-    for i in range(1, schedule.iterations + 1):
-        k = int(rng.integers(coeffs.size))
-        width = schedule.proposal_scale * current / sens[k]
-        step = rng.normal(0.0, width)
-        proposal = coeffs.copy()
-        proposal[k] += step
-        cost = _fit_cost(rows, proposal, targets)
-        dc = cost - current
-        accept = dc < 0 or (
-            schedule.mc_temperature > 0
-            and rng.random() < math.exp(-dc / schedule.mc_temperature)
-        )
+    drawn_k, drawn_z = [], []  # the draws of iterations i, i + 1, ...
+    i = 1
+    while i <= schedule.iterations:
+        n = min(batch, schedule.iterations + 1 - i)
+        while len(drawn_k) < n:
+            drawn_k.append(int(rng.integers(coeffs.size)))
+            drawn_z.append(rng.standard_normal())
+        ks = np.array(drawn_k[:n])
+        # rng.normal(0.0, width) is width times one standard normal draw
+        steps = schedule.proposal_scale * current / sens[ks] * np.array(drawn_z[:n])
+        proposals = coeffs[None].repeat(n, axis=0)
+        proposals[np.arange(n), ks] += steps
+        costs = _fit_cost(rows, proposals, targets)
+        j = next((j for j, cost in enumerate(costs) if cost - current < 0), None)
+        accept = j is not None
+        if not accept:
+            j = n - 1
+            accept = temperature > 0 and (
+                rng.random() < math.exp(-(costs[j] - current) / temperature)
+            )
+        trace[i : i + j + 1] = current
         if accept:
-            coeffs = proposal
-            current = cost
-            if cost < best_cost:
-                best_cost = cost
-                best_coeffs = proposal.copy()
-        trace[i] = current
+            coeffs = proposals[j]
+            current = costs[j]
+            trace[i + j] = current
+            if current < best_cost:
+                best_cost = current
+                best_coeffs = coeffs.copy()
+        del drawn_k[: j + 1], drawn_z[: j + 1]
+        i += j + 1
     return ansatz0.with_flat(best_coeffs), trace
 
 

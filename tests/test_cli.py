@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sltosim import cli, engine
+from sltosim import cli, designer, engine
 from sltosim.cli import (
     KINDS,
     ConfigError,
@@ -565,6 +565,49 @@ class TestDesignCommand:
         assert code == 2
         assert not (tmp_path / "report.json").exists()
         assert not (tmp_path / "design.json").exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--iterations", "100000000000"],
+         f"iterations must be in 1..{designer.MAX_ITERATIONS}, got 100000000000"),
+        (["--amplitude", "1e200", "--iterations", "50"], "initial design cost is inf"),
+    ])
+    def test_refused_before_the_walk(self, tmp_path, capsys, flags, message):
+        code = main(["design", *flags, "--out", str(tmp_path), "--no-color"])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+        assert not (tmp_path / "design.json").exists()
+
+    @pytest.mark.parametrize("source", ["n_fit", "design_in"])
+    @pytest.mark.parametrize("n_work, refused", [(20, False), (21, True)])
+    def test_workspace_cap_checked_before_any_row(self, tmp_path, monkeypatch, capsys,
+                                                  source, n_work, refused):
+        monkeypatch.setattr(designer, "MAX_N_WORK", 20)
+        built = []
+        position_operator = designer.position_operator
+        monkeypatch.setattr(designer, "position_operator",
+                            lambda dim: built.append(dim) or position_operator(dim))
+        if source == "n_fit":
+            flags = ["--n-fit", str(n_work - 10)]  # the default workspace is n_fit + 10
+        else:
+            targets = DesignTargets.inverse_intensity(0.0125, 6)
+            design_path = tmp_path / "wide.json"
+            design_path.write_text(json.dumps({
+                "ansatz": {"v_coeffs": [0.0] * 4, "b_coeffs": [0.0] * 4},
+                "targets": {"f": targets.f_target.tolist(),
+                            "theta": targets.theta_target.tolist(), "n_work": n_work},
+            }))
+            flags = ["--design-in", str(design_path)]
+        out = tmp_path / "out"
+        code = main(["design", *flags, "--iterations", "20", "--out", str(out), "--no-color"])
+        if refused:
+            assert code == 2
+            assert "workspace cutoff 21 above the cap 20" in capsys.readouterr().err
+            assert not built
+            assert not (out / "report.json").exists()
+        else:
+            assert code == 0
+            assert built and max(built) == n_work + 1
 
     def test_trace_series(self, tmp_path):
         assert main(["design", "--iterations", "300", "--seed", "1",

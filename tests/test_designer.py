@@ -1,11 +1,15 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sltosim import designer
 from sltosim.designer import (
+    MAX_ITERATIONS,
+    PROPOSAL_BATCH,
     AnnealSchedule,
     DesignTargets,
     PotentialAnsatz,
@@ -58,13 +62,23 @@ def unit_kick_sensitivities(ansatz0: PotentialAnsatz, targets: DesignTargets) ->
     return np.maximum(sens, 1e-30)
 
 
+def reference_cost(ansatz: PotentialAnsatz, targets: DesignTargets) -> float:
+    """The design cost of one ansatz in Python floats, from its full tables."""
+    f, theta = fock_matrix_elements(ansatz, targets.n_work)
+    fit = slice(1, targets.n_fit + 1)
+    df = f[fit] - targets.f_target
+    dth = theta[fit] - targets.theta_target
+    th_sum = float((np.abs(dth) ** targets.q).sum())
+    return math.sqrt(float((df**2).sum())) + th_sum ** (1.0 / targets.q)
+
+
 def reference_walk(ansatz0: PotentialAnsatz, targets: DesignTargets,
                    schedule: AnnealSchedule) -> tuple[np.ndarray, np.ndarray]:
-    """The mc_optimize walk, scoring every proposal through design_cost."""
+    """The mc_optimize walk one proposal at a time, scoring each with reference_cost."""
     rng = np.random.default_rng(schedule.seed)
     sens = unit_kick_sensitivities(ansatz0, targets)
     coeffs = ansatz0.flat()
-    current = design_cost(ansatz0, targets)
+    current = reference_cost(ansatz0, targets)
     best_coeffs, best_cost = coeffs.copy(), current
     trace = [current]
     for _ in range(schedule.iterations):
@@ -72,7 +86,7 @@ def reference_walk(ansatz0: PotentialAnsatz, targets: DesignTargets,
         step = rng.normal(0.0, schedule.proposal_scale * current / sens[k])
         proposal = coeffs.copy()
         proposal[k] += step
-        cost = design_cost(ansatz0.with_flat(proposal), targets)
+        cost = reference_cost(ansatz0.with_flat(proposal), targets)
         dc = cost - current
         if dc < 0 or (schedule.mc_temperature > 0
                       and rng.random() < math.exp(-dc / schedule.mc_temperature)):
@@ -165,6 +179,15 @@ class TestDesignCost:
         )
         assert abs(design_cost(gen, shifted) - 2.0 ** 0.25) <= 1e-12
 
+    def test_equals_python_float_reference(self):
+        # np.power takes about one Lq root in twenty 1 ulp away from Python's pow
+        rng = np.random.default_rng(3)
+        for n_fit in range(4, 12):
+            targets = DesignTargets.inverse_intensity(0.0125, n_fit)
+            for _ in range(25):
+                ansatz = PotentialAnsatz(rng.normal(size=4) * 0.01, rng.normal(size=4))
+                assert design_cost(ansatz, targets) == reference_cost(ansatz, targets)
+
     def test_norm_order_must_exceed_two(self):
         with pytest.raises(ValueError):
             DesignTargets(np.ones(4), np.ones(4), q=2.0)
@@ -213,6 +236,11 @@ class TestMcOptimize:
     def test_non_finite_schedule_rejected(self, field, value):
         with pytest.raises(ValueError, match="must be finite"):
             AnnealSchedule(iterations=10, **{field: value})
+
+    def test_iteration_cap(self):
+        assert AnnealSchedule(iterations=MAX_ITERATIONS).iterations == MAX_ITERATIONS
+        with pytest.raises(ValueError, match=f"iterations must be in 1..{MAX_ITERATIONS}"):
+            AnnealSchedule(iterations=MAX_ITERATIONS + 1)
 
     def test_fixed_point_start(self):
         gen = quartic_generator()
@@ -307,6 +335,59 @@ class TestLinearTables:
         assert np.array_equal(best.flat(), ref_best)
 
 
+class TestBatchedWalk:
+    """mc_optimize scores PROPOSAL_BATCH proposals at a time and walks as
+    reference_walk does, one proposal at a time."""
+
+    @staticmethod
+    def fit():
+        gen = quartic_generator()
+        return gen.with_flat(gen.flat() * 1.1), DesignTargets.from_ansatz(gen, n_fit=6)
+
+    @staticmethod
+    def assert_reference_walk(ansatz0, targets, schedule):
+        best, trace = mc_optimize(ansatz0, targets, schedule)
+        ref_best, ref_trace = reference_walk(ansatz0, targets, schedule)
+        assert np.array_equal(trace, ref_trace)
+        assert np.array_equal(best.flat(), ref_best)
+
+    @pytest.mark.parametrize("iterations", [
+        1, PROPOSAL_BATCH - 1, PROPOSAL_BATCH, PROPOSAL_BATCH + 1, 2 * PROPOSAL_BATCH + 1,
+    ])
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_walk_lengths_at_batch_edges(self, iterations, seed):
+        self.assert_reference_walk(*self.fit(), AnnealSchedule(iterations=iterations, seed=seed))
+
+    @pytest.mark.parametrize("slot", [1, PROPOSAL_BATCH])
+    def test_first_acceptance_on_batch_edge(self, slot):
+        # slot 1 carries the rest of the batch's draws into the next batch,
+        # the last slot carries none
+        ansatz0, targets = self.fit()
+
+        def first_acceptance(seed):
+            _, trace = mc_optimize(ansatz0, targets, AnnealSchedule(slot, seed=seed))
+            moves = np.flatnonzero(trace[1:] != trace[:-1])
+            return int(moves[0]) + 1 if moves.size else None
+
+        seed = next(s for s in range(5000) if first_acceptance(s) == slot)
+        self.assert_reference_walk(
+            ansatz0, targets, AnnealSchedule(iterations=4 * PROPOSAL_BATCH, seed=seed)
+        )
+
+    def test_long_walk(self):
+        self.assert_reference_walk(*self.fit(), AnnealSchedule(iterations=5000, seed=11))
+
+    def test_memory_is_the_trace(self):
+        ansatz0, targets = self.fit()
+        tracemalloc.start()
+        try:
+            _, trace = mc_optimize(ansatz0, targets, AnnealSchedule(iterations=100_000))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= trace.nbytes + 64 * 1024
+
+
 class TestWorkspaceGuards:
     @staticmethod
     def short_of_fit_range():
@@ -340,6 +421,37 @@ class TestWorkspaceGuards:
         ansatz, targets = getattr(self, case)()
         with pytest.raises(ValueError, match=message):
             mc_optimize(ansatz, targets, AnnealSchedule(iterations=10))
+
+    @pytest.mark.parametrize("v_coeffs, amplitude, cost", [
+        ([0.0, 0.0, 0.0, 0.0], 1e200, "inf"),  # the f mismatch squared overflows
+        ([1e308, -1e308, 0.0, 0.0], 0.0125, "nan"),  # f(2) sums inf and -inf
+    ])
+    def test_non_finite_initial_cost_rejected_before_drawing(self, v_coeffs, amplitude, cost,
+                                                             monkeypatch):
+        def no_draws(seed=None):
+            raise AssertionError("made a generator before checking the initial cost")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        ansatz = PotentialAnsatz(np.array(v_coeffs), np.zeros(4))
+        targets = DesignTargets.inverse_intensity(amplitude, 6)
+        with pytest.raises(ValueError, match=f"initial design cost is {cost}"):
+            mc_optimize(ansatz, targets, AnnealSchedule(iterations=10))
+
+    def test_workspace_cap_checked_before_any_row(self, monkeypatch):
+        monkeypatch.setattr(designer, "MAX_N_WORK", 20)
+        built = []
+        monkeypatch.setattr(designer, "position_operator",
+                            lambda dim: built.append(dim) or position_operator(dim))
+        gen = quartic_generator()
+        assert DesignTargets.from_ansatz(gen, n_fit=10).n_work == 20
+        assert DesignTargets.inverse_intensity(0.0125, 10).n_work == 20
+        built.clear()
+        for make in (lambda: DesignTargets.from_ansatz(gen, n_fit=11),
+                     lambda: DesignTargets.inverse_intensity(0.0125, 11),
+                     lambda: DesignTargets(np.ones(6), np.ones(6), n_work=21)):
+            with pytest.raises(ValueError, match="workspace cutoff 21 above the cap 20"):
+                make()
+        assert not built
 
 
 class TestValidateDesign:
