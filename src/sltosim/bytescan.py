@@ -1,0 +1,97 @@
+"""One vectorized pass over the bytes of a matrix-file body.
+
+A matrix file exported by ``cli.write_matrix_file`` is almost all exact
+zeros, each written ``0+0j``; ``np.loadtxt`` spends its time tokenizing
+them one field at a time.  ``parse_body`` finds the tokens with
+numpy instead, takes the exact zeros as they stand and hands only the
+other tokens to the float parser.  ``cli.read_matrix_file`` falls back
+to its row-by-row parse wherever this pass returns None.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+
+#: what each byte below 0x20 is in a row: 2 where ``str.splitlines`` breaks
+#: the row, 1 for tab and 0x1f, which separate entries to ``str.split`` and
+#: ``np.loadtxt`` alike, and 0 for a byte the byte pass does not take
+CONTROL_BYTE_KIND = np.zeros(0x20, np.uint8)
+CONTROL_BYTE_KIND[[0x09, 0x1F]] = 1
+CONTROL_BYTE_KIND[[0x0A, 0x0B, 0x0C, 0x0D, 0x1C, 0x1D, 0x1E]] = 2
+
+#: smallest entry count the byte pass takes on.  Its numpy calls cost
+#: about 50 us whatever the size, and the rows' loadtxt took as long at
+#: 1024 mostly-zero entries (70 us at d = 32, 21 us at d = 16).  It must
+#: be at least 3: the pass reads 5 bytes from each token start
+BYTE_PASS_MIN_ENTRIES = 1024
+
+#: largest mean body bytes per entry the byte pass takes on.  An exact zero
+#: takes 5 with its separator and a full-precision entry about 45; the pass
+#: saves only on the zeros, and it stopped gaining at about 9 bytes per
+#: entry (one entry in ten full-precision) at d = 64, 162 and 288
+BYTE_PASS_MAX_BYTES_PER_ENTRY = 8
+
+
+def parse_body(body: str, dim: int) -> np.ndarray | None:
+    """The dim x dim entries of a matrix-file body (its text after the
+    header, stripped), from one vectorized pass over its bytes, or None
+    where the pass cannot vouch for them.
+
+    The tokens are found with numpy on the ASCII bytes.  Those that are
+    exactly ``0+0j`` are exact zeros and skip the float parser; the rest
+    are gathered into one line for a single ``np.loadtxt`` call, so every
+    other spelling (``-0+0j``, ``0-0j``, ``00+0j``) parses as it would in
+    its row.  None is returned for a body too small or too dense to gain,
+    one with a non-ASCII byte or a control byte that is neither a row
+    break nor a separator, one with a row of other than ``dim`` tokens,
+    and one with a token that does not parse: the caller parses its rows.
+    """
+    size = dim * dim
+    # size tokens and the blanks between them take at least 2 size - 1 bytes
+    if (size < BYTE_PASS_MIN_ENTRIES
+            or not 2 * size - 1 <= len(body) <= BYTE_PASS_MAX_BYTES_PER_ENTRY * size
+            or not body.isascii()):
+        return None
+    raw = np.frombuffer(body.encode("ascii"), np.uint8)
+    controls = np.flatnonzero(raw < 0x20)
+    kind = CONTROL_BYTE_KIND[raw[controls]]
+    if not kind.all():
+        return None
+    first_byte = raw > 0x20
+    first_byte[1:] &= raw[:-1] <= 0x20
+    starts = np.flatnonzero(first_byte)
+    del first_byte
+    # token counts before each row break: dim, 2 dim, ..., and size in all
+    if starts.size != size or not np.array_equal(
+            np.searchsorted(starts, controls[kind == 2]), np.arange(dim, size, dim)):
+        return None
+    # the tokens that are "0+0j" and a blank.  A read past the end is clipped
+    # to the last byte, a token's (the body is stripped), so a token that ends
+    # the body is kept and parsed, whatever it is
+    zero = raw[4:].take(starts, mode="clip") <= 0x20
+    for shift, byte in enumerate(b"0+0j"):
+        zero &= raw[shift:].take(starts, mode="clip") == byte
+    kept = np.flatnonzero(~zero)
+    line = ""
+    if kept.size:
+        # each kept token with the blanks after it, up to the next token; the
+        # caps keep every byte offset below 2^31 (8 bytes x 8192^2 entries)
+        first = starts[kept].astype(np.int32)
+        last = starts[np.minimum(kept + 1, size - 1)].astype(np.int32)
+        if kept[-1] == size - 1:
+            last[-1] = raw.size
+        lengths = last - first
+        ends = np.cumsum(lengths)
+        picked = raw[np.arange(ends[-1], dtype=np.int32)
+                     + np.repeat(first - (ends - lengths), lengths)]
+        picked[picked < 0x20] = 0x20
+        line = picked.tobytes().decode("ascii")
+    del raw, starts, zero  # freed before the entries are allocated
+    entries = np.zeros(size, np.complex128)
+    if line:
+        try:
+            entries[kept] = np.loadtxt([line], dtype=np.complex128, ndmin=1, comments=None)
+        except ValueError:
+            return None
+    return entries.reshape(dim, dim)

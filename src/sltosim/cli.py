@@ -32,8 +32,11 @@ internal invariant failed (a bug, not bad input).
 Matrix files are plain text: the first line holds the matrix dimension
 followed optionally by the tensor-factor dimensions; each following
 line is one row of complex entries like ``0.5-0.25j`` (lower-case ``j``),
-all parsed by one ``np.loadtxt`` call.  The header is checked first: a
-dimension above ``engine.MAX_DENSE_DIM`` is refused before any row is read.
+parsed as ``np.loadtxt`` parses them.  A large, mostly-zero body is read
+by one pass over its bytes in which each exact zero ``0+0j`` skips the
+float parser (``bytescan.parse_body``).  The header is checked
+first: a dimension above ``engine.MAX_DENSE_DIM`` is refused before any
+row is read.
 """
 
 from __future__ import annotations
@@ -54,14 +57,18 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .bytescan import parse_body
 from .designer import (
     AnnealSchedule,
     DesignTargets,
+    FockRows,
     PotentialAnsatz,
     design_cost,
-    fock_matrix_elements,
+    fit_rows,
     mc_optimize,
 )
+# unused here; bench/tracing.py patches it by name
+from .designer import fock_matrix_elements
 from .engine import (
     MAX_DENSE_DIM,
     CompactEngineConfig,
@@ -189,15 +196,19 @@ def read_matrix_file(path) -> tuple[np.ndarray, tuple[int, ...] | None]:
             raise ConfigError(f"{path}: dimension {dim}, above the cap {MAX_DENSE_DIM}")
         if layout is not None and math.prod(layout) != dim:
             raise ConfigError(f"{path}: layout {layout} does not multiply to {dim}")
-        rows = fh.read().rstrip().splitlines()
-    if len(rows) != dim:
-        raise ConfigError(f"{path}: expected {dim} rows, found {len(rows)}")
-    try:
-        entries = np.loadtxt(rows, dtype=np.complex128, ndmin=2, comments=None)
-    except ValueError:
-        entries = None
-    if entries is None or entries.shape != (dim, dim):  # loadtxt skips blank rows
-        raise ConfigError(f"{path}: {_row_problem(rows, dim)}")
+        body = fh.read().rstrip()
+    # the byte pass vouches for dim rows of dim entries; any other body is read by rows
+    entries = parse_body(body, dim)
+    if entries is None:
+        rows = body.splitlines()
+        if len(rows) != dim:
+            raise ConfigError(f"{path}: expected {dim} rows, found {len(rows)}")
+        try:
+            entries = np.loadtxt(rows, dtype=np.complex128, ndmin=2, comments=None)
+        except ValueError:
+            entries = None
+        if entries is None or entries.shape != (dim, dim):  # loadtxt skips blank rows
+            raise ConfigError(f"{path}: {_row_problem(rows, dim)}")
     bad_rows = np.flatnonzero(~np.isfinite(entries).all(axis=1))
     if bad_rows.size:
         raise ConfigError(f"{path}: non-finite entry in row {bad_rows[0]}")
@@ -647,10 +658,14 @@ def design_document(
     schedule: AnnealSchedule,
     initial_cost: float,
     best_cost: float,
+    rows: FockRows | None = None,
 ) -> dict:
-    """The design file of a fit, as ``design --design-in`` reads it back."""
-    f_act, theta_act = fock_matrix_elements(best, targets.n_work)
-    fit = slice(1, targets.n_fit + 1)
+    """The design file of a fit, as ``design --design-in`` reads it back.
+
+    ``rows`` are the fit's ``fit_rows``, built here when not given.
+    """
+    rows = fit_rows(best, targets) if rows is None else rows
+    f_act, theta_act = rows.tables(best.flat()[None])
     return {
         "schema_version": SCHEMA_VERSION,
         "ansatz": {
@@ -667,8 +682,8 @@ def design_document(
         "schedule": dataclasses.asdict(schedule),
         "result": {
             "initial_cost": float(initial_cost), "best_cost": float(best_cost),
-            "f_achieved": [float(v) for v in f_act[fit]],
-            "theta_achieved": [float(v) for v in theta_act[fit]],
+            "f_achieved": [float(v) for v in f_act[0]],
+            "theta_achieved": [float(v) for v in theta_act[0]],
         },
     }
 
@@ -681,7 +696,7 @@ def _design_entry(spec: dict, section: str, key: str, path):
         raise ConfigError(f"{path}: design file lacks {section}.{key}") from err
 
 
-def run_design(params: dict, out_dir: Path) -> tuple[dict, dict, list | None]:
+def run_design(params: dict, out_dir: Path) -> tuple[dict, dict, Iterable[list]]:
     q = params.get("q", 4.0)
     if params.get("design_in"):
         path = params["design_in"]
@@ -716,9 +731,10 @@ def run_design(params: dict, out_dir: Path) -> tuple[dict, dict, list | None]:
         mc_temperature=float(params.get("temperature", sched_in.get("mc_temperature", 0.0))),
         seed=int(params.get("seed", sched_in.get("seed", 0))),
     )
-    best, trace = mc_optimize(ansatz0, targets, schedule)
-    best_cost = design_cost(best, targets)
-    design = design_document(best, targets, schedule, trace[0], best_cost)
+    rows = fit_rows(ansatz0, targets)
+    best, trace = mc_optimize(ansatz0, targets, schedule, rows)
+    best_cost = design_cost(best, targets, rows)
+    design = design_document(best, targets, schedule, trace[0], best_cost, rows)
     results = {
         **design["result"],
         "iterations": schedule.iterations,
@@ -744,7 +760,8 @@ def run_design(params: dict, out_dir: Path) -> tuple[dict, dict, list | None]:
     with _open_new(out_path) as fh:
         fh.write(json.dumps(design, indent=2, sort_keys=True) + "\n")
     results["design_path"] = str(out_path)
-    series = [[i, float(c)] for i, c in enumerate(trace)]
+    # built row by row only if run_experiment writes series.csv
+    series = ([i, float(c)] for i, c in enumerate(trace))
     return results, checks, series
 
 
@@ -801,10 +818,11 @@ class ExperimentKind:
     its flag ``--key-with-dashes``; ``required`` names the keys every run
     must end up with, from flags, a ``--config`` file or the API caller.
     ``series_header`` is the first line of ``series.csv`` (``None`` when
-    the kind writes no series).
+    the kind writes no series).  The runner's series rows are iterated
+    once, and only when ``series.csv`` is written.
     """
 
-    runner: Callable[[dict, Path], tuple[dict, dict, list | None]]
+    runner: Callable[[dict, Path], tuple[dict, dict, Iterable[list] | None]]
     help: str
     series_header: str | None
     params: dict[str, Callable[[str], object]]

@@ -235,8 +235,12 @@ def _workspace_cutoff(
     return n_work
 
 
-def _fit_rows(ansatz: PotentialAnsatz, targets: DesignTargets) -> FockRows:
-    """The rows over the fit window n = 1..n_fit."""
+def fit_rows(ansatz: PotentialAnsatz, targets: DesignTargets) -> FockRows:
+    """The rows over the fit window n = 1..n_fit.
+
+    They depend on the ansatz only through its degrees, so one build
+    serves a whole fit: the walk, the best cost and the achieved tables.
+    """
     rows = FockRows.build(ansatz, targets.n_work)
     n_fit = targets.n_fit
     if rows.v.shape[1] < n_fit + 1 or rows.b.shape[1] < n_fit + 1:
@@ -263,9 +267,15 @@ def _fit_cost(rows: FockRows, coeffs: np.ndarray, targets: DesignTargets) -> lis
     return [math.sqrt(f) + th ** (1.0 / targets.q) for f, th in zip(f_sums, th_sums)]
 
 
-def design_cost(ansatz: PotentialAnsatz, targets: DesignTargets) -> float:
-    """L2 mismatch of the f table plus Lq mismatch of the theta table."""
-    return _fit_cost(_fit_rows(ansatz, targets), ansatz.flat()[None], targets)[0]
+def design_cost(
+    ansatz: PotentialAnsatz, targets: DesignTargets, rows: FockRows | None = None
+) -> float:
+    """L2 mismatch of the f table plus Lq mismatch of the theta table.
+
+    ``rows`` are the ansatz's ``fit_rows``, built here when not given.
+    """
+    rows = fit_rows(ansatz, targets) if rows is None else rows
+    return _fit_cost(rows, ansatz.flat()[None], targets)[0]
 
 
 @dataclass(frozen=True)
@@ -301,7 +311,10 @@ def _coefficient_sensitivities(rows: FockRows) -> np.ndarray:
 
 
 def mc_optimize(
-    ansatz0: PotentialAnsatz, targets: DesignTargets, schedule: AnnealSchedule
+    ansatz0: PotentialAnsatz,
+    targets: DesignTargets,
+    schedule: AnnealSchedule,
+    rows: FockRows | None = None,
 ) -> tuple[PotentialAnsatz, np.ndarray]:
     """Single-coefficient random-walk descent on the design cost.
 
@@ -309,8 +322,9 @@ def mc_optimize(
     step whose width is proposal_scale * (current cost) / (that
     coefficient's cost sensitivity), so kicks stay commensurate with the
     remaining error: high-degree coefficients move in proportionally
-    tiny steps and the walk has no resolution floor.  The table rows are
-    built once, and each proposal is scored from its coefficients.
+    tiny steps and the walk has no resolution floor.  The table rows,
+    ``fit_rows`` of ansatz0, are built once (here when not given), and
+    each proposal is scored from its coefficients.
 
     A proposal's draws, the coefficient index and the unit normal that
     scales its width, do not depend on the walk's state.  So the walk
@@ -329,7 +343,7 @@ def mc_optimize(
     itself is.  Identical seeds give identical traces.  A non-finite
     initial cost is refused before anything is drawn.
     """
-    rows = _fit_rows(ansatz0, targets)
+    rows = fit_rows(ansatz0, targets) if rows is None else rows
     sens = _coefficient_sensitivities(rows)
     coeffs = ansatz0.flat()
     with np.errstate(over="ignore", invalid="ignore"):

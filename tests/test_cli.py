@@ -10,8 +10,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from sltosim import cli, designer, engine
+from sltosim import bytescan, cli, designer, engine
 from sltosim.cli import (
     KINDS,
     ConfigError,
@@ -114,15 +116,119 @@ class TestMatrixFiles:
         monkeypatch.setattr(cli, "MAX_DENSE_DIM", 3)
         path = tmp_path / "m.txt"
         write_matrix_file(path, np.eye(dim, dtype=complex))
-        parsed = []
-        loadtxt = np.loadtxt
-        monkeypatch.setattr(np, "loadtxt", lambda *a, **k: parsed.append(1) or loadtxt(*a, **k))
+        parsed = []  # every parse of the body, by the byte pass or by rows
+        for owner, name in ((cli, "parse_body"), (np, "loadtxt")):
+            parse = getattr(owner, name)
+            monkeypatch.setattr(owner, name, lambda *a, name=name, parse=parse, **k:
+                                parsed.append(name) or parse(*a, **k))
         if refused:
             with pytest.raises(ConfigError, match=r"m\.txt: dimension 4, above the cap 3$"):
                 read_matrix_file(path)
             assert not parsed
         else:
             assert read_matrix_file(path)[0].shape == (3, 3)
+            assert parsed == ["parse_body", "loadtxt"]
+
+
+def _matrix_file_outcome(path):
+    """What read_matrix_file makes of a file: its entries' bytes, or its error message."""
+    try:
+        entries, layout = read_matrix_file(path)
+    except ConfigError as err:
+        return "error", str(err)
+    return "ok", entries.shape, entries.tobytes(), layout
+
+
+#: spellings of zero the byte pass must leave to the float parser
+ZERO_SPELLINGS = ["-0+0j", "0-0j", "00+0j", "+0+0j"]
+
+#: tokens that do not parse, the first a near miss of the exact zero
+BAD_TOKENS = ["0+0jj", "1+2J", "0+0k"]
+
+
+def _value_tokens() -> list[str]:
+    values = [*TestMatrixFiles.special_values_matrix().ravel()[:40],
+              complex(5e-324, -0.0), complex(-0.0, 0.0), complex(-5e-324, 1e-310), 1 + 0j]
+    return [f"{z.real:.17g}{z.imag:+.17g}j" for z in values] + ["nan+0j"]
+
+
+@st.composite
+def matrix_file_texts(draw):
+    """A matrix file mixing exact zeros with other zero spellings, full-precision
+    and special values, varied blanks and row endings, and now and then a
+    ragged, missing or extra row, a token that does not parse or a non-ASCII
+    separator."""
+    dim = draw(st.integers(1, 6))
+    token = st.one_of(st.just("0+0j"), st.just("0+0j"), st.sampled_from(ZERO_SPELLINGS),
+                      st.sampled_from(_value_tokens()))
+    if draw(st.integers(0, 7)) == 0:
+        rows = [["0+0j"] * dim for _ in range(dim)]
+    else:
+        rows = [draw(st.lists(token, min_size=dim, max_size=dim)) for _ in range(dim)]
+    fault = draw(st.sampled_from(["none"] * 10 + ["drop", "add", "move", "row", "no row", "bad"]))
+    r1 = draw(st.integers(0, dim - 1))
+    r2 = (r1 + draw(st.integers(1, max(1, dim - 1)))) % dim  # another row, if there is one
+    if fault in ("drop", "move"):
+        moved = rows[r1].pop()
+        if fault == "move":
+            rows[r2].append(moved)
+    elif fault == "add":
+        rows[r1].append("0+0j")
+    elif fault == "row":
+        rows.insert(r1, ["0+0j"] * dim)
+    elif fault == "no row":
+        rows.pop(r1)
+    elif fault == "bad":
+        rows[r1][draw(st.integers(0, dim - 1))] = draw(st.sampled_from(BAD_TOKENS))
+    separator = st.sampled_from([" ", " ", "  ", "\t", " \t", "\x1f"])
+    blank = st.sampled_from(["", "", " ", "\t", "  "])
+    lines = []
+    for row in rows:
+        text = draw(blank)
+        for i, tok in enumerate(row):
+            text += tok + (draw(separator) if i < len(row) - 1 else "")
+        lines.append(text + draw(blank))
+    if lines and draw(st.integers(0, 9)) == 0:
+        r, c = draw(st.integers(0, len(lines) - 1)), draw(st.integers(0, 40))
+        lines[r] = lines[r][:c] + "\u00a0" + lines[r][c:]
+    ending = draw(st.sampled_from(["\n", "\r\n"]))
+    return f"{dim}{ending}" + ending.join(lines) + draw(st.sampled_from(["", ending]))
+
+
+class TestMatrixFileParser:
+    @given(matrix_file_texts(), st.booleans())
+    @example("3\n0+0j 0+0j\n0+0j 0+0j 0+0j 0+0j\n0+0j 0+0j 0+0j\n", True)  # a token moved
+    @example("2\n0+0j -0+0j\n0-0j 0+0j\n", True)
+    @example("2\n0+0j 0+0j\n0+0j 0+0j", True)
+    @settings(max_examples=300, deadline=None)
+    def test_byte_pass_matches_row_parse(self, tmp_path_factory, text, gates_lifted):
+        """The byte pass returns the per-row loadtxt entries to the byte, or the same error."""
+        path = tmp_path_factory.mktemp("parse") / "m.txt"
+        path.write_bytes(text.encode())
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "parse_body", lambda body, dim: None)
+            expected = _matrix_file_outcome(path)
+        if expected[0] == "ok":
+            rows = path.read_text().rstrip().splitlines()[1:]
+            assert expected[2] == np.loadtxt(rows, dtype=np.complex128, ndmin=2,
+                                             comments=None).tobytes()
+        with pytest.MonkeyPatch.context() as mp:
+            if gates_lifted:
+                mp.setattr(bytescan, "BYTE_PASS_MIN_ENTRIES", 3)
+                mp.setattr(bytescan, "BYTE_PASS_MAX_BYTES_PER_ENTRY", 10**6)
+            assert _matrix_file_outcome(path) == expected
+
+    def test_byte_pass_reads_the_exported_files(self, tmp_path):
+        """The exported unitary is read by the byte pass, exact zeros and all."""
+        assert main(["abstract-cycle", "--beta1", "0.5", "--beta2", "1.0", "--omega1", "2.0",
+                     "--g", "0.3", "--n-max1", "5", "--n-max2", "5", "--export-matrices",
+                     str(tmp_path), "--out", str(tmp_path / "out"), "--no-color"]) == 0
+        body = (tmp_path / "u_tau.txt").read_text().split("\n", 1)[1].rstrip()
+        entries = bytescan.parse_body(body, 72)
+        assert entries is not None
+        assert entries.tobytes() == np.loadtxt(body.splitlines(), dtype=np.complex128,
+                                               comments=None).tobytes()
+        assert np.count_nonzero(entries) < entries.size // 10
 
 
 class TestAbstractCycleCommand:

@@ -14,8 +14,8 @@ from sltosim.designer import (
     DesignTargets,
     PotentialAnsatz,
     _coefficient_sensitivities,
-    _fit_rows,
     design_cost,
+    fit_rows,
     fock_matrix_elements,
     mc_optimize,
     position_operator,
@@ -319,7 +319,7 @@ class TestLinearTables:
     def test_sensitivities_are_unit_kick_norms(self, fit):
         ansatz0, targets = self.fits()[fit]
         assert np.array_equal(
-            _coefficient_sensitivities(_fit_rows(ansatz0, targets)),
+            _coefficient_sensitivities(fit_rows(ansatz0, targets)),
             unit_kick_sensitivities(ansatz0, targets),
         )
 
