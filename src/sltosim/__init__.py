@@ -19,6 +19,7 @@ from .linalg import (
     commutator_norm,
     energy_uncertainty,
     fubini_study_distance,
+    group_populations,
     identity,
     tensor_product,
     von_neumann_entropy,
@@ -39,6 +40,7 @@ from .engine import (
     battery_split,
     build_interaction_hamiltonian,
     charge_block,
+    charge_blocks,
     enumerate_blocks,
     evolution_operator,
     evolve_cycle,
@@ -54,6 +56,7 @@ from .optics import (
     coupling_profile_from_tables,
     effective_compact_config,
     full_charge_block,
+    full_charge_blocks,
     inverse_intensity_profile,
     run_optics_cycle,
     sweep_slopes,

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import math
 import numbers
@@ -93,6 +94,10 @@ from .thermal import gibbs_density
 from .thermal import truncation_for_tail
 
 SCHEMA_VERSION = 1
+
+#: series.csv rows formatted per write, so that a long series (a design
+#: trace of up to 10^6 rows) is never held as one string
+SERIES_CHUNK_ROWS = 4096
 
 PASS_THRESHOLDS = {
     "carnot_efficiency": 1e-9,
@@ -952,9 +957,12 @@ def run_experiment(
         series_path = out_dir / "series.csv"
         # %.17g writes an int (the design iteration) as str() does
         row_format = ",".join(["%.17g"] * (spec.series_header.count(",") + 1)) + "\n"
+        rows = iter(series)
         with _open_new(series_path) as fh:
             fh.write(spec.series_header + "\n")
-            fh.write("".join([row_format % tuple(row) for row in series]))
+            while chunk := [row_format % tuple(row)
+                            for row in itertools.islice(rows, SERIES_CHUNK_ROWS)]:
+                fh.write("".join(chunk))
     return RunArtifact(
         report_path=str(report_path),
         series_path=str(series_path) if series_path else None,

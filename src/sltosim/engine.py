@@ -20,14 +20,18 @@ shape (sectors, 2, 3): row k is the pair (|n, m, 0>, |n-1, m+1, 1>) in
 lexicographic (n, m) order, with -1 in the partner slot of an idle
 sector.  A ``ChargeBlock`` is one sector as a small Hermitian matrix on
 its members: ``charge_block`` builds the engine's 2x2 pair or 1x1 idle
-block for one (n, m), and the cavity model in ``optics`` builds its
-<= 3-state blocks with the same type.  A block's probe populations per
-system level (``ChargeBlock.level_populations``) come in closed form from
-its eigenpairs: a constant plus one cosine per eigenvalue gap, with the
-members of each level summed into the coefficients once, and no
-amplitude formed.  Dense full-space matrices are assembled only for
-export (``evolution_operator``) and as the test oracle
-(``build_interaction_hamiltonian``).
+block for one (n, m), the stack of one of ``charge_blocks``, which
+builds the same sector at many couplings as one (R, k, k) array; the
+cavity model in ``optics`` builds its <= 3-state blocks the same way.  A
+block's probe populations per system level over a uniform time grid
+(``ChargeBlock.level_populations``, or ``linalg.group_populations`` on
+stacked eigenpairs) come in closed form: a constant plus one term per
+eigenvalue gap, with the members of each level summed into the
+coefficients once, the grid split so that angle addition makes each
+level one small matmul, and no amplitude formed.  ``check_unit_sum``
+holds them to a sum of 1 within 1e-10.  Dense full-space matrices are
+assembled only for export (``evolution_operator``) and as the test
+oracle (``build_interaction_hamiltonian``).
 
 ``evolve_cycle`` propagates the one 2x2 pair block over the whole time
 grid and takes every per-sample diagnostic from its amplitude rows in
@@ -53,6 +57,7 @@ from .linalg import (
     SpectralPropagator,
     StateVector,
     basis_state,
+    group_populations,
     max_abs,
 )
 # unused here; bench/tracing.py patches these by name
@@ -204,25 +209,34 @@ class ChargeBlock:
         psi0 = basis_state(len(self.members), 0)
         return SpectralPropagator(self.h).states(psi0, times)
 
-    def level_populations(self, times: Sequence[float], n_levels: int) -> np.ndarray:
-        """Probe populations summed per system level; one row per time.
+    def level_populations(self, window: float, n_samples: int, n_levels: int) -> np.ndarray:
+        """Probe populations summed per system level over the uniform grid
+        ``np.linspace(0, window, n_samples)``; one row per time.
 
         They come in closed form from the block's eigenpairs
-        (``SpectralPropagator.group_populations``), a constant plus one
-        cosine per eigenvalue gap, without forming amplitudes.  No unitary
-        is propagated, so each row must sum to 1 within 1e-10 instead.
+        (``linalg.group_populations`` with a stack of one), without forming
+        amplitudes.  No unitary is propagated, so each row must sum to 1
+        within 1e-10 instead.
         """
         levels = [level for _, _, level in self.members]
-        pops = SpectralPropagator(self.h).group_populations(0, times, levels, n_levels)
-        total = pops.sum(axis=1)
-        bad = np.flatnonzero(~(np.abs(total - 1.0) <= 1e-10))  # a NaN sum fails too
-        if bad.size:
-            k = bad[0]
-            raise InvariantError(
-                f"level populations sum to {float(total[k])!r} at "
-                f"t = {float(np.asarray(times, dtype=float)[k])!r}, not 1 within 1e-10"
-            )
+        eigvals, eigvecs = np.linalg.eigh(self.h.entries[None])
+        pops, = group_populations(eigvals, eigvecs, levels, n_levels, [window], [n_samples])
+        check_unit_sum(pops, window, f"block {self.members[0][:2]}")
         return pops
+
+
+def check_unit_sum(pops: np.ndarray, window: float, where: str):
+    """Raise ``InvariantError`` unless every row of ``pops``, populations over the
+    grid ``np.linspace(0, window, len(pops))``, sums to 1 within 1e-10; the
+    message names the first bad sample's time and ``where`` it happened."""
+    off = pops.sum(axis=1)
+    off -= 1.0
+    if not np.abs(off, out=off).max() <= 1e-10:  # a NaN sum fails too
+        k = np.flatnonzero(~(off <= 1e-10))[0]
+        total = pops.sum(axis=1)
+        t = np.linspace(0.0, window, len(pops))[k]
+        raise InvariantError(f"level populations sum to {float(total[k])!r} at "
+                             f"t = {float(t)!r} ({where}), not 1 within 1e-10")
 
 
 def pair_generator(g: float) -> Operator:
@@ -248,14 +262,21 @@ def enumerate_blocks(cfg: CompactEngineConfig) -> np.ndarray:
     return _sector_members(cfg, n, m)
 
 
-def charge_block(cfg: CompactEngineConfig, n: int, m: int) -> ChargeBlock:
-    """The block of sector (n, m): the 2x2 pair, or a 1x1 zero block when idle."""
+def charge_blocks(cfg: CompactEngineConfig, n: int, m: int,
+                  g: np.ndarray) -> tuple[tuple[tuple[int, int, int], ...], np.ndarray]:
+    """Sector (n, m)'s members and its block at each coupling g[r], as one
+    (len(g), k, k) stack: g[r]*sigma_x on the pair, a 1x1 zero block when idle."""
     check_sector(cfg, n, m)
     source, target = _sector_members(cfg, np.array([n]), np.array([m]))[0].tolist()
     if target[0] < 0:
-        idle = Operator(np.zeros((1, 1), dtype=np.complex128), hermitian_hint=True)
-        return ChargeBlock(idle, (tuple(source),))
-    return ChargeBlock(pair_generator(cfg.g), (tuple(source), tuple(target)))
+        return (tuple(source),), np.zeros((len(g), 1, 1), dtype=np.complex128)
+    return (tuple(source), tuple(target)), g[:, None, None] * pair_generator(1.0).entries
+
+
+def charge_block(cfg: CompactEngineConfig, n: int, m: int) -> ChargeBlock:
+    """The block of sector (n, m): the 2x2 pair, or a 1x1 zero block when idle."""
+    members, h = charge_blocks(cfg, n, m, np.array([cfg.g]))
+    return ChargeBlock(Operator(h[0], hermitian_hint=True), members)
 
 
 def build_interaction_hamiltonian(cfg: CompactEngineConfig) -> Operator:

@@ -17,8 +17,9 @@ checks at 1e-10, physics assertions at 1e-9.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import InitVar, dataclass
-from typing import Sequence, Union
+from typing import Iterator, Sequence, Union
 
 import numpy as np
 
@@ -169,10 +170,8 @@ def tensor_product(a: Tensorable, b: Tensorable, max_dim: int = MAX_TENSOR_DIM):
 class SpectralPropagator:
     """Eigendecomposition of a Hermitian generator, reused across many times.
 
-    ``at(t)`` is the unitary exp(-i t h); ``states`` evolves a fixed
-    initial vector over a whole time grid in one pass, and
-    ``group_populations`` gives a basis state's populations over the grid,
-    summed over groups of basis states, without forming amplitudes.
+    ``at(t)`` is the unitary exp(-i t h), and ``states`` evolves a fixed
+    initial vector over a whole time grid in one pass.
     """
 
     def __init__(self, h: Operator):
@@ -191,36 +190,62 @@ class SpectralPropagator:
         phases = np.exp(-1j * np.outer(np.asarray(times, dtype=float), self.eigvals))
         return (phases * c0) @ self.eigvecs.T
 
-    def group_populations(self, start: int, times: Sequence[float],
-                          groups: Sequence[int], n_groups: int) -> np.ndarray:
-        """Populations of exp(-i t h) |start>, summed over groups of basis states,
-        in closed form; one row per time, basis state j counted in ``groups[j]``.
 
-        With a_jk = V_jk conj(V_start,k) over the eigenpairs (lam_k, v_k),
-        basis state j holds sum_k |a_jk|^2 + 2 sum_{k<l} Re(a_jk conj(a_jl)
-        e^{-i (lam_k - lam_l) t}).  Each group's sums are folded into a
-        constant and one coefficient per eigenvalue pair, so the grid costs
-        one real cosine per pair and sample and a (groups x pairs) matmul,
-        plus a sine per pair only when a coefficient is complex.  No
-        amplitude is formed and nothing here enforces unitarity: callers
-        check that the populations still sum to 1.
-        """
-        dim = self.h.dim
-        members = np.zeros((n_groups, dim))
-        members[groups, np.arange(dim)] = 1.0
-        a = self.eigvecs * self.eigvecs[start].conj()
-        pairs = list(itertools.combinations(range(dim), 2))
-        k, l = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
-        coef = 2.0 * (members @ (a[:, k] * a[:, l].conj()))  # (groups, pairs)
-        # (pairs, samples), so that every array over the grid is a contiguous row per pair
-        phase = np.multiply.outer(self.eigvals[k] - self.eigvals[l],
-                                  np.asarray(times, dtype=float))
-        sines = np.sin(phase) if np.any(coef.imag) else None
-        pops = coef.real @ np.cos(phase, out=phase)
-        if sines is not None:
-            pops += coef.imag @ sines
-        pops += (members @ (a.real**2 + a.imag**2).sum(axis=1))[:, None]
-        return pops.T
+def group_populations(eigvals: np.ndarray, eigvecs: np.ndarray, groups: Sequence[int],
+                      n_groups: int, windows: Sequence[float],
+                      n_samples: Sequence[int]) -> Iterator[np.ndarray]:
+    """Populations of exp(-i t h_r)|0>, summed over groups of basis states, for a
+    stack of Hermitian blocks h_r given by their eigenpairs (eigvals (R, k),
+    eigvecs (R, k, k)), each over its own uniform grid t_j = j * step_r with
+    step_r = windows[r] / (n_samples[r] - 1), j < n_samples[r], the grid of
+    ``np.linspace(0, windows[r], n_samples[r])``.  Yields one
+    (n_samples[r], n_groups) array per block in turn, basis state j counted
+    in ``groups[j]``, so only one block's grid is held at a time.
+
+    With a_jk = V_jk conj(V_0k) over the eigenpairs (lam_k, v_k), basis
+    state j holds sum_k |a_jk|^2 + 2 sum_{k<l} Re(a_jk conj(a_jl)
+    e^{-i w_kl t}), w_kl = lam_k - lam_l.  Each group's sums fold into a
+    constant and one complex coefficient c per eigenvalue pair.  Splitting
+    j = a*B + b with B = ceil(sqrt(n)) for the largest n, angle addition gives
+
+        Re(c e^{-i w t_j}) = (c_r cos u_a + c_i sin u_a) cos v_b
+                             + (c_i cos u_a - c_r sin u_a) sin v_b,
+
+    u_a = w t_{aB}, v_b = w t_b.  So a group's grid is one (A x 2P) @
+    (2P x B) product over the P pairs, with the constant riding along as
+    one more column against a row of ones, and the trig work is P (A + B)
+    values instead of P n; the imaginary parts need no separate sine
+    pass.  No amplitude is formed and nothing here enforces unitarity:
+    callers check that the populations still sum to 1.
+    """
+    n_blocks, dim = eigvals.shape
+    members = np.zeros((n_groups, dim))
+    members[groups, np.arange(dim)] = 1.0
+    a = eigvecs * eigvecs[:, :1].conj()
+    k, l = np.array(list(itertools.combinations(range(dim), 2)), dtype=np.intp).reshape(-1, 2).T
+    coef = 2.0 * (members @ (a[:, :, k] * a[:, :, l].conj()))  # (R, groups, pairs)
+    const = members @ (a.real**2 + a.imag**2).sum(axis=2)[..., None]  # (R, groups, 1)
+
+    n_top = max(n_samples, default=1)
+    inner_len = math.isqrt(n_top - 1) + 1  # B = ceil(sqrt(n_top)), so A * B >= n_top
+    outer_len = -(-n_top // inner_len)
+    step = (np.asarray(windows, dtype=float)
+            / np.maximum(np.asarray(n_samples) - 1, 1))[:, None, None]
+    omega = eigvals[:, k] - eigvals[:, l]  # (R, pairs)
+    # t_{aB} and t_b as the products j * step that np.linspace forms
+    u = omega[:, None, :] * (step * (inner_len * np.arange(outer_len))[:, None])  # (R, A, P)
+    v = omega[:, :, None] * (step * np.arange(inner_len))  # (R, P, B)
+    cos_u, sin_u = np.cos(u)[:, None], np.sin(u)[:, None]  # (R, 1, A, P)
+    cr, ci = coef.real[:, :, None], coef.imag[:, :, None]  # (R, groups, 1, P)
+    left = np.concatenate([cr * cos_u + ci * sin_u, ci * cos_u - cr * sin_u,
+                           np.broadcast_to(const[..., None], (*cr.shape[:2], outer_len, 1))],
+                          axis=3)  # (R, groups, A, 2P + 1)
+    right = np.concatenate([np.cos(v), np.sin(v), np.ones((n_blocks, 1, inner_len))],
+                           axis=1)  # (R, 2P + 1, B)
+    for r, n in enumerate(n_samples):
+        rows = -(-n // inner_len)
+        pops = left[r, :, :rows].reshape(n_groups * rows, -1) @ right[r]
+        yield pops.reshape(n_groups, -1)[:, :n].T
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:

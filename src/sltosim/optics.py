@@ -23,17 +23,22 @@ so its cycle is delegated to that machinery.
 Both Hamiltonians conserve the excitation charge, so a probe state
 |n, m, 1> never leaves its charge block: {|n, m, 1>, |n-1, m, 3>,
 |n-1, m+1, 2>} in the full model and {|n, m, 1>, |n-1, m+1, 2>} in the
-effective one, with members outside the cutoffs dropped.  Both are
-``engine.ChargeBlock``s: ``full_charge_block`` builds the <= 3-state
-block straight from the profile tables, and the effective block is the
-exchange engine's own ``charge_block`` of ``effective_compact_config``.
-The detuning sweep and the design check evolve only these blocks; the
-sweep takes each block's level populations in closed form from its
-eigenpairs (``ChargeBlock.level_populations``), a constant plus one
-cosine per eigenvalue gap over the time grid, with no amplitudes.  The
-dense builders ``build_full_hamiltonian`` and
-``build_effective_hamiltonian`` assemble the whole product space; they
-are the reference the tests compare the blocks against.
+effective one, with members outside the cutoffs dropped.  The members do
+not depend on the detuning, so the blocks of many detunings stack:
+``full_charge_blocks`` builds the <= 3-state full blocks straight from the
+profile tables as one (detunings, k, k) array, and ``engine.charge_blocks``
+the effective g*sigma_x pairs; ``full_charge_block`` and
+``engine.charge_block`` are the stacks of one, as ``engine.ChargeBlock``s.
+The detuning sweep and the design check evolve only these blocks.  The
+sweep runs one stacked ``eigh`` per model and takes the level populations
+over each detuning's uniform time grid in closed form from the eigenpairs
+(``linalg.group_populations``): a constant plus one term per eigenvalue
+gap, with the grid split j = a*B + b so that angle addition turns each
+level's populations into one small matmul over about 2*sqrt(n) sines and
+cosines per gap, and no amplitudes.  The dense builders
+``build_full_hamiltonian`` and ``build_effective_hamiltonian`` assemble
+the whole product space; they are the reference the tests compare the
+blocks against.
 
 Intensity profiles are tables theta_k(j), f_k(j) over Fock index j.
 The coupling operator convention is fixed once: the matrix element of
@@ -48,7 +53,6 @@ only asymptotically in j and is kept as the design target family.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -60,13 +64,14 @@ from .engine import (
     CompactEngineConfig,
     CycleReport,
     build_interaction_hamiltonian,
-    charge_block,
+    charge_blocks,
     check_sector,
     check_sector_cap,
+    check_unit_sum,
     evolve_cycle,
 )
 # SpectralPropagator is unused here; bench/tracing.py patches it by name
-from .linalg import Operator, ShapeError, SpectralPropagator
+from .linalg import Operator, ShapeError, SpectralPropagator, group_populations
 from .thermal import truncation_for_tail
 
 #: time samples per period of the fastest frequency the detuning sweep asks for,
@@ -182,6 +187,13 @@ class CouplingProfile:
             raise ValueError("f(0) must be 0 (vacuum regularization)")
 
 
+def _shift_rule(g: float, delta, theta: np.ndarray) -> np.ndarray:
+    """f(j) = (g^2/Delta) theta(j)^2 with f(0) = 0; a column of detunings gives one row each."""
+    rule = (g**2 / delta) * theta**2
+    rule[..., 0] = 0.0
+    return rule
+
+
 def coupling_profile_from_tables(
     cfg: OpticsEngineConfig,
     theta1: Sequence[float],
@@ -198,10 +210,8 @@ def coupling_profile_from_tables(
             f"theta tables must cover Fock indices 0..n_max "
             f"({cfg.n_max1 + 1}, {cfg.n_max2 + 1} entries)"
         )
-    rule1 = (cfg.g1**2 / cfg.delta) * theta1**2
-    rule2 = (cfg.g2**2 / cfg.delta) * theta2**2
-    rule1[0] = 0.0
-    rule2[0] = 0.0
+    rule1 = _shift_rule(cfg.g1, cfg.delta, theta1)
+    rule2 = _shift_rule(cfg.g2, cfg.delta, theta2)
     if f1 is None and f2 is None:
         return CouplingProfile(theta1, theta2, rule1, rule2)
     f1 = np.array(f1, dtype=float)
@@ -301,33 +311,46 @@ def build_effective_hamiltonian(cfg: OpticsEngineConfig) -> Operator:
     return build_interaction_hamiltonian(effective_compact_config(cfg))
 
 
-def full_charge_block(
-    cfg: OpticsEngineConfig, profile: CouplingProfile, n: int, m: int
-) -> ChargeBlock:
-    """The block of ``build_full_hamiltonian`` that holds |n, m, 1>.
+def full_charge_blocks(
+    cfg: OpticsEngineConfig, n: int, m: int, theta1: np.ndarray, theta2: np.ndarray,
+    f1: np.ndarray, f2: np.ndarray, deltas: np.ndarray,
+) -> tuple[tuple[tuple[int, int, int], ...], np.ndarray]:
+    """Members of the ``build_full_hamiltonian`` block that holds |n, m, 1>, and
+    the block for each row r of the shift tables f1, f2 (R, n_max + 1) and
+    detunings deltas (R,), as one (R, k, k) stack.
 
     Members |n, m, 1>, |n-1, m, 3> and |n-1, m+1, 2>; the last two exist
     for n >= 1, the last only below the cold cutoff.  Entries are
     computed as the dense builder computes them, so they agree exactly.
     """
-    if profile.theta1.size != cfg.n_max1 + 1 or profile.theta2.size != cfg.n_max2 + 1:
+    if theta1.size != cfg.n_max1 + 1 or theta2.size != cfg.n_max2 + 1:
         raise ShapeError("profile tables do not match the configured cutoffs")
     check_sector(cfg, n, m)
-    f1, f2 = profile.f1, profile.f2
     members = [(n, m, 0)]
-    diag = [f1[n] + f2[m]]
     if n >= 1:
         members.append((n - 1, m, 2))
-        diag.append(cfg.delta + f1[n - 1] + f2[m])
         if m < cfg.n_max2:
             members.append((n - 1, m + 1, 1))
-            diag.append(f1[n - 1] + f2[m + 1])
-    h = np.diag(diag).astype(np.complex128)
-    if len(members) > 1:
-        h[0, 1] = h[1, 0] = cfg.g1 * (profile.theta1[n - 1] * math.sqrt(n))
-    if len(members) > 2:
-        h[1, 2] = h[2, 1] = cfg.g2 * (profile.theta2[m] * math.sqrt(m + 1))
-    return ChargeBlock(Operator(h, hermitian_hint=True), tuple(members))
+    k = len(members)
+    h = np.zeros((len(deltas), k, k), dtype=np.complex128)
+    h[:, 0, 0] = f1[:, n] + f2[:, m]
+    if k > 1:
+        h[:, 1, 1] = deltas + f1[:, n - 1] + f2[:, m]
+        h[:, 0, 1] = h[:, 1, 0] = cfg.g1 * (theta1[n - 1] * math.sqrt(n))
+    if k > 2:
+        h[:, 2, 2] = f1[:, n - 1] + f2[:, m + 1]
+        h[:, 1, 2] = h[:, 2, 1] = cfg.g2 * (theta2[m] * math.sqrt(m + 1))
+    return tuple(members), h
+
+
+def full_charge_block(
+    cfg: OpticsEngineConfig, profile: CouplingProfile, n: int, m: int
+) -> ChargeBlock:
+    """The block of ``build_full_hamiltonian`` that holds |n, m, 1>: the
+    stack of one that ``full_charge_blocks`` builds from the profile's tables."""
+    members, h = full_charge_blocks(cfg, n, m, profile.theta1, profile.theta2,
+                                    profile.f1[None], profile.f2[None], np.array([cfg.delta]))
+    return ChargeBlock(Operator(h[0], hermitian_hint=True), members)
 
 
 def run_optics_cycle(
@@ -367,9 +390,11 @@ def adiabatic_elimination_error(
     rule.  The initial state |n0, m0, 1> is evolved under both models
     over [0, pi/(2g)], each inside its charge block, and the worst
     population mismatch on the |1>, |2> levels plus the worst transient
-    |3> occupation are recorded.  The populations come in closed form
-    from each block's eigenpairs; a sample whose levels do not sum to 1
-    within 1e-10 raises ``engine.InvariantError``.
+    |3> occupation are recorded.  Every detuning's block of each model
+    goes through one stacked ``eigh``, and the populations come in closed
+    form from the eigenpairs over each detuning's own uniform grid; a
+    sample whose levels do not sum to 1 within 1e-10 raises
+    ``engine.InvariantError`` naming its time, detuning and block.
 
     The probe sector matters.  The f-table rule cancels the second-order
     level shifts of the eliminated upper state only up to a one-step
@@ -384,7 +409,7 @@ def adiabatic_elimination_error(
     check_sector(cfg, n0, m0)
     g_top = max(cfg.g1, cfg.g2)
     deltas = list(delta_sweep)
-    ratios = []
+    ratios, windows, n_samples, periods = [], [], [], []
     for delta in deltas:
         if not (math.isfinite(delta) and delta > 0):
             raise ValueError(f"detuning {delta} must be finite and positive")
@@ -394,30 +419,41 @@ def adiabatic_elimination_error(
                 f"detuning {delta} gives ratio {ratio:.2f} < 5; elimination invalid"
             )
         ratios.append(ratio)
-    points = []
-    for delta, ratio in zip(deltas, ratios):
-        cfg_d = dataclasses.replace(
-            cfg, delta=delta, min_detuning_ratio=min(cfg.min_detuning_ratio, 5.0)
-        )
-        profile_d = coupling_profile_from_tables(cfg_d, profile.theta1, profile.theta2)
+        g = cfg.g1 * cfg.g2 / delta
+        tau = math.pi / (2.0 * g) if g > 0 else math.inf
         # with no coupling both models are static; any window shows deviation 0
-        window = cfg_d.tau if math.isfinite(cfg_d.tau) else 1.0
-        periods = window * (delta + 4.0 * g_top) / (2.0 * math.pi)
-        n_samples = int(min(
-            MAX_SAMPLES, max(2001, math.ceil(SAMPLES_PER_PERIOD * periods))
-        ))
-        times = np.linspace(0.0, window, n_samples)
+        window = tau if math.isfinite(tau) else 1.0
+        periods.append(window * (delta + 4.0 * g_top) / (2.0 * math.pi))
+        windows.append(window)
+        n_samples.append(int(min(
+            MAX_SAMPLES, max(2001, math.ceil(SAMPLES_PER_PERIOD * periods[-1]))
+        )))
 
-        pops_full = full_charge_block(cfg_d, profile_d, n0, m0).level_populations(times, 3)
-        effective = charge_block(effective_compact_config(cfg_d), n0, m0)
-        pops_eff = effective.level_populations(times, 2)
+    # every detuning's blocks as one stack; the f tables follow the per-detuning rule
+    stack = np.array(deltas, dtype=float)
+    members, h_full = full_charge_blocks(
+        cfg, n0, m0, profile.theta1, profile.theta2,
+        _shift_rule(cfg.g1, stack[:, None], profile.theta1),
+        _shift_rule(cfg.g2, stack[:, None], profile.theta2), stack,
+    )
+    members_eff, h_eff = charge_blocks(effective_compact_config(cfg), n0, m0,
+                                       cfg.g1 * cfg.g2 / stack)
+    pops_full = group_populations(*np.linalg.eigh(h_full), [lvl for _, _, lvl in members], 3,
+                                  windows, n_samples)
+    pops_eff = group_populations(*np.linalg.eigh(h_eff), [lvl for _, _, lvl in members_eff],
+                                 2, windows, n_samples)
+    points = []
+    for r, (full, eff) in enumerate(zip(pops_full, pops_eff)):
+        where = f"detuning {deltas[r]!r}, block {(n0, m0)}"
+        check_unit_sum(full, windows[r], where)
+        check_unit_sum(eff, windows[r], where)
         points.append(SweepPoint(
-            delta=delta,
-            ratio=ratio,
-            population_deviation=float(np.max(np.abs(pops_full[:, :2] - pops_eff))),
-            leak_max=float(np.max(pops_full[:, 2])),
-            samples=n_samples,
-            samples_per_period=n_samples / periods,
+            delta=deltas[r],
+            ratio=ratios[r],
+            population_deviation=float(np.max(np.abs(full[:, :2] - eff))),
+            leak_max=float(np.max(full[:, 2])),
+            samples=n_samples[r],
+            samples_per_period=n_samples[r] / periods[r],
         ))
     return points
 

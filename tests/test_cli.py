@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sltosim import bytescan, cli, designer, engine
+from sltosim import bytescan, cli, designer, engine, optics
 from sltosim.cli import (
     KINDS,
     ConfigError,
@@ -25,7 +25,7 @@ from sltosim.cli import (
 )
 from sltosim.designer import AnnealSchedule, DesignTargets, PotentialAnsatz, design_cost
 from sltosim.engine import CompactEngineConfig, evolution_operator, evolve_cycle
-from sltosim.linalg import Operator, ShapeError
+from sltosim.linalg import Operator, ShapeError, group_populations
 
 from conftest import dense_slto_residuals, random_hermitian
 
@@ -480,17 +480,16 @@ class TestDeltaSweepCommand:
 
     def test_populations_off_unit_sum_are_an_internal_error(self, tmp_path, monkeypatch,
                                                              capsys):
-        class Stretched(engine.SpectralPropagator):
-            def __init__(self, h):
-                super().__init__(h)
-                self.eigvecs = self.eigvecs * (1 + 1e-8)
+        def stretched(eigvals, eigvecs, *args):
+            return group_populations(eigvals, eigvecs * (1 + 1e-8), *args)
 
-        monkeypatch.setattr(engine, "SpectralPropagator", Stretched)
+        monkeypatch.setattr(optics, "group_populations", stretched)
         code = main(["delta-sweep", "--ratios", "20,40", "--out", str(tmp_path / "o"),
                      "--no-color"])
         assert code == 4
-        assert re.fullmatch(r"internal error: level populations sum to \S+ at t = 0\.0, "
-                            r"not 1 within 1e-10\n", capsys.readouterr().err)
+        assert re.fullmatch(r"internal error: level populations sum to \S+ at t = 0\.0 "
+                            r"\(detuning 10\.0, block \(3, 1\)\), not 1 within 1e-10\n",
+                            capsys.readouterr().err)
         assert not (tmp_path / "o").exists()
 
     def test_capped_sampling_fails_density_check(self, tmp_path):
@@ -1467,6 +1466,35 @@ class TestRunExperimentApi:
         expected = [",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row)
                     for row in series]
         assert lines[1:] == expected
+
+    @pytest.mark.parametrize("chunk", [1, 7, 41, 4096])  # 41 rows: partial, exact, one chunk
+    def test_series_bytes_do_not_depend_on_the_chunk(self, tmp_path, monkeypatch, chunk):
+        params = {"iterations": 40, "seed": 2}
+        expected = run_experiment("design", params, tmp_path / "whole", write_series=True)
+        monkeypatch.setattr(cli, "SERIES_CHUNK_ROWS", chunk)
+        chunked = run_experiment("design", params, tmp_path / "chunked", write_series=True)
+        assert (Path(chunked.series_path).read_bytes()
+                == Path(expected.series_path).read_bytes())
+        assert len(Path(chunked.series_path).read_text().splitlines()) == 42
+
+    def test_long_series_is_not_held_as_one_string(self, tmp_path, monkeypatch):
+        n_rows = 200_000
+
+        def long_series(params, out_dir):
+            return {}, {}, ([i, i * 0.1] for i in range(n_rows))
+
+        monkeypatch.setitem(KINDS, "design", dataclasses.replace(KINDS["design"],
+                                                                 runner=long_series))
+        tracemalloc.start()
+        try:
+            artifact = run_experiment("design", {}, tmp_path, write_series=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = os.path.getsize(artifact.series_path)
+        assert size > 4_000_000
+        # the whole series as one string (plus its rows' strings) would take several times this
+        assert peak < size / 4
 
     def test_artifact_paths(self, tmp_path):
         artifact = run_experiment(

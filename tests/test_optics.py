@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import random_hermitian, taylor_evolution
-from sltosim import engine
+from sltosim import engine, optics
 from sltosim.engine import (
     ChargeBlock,
     CompactEngineConfig,
@@ -19,8 +21,10 @@ from sltosim.linalg import (
     SpectralPropagator,
     basis_state,
     commutator_norm,
+    group_populations,
 )
 from sltosim.optics import (
+    MAX_SAMPLES,
     OpticsEngineConfig,
     adiabatic_elimination_error,
     build_effective_hamiltonian,
@@ -385,6 +389,37 @@ class TestChargeBlockOracle:
                 self.assert_block_of(eff, pair, 2, d2)
                 assert len(pair.members) == (1 if n == 0 or m == cfg.n_max2 else 2)
 
+    @pytest.mark.parametrize("block", [(3, 1), (2, 4), (0, 0)])
+    def test_sweep_stacks_the_per_detuning_blocks(self, monkeypatch, block):
+        """Row r of each stack the sweep builds is, to the bit, the block of the
+        config and rule profile at detuning r, as ``full_charge_block`` and
+        ``charge_block`` build them."""
+        built = {}
+
+        def record(name, builder):
+            def wrapped(*args):
+                built[name] = builder(*args)
+                return built[name]
+            monkeypatch.setattr(optics, name, wrapped)
+
+        record("full_charge_blocks", optics.full_charge_blocks)
+        record("charge_blocks", optics.charge_blocks)
+        cfg = small_optics()
+        profile = inverse_intensity_profile(cfg)
+        deltas = [10.0, 17.3, 80.0]
+        adiabatic_elimination_error(cfg, profile, deltas, initial_block=block)
+        stacks = dict(built)  # full_charge_block below goes through the recorder too
+        for r, delta in enumerate(deltas):
+            cfg_d = small_optics(delta=delta)
+            profile_d = coupling_profile_from_tables(cfg_d, profile.theta1, profile.theta2)
+            for name, one in (
+                ("full_charge_blocks", full_charge_block(cfg_d, profile_d, *block)),
+                ("charge_blocks", charge_block(effective_compact_config(cfg_d), *block)),
+            ):
+                members, h = stacks[name]
+                assert members == one.members
+                assert np.array_equal(h[r], one.h.entries)
+
     def test_sector_outside_cutoffs_rejected(self):
         cfg = small_optics()
         with pytest.raises(ValueError, match=r"sector \(5, 0\) outside the cutoffs"):
@@ -409,10 +444,14 @@ class TestChargeBlockOracle:
         assert messages == {f"sector {(n, m)} outside the cutoffs"}
 
     @staticmethod
-    def dense_level_populations(h, n0, m0, times, d1, d2, n_levels):
+    def dense_level_populations(h, n0, m0, times, d1, d2, n_levels, chunk=8192):
         psi0 = basis_state(d1 * d2 * n_levels, (n0 * d2 + m0) * n_levels)
-        amps = SpectralPropagator(h).states(psi0, times)
-        return (np.abs(amps.reshape(len(times), d1, d2, n_levels)) ** 2).sum(axis=(1, 2))
+        prop = SpectralPropagator(h)
+        out = []
+        for start in range(0, len(times), chunk):  # bounds the (samples x dim) amplitudes
+            amps = prop.states(psi0, times[start:start + chunk])
+            out.append((np.abs(amps.reshape(-1, d1, d2, n_levels)) ** 2).sum(axis=(1, 2)))
+        return np.concatenate(out)
 
     # balanced, generic, vacuum, dead lowest leg, no |n-1, m+1, 2> member
     @pytest.mark.parametrize("block", [(3, 2), (3, 1), (0, 0), (1, 2), (2, 4)])
@@ -420,12 +459,15 @@ class TestChargeBlockOracle:
                                               inverse_intensity_profile])
     def test_sweep_matches_dense_propagation(self, block, make_profile):
         cfg = small_optics()
-        deltas = [10.0, 25.0]
+        # ratios 20, 50 and 160; at 160, tau is about 500 and phases reach about 4e4 rad
+        deltas = [10.0, 25.0, 80.0]
         points = adiabatic_elimination_error(cfg, make_profile(cfg), deltas,
                                              initial_block=block)
         d1, d2 = (cfg.n_max1 + 1), (cfg.n_max2 + 1)
         for delta, point in zip(deltas, points):
             cfg_d = small_optics(delta=delta)
+            periods = cfg_d.tau * (delta + 4.0 * max(cfg.g1, cfg.g2)) / (2.0 * math.pi)
+            assert point.samples == min(MAX_SAMPLES, max(2001, math.ceil(8 * periods)))
             times = np.linspace(0.0, cfg_d.tau, point.samples)
             full = self.dense_level_populations(
                 build_full_hamiltonian(cfg_d, make_profile(cfg_d)), *block, times, d1, d2, 3
@@ -449,9 +491,10 @@ class TestLevelPopulations:
             out[:, level] += probs[:, k]
         return out
 
-    def assert_matches(self, block: ChargeBlock, times, n_levels: int):
-        pops = block.level_populations(times, n_levels)
-        assert pops.shape == (len(times), n_levels)
+    def assert_matches(self, block: ChargeBlock, window: float, n_samples: int, n_levels: int):
+        times = np.linspace(0.0, window, n_samples)
+        pops = block.level_populations(window, n_samples, n_levels)
+        assert pops.shape == (n_samples, n_levels)
         np.testing.assert_allclose(pops, self.reference(block, times, n_levels),
                                    rtol=0.0, atol=1e-12)
 
@@ -460,7 +503,7 @@ class TestLevelPopulations:
         cfg = effective_compact_config(small_optics())
         block = charge_block(cfg, *sector)
         assert len(block.members) == (1 if sector == (0, 2) else 2)
-        self.assert_matches(block, np.linspace(0.0, 1.7 * cfg.tau, 401), 2)
+        self.assert_matches(block, 1.7 * cfg.tau, 401, 2)
 
     @pytest.mark.parametrize("cutoff", range(1, 7))
     @pytest.mark.parametrize("make_profile", [uniform_exchange_profile,
@@ -468,30 +511,72 @@ class TestLevelPopulations:
     def test_every_full_block(self, cutoff, make_profile):
         cfg = small_optics(n_max1=cutoff, n_max2=cutoff, delta=12.0)
         profile = make_profile(cfg)
-        times = np.linspace(0.0, cfg.tau, 501)
         for n in range(cutoff + 1):
             for m in range(cutoff + 1):
-                self.assert_matches(full_charge_block(cfg, profile, n, m), times, 3)
+                self.assert_matches(full_charge_block(cfg, profile, n, m), cfg.tau, 501, 3)
 
     def test_complex_hermitian_block_takes_the_sine_terms(self):
         h = random_hermitian(3, np.random.default_rng(15))
         block = ChargeBlock(Operator(h, hermitian_hint=True),
                             ((2, 1, 0), (1, 1, 2), (1, 2, 1)))
         assert np.any(SpectralPropagator(block.h).eigvecs.imag)  # complex coefficients
-        self.assert_matches(block, np.linspace(0.0, 9.0, 301), 3)
+        self.assert_matches(block, 9.0, 301, 3)
+
+    # sample counts: anywhere in 1..20000, and the edges of the grid split
+    # (1, 2, perfect squares and their neighbours)
+    N_SAMPLES = st.one_of(
+        st.integers(1, 20_000),
+        st.sampled_from([1, 2, 3, 4, 5, 19_999, 20_000]),
+        st.integers(1, 141).flatmap(lambda s: st.sampled_from([s * s - 1, s * s, s * s + 1]))
+        .filter(lambda n: 1 <= n <= 20_000),
+    )
+
+    @settings(max_examples=150, deadline=None)
+    @given(dim=st.integers(1, 3), complex_entries=st.booleans(), seed=st.integers(0, 2**32 - 1),
+           grids=st.lists(st.tuples(N_SAMPLES, st.floats(0.0, 5e4)), min_size=1, max_size=3),
+           n_groups=st.integers(1, 3))
+    @example(dim=3, complex_entries=True, seed=1, grids=[(2, 5e4), (20_000, 5e4), (141**2, 3e4)],
+             n_groups=3)
+    @example(dim=3, complex_entries=False, seed=2, grids=[(1, 0.0), (8836, 4.9e4), (8837, 10.0)],
+             n_groups=2)
+    def test_grid_split_matches_probe_states(self, dim, complex_entries, seed, grids, n_groups):
+        """``linalg.group_populations`` on a stack of blocks, each over its own
+        uniform grid, against |probe amplitudes|^2 summed per group, with phases
+        up to 5e4 rad."""
+        rng = np.random.default_rng(seed)
+        groups = rng.integers(0, n_groups, size=dim)
+        blocks, windows, n_samples, phases = [], [], [], []
+        for n, phase in grids:
+            h = random_hermitian(dim, rng)
+            h = h if complex_entries else h.real.copy()
+            block = ChargeBlock(Operator(h, hermitian_hint=True),
+                                tuple((0, 0, int(level)) for level in groups))
+            eigvals = np.linalg.eigvalsh(h)
+            # a window whose largest phase difference is about ``phase``
+            window = phase / max(float(np.ptp(eigvals)), 1e-3)
+            blocks.append(block)
+            windows.append(window)
+            n_samples.append(n)
+            phases.append(window * max(float(np.ptp(eigvals)), float(np.max(np.abs(eigvals)))))
+        eigvals, eigvecs = np.linalg.eigh(np.stack([b.h.entries for b in blocks]))
+        out = list(group_populations(eigvals, eigvecs, groups, n_groups, windows, n_samples))
+        assert len(out) == len(blocks)
+        for pops, block, window, n, phase in zip(out, blocks, windows, n_samples, phases):
+            assert pops.shape == (n, n_groups)
+            ref = self.reference(block, np.linspace(0.0, window, n), n_groups)
+            np.testing.assert_allclose(pops, ref, rtol=0.0,
+                                       atol=1e-12 + 4 * np.finfo(float).eps * phase)
 
     def test_non_orthonormal_eigenbasis_raises(self, monkeypatch):
-        class Skewed(SpectralPropagator):
-            def __init__(self, h):
-                super().__init__(h)
-                self.eigvecs = self.eigvecs + 1e-6 * self.eigvecs[:, ::-1]
+        def skewed(eigvals, eigvecs, *args):
+            return group_populations(eigvals, eigvecs + 1e-6 * eigvecs[..., ::-1], *args)
 
-        monkeypatch.setattr(engine, "SpectralPropagator", Skewed)
+        monkeypatch.setattr(engine, "group_populations", skewed)
         cfg = small_optics()
         block = full_charge_block(cfg, uniform_exchange_profile(cfg), 3, 1)
-        with pytest.raises(InvariantError,
-                           match=r"level populations sum to .* at t = 0\.0, not 1 within 1e-10"):
-            block.level_populations(np.linspace(0.0, cfg.tau, 11), 3)
+        with pytest.raises(InvariantError, match=r"level populations sum to .* at t = 0\.0 "
+                                                 r"\(block \(3, 1\)\), not 1 within 1e-10"):
+            block.level_populations(cfg.tau, 11, 3)
 
 
 class TestFullModelOracle:
