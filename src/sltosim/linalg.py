@@ -213,9 +213,9 @@ def group_populations(eigvals: np.ndarray, eigvecs: np.ndarray, groups: Sequence
 
     u_a = w t_{aB}, v_b = w t_b.  So a group's grid is one (A x 2P) @
     (2P x B) product over the P pairs, with the constant riding along as
-    one more column against a row of ones, and the trig work is P (A + B)
-    values instead of P n; the imaginary parts need no separate sine
-    pass.  No amplitude is formed and nothing here enforces unitarity:
+    one more column against a row of ones, and the trig work is a sine
+    and a cosine of P (A + B) angles instead of a cosine of P n; the
+    imaginary parts need no separate sine pass.  No amplitude is formed and nothing here enforces unitarity:
     callers check that the populations still sum to 1.
     """
     n_blocks, dim = eigvals.shape

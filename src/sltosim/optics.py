@@ -34,8 +34,8 @@ sweep runs one stacked ``eigh`` per model and takes the level populations
 over each detuning's uniform time grid in closed form from the eigenpairs
 (``linalg.group_populations``): a constant plus one term per eigenvalue
 gap, with the grid split j = a*B + b so that angle addition turns each
-level's populations into one small matmul over about 2*sqrt(n) sines and
-cosines per gap, and no amplitudes.  The dense builders
+level's populations into one small matmul over the sine and cosine of
+about 2*sqrt(n) angles per gap, and no amplitudes.  The dense builders
 ``build_full_hamiltonian`` and ``build_effective_hamiltonian`` assemble
 the whole product space; they are the reference the tests compare the
 blocks against.
