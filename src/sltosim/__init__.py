@@ -31,7 +31,6 @@ from .thermal import (
 )
 from .engine import (
     BatterySplit,
-    ChargeBlock,
     CompactEngineConfig,
     CycleReport,
     InvariantError,
@@ -39,7 +38,6 @@ from .engine import (
     SpeedDiagnostics,
     battery_split,
     build_interaction_hamiltonian,
-    charge_block,
     charge_blocks,
     enumerate_blocks,
     evolution_operator,
@@ -55,7 +53,6 @@ from .optics import (
     build_full_hamiltonian,
     coupling_profile_from_tables,
     effective_compact_config,
-    full_charge_block,
     full_charge_blocks,
     inverse_intensity_profile,
     run_optics_cycle,

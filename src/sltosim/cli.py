@@ -614,6 +614,9 @@ def run_delta_sweep(params: dict, out_dir: Path) -> tuple[dict, dict, list | Non
     ratios = params.get("ratios", [20.0, 40.0, 80.0, 160.0])
     if not hasattr(ratios, "__len__") or len(ratios) < 2:
         raise ConfigError(f"ratios: need at least two sweep points, got {ratios!r}")
+    block = tuple(params.get("block", (3, 1)))
+    if len(block) != 2:
+        raise ConfigError(f"block: need two integers n,m, got {list(block)!r}")
     g1 = params.get("g1", 0.5)
     g2 = params.get("g2", 0.5)
     cfg = OpticsEngineConfig(
@@ -627,7 +630,6 @@ def run_delta_sweep(params: dict, out_dir: Path) -> tuple[dict, dict, list | Non
         n_max2=params.get("n_max2", 4),
         min_detuning_ratio=5.0,
     )
-    block = tuple(params.get("block", (3, 1)))
     deltas = [r * max(g1, g2) for r in ratios]
     points = adiabatic_elimination_error(
         cfg, uniform_exchange_profile(cfg), deltas, initial_block=block

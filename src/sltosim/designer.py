@@ -34,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .linalg import Operator, SpectralPropagator, basis_state
 
 DEFAULT_V_DEGREE = 8
 DEFAULT_B_DEGREE = 7
@@ -418,7 +419,7 @@ def validate_design(
     final-state infidelity is reported as the degradation caused by the
     residual fitting error.
     """
-    from .optics import coupling_profile_from_tables, full_charge_block
+    from .optics import coupling_profile_from_tables, full_charge_blocks
 
     f_act, theta_act = fock_matrix_elements(best, targets.n_work)
     n_fit = targets.n_fit
@@ -443,10 +444,13 @@ def validate_design(
     if not (1 <= n0 <= n_fit and 0 <= m0 < n_fit):
         raise ValueError(f"probe block {probe_block} outside the fitted range")
     # both blocks have the same members, so their amplitudes line up
-    finals = [
-        full_charge_block(probe, profile, n0, m0).probe_states([probe.tau])[0]
-        for profile in (profile_ref, profile_fit)
-    ]
+    finals = []
+    for profile in (profile_ref, profile_fit):
+        members, h = full_charge_blocks(probe, n0, m0, profile.theta1, profile.theta2,
+                                        profile.f1[None], profile.f2[None],
+                                        np.array([probe.delta]))
+        propagator = SpectralPropagator(Operator(h[0], hermitian_hint=True))
+        finals.append(propagator.states(basis_state(len(members), 0), [probe.tau])[0])
     overlap = abs(np.vdot(finals[0], finals[1])) ** 2
     return DesignValidation(
         probe_block=probe_block,

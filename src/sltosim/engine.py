@@ -18,20 +18,19 @@ weight is reported instead of being approximated away.
 ``enumerate_blocks`` lists every sector's members as one int table of
 shape (sectors, 2, 3): row k is the pair (|n, m, 0>, |n-1, m+1, 1>) in
 lexicographic (n, m) order, with -1 in the partner slot of an idle
-sector.  A ``ChargeBlock`` is one sector as a small Hermitian matrix on
-its members: ``charge_block`` builds the engine's 2x2 pair or 1x1 idle
-block for one (n, m), the stack of one of ``charge_blocks``, which
-builds the same sector at many couplings as one (R, k, k) array; the
-cavity model in ``optics`` builds its <= 3-state blocks the same way.  A
-block's probe populations per system level over a uniform time grid
-(``ChargeBlock.level_populations``, or ``linalg.group_populations`` on
-stacked eigenpairs) come in closed form: a constant plus one term per
-eigenvalue gap, with the members of each level summed into the
-coefficients once, the grid split so that angle addition makes each
-level one small matmul, and no amplitude formed.  ``check_unit_sum``
-holds them to a sum of 1 within 1e-10.  Dense full-space matrices are
-assembled only for export (``evolution_operator``) and as the test
-oracle (``build_interaction_hamiltonian``).
+sector.  A block has one form, its members with an (R, k, k) stack of
+small Hermitian matrices on them: ``charge_blocks`` builds sector
+(n, m) at R couplings, the 2x2 pair or a 1x1 idle block, and the cavity
+model in ``optics`` builds its <= 3-state blocks the same way.  A
+stack's probe populations per system level over uniform time grids
+(``linalg.group_populations`` on the stacked eigenpairs) come in closed
+form: a constant plus one term per eigenvalue gap, with the members of
+each level summed into the coefficients once, the grid split so that
+angle addition makes each level one small matmul, and no amplitude
+formed.  ``check_unit_sum`` holds them to a sum of 1 within 1e-10.
+Dense full-space matrices are assembled only for export
+(``evolution_operator``) and as the test oracle
+(``build_interaction_hamiltonian``).
 
 ``evolve_cycle`` propagates the one 2x2 pair block over the whole time
 grid and takes every per-sample diagnostic from its amplitude rows in
@@ -57,7 +56,6 @@ from .linalg import (
     SpectralPropagator,
     StateVector,
     basis_state,
-    group_populations,
     max_abs,
 )
 # unused here; bench/tracing.py patches these by name
@@ -191,40 +189,6 @@ class CompactEngineConfig:
         return d
 
 
-@dataclass(frozen=True)
-class ChargeBlock:
-    """A Hamiltonian on one conserved-charge block of the product basis.
-
-    Row k is the basis state ``members[k] = (n, m, level)``: the two
-    ladder occupations and the level of the working system (for the
-    cavity atom, level 0, 1, 2 is |1>, |2>, |3>).  Row 0 is the block's
-    probe state |n, m, 0>.
-    """
-
-    h: Operator
-    members: tuple[tuple[int, int, int], ...]
-
-    def probe_states(self, times: Sequence[float]) -> np.ndarray:
-        """Amplitudes of exp(-i t h)|probe> on the members; one row per time."""
-        psi0 = basis_state(len(self.members), 0)
-        return SpectralPropagator(self.h).states(psi0, times)
-
-    def level_populations(self, window: float, n_samples: int, n_levels: int) -> np.ndarray:
-        """Probe populations summed per system level over the uniform grid
-        ``np.linspace(0, window, n_samples)``; one row per time.
-
-        They come in closed form from the block's eigenpairs
-        (``linalg.group_populations`` with a stack of one), without forming
-        amplitudes.  No unitary is propagated, so each row must sum to 1
-        within 1e-10 instead.
-        """
-        levels = [level for _, _, level in self.members]
-        eigvals, eigvecs = np.linalg.eigh(self.h.entries[None])
-        pops, = group_populations(eigvals, eigvecs, levels, n_levels, [window], [n_samples])
-        check_unit_sum(pops, window, f"block {self.members[0][:2]}")
-        return pops
-
-
 def check_unit_sum(pops: np.ndarray, window: float, where: str):
     """Raise ``InvariantError`` unless every row of ``pops``, populations over the
     grid ``np.linspace(0, window, len(pops))``, sums to 1 within 1e-10; the
@@ -271,12 +235,6 @@ def charge_blocks(cfg: CompactEngineConfig, n: int, m: int,
     if target[0] < 0:
         return (tuple(source),), np.zeros((len(g), 1, 1), dtype=np.complex128)
     return (tuple(source), tuple(target)), g[:, None, None] * pair_generator(1.0).entries
-
-
-def charge_block(cfg: CompactEngineConfig, n: int, m: int) -> ChargeBlock:
-    """The block of sector (n, m): the 2x2 pair, or a 1x1 zero block when idle."""
-    members, h = charge_blocks(cfg, n, m, np.array([cfg.g]))
-    return ChargeBlock(Operator(h[0], hermitian_hint=True), members)
 
 
 def build_interaction_hamiltonian(cfg: CompactEngineConfig) -> Operator:

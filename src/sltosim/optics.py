@@ -27,9 +27,8 @@ effective one, with members outside the cutoffs dropped.  The members do
 not depend on the detuning, so the blocks of many detunings stack:
 ``full_charge_blocks`` builds the <= 3-state full blocks straight from the
 profile tables as one (detunings, k, k) array, and ``engine.charge_blocks``
-the effective g*sigma_x pairs; ``full_charge_block`` and
-``engine.charge_block`` are the stacks of one, as ``engine.ChargeBlock``s.
-The detuning sweep and the design check evolve only these blocks.  The
+the effective g*sigma_x pairs; a single block is a stack of one.  The
+detuning sweep and the design check evolve only these blocks.  The
 sweep runs one stacked ``eigh`` per model and takes the level populations
 over each detuning's uniform time grid in closed form from the eigenpairs
 (``linalg.group_populations``): a constant plus one term per eigenvalue
@@ -60,7 +59,6 @@ from typing import Sequence
 import numpy as np
 
 from .engine import (
-    ChargeBlock,
     CompactEngineConfig,
     CycleReport,
     build_interaction_hamiltonian,
@@ -341,16 +339,6 @@ def full_charge_blocks(
         h[:, 2, 2] = f1[:, n - 1] + f2[:, m + 1]
         h[:, 1, 2] = h[:, 2, 1] = cfg.g2 * (theta2[m] * math.sqrt(m + 1))
     return tuple(members), h
-
-
-def full_charge_block(
-    cfg: OpticsEngineConfig, profile: CouplingProfile, n: int, m: int
-) -> ChargeBlock:
-    """The block of ``build_full_hamiltonian`` that holds |n, m, 1>: the
-    stack of one that ``full_charge_blocks`` builds from the profile's tables."""
-    members, h = full_charge_blocks(cfg, n, m, profile.theta1, profile.theta2,
-                                    profile.f1[None], profile.f2[None], np.array([cfg.delta]))
-    return ChargeBlock(Operator(h[0], hermitian_hint=True), members)
 
 
 def run_optics_cycle(

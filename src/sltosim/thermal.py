@@ -39,9 +39,10 @@ def gibbs_probabilities(omega: float, beta: float, n_max: int) -> np.ndarray:
 
 
 def gibbs_density(h, beta: float) -> DensityMatrix:
-    """exp(-beta h)/Z for an arbitrary Hermitian operator."""
+    """exp(-beta h)/Z for an arbitrary Hermitian operator, at any real beta."""
     eigvals, eigvecs = np.linalg.eigh(h.entries)
-    w = np.exp(-beta * (eigvals - eigvals.min()))  # shift avoids overflow
+    # shifting by the eigenvalue of largest weight keeps every exponent <= 0
+    w = np.exp(-beta * (eigvals - (eigvals.min() if beta >= 0 else eigvals.max())))
     w = w / w.sum()
     rho = (eigvecs * w) @ eigvecs.conj().T
     return DensityMatrix(rho)

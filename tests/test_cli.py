@@ -532,6 +532,39 @@ class TestDeltaSweepCommand:
         assert "ratios: need at least two sweep points, got [40.0]" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @staticmethod
+    def forbid_sweep(monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("built a sweep for a malformed block")
+
+        for name in ("OpticsEngineConfig", "uniform_exchange_profile",
+                     "adiabatic_elimination_error"):
+            monkeypatch.setattr(cli, name, never)
+
+    @pytest.mark.parametrize("flag, block", [("3,1,2", [3, 1, 2]), ("3", [3])])
+    def test_block_flag_of_other_than_two_integers_rejected(self, tmp_path, monkeypatch,
+                                                            capsys, flag, block):
+        self.forbid_sweep(monkeypatch)
+        code = main(["delta-sweep", "--block", flag, "--out", str(tmp_path / "o"),
+                     "--no-color"])
+        assert code == 2
+        assert (capsys.readouterr().err
+                == f"error: block: need two integers n,m, got {block!r}\n")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("block", [[], [3], [3, 1, 2]])
+    def test_block_in_config_of_other_than_two_integers_rejected(self, tmp_path, monkeypatch,
+                                                                 capsys, block):
+        self.forbid_sweep(monkeypatch)
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"block": block}))
+        code = main(["delta-sweep", "--config", str(config), "--out", str(tmp_path / "o"),
+                     "--no-color"])
+        assert code == 2
+        assert (capsys.readouterr().err
+                == f"error: block: need two integers n,m, got {block!r}\n")
+        assert not (tmp_path / "o").exists()
+
     def test_probe_without_leak_reports_null_slope(self, tmp_path):
         # the vacuum row never reaches the upper level, so its leak series is
         # all zero and has no log-log slope
@@ -940,6 +973,21 @@ class TestVerifySltoCommand:
         checks = load_report(tmp_path / "scaled")["checks"]
         assert [name for name, c in checks.items() if not c["passed"]] == ["unitarity"]
         assert checks["unitarity"]["value"] == pytest.approx(2.0e-3, rel=1e-3)
+
+    @pytest.mark.parametrize("beta1", ["-1000", "-1"])
+    def test_negative_beta1_writes_a_report(self, tmp_path, engine_matrices, beta1):
+        """A negative beta1 gives an inverted Gibbs state, computed without
+        overflow; it is off resonance, so the weighted checks fail with exit 1."""
+        cfg, d = engine_matrices
+        args = self.verify_args(d, "u.txt", tmp_path / "o")
+        args[args.index("--beta1") + 1] = beta1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(args)
+        assert code == 1
+        checks = load_report(tmp_path / "o")["checks"]
+        assert [name for name, c in checks.items() if not c["passed"]] == [
+            "commutator_weighted", "semi_gibbs_fixed_point"]
 
     def test_unitary_above_the_dense_cap_named(self, tmp_path, engine_matrices, capsys):
         cfg, d = engine_matrices

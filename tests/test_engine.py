@@ -15,7 +15,7 @@ from sltosim.engine import (
     NoGradientError,
     battery_split,
     build_interaction_hamiltonian,
-    charge_block,
+    charge_blocks,
     enumerate_blocks,
     evolution_operator,
     evolve_cycle,
@@ -102,8 +102,9 @@ class TestBlockEnumeration:
         members = enumerate_blocks(cfg)
         row = members[3 * (cfg.n_max2 + 1) + 2]
         assert row.tolist() == [[3, 2, 0], [2, 3, 1]]
-        assert charge_block(cfg, 3, 2).members == ((3, 2, 0), (2, 3, 1))
-        assert np.array_equal(charge_block(cfg, 3, 2).h.entries, [[0, cfg.g], [cfg.g, 0]])
+        members, h = charge_blocks(cfg, 3, 2, np.array([cfg.g]))
+        assert members == ((3, 2, 0), (2, 3, 1))
+        assert np.array_equal(h, [[[0, cfg.g], [cfg.g, 0]]])
 
     def test_vacuum_sectors_idle(self):
         cfg = small_config()
@@ -112,8 +113,8 @@ class TestBlockEnumeration:
         assert len(vacuum) == cfg.n_max2 + 1
         assert np.all(vacuum[:, 1] == -1)
         for m in range(cfg.n_max2 + 1):
-            b = charge_block(cfg, 0, m)
-            assert b.members == ((0, m, 0),) and not np.any(b.h.entries)
+            members, h = charge_blocks(cfg, 0, m, np.array([cfg.g]))
+            assert members == ((0, m, 0),) and h.shape == (1, 1, 1) and not np.any(h)
 
     def test_cold_cutoff_sectors_idle(self):
         cfg = small_config()
@@ -150,21 +151,36 @@ class TestBlockEnumeration:
         cfg = small_config(n_max1=4, n_max2=3)
         dense = build_interaction_hamiltonian(cfg).entries
         for n, m, _ in enumerate_blocks(cfg)[:, 0].tolist():
-            b = charge_block(cfg, n, m)
-            idx = [cfg.basis_index(*member) for member in b.members]
-            assert np.array_equal(b.h.entries, dense[np.ix_(idx, idx)])
+            members, h = charge_blocks(cfg, n, m, np.array([cfg.g]))
+            idx = [cfg.basis_index(*member) for member in members]
+            assert np.array_equal(h[0], dense[np.ix_(idx, idx)])
             assert not np.any(np.delete(dense[idx], idx, axis=1))
+
+    def test_stack_rows_are_their_own_dense_submatrices(self):
+        """Row r of a stack of distinct couplings is, to the bit, the block of
+        the dense coupling built at g[r]."""
+        cfg = small_config(n_max1=4, n_max2=3)
+        g = np.array([0.05, 0.3, 1.7, 0.0])
+        dense = [build_interaction_hamiltonian(dataclasses.replace(cfg, g=g_r)).entries
+                 for g_r in g]
+        for n, m, _ in enumerate_blocks(cfg)[:, 0].tolist():
+            members, h = charge_blocks(cfg, n, m, g)
+            assert h.shape == (len(g), len(members), len(members))
+            idx = [cfg.basis_index(*member) for member in members]
+            for h_r, dense_r in zip(h, dense, strict=True):
+                assert np.array_equal(h_r, dense_r[np.ix_(idx, idx)])
+                assert not np.any(np.delete(dense_r[idx], idx, axis=1))
 
     def test_single_block_matches_enumeration(self):
         cfg = small_config(n_max1=3, n_max2=2)
         for row in enumerate_blocks(cfg).tolist():
-            one = charge_block(cfg, *row[0][:2])
-            assert one.members == tuple(tuple(member) for member in row if member[0] >= 0)
+            members, _ = charge_blocks(cfg, *row[0][:2], np.array([cfg.g]))
+            assert members == tuple(tuple(member) for member in row if member[0] >= 0)
 
     @pytest.mark.parametrize("n, m", [(-1, 0), (0, -1), (6, 0), (0, 6)])
     def test_sector_outside_cutoffs_rejected(self, n, m):
         with pytest.raises(ValueError, match="outside the cutoffs"):
-            charge_block(small_config(), n, m)
+            charge_blocks(small_config(), n, m, np.array([0.05]))
 
     def test_no_hot_quanta_leaves_every_sector_idle(self):
         cfg = small_config(n_max1=0)

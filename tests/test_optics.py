@@ -6,12 +6,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_hermitian, taylor_evolution
-from sltosim import engine, optics
+from sltosim import optics
 from sltosim.engine import (
-    ChargeBlock,
     CompactEngineConfig,
     InvariantError,
-    charge_block,
+    charge_blocks,
+    check_unit_sum,
     evolve_cycle,
 )
 from sltosim.linalg import (
@@ -31,7 +31,7 @@ from sltosim.optics import (
     build_full_hamiltonian,
     coupling_profile_from_tables,
     effective_compact_config,
-    full_charge_block,
+    full_charge_blocks,
     inverse_intensity_profile,
     run_optics_cycle,
     sweep_slopes,
@@ -45,6 +45,19 @@ def small_optics(**overrides) -> OpticsEngineConfig:
                   delta=20.0, n_max1=4, n_max2=4, min_detuning_ratio=5.0)
     params.update(overrides)
     return OpticsEngineConfig(**params)
+
+
+def full_block(cfg: OpticsEngineConfig, profile, n: int, m: int):
+    """Members of sector (n, m) and its ``build_full_hamiltonian`` block at the
+    config's detuning, a stack of one."""
+    return full_charge_blocks(cfg, n, m, profile.theta1, profile.theta2, profile.f1[None],
+                              profile.f2[None], np.array([cfg.delta]))
+
+
+def pair_block(cfg: CompactEngineConfig, n: int, m: int):
+    """Members of sector (n, m) and its exchange block at the config's coupling,
+    a stack of one."""
+    return charge_blocks(cfg, n, m, np.array([cfg.g]))
 
 
 class TestConfig:
@@ -365,10 +378,10 @@ class TestChargeBlockOracle:
     """The <= 3-state charge blocks against the dense builders."""
 
     @staticmethod
-    def assert_block_of(dense: np.ndarray, block, n_levels: int, d2: int):
-        idx = [(n * d2 + m) * n_levels + level for n, m, level in block.members]
-        assert block.members[0][2] == 0
-        assert np.array_equal(block.h.entries, dense[np.ix_(idx, idx)])
+    def assert_block_of(dense: np.ndarray, members, h: np.ndarray, n_levels: int, d2: int):
+        idx = [(n * d2 + m) * n_levels + level for n, m, level in members]
+        assert members[0][2] == 0
+        assert np.array_equal(h, dense[np.ix_(idx, idx)])
         outside = np.delete(dense[idx], idx, axis=1)
         assert not np.any(outside)
 
@@ -382,18 +395,44 @@ class TestChargeBlockOracle:
         d2 = (cfg.n_max2 + 1)
         for n in range((cfg.n_max1 + 1)):
             for m in range(d2):
-                block = full_charge_block(cfg, make_profile(cfg), n, m)
-                self.assert_block_of(full, block, 3, d2)
-                assert len(block.members) == (1 if n == 0 else 2 if m == cfg.n_max2 else 3)
-                pair = charge_block(effective_compact_config(cfg), n, m)
-                self.assert_block_of(eff, pair, 2, d2)
-                assert len(pair.members) == (1 if n == 0 or m == cfg.n_max2 else 2)
+                members, h = full_block(cfg, make_profile(cfg), n, m)
+                self.assert_block_of(full, members, h[0], 3, d2)
+                assert len(members) == (1 if n == 0 else 2 if m == cfg.n_max2 else 3)
+                members, h = pair_block(effective_compact_config(cfg), n, m)
+                self.assert_block_of(eff, members, h[0], 2, d2)
+                assert len(members) == (1 if n == 0 or m == cfg.n_max2 else 2)
+
+    @pytest.mark.parametrize("make_profile", [uniform_exchange_profile,
+                                              inverse_intensity_profile])
+    def test_stack_rows_are_their_own_dense_submatrices(self, make_profile):
+        """A stack of distinct detunings, with the per-detuning rule f tables:
+        row r of every sector's full and effective stacks is, to the bit, the
+        block of the dense builders at detuning r."""
+        deltas = np.array([10.0, 17.3, 80.0])
+        configs = [small_optics(delta=delta) for delta in deltas]
+        profiles = [make_profile(cfg_d) for cfg_d in configs]
+        theta1, theta2 = profiles[0].theta1, profiles[0].theta2
+        f1 = np.stack([p.f1 for p in profiles])
+        f2 = np.stack([p.f2 for p in profiles])
+        assert len({f.tobytes() for f in f1}) == len(deltas)  # the rows do differ
+        dense = [(build_full_hamiltonian(cfg_d, p).entries,
+                  build_effective_hamiltonian(cfg_d).entries)
+                 for cfg_d, p in zip(configs, profiles)]
+        cfg, d2 = configs[0], configs[0].n_max2 + 1
+        for n in range(cfg.n_max1 + 1):
+            for m in range(d2):
+                members, h = full_charge_blocks(cfg, n, m, theta1, theta2, f1, f2, deltas)
+                pair_members, pair_h = charge_blocks(effective_compact_config(cfg), n, m,
+                                                     cfg.g1 * cfg.g2 / deltas)
+                assert h.shape[0] == pair_h.shape[0] == len(deltas)
+                for r, (full, eff) in enumerate(dense):
+                    self.assert_block_of(full, members, h[r], 3, d2)
+                    self.assert_block_of(eff, pair_members, pair_h[r], 2, d2)
 
     @pytest.mark.parametrize("block", [(3, 1), (2, 4), (0, 0)])
     def test_sweep_stacks_the_per_detuning_blocks(self, monkeypatch, block):
-        """Row r of each stack the sweep builds is, to the bit, the block of the
-        config and rule profile at detuning r, as ``full_charge_block`` and
-        ``charge_block`` build them."""
+        """Row r of each stack the sweep builds is, to the bit, the stack of one
+        built from the config and rule profile at detuning r."""
         built = {}
 
         def record(name, builder):
@@ -408,32 +447,31 @@ class TestChargeBlockOracle:
         profile = inverse_intensity_profile(cfg)
         deltas = [10.0, 17.3, 80.0]
         adiabatic_elimination_error(cfg, profile, deltas, initial_block=block)
-        stacks = dict(built)  # full_charge_block below goes through the recorder too
         for r, delta in enumerate(deltas):
             cfg_d = small_optics(delta=delta)
             profile_d = coupling_profile_from_tables(cfg_d, profile.theta1, profile.theta2)
-            for name, one in (
-                ("full_charge_blocks", full_charge_block(cfg_d, profile_d, *block)),
-                ("charge_blocks", charge_block(effective_compact_config(cfg_d), *block)),
+            for name, (one_members, one_h) in (
+                ("full_charge_blocks", full_block(cfg_d, profile_d, *block)),
+                ("charge_blocks", pair_block(effective_compact_config(cfg_d), *block)),
             ):
-                members, h = stacks[name]
-                assert members == one.members
-                assert np.array_equal(h[r], one.h.entries)
+                members, h = built[name]
+                assert members == one_members
+                assert np.array_equal(h[r], one_h[0])
 
     def test_sector_outside_cutoffs_rejected(self):
         cfg = small_optics()
         with pytest.raises(ValueError, match=r"sector \(5, 0\) outside the cutoffs"):
-            full_charge_block(cfg, uniform_exchange_profile(cfg), 5, 0)
+            full_block(cfg, uniform_exchange_profile(cfg), 5, 0)
         with pytest.raises(ValueError, match=r"sector \(0, -1\) outside the cutoffs"):
-            charge_block(effective_compact_config(cfg), 0, -1)
+            pair_block(effective_compact_config(cfg), 0, -1)
 
     @pytest.mark.parametrize("n, m", [(-1, 0), (0, -1), (5, 0), (0, 5)])
     def test_every_caller_names_the_sector_alike(self, n, m):
         cfg = small_optics()
         profile = uniform_exchange_profile(cfg)
         calls = [
-            lambda: charge_block(effective_compact_config(cfg), n, m),
-            lambda: full_charge_block(cfg, profile, n, m),
+            lambda: pair_block(effective_compact_config(cfg), n, m),
+            lambda: full_block(cfg, profile, n, m),
             lambda: adiabatic_elimination_error(cfg, profile, [20.0], initial_block=(n, m)),
         ]
         messages = set()
@@ -481,29 +519,38 @@ class TestChargeBlockOracle:
 
 
 class TestLevelPopulations:
-    """``ChargeBlock.level_populations`` against |probe amplitudes|^2 summed per level."""
+    """``linalg.group_populations`` on stacked block eigenpairs against |probe
+    amplitudes|^2 summed per level."""
 
     @staticmethod
-    def reference(block: ChargeBlock, times, n_levels: int) -> np.ndarray:
-        probs = np.abs(block.probe_states(times)) ** 2
+    def reference(members, h: np.ndarray, times, n_levels: int) -> np.ndarray:
+        """|probe amplitudes|^2 from ``SpectralPropagator.states``, summed per level."""
+        propagator = SpectralPropagator(Operator(h, hermitian_hint=True))
+        probs = np.abs(propagator.states(basis_state(len(members), 0), times)) ** 2
         out = np.zeros((len(times), n_levels))
-        for k, (_, _, level) in enumerate(block.members):
+        for k, (_, _, level) in enumerate(members):
             out[:, level] += probs[:, k]
         return out
 
-    def assert_matches(self, block: ChargeBlock, window: float, n_samples: int, n_levels: int):
-        times = np.linspace(0.0, window, n_samples)
-        pops = block.level_populations(window, n_samples, n_levels)
-        assert pops.shape == (n_samples, n_levels)
-        np.testing.assert_allclose(pops, self.reference(block, times, n_levels),
-                                   rtol=0.0, atol=1e-12)
+    def assert_matches(self, members, h: np.ndarray, windows, n_samples, n_levels: int):
+        """Every row of the stack ``h`` over its own uniform grid, from one
+        stacked ``eigh``, summing to 1 and matching the reference."""
+        levels = [level for _, _, level in members]
+        out = group_populations(*np.linalg.eigh(h), levels, n_levels, windows, n_samples)
+        for pops, row, window, n in zip(out, h, windows, n_samples, strict=True):
+            assert pops.shape == (n, n_levels)
+            check_unit_sum(pops, window, "reference block")
+            np.testing.assert_allclose(
+                pops, self.reference(members, row, np.linspace(0.0, window, n), n_levels),
+                rtol=0.0, atol=1e-12)
 
     @pytest.mark.parametrize("sector", [(0, 2), (3, 1)])  # idle 1x1, coupled 2x2 pair
     def test_effective_blocks(self, sector):
         cfg = effective_compact_config(small_optics())
-        block = charge_block(cfg, *sector)
-        assert len(block.members) == (1 if sector == (0, 2) else 2)
-        self.assert_matches(block, 1.7 * cfg.tau, 401, 2)
+        # two couplings, each row over its own grid
+        members, h = charge_blocks(cfg, *sector, np.array([cfg.g, 0.37 * cfg.g]))
+        assert len(members) == (1 if sector == (0, 2) else 2)
+        self.assert_matches(members, h, [1.7 * cfg.tau, 4.1 * cfg.tau], [401, 257], 2)
 
     @pytest.mark.parametrize("cutoff", range(1, 7))
     @pytest.mark.parametrize("make_profile", [uniform_exchange_profile,
@@ -513,14 +560,12 @@ class TestLevelPopulations:
         profile = make_profile(cfg)
         for n in range(cutoff + 1):
             for m in range(cutoff + 1):
-                self.assert_matches(full_charge_block(cfg, profile, n, m), cfg.tau, 501, 3)
+                self.assert_matches(*full_block(cfg, profile, n, m), [cfg.tau], [501], 3)
 
     def test_complex_hermitian_block_takes_the_sine_terms(self):
         h = random_hermitian(3, np.random.default_rng(15))
-        block = ChargeBlock(Operator(h, hermitian_hint=True),
-                            ((2, 1, 0), (1, 1, 2), (1, 2, 1)))
-        assert np.any(SpectralPropagator(block.h).eigvecs.imag)  # complex coefficients
-        self.assert_matches(block, 9.0, 301, 3)
+        assert np.any(np.linalg.eigh(h)[1].imag)  # complex coefficients
+        self.assert_matches(((2, 1, 0), (1, 1, 2), (1, 2, 1)), h[None], [9.0], [301], 3)
 
     # sample counts: anywhere in 1..20000, and the edges of the grid split
     # (1, 2, perfect squares and their neighbours)
@@ -545,25 +590,24 @@ class TestLevelPopulations:
         up to 5e4 rad."""
         rng = np.random.default_rng(seed)
         groups = rng.integers(0, n_groups, size=dim)
+        members = tuple((0, 0, int(level)) for level in groups)
         blocks, windows, n_samples, phases = [], [], [], []
         for n, phase in grids:
             h = random_hermitian(dim, rng)
             h = h if complex_entries else h.real.copy()
-            block = ChargeBlock(Operator(h, hermitian_hint=True),
-                                tuple((0, 0, int(level)) for level in groups))
             eigvals = np.linalg.eigvalsh(h)
             # a window whose largest phase difference is about ``phase``
             window = phase / max(float(np.ptp(eigvals)), 1e-3)
-            blocks.append(block)
+            blocks.append(h)
             windows.append(window)
             n_samples.append(n)
             phases.append(window * max(float(np.ptp(eigvals)), float(np.max(np.abs(eigvals)))))
-        eigvals, eigvecs = np.linalg.eigh(np.stack([b.h.entries for b in blocks]))
+        eigvals, eigvecs = np.linalg.eigh(np.stack(blocks))
         out = list(group_populations(eigvals, eigvecs, groups, n_groups, windows, n_samples))
         assert len(out) == len(blocks)
         for pops, block, window, n, phase in zip(out, blocks, windows, n_samples, phases):
             assert pops.shape == (n, n_groups)
-            ref = self.reference(block, np.linspace(0.0, window, n), n_groups)
+            ref = self.reference(members, block, np.linspace(0.0, window, n), n_groups)
             np.testing.assert_allclose(pops, ref, rtol=0.0,
                                        atol=1e-12 + 4 * np.finfo(float).eps * phase)
 
@@ -571,12 +615,12 @@ class TestLevelPopulations:
         def skewed(eigvals, eigvecs, *args):
             return group_populations(eigvals, eigvecs + 1e-6 * eigvecs[..., ::-1], *args)
 
-        monkeypatch.setattr(engine, "group_populations", skewed)
+        monkeypatch.setattr(optics, "group_populations", skewed)
         cfg = small_optics()
-        block = full_charge_block(cfg, uniform_exchange_profile(cfg), 3, 1)
         with pytest.raises(InvariantError, match=r"level populations sum to .* at t = 0\.0 "
-                                                 r"\(block \(3, 1\)\), not 1 within 1e-10"):
-            block.level_populations(cfg.tau, 11, 3)
+                                                 r"\(detuning 20\.0, block \(3, 1\)\), "
+                                                 r"not 1 within 1e-10"):
+            adiabatic_elimination_error(cfg, uniform_exchange_profile(cfg), [20.0, 40.0])
 
 
 class TestFullModelOracle:

@@ -97,3 +97,16 @@ class TestGibbsDensity:
         w = np.exp(-beta * expected_w)
         w = np.sort(w / w.sum())
         assert np.max(np.abs(got - w)) <= 1e-12
+
+    @pytest.mark.parametrize("beta", [-1000.0, -1.0, 1000.0])
+    def test_either_sign_of_beta_matches_stable_boltzmann_weights(self, beta):
+        # weights exp(-beta e - max(-beta e)), normalized: no term can overflow
+        h = random_hermitian(5, np.random.default_rng(12))
+        eigvals, eigvecs = np.linalg.eigh(h)
+        log_w = -beta * eigvals
+        w = np.exp(log_w - log_w.max())
+        w /= w.sum()
+        rho = gibbs_density(Operator(h, hermitian_hint=True), beta)
+        # the state's diagonal in the eigenbasis of h
+        got = np.real(np.einsum("ji,jk,ki->i", eigvecs.conj(), rho.entries, eigvecs))
+        assert np.max(np.abs(got - w)) <= 1e-12
