@@ -51,7 +51,7 @@ import os
 import stat
 import sys
 import time
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -89,7 +89,7 @@ from .optics import (
     sweep_slopes,
     uniform_exchange_profile,
 )
-from .thermal import gibbs_density
+from .thermal import gibbs_density, gibbs_weights
 # unused here; bench/tracing.py patches it by name
 from .thermal import truncation_for_tail
 
@@ -405,16 +405,22 @@ def verify_slto(
     terms = [(a, k) for k, a in enumerate(factors)]
     if w_system is not None:
         terms.append((w_system.entries, 2))
+
+    diagonals = [_diagonal(a) for a, _ in terms]
+    if all(e is not None for e in diagonals):
+        # each factor's Gibbs state is diagonal too: its weights, from the diagonal
+        weights = [gibbs_weights(diagonals[0].real, beta1),
+                   gibbs_weights(diagonals[1].real, beta2),
+                   np.full(ds, 1.0 / ds) if w_system is None
+                   else gibbs_weights(diagonals[3].real, 1.0)]
+        return _diagonal_residuals(
+            u.entries, [_lift(e, dims, k) for e, (_, k) in zip(diagonals, terms)],
+            [_lift(w, dims, k) for k, w in enumerate(weights)], beta1, beta2)
+
     sigma_s = (np.eye(ds, dtype=np.complex128) / ds if w_system is None
                else gibbs_density(w_system, 1.0).entries)
     gammas = (gibbs_density(h_bath1, beta1).entries,
               gibbs_density(h_bath2, beta2).entries, sigma_s)
-
-    diagonals = [_diagonal(a) for a, _ in terms]
-    if all(e is not None for e in diagonals):
-        return _diagonal_residuals(
-            u.entries, [_lift(e, dims, k) for e, (_, k) in zip(diagonals, terms)],
-            [_lift(np.diagonal(g), dims, k) for k, g in enumerate(gammas)], beta1, beta2)
 
     # [U, A] for every factor term A; each energy commutator is a weighted
     # sum of these (max-entry norms and sums do not depend on the layout)
@@ -672,7 +678,7 @@ def design_document(
     ``rows`` are the fit's ``fit_rows``, built here when not given.
     """
     rows = fit_rows(best, targets) if rows is None else rows
-    f_act, theta_act = rows.tables(best.flat()[None])
+    achieved = rows.tables(best.flat()[None])[0]
     return {
         "schema_version": SCHEMA_VERSION,
         "ansatz": {
@@ -689,8 +695,8 @@ def design_document(
         "schedule": dataclasses.asdict(schedule),
         "result": {
             "initial_cost": float(initial_cost), "best_cost": float(best_cost),
-            "f_achieved": [float(v) for v in f_act[0]],
-            "theta_achieved": [float(v) for v in theta_act[0]],
+            "f_achieved": achieved[: rows.n_f].tolist(),
+            "theta_achieved": achieved[rows.n_f :].tolist(),
         },
     }
 
@@ -712,15 +718,15 @@ def run_design(params: dict, out_dir: Path) -> tuple[dict, dict, Iterable[list]]
             spec, {"ansatz", "targets", "schedule", "result", "schema_version"},
             "design file",
         )
-        ansatz0 = PotentialAnsatz(
-            np.array(_design_entry(spec, "ansatz", "v_coeffs", path)),
-            np.array(_design_entry(spec, "ansatz", "b_coeffs", path)),
-        )
-        targets = DesignTargets(
-            np.array(_design_entry(spec, "targets", "f", path)),
-            np.array(_design_entry(spec, "targets", "theta", path)),
-            q=spec["targets"].get("q", q), n_work=spec["targets"].get("n_work", 0),
-        )
+        v_coeffs, b_coeffs = (_design_entry(spec, "ansatz", key, path)
+                              for key in ("v_coeffs", "b_coeffs"))
+        f, theta = (_design_entry(spec, "targets", key, path) for key in ("f", "theta"))
+        try:
+            ansatz0 = PotentialAnsatz(np.array(v_coeffs), np.array(b_coeffs))
+            targets = DesignTargets(np.array(f), np.array(theta), q=spec["targets"].get("q", q),
+                                    n_work=spec["targets"].get("n_work", 0))
+        except ValueError as err:  # non-finite or malformed entries
+            raise ConfigError(f"{path}: {err}") from err
         if params.get("n_fit", targets.n_fit) != targets.n_fit:
             raise ConfigError(
                 f"n_fit {params['n_fit']} disagrees with the {targets.n_fit} target "
@@ -767,8 +773,12 @@ def run_design(params: dict, out_dir: Path) -> tuple[dict, dict, Iterable[list]]
     with _open_new(out_path) as fh:
         fh.write(json.dumps(design, indent=2, sort_keys=True) + "\n")
     results["design_path"] = str(out_path)
-    # built row by row only if run_experiment writes series.csv
-    series = ([i, float(c)] for i, c in enumerate(trace))
+    # (iteration, cost) rows of Python floats, built a chunk at a time and
+    # only if run_experiment writes series.csv
+    series = itertools.chain.from_iterable(
+        enumerate(trace[start : start + SERIES_CHUNK_ROWS].tolist(), start)
+        for start in range(0, trace.size, SERIES_CHUNK_ROWS)
+    )
     return results, checks, series
 
 
@@ -817,6 +827,25 @@ def _int_list(text: str) -> list[int]:
     return [int(x) for x in text.split(",")]
 
 
+def _row_lines(rows: Iterable, n_columns: int) -> Iterator[str]:
+    """series.csv lines of numeric rows, each value as %.17g (an int, the
+    design iteration, prints as str() prints it)."""
+    row_format = ",".join(["%.17g"] * n_columns) + "\n"
+    return (row_format % tuple(row) for row in rows)
+
+
+def _trace_lines(rows: Iterable, n_columns: int) -> Iterator[str]:
+    """``_row_lines`` of (iteration, cost) rows, formatting each run of
+    equal costs once: a walk's trace repeats its cost until the next
+    accepted move.  A zero is formatted on every row, since 0.0 == -0.0
+    but the two print differently."""
+    last = text = None
+    for i, cost in rows:
+        if cost != last or not cost:
+            last, text = cost, "%.17g\n" % cost
+        yield f"{i},{text}"
+
+
 @dataclass(frozen=True)
 class ExperimentKind:
     """Everything the CLI knows about one experiment kind.
@@ -826,7 +855,8 @@ class ExperimentKind:
     must end up with, from flags, a ``--config`` file or the API caller.
     ``series_header`` is the first line of ``series.csv`` (``None`` when
     the kind writes no series).  The runner's series rows are iterated
-    once, and only when ``series.csv`` is written.
+    once, and only when ``series.csv`` is written, by ``series_lines``
+    (given the rows and the header's column count).
     """
 
     runner: Callable[[dict, Path], tuple[dict, dict, Iterable[list] | None]]
@@ -834,6 +864,7 @@ class ExperimentKind:
     series_header: str | None
     params: dict[str, Callable[[str], object]]
     required: frozenset[str] = frozenset()
+    series_lines: Callable[[Iterable, int], Iterator[str]] = _row_lines
 
 
 KINDS = {
@@ -861,6 +892,7 @@ KINDS = {
         run_design, "fit cavity intensity profiles", "iteration,cost",
         {"iterations": int, "proposal_scale": float, "temperature": float, "seed": int,
          "n_fit": int, "q": float, "amplitude": float, "design_in": str, "design_out": str},
+        series_lines=_trace_lines,
     ),
     "verify-slto": ExperimentKind(
         run_verify_slto, "verify an external unitary", None,
@@ -957,13 +989,10 @@ def run_experiment(
     series_path = None
     if write_series and series is not None:
         series_path = out_dir / "series.csv"
-        # %.17g writes an int (the design iteration) as str() does
-        row_format = ",".join(["%.17g"] * (spec.series_header.count(",") + 1)) + "\n"
-        rows = iter(series)
+        lines = spec.series_lines(series, spec.series_header.count(",") + 1)
         with _open_new(series_path) as fh:
             fh.write(spec.series_header + "\n")
-            while chunk := [row_format % tuple(row)
-                            for row in itertools.islice(rows, SERIES_CHUNK_ROWS)]:
+            while chunk := list(itertools.islice(lines, SERIES_CHUNK_ROWS)):
                 fh.write("".join(chunk))
     return RunArtifact(
         report_path=str(report_path),

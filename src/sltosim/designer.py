@@ -12,13 +12,15 @@ are reported only far enough below the workspace cutoff.
 
 Both tables are linear in the coefficients: f(n) = sum_d c_d <n|X^d|n>
 and theta(j) sqrt(j+1) = sum_d c_d <j|X^d|j+1>.  ``FockRows`` holds those
-per-degree rows, read off the powers X^1..X^D once; a table is the
-coefficient-weighted sum of its rows, accumulated from zero in degree
-order (the order of the dense sum over c_d X^d, so the values are the
-same to the bit).  Tables and costs are computed for a stack of
-coefficient vectors at once, one row per vector.  A fit builds the rows
-of its fit window once and scores its proposals as such stacks, and the
-kick sensitivities are the norms of the same rows.
+per-degree rows, read off the powers X^1..X^D once, as one flat table:
+one row per coefficient over the f columns and then the theta columns,
+zero outside its own table, with a divisor row that is 1 on the f
+columns and sqrt(j+1) on the theta columns.  Both tables of a stack of
+coefficient vectors are then one broadcast product, one sum from zero in
+coefficient order (the order of the dense sum over c_d X^d, so the values
+are the same to the bit) and one divide.  A fit builds the rows of its
+fit window once and scores its proposals as such stacks, and the kick
+sensitivities are the norms of the unit vectors' tables.
 
 The fit is a seeded random-walk descent over the coefficients: one
 coefficient at a time gets a Gaussian kick, downhill moves are always
@@ -29,7 +31,9 @@ Boltzmann probability.  Identical seeds reproduce identical traces.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +55,11 @@ MAX_ITERATIONS = 1_000_000
 #: 8 to 16 were fastest on the design-fit benchmark and 32 was slower
 PROPOSAL_BATCH = 16
 
+#: proposals whose draws a zero-temperature walk takes ahead at once: about
+#: 100 bytes of lists and arrays each, 25 KB a chunk beside the trace; a
+#: 500-iteration walk takes two chunks and cuts one batch short between them
+DRAW_CHUNK = 256
+
 
 @dataclass(frozen=True)
 class PotentialAnsatz:
@@ -68,6 +77,10 @@ class PotentialAnsatz:
         b = np.array(self.b_coeffs, dtype=float)
         if v.ndim != 1 or b.ndim != 1 or v.size == 0 or b.size == 0:
             raise ValueError("coefficient arrays must be nonempty 1-d")
+        # an infinite coefficient would also turn its zero entries in the
+        # other table's columns into NaN
+        if not (np.all(np.isfinite(v)) and np.all(np.isfinite(b))):
+            raise ValueError("ansatz coefficients must be finite")
         v.flags.writeable = False
         b.flags.writeable = False
         object.__setattr__(self, "v_coeffs", v)
@@ -111,16 +124,19 @@ def position_operator(dim: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FockRows:
-    """Per-degree rows of the two tables, over a window of levels.
+    """Per-coefficient rows of both tables, over a window of levels.
 
-    ``v[k, i]`` is <n|X^d|n> for the k-th potential degree d and
-    ``b[k, i]`` is <j|X^d|j+1> for the k-th mode-function degree, with
-    ``root[i] = sqrt(j+1)`` the theta divisor of the same column.
+    ``table`` has one row per flat coefficient (potential slots first) and
+    the f columns followed by the theta columns: a potential row holds
+    <n|X^d|n> for its degree d on the first ``n_f`` columns, a
+    mode-function row holds <j|X^d|j+1> on the rest, and every other
+    entry is 0.  ``divisor`` is 1 on the f columns and sqrt(j+1) on the
+    theta column of level j.
     """
 
-    v: np.ndarray
-    b: np.ndarray
-    root: np.ndarray
+    table: np.ndarray
+    divisor: np.ndarray
+    n_f: int
 
     @classmethod
     def build(cls, ansatz: PotentialAnsatz, n_work: int) -> "FockRows":
@@ -131,30 +147,34 @@ class FockRows:
             )
         n_f = n_work - int(ansatz.v_degrees[-1]) + 1
         j_top = n_work - int(ansatz.b_degrees[-1])  # <j|b|j+1> needs j+1+d_b <= n_work
-        v_degrees = set(ansatz.v_degrees.tolist())
-        b_degrees = set(ansatz.b_degrees.tolist())
+        nv = ansatz.v_coeffs.size
+        v_slot = {d: k for k, d in enumerate(ansatz.v_degrees.tolist())}
+        b_slot = {d: nv + k for k, d in enumerate(ansatz.b_degrees.tolist())}
+        table = np.zeros((nv + ansatz.b_coeffs.size, n_f + j_top))
         x = position_operator(n_work + 1)
         power = np.eye(n_work + 1)
-        v_rows, b_rows = [], []
         for degree in range(1, ansatz.max_degree + 1):
             power = power @ x
-            if degree in v_degrees:
-                v_rows.append(np.diagonal(power)[:n_f].copy())
-            if degree in b_degrees:
-                b_rows.append(np.diagonal(power, 1)[:j_top].copy())
-        return cls(np.array(v_rows), np.array(b_rows), np.sqrt(np.arange(1, j_top + 1)))
+            if degree in v_slot:
+                table[v_slot[degree], :n_f] = np.diagonal(power)[:n_f]
+            if degree in b_slot:
+                table[b_slot[degree], n_f:] = np.diagonal(power, 1)[:j_top]
+        divisor = np.concatenate([np.ones(n_f), np.sqrt(np.arange(1, j_top + 1))])
+        return cls(table, divisor, n_f)
 
-    def tables(self, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(f, theta) of a (stack, n_coeffs) array of flat coefficient
-        vectors (potential slots first), one table row per vector.
+    def tables(self, coeffs: np.ndarray) -> np.ndarray:
+        """The f then theta columns of a (stack, n_coeffs) array of flat
+        coefficient vectors, one row per vector.
 
-        Each table is summed from zero in degree order and theta is
-        divided after the sum, the order of the dense sum over c X^d.
+        Each column is summed from zero in coefficient order and divided
+        after the sum, the order of the dense sum over c X^d: a 0 entry
+        adds a signed zero, which leaves a sum started at +0.0 as it was,
+        and x/1.0 = x.  The products are laid out C-ordered with the
+        coefficient axis first: numpy then sums over that axis one term at
+        a time, each term a whole (stack, columns) slab.
         """
-        nv = self.v.shape[0]
-        f = (coeffs[:, :nv, None] * self.v).sum(axis=-2, initial=0.0)
-        theta = (coeffs[:, nv:, None] * self.b).sum(axis=-2, initial=0.0) / self.root
-        return f, theta
+        products = np.multiply(coeffs.T[:, :, None], self.table[:, None, :], order="C")
+        return products.sum(axis=0, initial=0.0) / self.divisor
 
 
 def fock_matrix_elements(
@@ -167,8 +187,9 @@ def fock_matrix_elements(
     j <= n_work - D_b - 1.  Higher entries are contaminated by the
     cutoff and never reported.
     """
-    f, theta = FockRows.build(ansatz, n_work).tables(ansatz.flat()[None])
-    return f[0], theta[0]
+    rows = FockRows.build(ansatz, n_work)
+    tables = rows.tables(ansatz.flat()[None])[0]
+    return tables[: rows.n_f], tables[rows.n_f :]
 
 
 @dataclass(frozen=True)
@@ -205,6 +226,13 @@ class DesignTargets:
     def n_fit(self) -> int:
         return self.f_target.size
 
+    @functools.cached_property
+    def table(self) -> np.ndarray:
+        """The f then theta targets, in the column order of ``fit_rows``."""
+        table = np.concatenate([self.f_target, self.theta_target])
+        table.flags.writeable = False
+        return table
+
     @classmethod
     def inverse_intensity(
         cls, amplitude: float, n_fit: int, q: float = 4.0, n_work: int = 0
@@ -237,35 +265,37 @@ def _workspace_cutoff(
 
 
 def fit_rows(ansatz: PotentialAnsatz, targets: DesignTargets) -> FockRows:
-    """The rows over the fit window n = 1..n_fit.
+    """The rows over the fit window n = 1..n_fit of both tables.
 
     They depend on the ansatz only through its degrees, so one build
     serves a whole fit: the walk, the best cost and the achieved tables.
     """
     rows = FockRows.build(ansatz, targets.n_work)
-    n_fit = targets.n_fit
-    if rows.v.shape[1] < n_fit + 1 or rows.b.shape[1] < n_fit + 1:
+    n_fit, n_f = targets.n_fit, rows.n_f
+    if min(n_f, rows.table.shape[1] - n_f) < n_fit + 1:
         raise ValueError(
             f"workspace cutoff {targets.n_work} cannot reach fit index {n_fit} "
             f"for degrees up to {ansatz.max_degree}"
         )
-    fit = slice(1, n_fit + 1)
-    return FockRows(rows.v[:, fit], rows.b[:, fit], rows.root[fit])
+    cols = np.r_[1 : n_fit + 1, n_f + 1 : n_f + n_fit + 1]
+    return FockRows(rows.table[:, cols], rows.divisor[cols], n_fit)
 
 
-def _fit_cost(rows: FockRows, coeffs: np.ndarray, targets: DesignTargets) -> list[float]:
+def _fit_costs(rows: FockRows, coeffs: np.ndarray, targets: DesignTargets) -> Iterator[float]:
     """The design costs of a (stack, n_coeffs) array of flat coefficients,
-    from the fit-window rows.
+    from the fit-window rows, in stack order.
 
-    The norms are taken in Python floats: np.power rounds some Lq roots
-    differently, and a walk then drifts from its seeded trace.
+    The norm sums are taken for the whole stack and the roots one row at
+    a time as they are read, so a walk that stops at its first downhill
+    proposal takes no root after it.  The roots are Python floats:
+    np.power rounds some Lq roots differently, and a walk then drifts from
+    its seeded trace.
     """
-    f_act, theta_act = rows.tables(coeffs)
-    df = f_act - targets.f_target
-    dth = theta_act - targets.theta_target
-    f_sums = (df**2).sum(axis=-1).tolist()
-    th_sums = (np.abs(dth) ** targets.q).sum(axis=-1).tolist()
-    return [math.sqrt(f) + th ** (1.0 / targets.q) for f, th in zip(f_sums, th_sums)]
+    miss = rows.tables(coeffs) - targets.table
+    f_sums = (miss[:, : rows.n_f] ** 2).sum(axis=1).tolist()
+    th_sums = (np.abs(miss[:, rows.n_f :]) ** targets.q).sum(axis=1).tolist()
+    root = 1.0 / targets.q
+    return (math.sqrt(f) + th**root for f, th in zip(f_sums, th_sums))
 
 
 def design_cost(
@@ -276,7 +306,7 @@ def design_cost(
     ``rows`` are the ansatz's ``fit_rows``, built here when not given.
     """
     rows = fit_rows(ansatz, targets) if rows is None else rows
-    return _fit_cost(rows, ansatz.flat()[None], targets)[0]
+    return next(_fit_costs(rows, ansatz.flat()[None], targets))
 
 
 @dataclass(frozen=True)
@@ -305,10 +335,11 @@ class AnnealSchedule:
 
 def _coefficient_sensitivities(rows: FockRows) -> np.ndarray:
     """Cost-space gain of a unit kick on each coefficient: the norm of
-    its row over the fit window, since the tables are linear in the
+    its tables over the fit window, since they are linear in the
     coefficients."""
-    table_rows = np.concatenate([rows.v, rows.b / rows.root])
-    return np.maximum(np.sqrt(np.sum(table_rows**2, axis=1)), 1e-30)
+    unit = rows.tables(np.eye(rows.table.shape[0])) ** 2
+    norms = np.sqrt(unit[:, : rows.n_f].sum(axis=1) + unit[:, rows.n_f :].sum(axis=1))
+    return np.maximum(norms, 1e-30)
 
 
 def mc_optimize(
@@ -327,16 +358,18 @@ def mc_optimize(
     ``fit_rows`` of ansatz0, are built once (here when not given), and
     each proposal is scored from its coefficients.
 
-    A proposal's draws, the coefficient index and the unit normal that
-    scales its width, do not depend on the walk's state.  So the walk
-    draws the next PROPOSAL_BATCH of them, builds every proposal from the
-    current coefficients and cost, scores them as one stack, and moves
-    to the first downhill one; the proposals before it are rejections
-    and the draws after it are kept for the next batch.  That is the
-    same walk, to the bit, as scoring one proposal at a time.  At a
-    positive temperature an uphill proposal takes one more draw, the
-    accept test, so the next proposal's draws depend on this one's
-    outcome and the batch is a single proposal.
+    At zero temperature a proposal's draws, the coefficient index and the
+    unit normal that scales its width, do not depend on the walk's state.
+    So the walk takes them ahead, DRAW_CHUNK proposals at a time (never
+    past ``iterations``) with the same calls in the same order as one at a
+    time, builds the next PROPOSAL_BATCH proposals from the current
+    coefficients and cost, scores them as one stack, and moves to the
+    first downhill one; the proposals before it are rejections and the
+    draws after it open the next batch.  That is the same walk, to the
+    bit, as scoring one proposal at a time.  At a positive temperature an
+    uphill proposal takes one more draw, the accept test, so the next
+    proposal's draws depend on this one's outcome: the walk draws and
+    scores one proposal at a time.
 
     Returns the best ansatz ever visited and the accepted-cost trace
     (length iterations + 1, starting at the initial cost).  The trace's
@@ -348,47 +381,63 @@ def mc_optimize(
     sens = _coefficient_sensitivities(rows)
     coeffs = ansatz0.flat()
     with np.errstate(over="ignore", invalid="ignore"):
-        current = _fit_cost(rows, coeffs[None], targets)[0]
+        current = next(_fit_costs(rows, coeffs[None], targets))
     if not math.isfinite(current):
         raise ValueError(f"initial design cost is {current}; the walk needs a finite start")
     rng = np.random.default_rng(schedule.seed)
+    draw_k, draw_z = rng.integers, rng.standard_normal
+    size, scale = coeffs.size, schedule.proposal_scale
     temperature = schedule.mc_temperature
-    batch = PROPOSAL_BATCH if temperature == 0 else 1
-    best_coeffs = coeffs.copy()
-    best_cost = current
     trace = np.empty(schedule.iterations + 1)
     trace[0] = current
-    drawn_k, drawn_z = [], []  # the draws of iterations i, i + 1, ...
-    i = 1
-    while i <= schedule.iterations:
-        n = min(batch, schedule.iterations + 1 - i)
-        while len(drawn_k) < n:
-            drawn_k.append(int(rng.integers(coeffs.size)))
-            drawn_z.append(rng.standard_normal())
-        ks = np.array(drawn_k[:n])
-        # rng.normal(0.0, width) is width times one standard normal draw
-        steps = schedule.proposal_scale * current / sens[ks] * np.array(drawn_z[:n])
-        proposals = coeffs[None].repeat(n, axis=0)
-        proposals[np.arange(n), ks] += steps
-        costs = _fit_cost(rows, proposals, targets)
-        j = next((j for j, cost in enumerate(costs) if cost - current < 0), None)
-        accept = j is not None
-        if not accept:
-            j = n - 1
-            accept = temperature > 0 and (
-                rng.random() < math.exp(-(costs[j] - current) / temperature)
-            )
-        trace[i : i + j + 1] = current
-        if accept:
-            coeffs = proposals[j]
-            current = costs[j]
+    # a step is rng.normal(0.0, width), which is width times one standard
+    # normal draw: scale * current / sens[k] * z
+    if temperature > 0:
+        best_coeffs, best_cost = coeffs, current
+        for i in range(1, schedule.iterations + 1):
+            k = int(draw_k(size))
+            proposal = coeffs.copy()
+            proposal[k] += scale * current / sens[k] * draw_z()
+            cost = next(_fit_costs(rows, proposal[None], targets))
+            if cost - current < 0 or rng.random() < math.exp(-(cost - current) / temperature):
+                coeffs, current = proposal, cost
+                if current < best_cost:
+                    best_coeffs, best_cost = coeffs, current
+            trace[i] = current
+        return ansatz0.with_flat(best_coeffs), trace
+
+    proposals = np.empty((PROPOSAL_BATCH, size))
+    slots = np.arange(PROPOSAL_BATCH)
+    start = 1  # the iteration of the chunk's first draw
+    while start <= schedule.iterations:
+        count = min(DRAW_CHUNK, schedule.iterations + 1 - start)
+        ks, zs = [], []
+        for _ in range(count):
+            ks.append(draw_k(size))
+            zs.append(draw_z())
+        ks, zs = np.array(ks), np.array(zs)
+        widths = sens[ks]
+        p = 0  # the draw of the batch's first proposal
+        while p < count:
+            n = min(PROPOSAL_BATCH, count - p)
+            batch = proposals[:n]
+            batch[:] = coeffs
+            batch[slots[:n], ks[p : p + n]] += scale * current / widths[p : p + n] * zs[p : p + n]
+            i = start + p
+            for j, cost in enumerate(_fit_costs(rows, batch, targets)):
+                if cost - current < 0:
+                    break
+            else:
+                trace[i : i + n] = current
+                p += n
+                continue
+            trace[i : i + j] = current
+            coeffs, current = batch[j].copy(), cost
             trace[i + j] = current
-            if current < best_cost:
-                best_cost = current
-                best_coeffs = coeffs.copy()
-        del drawn_k[: j + 1], drawn_z[: j + 1]
-        i += j + 1
-    return ansatz0.with_flat(best_coeffs), trace
+            p += j + 1
+        start += count
+    # every move was downhill, so the last state is the best one
+    return ansatz0.with_flat(coeffs), trace
 
 
 @dataclass(frozen=True)

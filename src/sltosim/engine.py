@@ -226,15 +226,22 @@ def enumerate_blocks(cfg: CompactEngineConfig) -> np.ndarray:
     return _sector_members(cfg, n, m)
 
 
+#: the pair block at unit coupling, the entries of ``pair_generator(1.0)``
+SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
+SIGMA_X.flags.writeable = False
+
+
 def charge_blocks(cfg: CompactEngineConfig, n: int, m: int,
                   g: np.ndarray) -> tuple[tuple[tuple[int, int, int], ...], np.ndarray]:
     """Sector (n, m)'s members and its block at each coupling g[r], as one
-    (len(g), k, k) stack: g[r]*sigma_x on the pair, a 1x1 zero block when idle."""
+    (len(g), k, k) stack: g[r]*sigma_x on the pair, a 1x1 zero block when idle.
+
+    The members follow ``_sector_members``'s rule, read for one sector."""
     check_sector(cfg, n, m)
-    source, target = _sector_members(cfg, np.array([n]), np.array([m]))[0].tolist()
-    if target[0] < 0:
-        return (tuple(source),), np.zeros((len(g), 1, 1), dtype=np.complex128)
-    return (tuple(source), tuple(target)), g[:, None, None] * pair_generator(1.0).entries
+    n, m = int(n), int(m)
+    if not (n >= 1 and m < cfg.n_max2):
+        return ((n, m, 0),), np.zeros((len(g), 1, 1), dtype=np.complex128)
+    return ((n, m, 0), (n - 1, m + 1, 1)), g[:, None, None] * SIGMA_X
 
 
 def build_interaction_hamiltonian(cfg: CompactEngineConfig) -> Operator:

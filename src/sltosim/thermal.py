@@ -4,7 +4,9 @@ A bath is a single harmonic ladder cut off at a finite Fock level.  The
 cutoff is chosen so the discarded Gibbs tail is below a target mass, and
 the achieved mass is reported so downstream consumers can separate
 truncation artifacts from physics.  ``gibbs_density`` gives the thermal
-state of an arbitrary Hermitian operator, for the SLTO verifier.
+state of an arbitrary Hermitian operator, for the SLTO verifier, and
+``gibbs_weights`` the Gibbs weights of a spectrum, which are that
+state's diagonal when the operator is diagonal.
 """
 
 from __future__ import annotations
@@ -38,13 +40,22 @@ def gibbs_probabilities(omega: float, beta: float, n_max: int) -> np.ndarray:
     return w / w.sum()
 
 
+def gibbs_weights(energies: np.ndarray, beta: float) -> np.ndarray:
+    """exp(-beta e)/Z over a spectrum given in any order, at any real beta.
+
+    Z is summed in ascending-energy order, as over ``eigh``'s sorted
+    spectrum, so a diagonal operator's weights are the diagonal of its
+    ``gibbs_density`` without an eigendecomposition.
+    """
+    # shifting by the energy of largest weight keeps every exponent <= 0
+    w = np.exp(-beta * (energies - (energies.min() if beta >= 0 else energies.max())))
+    return w / w[np.argsort(energies, kind="stable")].sum()
+
+
 def gibbs_density(h, beta: float) -> DensityMatrix:
     """exp(-beta h)/Z for an arbitrary Hermitian operator, at any real beta."""
     eigvals, eigvecs = np.linalg.eigh(h.entries)
-    # shifting by the eigenvalue of largest weight keeps every exponent <= 0
-    w = np.exp(-beta * (eigvals - (eigvals.min() if beta >= 0 else eigvals.max())))
-    w = w / w.sum()
-    rho = (eigvecs * w) @ eigvecs.conj().T
+    rho = (eigvecs * gibbs_weights(eigvals, beta)) @ eigvecs.conj().T
     return DensityMatrix(rho)
 
 

@@ -747,6 +747,22 @@ class TestDesignCommand:
             assert code == 0
             assert built and max(built) == n_work + 1
 
+    def test_design_file_with_infinite_coefficient_named(self, tmp_path, capsys):
+        targets = DesignTargets.inverse_intensity(0.0125, 6)
+        design_path = tmp_path / "inf.json"
+        design_path.write_text(json.dumps({
+            "ansatz": {"v_coeffs": [0.0, math.inf, 0.0, 0.0], "b_coeffs": [0.0] * 4},
+            "targets": {"f": targets.f_target.tolist(), "theta": targets.theta_target.tolist()},
+        }))
+        assert "Infinity" in design_path.read_text()
+        out = tmp_path / "out"
+        code = main(["design", "--design-in", str(design_path), "--iterations", "50",
+                     "--out", str(out), "--no-color"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(design_path) in err and "coefficients must be finite" in err
+        assert not (out / "report.json").exists()
+
     def test_trace_series(self, tmp_path):
         assert main(["design", "--iterations", "300", "--seed", "1",
                      "--out", str(tmp_path), "--series", "--no-color"]) == 0
@@ -1524,6 +1540,25 @@ class TestRunExperimentApi:
         assert (Path(chunked.series_path).read_bytes()
                 == Path(expected.series_path).read_bytes())
         assert len(Path(chunked.series_path).read_text().splitlines()) == 42
+
+    def test_design_runs_straddling_chunks_print_as_rows(self, tmp_path, monkeypatch):
+        params = {"iterations": 120, "seed": 2}
+        _, _, series = KINDS["design"].runner(params, tmp_path / "direct")
+        rows = list(series)
+        costs = [cost for _, cost in rows]
+        # some run of equal costs crosses a 7-row chunk edge
+        assert any(costs[k - 1] == costs[k] for k in range(7, len(costs), 7))
+        monkeypatch.setattr(cli, "SERIES_CHUNK_ROWS", 7)
+        artifact = run_experiment("design", params, tmp_path / "run", write_series=True)
+        expected = "iteration,cost\n" + "".join("%.17g,%.17g\n" % (i, c) for i, c in rows)
+        assert Path(artifact.series_path).read_text() == expected
+
+    def test_trace_lines_do_not_share_a_text_across_signed_zeros(self):
+        rows = [(0, 1.5), (1, 1.5), (2, 0.0), (3, -0.0), (4, -0.0), (5, 0.0), (6, 0.0),
+                (7, math.nan), (8, math.nan), (9, 0.25)]
+        assert list(cli._trace_lines(iter(rows), 2)) == list(cli._row_lines(rows, 2))
+        assert list(cli._row_lines(rows, 2))[2:7] == ["2,0\n", "3,-0\n", "4,-0\n", "5,0\n",
+                                                     "6,0\n"]
 
     def test_long_series_is_not_held_as_one_string(self, tmp_path, monkeypatch):
         n_rows = 200_000

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from sltosim import designer
 from sltosim.designer import (
+    DRAW_CHUNK,
     MAX_ITERATIONS,
     PROPOSAL_BATCH,
     AnnealSchedule,
@@ -147,6 +148,42 @@ class TestFockMatrixElements:
         m = th_small.size
         assert np.max(np.abs(th_small - th_large[:m])) <= 1e-12
 
+    @pytest.mark.parametrize("seed", [0, 1, 2, None])
+    def test_tables_are_degree_ordered_sums_from_zero(self, seed):
+        """Each entry is, to the bit, the Python-float sum from 0.0 of c_d times
+        the entry of X^d (the powers taken as X @ X @ ...), in degree order,
+        theta divided after the sum; signed-zero coefficients included (seed
+        None: every term of an f entry is -0.0, and the sum is still +0.0)."""
+        if seed is None:
+            v, b = np.full(4, -0.0), np.array([-1.0, -0.5, -0.25, -2.0])
+        else:
+            rng = np.random.default_rng(seed)
+            v = rng.normal(size=4) * rng.integers(0, 2, size=4)
+            b = rng.normal(size=4) * rng.integers(0, 2, size=4)
+            v[v == 0.0] = -0.0
+        ansatz = PotentialAnsatz(v, b)
+        n_work = 20
+        f, theta = fock_matrix_elements(ansatz, n_work)
+        x = position_operator(n_work + 1)
+        powers, power = {}, np.eye(n_work + 1)
+        for degree in range(1, ansatz.max_degree + 1):
+            power = power @ x
+            powers[degree] = power
+        f_ref, theta_ref = [], []
+        for n in range(f.size):
+            total = 0.0
+            for d, c in zip(ansatz.v_degrees.tolist(), ansatz.v_coeffs.tolist()):
+                total += c * float(powers[d][n, n])
+            f_ref.append(total)
+        for j in range(theta.size):
+            total = 0.0
+            for d, c in zip(ansatz.b_degrees.tolist(), ansatz.b_coeffs.tolist()):
+                total += c * float(powers[d][j, j + 1])
+            theta_ref.append(total / math.sqrt(j + 1))
+        assert np.array_equal(f, f_ref) and np.array_equal(np.signbit(f), np.signbit(f_ref))
+        assert np.array_equal(theta, theta_ref)
+        assert np.array_equal(np.signbit(theta), np.signbit(theta_ref))
+
     def test_position_operator_ladder(self):
         x = position_operator(6)
         assert abs(x[0, 1] - math.sqrt(0.5)) <= 1e-15
@@ -211,6 +248,15 @@ class TestDesignCost:
         bumped = gen.flat()
         bumped[rng.integers(bumped.size)] += eps
         assert design_cost(gen.with_flat(bumped), targets) > 0.0
+
+
+class TestPotentialAnsatz:
+    @pytest.mark.parametrize("v, b", [
+        ([1.0, math.inf], [0.0]), ([0.0], [-math.inf, 1.0]), ([math.nan], [0.0]),
+    ])
+    def test_non_finite_coefficients_rejected(self, v, b):
+        with pytest.raises(ValueError, match="ansatz coefficients must be finite"):
+            PotentialAnsatz(np.array(v), np.array(b))
 
 
 class TestParity:
@@ -357,6 +403,35 @@ class TestBatchedWalk:
     @pytest.mark.parametrize("seed", [0, 7])
     def test_walk_lengths_at_batch_edges(self, iterations, seed):
         self.assert_reference_walk(*self.fit(), AnnealSchedule(iterations=iterations, seed=seed))
+
+    @pytest.mark.parametrize("iterations", [
+        DRAW_CHUNK - 1, DRAW_CHUNK, DRAW_CHUNK + 1, 2 * DRAW_CHUNK + 1,
+    ])
+    @pytest.mark.parametrize("temperature", [0.0, 0.01])
+    def test_walk_lengths_at_draw_chunk_edges(self, iterations, temperature):
+        self.assert_reference_walk(*self.fit(), AnnealSchedule(
+            iterations=iterations, mc_temperature=temperature, seed=5))
+
+    @pytest.mark.parametrize("iterations", [1, DRAW_CHUNK - 1, DRAW_CHUNK + 1])
+    def test_draws_stop_at_the_iteration_budget(self, iterations, monkeypatch):
+        calls = []
+        make_rng = np.random.default_rng
+
+        class Counted:
+            def __init__(self, seed=None):
+                self.rng = make_rng(seed)
+
+            def integers(self, *args):
+                calls.append("k")
+                return self.rng.integers(*args)
+
+            def standard_normal(self):
+                calls.append("z")
+                return self.rng.standard_normal()
+
+        monkeypatch.setattr(np.random, "default_rng", Counted)
+        mc_optimize(*self.fit(), AnnealSchedule(iterations=iterations))
+        assert calls == ["k", "z"] * iterations
 
     @pytest.mark.parametrize("slot", [1, PROPOSAL_BATCH])
     def test_first_acceptance_on_batch_edge(self, slot):

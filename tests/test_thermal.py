@@ -9,6 +9,7 @@ from conftest import random_hermitian
 from sltosim.linalg import Operator
 from sltosim.thermal import (
     gibbs_density,
+    gibbs_weights,
     gibbs_probabilities,
     truncated_mass,
     truncation_for_tail,
@@ -110,3 +111,15 @@ class TestGibbsDensity:
         # the state's diagonal in the eigenbasis of h
         got = np.real(np.einsum("ji,jk,ki->i", eigvecs.conj(), rho.entries, eigvecs))
         assert np.max(np.abs(got - w)) <= 1e-12
+
+    @pytest.mark.parametrize("beta", [-3.0, 0.0, 0.7, 40.0])
+    def test_weights_of_a_shuffled_diagonal_are_its_density_diagonal(self, beta):
+        # ties included: the weights are normalized over the ascending spectrum
+        rng = np.random.default_rng(13)
+        for size in (1, 7, 8, 9, 30):
+            energies = np.round(rng.normal(size=size) * 2.0, 1)
+            rng.shuffle(energies)
+            rho = gibbs_density(Operator(np.diag(energies).astype(complex),
+                                         hermitian_hint=True), beta).entries
+            assert np.array_equal(gibbs_weights(energies, beta), np.diagonal(rho).real)
+            assert not np.any(rho - np.diag(np.diagonal(rho).real))
