@@ -620,6 +620,8 @@ def run_delta_sweep(params: dict, out_dir: Path) -> tuple[dict, dict, list | Non
     ratios = params.get("ratios", [20.0, 40.0, 80.0, 160.0])
     if not hasattr(ratios, "__len__") or len(ratios) < 2:
         raise ConfigError(f"ratios: need at least two sweep points, got {ratios!r}")
+    if len(set(ratios)) < 2:
+        raise ConfigError(f"ratios: need at least two distinct values, got {list(ratios)!r}")
     block = tuple(params.get("block", (3, 1)))
     if len(block) != 2:
         raise ConfigError(f"block: need two integers n,m, got {list(block)!r}")
@@ -646,7 +648,7 @@ def run_delta_sweep(params: dict, out_dir: Path) -> tuple[dict, dict, list | Non
     # the sample cap can leave the fastest oscillation under-resolved
     density = min(p.samples_per_period for p in points)
     results = {
-        "points": [dataclasses.asdict(p) for p in points],
+        "points": [dict(vars(p)) for p in points],
         "deviation_slope": dev_slope,
         "leak_slope": leak_slope,
         "monotone_decreasing": monotone,
@@ -829,9 +831,12 @@ def _int_list(text: str) -> list[int]:
 
 def _row_lines(rows: Iterable, n_columns: int) -> Iterator[str]:
     """series.csv lines of numeric rows, each value as %.17g (an int, the
-    design iteration, prints as str() prints it)."""
+    design iteration, prints as str() prints it), as one string per
+    SERIES_CHUNK_ROWS rows, formatted by one %."""
     row_format = ",".join(["%.17g"] * n_columns) + "\n"
-    return (row_format % tuple(row) for row in rows)
+    rows = iter(rows)
+    while chunk := list(itertools.islice(rows, SERIES_CHUNK_ROWS)):
+        yield (row_format * len(chunk)) % tuple(itertools.chain.from_iterable(chunk))
 
 
 def _trace_lines(rows: Iterable, n_columns: int) -> Iterator[str]:
@@ -839,11 +844,17 @@ def _trace_lines(rows: Iterable, n_columns: int) -> Iterator[str]:
     equal costs once: a walk's trace repeats its cost until the next
     accepted move.  A zero is formatted on every row, since 0.0 == -0.0
     but the two print differently."""
+    rows = iter(rows)
     last = text = None
-    for i, cost in rows:
-        if cost != last or not cost:
-            last, text = cost, "%.17g\n" % cost
-        yield f"{i},{text}"
+    while True:
+        lines = []
+        for i, cost in itertools.islice(rows, SERIES_CHUNK_ROWS):
+            if cost != last or not cost:
+                last, text = cost, "%.17g\n" % cost
+            lines.append(f"{i},{text}")
+        if not lines:
+            return
+        yield "".join(lines)
 
 
 @dataclass(frozen=True)
@@ -856,7 +867,8 @@ class ExperimentKind:
     ``series_header`` is the first line of ``series.csv`` (``None`` when
     the kind writes no series).  The runner's series rows are iterated
     once, and only when ``series.csv`` is written, by ``series_lines``
-    (given the rows and the header's column count).
+    (given the rows and the header's column count), which yields the
+    file's lines one SERIES_CHUNK_ROWS chunk at a time.
     """
 
     runner: Callable[[dict, Path], tuple[dict, dict, Iterable[list] | None]]
@@ -992,8 +1004,7 @@ def run_experiment(
         lines = spec.series_lines(series, spec.series_header.count(",") + 1)
         with _open_new(series_path) as fh:
             fh.write(spec.series_header + "\n")
-            while chunk := list(itertools.islice(lines, SERIES_CHUNK_ROWS)):
-                fh.write("".join(chunk))
+            fh.writelines(lines)
     return RunArtifact(
         report_path=str(report_path),
         series_path=str(series_path) if series_path else None,

@@ -392,11 +392,13 @@ def evolve_cycle(
     """
     if cfg.g == 0:
         raise ValueError("the cycle needs a positive coupling (tau is undefined at g = 0)")
-    times = (np.linspace(0.0, cfg.tau, DEFAULT_GRID_POINTS) if times is None
+    own_grid = times is None
+    times = (np.linspace(0.0, cfg.tau, DEFAULT_GRID_POINTS) if own_grid
              else np.array(times, dtype=float))
     if not np.all(np.isfinite(times)):
         raise ValueError("times must be finite")
-    tau_index = _require_tau(times, cfg.tau)
+    # np.linspace stores its stop in the last slot exactly
+    tau_index = DEFAULT_GRID_POINTS - 1 if own_grid else _require_tau(times, cfg.tau)
     members = enumerate_blocks(cfg)
     coupled = members[:, 1, 0] >= 0
     # members as (n, m, level): (P, 2, 3) for the pairs (source, target), (I, 3) idle

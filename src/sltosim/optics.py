@@ -29,8 +29,10 @@ not depend on the detuning, so the blocks of many detunings stack:
 profile tables as one (detunings, k, k) array, and ``engine.charge_blocks``
 the effective g*sigma_x pairs; a single block is a stack of one.  The
 detuning sweep and the design check evolve only these blocks.  The
-sweep runs one stacked ``eigh`` per model and takes the level populations
-over each detuning's uniform time grid in closed form from the eigenpairs
+sweep writes each effective block onto the full block's members, where
+|n-1, m, 3> stays decoupled, so both models share one stack and one
+``eigh``, and it takes the level populations over each detuning's
+uniform time grid in closed form from the eigenpairs in one pass
 (``linalg.group_populations``): a constant plus one term per eigenvalue
 gap, with the grid split j = a*B + b so that angle addition turns each
 level's populations into one small matmul over the sine and cosine of
@@ -378,11 +380,15 @@ def adiabatic_elimination_error(
     rule.  The initial state |n0, m0, 1> is evolved under both models
     over [0, pi/(2g)], each inside its charge block, and the worst
     population mismatch on the |1>, |2> levels plus the worst transient
-    |3> occupation are recorded.  Every detuning's block of each model
-    goes through one stacked ``eigh``, and the populations come in closed
-    form from the eigenpairs over each detuning's own uniform grid; a
-    sample whose levels do not sum to 1 within 1e-10 raises
-    ``engine.InvariantError`` naming its time, detuning and block.
+    |3> occupation are recorded.  Each detuning's effective block is
+    written onto the full block's members, with a zero row and column for
+    |n-1, m, 3>, so both models' blocks of every detuning form one stack
+    that goes through one ``eigh``; the populations come in closed form
+    from the eigenpairs over each detuning's own uniform grid, the full and
+    effective grids of a detuning back to back, and the effective model's
+    |3> population is exactly 0.  A sample whose levels do not sum to 1
+    within 1e-10 raises ``engine.InvariantError`` naming its time,
+    detuning and block.
 
     The probe sector matters.  The f-table rule cancels the second-order
     level shifts of the eliminated upper state only up to a one-step
@@ -426,19 +432,23 @@ def adiabatic_elimination_error(
     )
     members_eff, h_eff = charge_blocks(effective_compact_config(cfg), n0, m0,
                                        cfg.g1 * cfg.g2 / stack)
-    pops_full = group_populations(*np.linalg.eigh(h_full), [lvl for _, _, lvl in members], 3,
-                                  windows, n_samples)
-    pops_eff = group_populations(*np.linalg.eigh(h_eff), [lvl for _, _, lvl in members_eff],
-                                 2, windows, n_samples)
+    # rows 2r and 2r + 1: detuning r's full block and its effective block on the
+    # full members, where |n-1, m, 3> keeps a zero row and column
+    at = np.array([members.index(member) for member in members_eff])
+    h = np.zeros((2 * len(deltas), *h_full.shape[1:]), dtype=np.complex128)
+    h[0::2] = h_full
+    h[1::2, at[:, None], at] = h_eff
+    grids = group_populations(*np.linalg.eigh(h), [lvl for _, _, lvl in members], 3,
+                              np.repeat(windows, 2), np.repeat(n_samples, 2).tolist())
     points = []
-    for r, (full, eff) in enumerate(zip(pops_full, pops_eff)):
+    for r, (full, eff) in enumerate(zip(grids, grids)):
         where = f"detuning {deltas[r]!r}, block {(n0, m0)}"
         check_unit_sum(full, windows[r], where)
         check_unit_sum(eff, windows[r], where)
         points.append(SweepPoint(
             delta=deltas[r],
             ratio=ratios[r],
-            population_deviation=float(np.max(np.abs(full[:, :2] - eff))),
+            population_deviation=float(np.max(np.abs(full[:, :2] - eff[:, :2]))),
             leak_max=float(np.max(full[:, 2])),
             samples=n_samples[r],
             samples_per_period=n_samples[r] / periods[r],
@@ -447,19 +457,29 @@ def adiabatic_elimination_error(
 
 
 def sweep_slopes(points: Sequence[SweepPoint]) -> tuple[float | None, float | None]:
-    """Log-log slopes of (population deviation, leak) against the detuning.
+    """Log-log slopes of (population deviation, leak) against the detuning: the
+    least-squares slope sum((x - mean x) (y - mean y)) / sum((x - mean x)^2) of
+    y = log value against x = log delta.
 
     A series with a non-positive entry (a probe state that never leaks)
-    has no logarithm, so its slope is None.
+    has no logarithm, so its slope is None.  Detunings that are all equal
+    have no slope at all and raise ``ValueError``.
     """
     if len(points) < 2:
         raise ValueError("need at least two sweep points to fit a slope")
-    x = np.log([p.delta for p in points])
+    x = [math.log(p.delta) for p in points]
+    if min(x) == max(x):
+        raise ValueError("need at least two distinct detunings to fit a slope")
+    x_mean = math.fsum(x) / len(x)
+    dx = [xi - x_mean for xi in x]
+    spread = math.fsum(d * d for d in dx)
 
     def slope(values: list[float]) -> float | None:
         if min(values) <= 0.0:
             return None
-        return float(np.polyfit(x, np.log(values), 1)[0])
+        y = [math.log(v) for v in values]
+        y_mean = math.fsum(y) / len(y)
+        return math.fsum(d * (yi - y_mean) for d, yi in zip(dx, y)) / spread
 
     return (slope([p.population_deviation for p in points]),
             slope([p.leak_max for p in points]))

@@ -532,10 +532,38 @@ class TestDeltaSweepCommand:
         assert "ratios: need at least two sweep points, got [40.0]" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("source, ratios", [("flag", "20,20"), ("config", [20, 20.0]),
+                                                ("config", [40.0, 40.0, 40.0])])
+    def test_ratios_without_two_distinct_values_rejected_before_any_sweep_is_built(
+            self, tmp_path, monkeypatch, capsys, source, ratios):
+        # one distinct detuning has no slope; a fit through it read -0.928 and passed its band
+        self.forbid_sweep(monkeypatch)
+        if source == "flag":
+            argv = ["--ratios", ratios]
+        else:
+            config = tmp_path / "cfg.json"
+            config.write_text(json.dumps({"ratios": ratios}))
+            argv = ["--config", str(config)]
+        code = main(["delta-sweep", *argv, "--out", str(tmp_path / "o"), "--no-color"])
+        assert code == 2
+        shown = [float(r) for r in ratios.split(",")] if source == "flag" else ratios
+        assert (capsys.readouterr().err
+                == f"error: ratios: need at least two distinct values, got {shown!r}\n")
+        assert not (tmp_path / "o").exists()
+
+    def test_distinct_ratios_at_one_detuning_have_no_slope(self, tmp_path, capsys):
+        # 30 and the next float above it give the same detuning 9.0 at g1 = g2 = 0.3
+        code = main(["delta-sweep", "--ratios", "30,30.000000000000004", "--g1", "0.3",
+                     "--g2", "0.3", "--out", str(tmp_path / "o"), "--no-color"])
+        assert code == 2
+        assert (capsys.readouterr().err
+                == "error: need at least two distinct detunings to fit a slope\n")
+        assert not (tmp_path / "o").exists()
+
     @staticmethod
     def forbid_sweep(monkeypatch):
         def never(*args, **kwargs):
-            raise AssertionError("built a sweep for a malformed block")
+            raise AssertionError("built a sweep for a refused input")
 
         for name in ("OpticsEngineConfig", "uniform_exchange_profile",
                      "adiabatic_elimination_error"):
@@ -1556,9 +1584,10 @@ class TestRunExperimentApi:
     def test_trace_lines_do_not_share_a_text_across_signed_zeros(self):
         rows = [(0, 1.5), (1, 1.5), (2, 0.0), (3, -0.0), (4, -0.0), (5, 0.0), (6, 0.0),
                 (7, math.nan), (8, math.nan), (9, 0.25)]
-        assert list(cli._trace_lines(iter(rows), 2)) == list(cli._row_lines(rows, 2))
-        assert list(cli._row_lines(rows, 2))[2:7] == ["2,0\n", "3,-0\n", "4,-0\n", "5,0\n",
-                                                     "6,0\n"]
+        text = "".join(cli._row_lines(rows, 2))
+        assert "".join(cli._trace_lines(iter(rows), 2)) == text
+        assert text.splitlines(keepends=True)[2:7] == ["2,0\n", "3,-0\n", "4,-0\n", "5,0\n",
+                                                      "6,0\n"]
 
     def test_long_series_is_not_held_as_one_string(self, tmp_path, monkeypatch):
         n_rows = 200_000

@@ -26,6 +26,7 @@ from sltosim.linalg import (
 from sltosim.optics import (
     MAX_SAMPLES,
     OpticsEngineConfig,
+    SweepPoint,
     adiabatic_elimination_error,
     build_effective_hamiltonian,
     build_full_hamiltonian,
@@ -374,6 +375,54 @@ class TestAdiabaticElimination:
         assert -2.5 <= leak_slope <= -1.5
 
 
+def sweep_points(deltas, deviations, leaks) -> list[SweepPoint]:
+    return [SweepPoint(delta=d, ratio=d, population_deviation=y, leak_max=z, samples=2001,
+                       samples_per_period=8.0)
+            for d, y, z in zip(deltas, deviations, leaks, strict=True)]
+
+
+#: 2-8 distinct detunings 0.1 * 1.1^k, at least log(1.1) apart, and a positive series
+#: of the same length
+detunings_and_series = st.lists(st.integers(0, 120), min_size=2, max_size=8,
+                                unique=True).flatmap(lambda ks: st.tuples(
+    st.just([0.1 * 1.1**k for k in ks]),
+    st.lists(st.floats(1e-12, 1e3), min_size=len(ks), max_size=len(ks))))
+
+
+class TestSweepSlopes:
+    @settings(max_examples=300, deadline=None)
+    @given(detunings_and_series)
+    def test_closed_form_matches_polyfit(self, case):
+        """The slope matches np.polyfit's within 1e-12 relative, or, for a slope
+        that cancels to near 0, within max|y| / sqrt(sum dx^2) * 1e-12: about what
+        changing the logs y by one part in 10^12 can move a slope by."""
+        deltas, values = case
+        x = np.log(deltas)
+        slopes = sweep_slopes(sweep_points(deltas, values, values[::-1]))
+        for slope, series in zip(slopes, (values, values[::-1]), strict=True):
+            y = np.log(series)
+            reference = float(np.polyfit(x, y, 1)[0])
+            tol = 1e-12 * max(abs(reference),
+                              np.max(np.abs(y)) / math.sqrt(np.sum((x - x.mean()) ** 2)))
+            assert abs(slope - reference) <= tol
+
+    @settings(max_examples=100, deadline=None)
+    @given(detunings_and_series, st.data())
+    def test_non_positive_entry_has_no_slope(self, case, data):
+        deltas, values = case
+        at = data.draw(st.integers(0, len(values) - 1))
+        values[at] = data.draw(st.sampled_from([0.0, -0.0, -1e-300, -0.5]))
+        dev_slope, leak_slope = sweep_slopes(sweep_points(deltas, values, [1.0] * len(values)))
+        assert dev_slope is None
+        assert leak_slope == 0.0
+
+    @pytest.mark.parametrize("deltas", [[20.0, 20.0], [9.0, 9.0, 9.0]])
+    def test_equal_detunings_have_no_slope(self, deltas):
+        points = sweep_points(deltas, [0.1] * len(deltas), [0.01] * len(deltas))
+        with pytest.raises(ValueError, match="need at least two distinct detunings"):
+            sweep_slopes(points)
+
+
 class TestChargeBlockOracle:
     """The <= 3-state charge blocks against the dense builders."""
 
@@ -431,9 +480,12 @@ class TestChargeBlockOracle:
 
     @pytest.mark.parametrize("block", [(3, 1), (2, 4), (0, 0)])
     def test_sweep_stacks_the_per_detuning_blocks(self, monkeypatch, block):
-        """Row r of each stack the sweep builds is, to the bit, the stack of one
-        built from the config and rule profile at detuning r."""
-        built = {}
+        """Row r of each model's stack is, to the bit, the stack of one built from
+        the config and rule profile at detuning r.  In the one stack the sweep
+        diagonalizes, row 2r is detuning r's full block and row 2r + 1 its
+        effective block scattered onto the full block's members, with a zero
+        row and column for the upper-level member."""
+        built, stacks = {}, []
 
         def record(name, builder):
             def wrapped(*args):
@@ -441,22 +493,55 @@ class TestChargeBlockOracle:
                 return built[name]
             monkeypatch.setattr(optics, name, wrapped)
 
+        def record_eigh(h, eigh=np.linalg.eigh):
+            stacks.append(h.copy())
+            return eigh(h)
+
         record("full_charge_blocks", optics.full_charge_blocks)
         record("charge_blocks", optics.charge_blocks)
+        monkeypatch.setattr(np.linalg, "eigh", record_eigh)
         cfg = small_optics()
         profile = inverse_intensity_profile(cfg)
         deltas = [10.0, 17.3, 80.0]
         adiabatic_elimination_error(cfg, profile, deltas, initial_block=block)
+        (fused,) = stacks
+        assert fused.shape[0] == 2 * len(deltas)
         for r, delta in enumerate(deltas):
             cfg_d = small_optics(delta=delta)
             profile_d = coupling_profile_from_tables(cfg_d, profile.theta1, profile.theta2)
-            for name, (one_members, one_h) in (
-                ("full_charge_blocks", full_block(cfg_d, profile_d, *block)),
-                ("charge_blocks", pair_block(effective_compact_config(cfg_d), *block)),
-            ):
+            full_members, full_h = full_block(cfg_d, profile_d, *block)
+            pair_members, pair_h = pair_block(effective_compact_config(cfg_d), *block)
+            for name, one_members, one_h in (("full_charge_blocks", full_members, full_h),
+                                             ("charge_blocks", pair_members, pair_h)):
                 members, h = built[name]
                 assert members == one_members
                 assert np.array_equal(h[r], one_h[0])
+            assert np.array_equal(fused[2 * r], full_h[0])
+            at = [full_members.index(member) for member in pair_members]
+            scattered = np.zeros_like(full_h[0])
+            scattered[np.ix_(at, at)] = pair_h[0]
+            assert np.array_equal(fused[2 * r + 1], scattered)
+            upper = [i for i, (_, _, level) in enumerate(full_members) if level == 2]
+            assert len(upper) == (1 if block[0] >= 1 else 0)
+            assert not fused[2 * r + 1][upper].any() and not fused[2 * r + 1][:, upper].any()
+
+    def test_one_sweep_makes_one_eigh_and_one_grid_pass(self, monkeypatch):
+        calls = []
+
+        def counted(name, function):
+            def wrapped(*args):
+                calls.append(name)
+                return function(*args)
+            return wrapped
+
+        monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
+        monkeypatch.setattr(optics, "group_populations",
+                            counted("group_populations", group_populations))
+        cfg = small_optics()
+        points = adiabatic_elimination_error(cfg, uniform_exchange_profile(cfg),
+                                             [10.0, 14.0, 20.0, 40.0])
+        assert len(points) == 4
+        assert sorted(calls) == ["eigh", "group_populations"]
 
     def test_sector_outside_cutoffs_rejected(self):
         cfg = small_optics()
@@ -611,9 +696,13 @@ class TestLevelPopulations:
             np.testing.assert_allclose(pops, ref, rtol=0.0,
                                        atol=1e-12 + 4 * np.finfo(float).eps * phase)
 
-    def test_non_orthonormal_eigenbasis_raises(self, monkeypatch):
+    # every row of the sweep's stack, or only the effective model's rows 2r + 1
+    @pytest.mark.parametrize("rows", [slice(None), slice(1, None, 2)])
+    def test_non_orthonormal_eigenbasis_raises(self, monkeypatch, rows):
         def skewed(eigvals, eigvecs, *args):
-            return group_populations(eigvals, eigvecs + 1e-6 * eigvecs[..., ::-1], *args)
+            eigvecs = eigvecs.copy()
+            eigvecs[rows] += 1e-6 * eigvecs[rows, :, ::-1]
+            return group_populations(eigvals, eigvecs, *args)
 
         monkeypatch.setattr(optics, "group_populations", skewed)
         cfg = small_optics()
