@@ -20,7 +20,6 @@ from .linalg import (
     energy_uncertainty,
     fubini_study_distance,
     group_populations,
-    identity,
     tensor_product,
     von_neumann_entropy,
 )

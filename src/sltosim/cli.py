@@ -711,11 +711,30 @@ def _design_entry(spec: dict, section: str, key: str, path):
         raise ConfigError(f"{path}: design file lacks {section}.{key}") from err
 
 
+#: the optional scalar entries of a design file, each with its flag type in VALUE_KINDS
+DESIGN_SCALARS = (("targets", "q", float), ("targets", "n_work", int),
+                  ("schedule", "iterations", int), ("schedule", "proposal_scale", float),
+                  ("schedule", "mc_temperature", float), ("schedule", "seed", int))
+
+
+def _check_design_scalars(spec: dict, path):
+    """Refuse a mistyped scalar entry of a design file, naming the file and the entry."""
+    for section, key, kind in DESIGN_SCALARS:
+        entries, (accepts, what) = spec.get(section, {}), VALUE_KINDS[kind]
+        if not isinstance(entries, dict):
+            raise ConfigError(f"{path}: design file {section} must be an object, got {entries!r}")
+        if key in entries and not accepts(entries[key]):
+            raise ConfigError(f"{path}: design file {section}.{key} must be {what}, "
+                              f"got {entries[key]!r}")
+
+
 def run_design(params: dict, out_dir: Path) -> tuple[dict, dict, Iterable[list]]:
     q = params.get("q", 4.0)
     if params.get("design_in"):
         path = params["design_in"]
         spec = json.loads(Path(path).read_text())
+        if not isinstance(spec, dict):
+            raise ConfigError(f"{path}: design file must hold a JSON object")
         _validate_keys(
             spec, {"ansatz", "targets", "schedule", "result", "schema_version"},
             "design file",
@@ -723,6 +742,7 @@ def run_design(params: dict, out_dir: Path) -> tuple[dict, dict, Iterable[list]]
         v_coeffs, b_coeffs = (_design_entry(spec, "ansatz", key, path)
                               for key in ("v_coeffs", "b_coeffs"))
         f, theta = (_design_entry(spec, "targets", key, path) for key in ("f", "theta"))
+        _check_design_scalars(spec, path)
         try:
             ansatz0 = PotentialAnsatz(np.array(v_coeffs), np.array(b_coeffs))
             targets = DesignTargets(np.array(f), np.array(theta), q=spec["targets"].get("q", q),

@@ -32,21 +32,21 @@ Dense full-space matrices are assembled only for export
 (``evolution_operator``) and as the test oracle
 (``build_interaction_hamiltonian``).
 
-``evolve_cycle`` propagates the one 2x2 pair block over the whole time
-grid and takes every per-sample diagnostic from its amplitude rows in
-closed form (entanglement entropy, energy spread, Fubini-Study
-distance).  Sector weights and the charge gaps behind the commutator
-residuals are read from the member table.  A pair holds its source
-occupations with weight 1 - p(t) and its target ones with weight p(t),
-so each bath-energy trace is two weighted sums over the member table,
-broadcast over the grid by the transfer p(t).
+``evolve_cycle`` propagates the one 2x2 pair block over its fixed time
+grid on [0, tau] and takes every per-sample diagnostic from its
+amplitude rows in closed form (entanglement entropy, energy spread,
+Fubini-Study distance).  Sector weights and the charge gaps behind the
+commutator residuals are read from the member table.  A pair holds its
+source occupations with weight 1 - p(t) and its target ones with weight
+p(t), so each bath-energy trace is two weighted sums over the member
+table, broadcast over the grid by the transfer p(t).
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -62,7 +62,7 @@ from .linalg import (
 from .linalg import DensityMatrix, energy_uncertainty, fubini_study_distance, von_neumann_entropy
 from .thermal import gibbs_probabilities, truncation_for_tail
 
-#: default number of uniform time samples on [0, tau]
+#: number of uniform time samples on [0, tau], the one cycle grid
 DEFAULT_GRID_POINTS = 101
 
 #: caps checked before allocating: the (n, m) sectors of an engine (a cycle takes
@@ -278,11 +278,11 @@ class CycleReport:
 
     Heats q1, q2 are per successful exchange (conditioned on the coupled
     sectors); q1_ensemble, q2_ensemble are success-weighted.  Every trace
-    is sampled on ``times``, one entry (or row) per sample.  Each
-    quantity is stored once: efficiency, power, the ensemble heats, the
-    Clausius and commutator residuals and the partition functions are
-    read-only properties computed from the stored fields.  Residuals are
-    maxima over the sampled grid.
+    is sampled on ``times``, the fixed grid on [0, tau], one entry (or
+    row) per sample.  Each quantity is stored once: efficiency, power,
+    the ensemble heats, the Clausius and commutator residuals and the
+    partition functions are read-only properties computed from the
+    stored fields.  Residuals are maxima over the sampled grid.
     """
 
     beta1: float
@@ -365,17 +365,12 @@ class CycleReport:
         return p
 
 
-def _require_tau(times: np.ndarray, tau: float) -> int:
-    hits = np.flatnonzero(np.isclose(times, tau, rtol=1e-9, atol=0.0))
-    if hits.size == 0:
-        raise ValueError(f"times must include the cycle duration tau = {tau!r}")
-    return int(hits[0])
-
-
-def evolve_cycle(
-    cfg: CompactEngineConfig, times: Sequence[float] | None = None
-) -> CycleReport:
+def evolve_cycle(cfg: CompactEngineConfig) -> CycleReport:
     """Run one cycle from gibbs x gibbs x |0><0| and collect every diagnostic.
+
+    The grid is fixed, DEFAULT_GRID_POINTS uniform times on [0, tau], and
+    a coupling whose g*g is not a finite normal float (g = 0, tau or the
+    energy spread out of range) is refused before it is built.
 
     Every coupled sector evolves under the same 2x2 generator, so the
     whole ensemble is one propagated pair.  The diagnostics come in
@@ -390,15 +385,11 @@ def evolve_cycle(
     q2 = -omega2 * p(tau) are per exchange: they need a coupled sector,
     not a nonzero success weight.
     """
-    if cfg.g == 0:
-        raise ValueError("the cycle needs a positive coupling (tau is undefined at g = 0)")
-    own_grid = times is None
-    times = (np.linspace(0.0, cfg.tau, DEFAULT_GRID_POINTS) if own_grid
-             else np.array(times, dtype=float))
-    if not np.all(np.isfinite(times)):
-        raise ValueError("times must be finite")
-    # np.linspace stores its stop in the last slot exactly
-    tau_index = DEFAULT_GRID_POINTS - 1 if own_grid else _require_tau(times, cfg.tau)
+    if not sys.float_info.min <= cfg.g * cfg.g < math.inf:
+        raise ValueError(f"coupling g = {cfg.g!r} is outside the cycle's range: "
+                         f"g*g must lie in [{sys.float_info.min!r}, inf)")
+    # np.linspace stores its stop, tau, in the last slot exactly
+    times = np.linspace(0.0, cfg.tau, DEFAULT_GRID_POINTS)
     members = enumerate_blocks(cfg)
     coupled = members[:, 1, 0] >= 0
     # members as (n, m, level): (P, 2, 3) for the pairs (source, target), (I, 3) idle
@@ -466,12 +457,8 @@ def evolve_cycle(
     residual_energy_trace = off * gap_total
     residual_weighted_trace = off * gap_weighted
 
-    ps_tau = float(transfer[tau_index])
-    if pairs.size:
-        q1 = cfg.omega1 * ps_tau
-        q2 = -cfg.omega2 * ps_tau
-    else:
-        q1 = q2 = 0.0
+    ps_tau = float(transfer[-1])
+    q1, q2 = (cfg.omega1 * ps_tau, -cfg.omega2 * ps_tau) if pairs.size else (0.0, 0.0)
 
     return CycleReport(
         beta1=cfg.beta1,
@@ -497,7 +484,7 @@ def evolve_cycle(
         bath2_energy_trace=bath2_energy,
         residual_energy_trace=residual_energy_trace,
         residual_weighted_trace=residual_weighted_trace,
-        final_system_populations=population_trace[tau_index].copy(),
+        final_system_populations=population_trace[-1].copy(),
     )
 
 
@@ -523,8 +510,7 @@ def speed_and_geodesic(report: CycleReport) -> SpeedDiagnostics:
     v = report.speed_trace
     s = report.fs_distance_trace
     expected_s = 0.5 * np.sin(report.g * t) ** 2
-    on_cycle = t <= report.tau * (1 + 1e-12)
-    ds = np.diff(s[on_cycle])
+    ds = np.diff(s)
     return SpeedDiagnostics(
         g=report.g,
         max_speed_deviation=float(np.max(np.abs(v - report.g))),

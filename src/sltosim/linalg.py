@@ -135,10 +135,6 @@ class DensityMatrix:
         return self.entries.shape[0]
 
 
-def identity(dim: int) -> Operator:
-    return Operator(np.eye(dim, dtype=np.complex128), hermitian_hint=True)
-
-
 def basis_state(dim: int, index: int) -> StateVector:
     v = np.zeros(dim, dtype=np.complex128)
     v[index] = 1.0

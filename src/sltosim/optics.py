@@ -343,11 +343,9 @@ def full_charge_blocks(
     return tuple(members), h
 
 
-def run_optics_cycle(
-    cfg: OpticsEngineConfig, times: Sequence[float] | None = None
-) -> CycleReport:
+def run_optics_cycle(cfg: OpticsEngineConfig) -> CycleReport:
     """One cycle from gibbs x gibbs x |1><1| under the effective Hamiltonian."""
-    return evolve_cycle(effective_compact_config(cfg), times)
+    return evolve_cycle(effective_compact_config(cfg))
 
 
 @dataclass(frozen=True)

@@ -423,6 +423,63 @@ class TestOpticsCycleCommand:
         assert not (tmp_path / "o").exists()
 
 
+class TestCycleCheckWitnesses:
+    """Broken inputs and the exact set of cycle checks each one fails.
+
+    The half-speed generator still passes cycle_duration, max_power and
+    clausius, which restate the config: ROADMAP item 1 is expected to grow
+    the first two sets when those checks come to measure the evolution."""
+
+    @staticmethod
+    def failed_checks(argv, out) -> set[str]:
+        assert main([*argv, "--beta1", "0.5", "--beta2", "1", "--omega1", "2",
+                     "--out", str(out), "--no-color"]) == 1
+        return {name for name, c in load_report(out)["checks"].items() if not c["passed"]}
+
+    @pytest.fixture
+    def half_speed(self, monkeypatch):
+        pair_generator = engine.pair_generator
+        monkeypatch.setattr(engine, "pair_generator", lambda g: pair_generator(g / 2))
+
+    def test_half_speed_abstract_cycle(self, tmp_path, half_speed):
+        assert self.failed_checks(["abstract-cycle", "--g", "0.1"], tmp_path) == {
+            "amplitudes", "carnot_efficiency"}
+
+    def test_half_speed_optics_cycle(self, tmp_path, half_speed):
+        assert self.failed_checks(["optics-cycle"], tmp_path) == {
+            "amplitudes", "carnot_efficiency", "final_state_formula"}
+
+    def test_optics_cycle_at_small_cutoffs_misses_the_final_state(self, tmp_path):
+        # the Gibbs mass cut off above n = 2 moves the final state by 0.033, not 1e-6
+        argv = ["optics-cycle", "--n-max1", "2", "--n-max2", "2"]
+        assert self.failed_checks(argv, tmp_path) == {"final_state_formula"}
+
+
+class TestCouplingRange:
+    """A coupling whose square g*g is not a finite normal float is refused
+    before the cycle grid is built: no numpy warning, no report."""
+
+    @pytest.mark.parametrize("argv", [
+        ["abstract-cycle", "--g", "1e-320"],  # tau overflows
+        ["abstract-cycle", "--g", "1e-170"],  # g*g goes subnormal
+        ["abstract-cycle", "--g", "1e155"],  # g*g overflows
+        ["abstract-cycle", "--g", "1e200"],
+        # the effective coupling g1*g2/detuning is about 1e-170
+        ["optics-cycle", "--g1", "1e-160", "--g2", "1e-160", "--detuning", "1e-150"],
+    ])
+    def test_out_of_range_coupling_is_a_usage_error(self, tmp_path, capsys, argv):
+        out = tmp_path / "o"
+        code = main([*argv, "--beta1", "0.5", "--beta2", "1", "--omega1", "2",
+                     "--n-max1", "4", "--n-max2", "4", "--out", str(out), "--no-color"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(r"error: coupling g = \S+ is outside the cycle's range: "
+                            r"g\*g must lie in \[2\.2250738585072014e-308, inf\)\n",
+                            captured.err)
+        assert not out.exists()
+
+
 class TestUsageErrors:
     @pytest.mark.parametrize("argv", [
         # the sector cap
@@ -718,6 +775,47 @@ class TestDesignCommand:
         err = capsys.readouterr().err
         assert f"lacks {section}.{key}" in err and str(design_path) in err
         assert not (out / "report.json").exists()
+
+    @pytest.mark.parametrize("section, key, value, message", [
+        ("targets", "q", "4", "targets.q must be a number, got '4'"),
+        ("targets", "n_work", "16", "targets.n_work must be an integer, got '16'"),
+        ("targets", "q", None, "targets.q must be a number, got None"),
+        ("schedule", "seed", [1], "schedule.seed must be an integer, got [1]"),
+        ("schedule", "iterations", 50.5, "schedule.iterations must be an integer, got 50.5"),
+        ("schedule", "proposal_scale", True, "schedule.proposal_scale must be a number, got True"),
+        ("schedule", None, [], "schedule must be an object, got []"),
+    ])
+    def test_design_file_mistyped_entry_named(self, tmp_path, capsys, section, key, value,
+                                              message):
+        targets = DesignTargets.inverse_intensity(0.0125, 6)
+        spec = {
+            "ansatz": {"v_coeffs": [0.0] * 4, "b_coeffs": [0.0] * 4},
+            "targets": {"f": targets.f_target.tolist(), "theta": targets.theta_target.tolist(),
+                        "q": 4.0, "n_work": 16},
+            "schedule": {"iterations": 50, "proposal_scale": 0.2, "mc_temperature": 0.0,
+                         "seed": 0},
+        }
+        if key is None:
+            spec[section] = value
+        else:
+            spec[section][key] = value
+        design_path = tmp_path / "mistyped.json"
+        design_path.write_text(json.dumps(spec))
+        out = tmp_path / "out"
+        code = main(["design", "--design-in", str(design_path), "--out", str(out),
+                     "--no-color"])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {design_path}: design file {message}\n"
+        assert not out.exists()
+
+    def test_design_file_of_other_than_an_object_named(self, tmp_path, capsys):
+        design_path = tmp_path / "list.json"
+        design_path.write_text("[[1]]")
+        code = main(["design", "--design-in", str(design_path), "--out", str(tmp_path / "o"),
+                     "--no-color"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {design_path}: design file must hold a JSON object\n")
 
     @pytest.mark.parametrize("flags", [
         ["--proposal-scale", "nan"],

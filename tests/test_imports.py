@@ -1,10 +1,14 @@
-"""Every name a ``sltosim`` module imports is used in that module.
+"""Every name a ``sltosim`` module imports is used in that module, and every
+module-level definition is read somewhere in ``src/`` or ``scripts/``.
 
-No linter ships with the project, so this test is its unused-import check.
-The one exception is a name that ``bench/tracing.py`` replaces in the
-module's namespace while a traced run times it: a (module, name) pair in
-``SPANS``, or ``SpectralPropagator`` in a module of ``PROPAGATOR_USERS``.
-Such a name is imported so that the tracer can find it, used or not.
+No linter ships with the project, so this test is its unused-import and
+dead-definition check.  The one exception to the import check is a name
+that ``bench/tracing.py`` replaces in the module's namespace while a
+traced run times it: a (module, name) pair in ``SPANS``, or
+``SpectralPropagator`` in a module of ``PROPAGATOR_USERS``.  Such a name
+is imported so that the tracer can find it, used or not.  An import line
+or a re-export from ``__init__.py`` is not a read; a definition that only
+the acceptance suite, the tracer or ``KEPT_UNREAD`` names is kept.
 """
 
 import ast
@@ -16,6 +20,12 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "sltosim"
 MODULES = sorted(path.stem for path in PACKAGE.glob("*.py") if path.stem != "__init__")
+
+#: definitions that nothing reads yet, kept on purpose, with the reason
+KEPT_UNREAD = {
+    "validate_design": "ROADMAP item 3 calls it",
+    "inverse_intensity_profile": "ROADMAP item 3 calls it",
+}
 
 
 def tracer_patched() -> frozenset[tuple[str, str]]:
@@ -42,6 +52,71 @@ def unused_imports(source: str, module: str) -> list[str]:
             imported.update(alias.asname or alias.name for alias in node.names)
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return sorted(name for name in imported - used if (module, name) not in PATCHED)
+
+
+def module_definitions(source: str) -> set[str]:
+    """Names that the top level of ``source`` binds by def, class or assignment."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return names
+
+
+def read_names(sources) -> set[str]:
+    """Names the ``sources`` read, as a bare name or as an attribute; an import
+    binds a name without reading it."""
+    names = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+    return names
+
+
+def acceptance_imports() -> set[str]:
+    tree = ast.parse((ROOT / "tests" / "test_acceptance.py").read_text())
+    return {alias.asname or alias.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) for alias in node.names}
+
+
+def unread_definitions(modules: dict[str, str], readers) -> list[str]:
+    """``module.name`` for each definition in ``modules`` (name -> source) that
+    no source in ``readers`` reads and no exemption keeps."""
+    read = read_names(readers)
+    kept = acceptance_imports() | {name for _, name in PATCHED} | set(KEPT_UNREAD)
+    return sorted(f"{module}.{name}" for module, source in modules.items()
+                  for name in module_definitions(source) - read - kept)
+
+
+def test_every_definition_is_read():
+    modules = {module: (PACKAGE / f"{module}.py").read_text() for module in MODULES}
+    scripts = [path.read_text() for path in (ROOT / "scripts").glob("*.py")]
+    assert unread_definitions(modules, [*modules.values(), *scripts]) == []
+
+
+def test_unread_definition_is_flagged():
+    source = ("import numpy as np\n"
+              "from .linalg import max_abs\n"
+              "LIMIT = 3\n"
+              "UNUSED_LIMIT = 4\n"
+              "def helper(x):\n"
+              "    return np.abs(x)\n"
+              "def orphan(x):\n"
+              "    return helper(x) + LIMIT\n"
+              "class Kept:\n"
+              "    pass\n"
+              "def validate_design(x):\n"
+              "    return x\n")
+    reader = "from .planted import orphan, UNUSED_LIMIT\nKept()\n"
+    # importing a name is not a read; KEPT_UNREAD keeps validate_design
+    assert unread_definitions({"planted": source}, [source, reader]) == [
+        "planted.UNUSED_LIMIT", "planted.orphan"]
 
 
 @pytest.mark.parametrize("module", MODULES)

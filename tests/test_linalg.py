@@ -18,13 +18,16 @@ from sltosim.linalg import (
     commutator_norm,
     energy_uncertainty,
     fubini_study_distance,
-    identity,
     tensor_product,
     von_neumann_entropy,
 )
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+
+
+def identity(dim: int) -> Operator:
+    return Operator(np.eye(dim, dtype=np.complex128), hermitian_hint=True)
 
 
 class TestTensorProduct:
