@@ -37,7 +37,6 @@ from .engine import (
     SpeedDiagnostics,
     battery_split,
     build_interaction_hamiltonian,
-    charge_blocks,
     enumerate_blocks,
     evolution_operator,
     evolve_cycle,

@@ -732,7 +732,10 @@ def run_design(params: dict, out_dir: Path) -> tuple[dict, dict, Iterable[list]]
     q = params.get("q", 4.0)
     if params.get("design_in"):
         path = params["design_in"]
-        spec = json.loads(Path(path).read_text())
+        try:
+            spec = json.loads(Path(path).read_text())
+        except (UnicodeDecodeError, json.JSONDecodeError) as err:
+            raise ConfigError(f"cannot read design file {path}: {err}") from err
         if not isinstance(spec, dict):
             raise ConfigError(f"{path}: design file must hold a JSON object")
         _validate_keys(

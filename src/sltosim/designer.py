@@ -358,18 +358,18 @@ def mc_optimize(
     ``fit_rows`` of ansatz0, are built once (here when not given), and
     each proposal is scored from its coefficients.
 
-    At zero temperature a proposal's draws, the coefficient index and the
-    unit normal that scales its width, do not depend on the walk's state.
-    So the walk takes them ahead, DRAW_CHUNK proposals at a time (never
-    past ``iterations``) with the same calls in the same order as one at a
-    time, builds the next PROPOSAL_BATCH proposals from the current
-    coefficients and cost, scores them as one stack, and moves to the
-    first downhill one; the proposals before it are rejections and the
-    draws after it open the next batch.  That is the same walk, to the
-    bit, as scoring one proposal at a time.  At a positive temperature an
-    uphill proposal takes one more draw, the accept test, so the next
-    proposal's draws depend on this one's outcome: the walk draws and
-    scores one proposal at a time.
+    The walk takes its draws ahead, the coefficient index and the unit
+    normal that scales the width of each proposal, a chunk of proposals at
+    a time (never past ``iterations``) with the same calls in the same
+    order as one at a time.  It builds the next PROPOSAL_BATCH proposals of
+    the chunk from the current coefficients and cost, scores them as one
+    stack, and moves to the first accepted one; the proposals before it
+    are rejections and the draws after it open the next batch.  That is
+    the same walk, to the bit, as scoring one proposal at a time.  A
+    downhill proposal is always accepted.  At a positive temperature an
+    uphill one takes one more draw, the accept test, so the next
+    proposal's draws depend on this one's outcome: the chunk is then one
+    proposal, and at zero temperature it is DRAW_CHUNK.
 
     Returns the best ansatz ever visited and the accepted-cost trace
     (length iterations + 1, starting at the initial cost).  The trace's
@@ -392,25 +392,13 @@ def mc_optimize(
     trace[0] = current
     # a step is rng.normal(0.0, width), which is width times one standard
     # normal draw: scale * current / sens[k] * z
-    if temperature > 0:
-        best_coeffs, best_cost = coeffs, current
-        for i in range(1, schedule.iterations + 1):
-            k = int(draw_k(size))
-            proposal = coeffs.copy()
-            proposal[k] += scale * current / sens[k] * draw_z()
-            cost = next(_fit_costs(rows, proposal[None], targets))
-            if cost - current < 0 or rng.random() < math.exp(-(cost - current) / temperature):
-                coeffs, current = proposal, cost
-                if current < best_cost:
-                    best_coeffs, best_cost = coeffs, current
-            trace[i] = current
-        return ansatz0.with_flat(best_coeffs), trace
-
+    chunk = DRAW_CHUNK if temperature == 0 else 1
+    best_coeffs, best_cost = coeffs, current
     proposals = np.empty((PROPOSAL_BATCH, size))
     slots = np.arange(PROPOSAL_BATCH)
     start = 1  # the iteration of the chunk's first draw
     while start <= schedule.iterations:
-        count = min(DRAW_CHUNK, schedule.iterations + 1 - start)
+        count = min(chunk, schedule.iterations + 1 - start)
         ks, zs = [], []
         for _ in range(count):
             ks.append(draw_k(size))
@@ -425,7 +413,8 @@ def mc_optimize(
             batch[slots[:n], ks[p : p + n]] += scale * current / widths[p : p + n] * zs[p : p + n]
             i = start + p
             for j, cost in enumerate(_fit_costs(rows, batch, targets)):
-                if cost - current < 0:
+                if cost < current or (temperature > 0 and rng.random()
+                                      < math.exp(-(cost - current) / temperature)):
                     break
             else:
                 trace[i : i + n] = current
@@ -433,11 +422,12 @@ def mc_optimize(
                 continue
             trace[i : i + j] = current
             coeffs, current = batch[j].copy(), cost
+            if current < best_cost:
+                best_coeffs, best_cost = coeffs, current
             trace[i + j] = current
             p += j + 1
         start += count
-    # every move was downhill, so the last state is the best one
-    return ansatz0.with_flat(coeffs), trace
+    return ansatz0.with_flat(best_coeffs), trace
 
 
 @dataclass(frozen=True)

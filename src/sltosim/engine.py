@@ -18,10 +18,10 @@ weight is reported instead of being approximated away.
 ``enumerate_blocks`` lists every sector's members as one int table of
 shape (sectors, 2, 3): row k is the pair (|n, m, 0>, |n-1, m+1, 1>) in
 lexicographic (n, m) order, with -1 in the partner slot of an idle
-sector.  A block has one form, its members with an (R, k, k) stack of
-small Hermitian matrices on them: ``charge_blocks`` builds sector
-(n, m) at R couplings, the 2x2 pair or a 1x1 idle block, and the cavity
-model in ``optics`` builds its <= 3-state blocks the same way.  A
+sector; ``pair_generator(g)`` is every pair's 2x2 block.  A block has one
+form, its members with an (R, k, k) stack of small Hermitian matrices on
+them: the cavity model in ``optics`` builds its <= 3-state blocks so,
+and writes the exchange pair of each detuning onto their members.  A
 stack's probe populations per system level over uniform time grids
 (``linalg.group_populations`` on the stacked eigenpairs) come in closed
 form: a constant plus one term per eigenvalue gap, with the members of
@@ -60,7 +60,7 @@ from .linalg import (
 )
 # unused here; bench/tracing.py patches these by name
 from .linalg import DensityMatrix, energy_uncertainty, fubini_study_distance, von_neumann_entropy
-from .thermal import gibbs_probabilities, truncation_for_tail
+from .thermal import boltzmann_factor, gibbs_probabilities, truncation_for_tail
 
 #: number of uniform time samples on [0, tau], the one cycle grid
 DEFAULT_GRID_POINTS = 101
@@ -101,7 +101,9 @@ class CompactEngineConfig:
     A cutoff left as None is the smallest one whose Gibbs tail is below
     ``tail_delta``.  Constraints: every energy, temperature and the
     coupling finite, beta1 <= beta2 (equality gives the degenerate engine
-    with zero work), and a derived omega2 that is finite and positive.
+    with zero work), a derived omega2 that is finite and positive, and on
+    each ladder a Boltzmann factor e^{-beta omega} that is not 1 (the
+    partition functions stay finite), checked before a cutoff is derived.
     """
 
     beta1: float
@@ -134,6 +136,7 @@ class CompactEngineConfig:
             raise ValueError(f"coupling g must be non-negative, got {self.g}")
         for name, omega, beta in (("n_max1", self.omega1, self.beta1),
                                   ("n_max2", self.omega2, self.beta2)):
+            boltzmann_factor(omega, beta)
             if getattr(self, name) is None:
                 n_max = truncation_for_tail(omega, beta, self.tail_delta).n_max_used
                 object.__setattr__(self, name, n_max)
@@ -224,24 +227,6 @@ def enumerate_blocks(cfg: CompactEngineConfig) -> np.ndarray:
     pair, and a row with -1 in its partner slot is an idle sector."""
     n, m = np.divmod(np.arange((cfg.n_max1 + 1) * (cfg.n_max2 + 1)), cfg.n_max2 + 1)
     return _sector_members(cfg, n, m)
-
-
-#: the pair block at unit coupling, the entries of ``pair_generator(1.0)``
-SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
-SIGMA_X.flags.writeable = False
-
-
-def charge_blocks(cfg: CompactEngineConfig, n: int, m: int,
-                  g: np.ndarray) -> tuple[tuple[tuple[int, int, int], ...], np.ndarray]:
-    """Sector (n, m)'s members and its block at each coupling g[r], as one
-    (len(g), k, k) stack: g[r]*sigma_x on the pair, a 1x1 zero block when idle.
-
-    The members follow ``_sector_members``'s rule, read for one sector."""
-    check_sector(cfg, n, m)
-    n, m = int(n), int(m)
-    if not (n >= 1 and m < cfg.n_max2):
-        return ((n, m, 0),), np.zeros((len(g), 1, 1), dtype=np.complex128)
-    return ((n, m, 0), (n - 1, m + 1, 1)), g[:, None, None] * SIGMA_X
 
 
 def build_interaction_hamiltonian(cfg: CompactEngineConfig) -> Operator:
@@ -370,7 +355,9 @@ def evolve_cycle(cfg: CompactEngineConfig) -> CycleReport:
 
     The grid is fixed, DEFAULT_GRID_POINTS uniform times on [0, tau], and
     a coupling whose g*g is not a finite normal float (g = 0, tau or the
-    energy spread out of range) is refused before it is built.
+    energy spread out of range) is refused before it is built, as is a
+    cycle whose largest level energy, plain or temperature-weighted, or
+    whose power 2*g*w_ext/pi is not finite.
 
     Every coupled sector evolves under the same 2x2 generator, so the
     whole ensemble is one propagated pair.  The diagnostics come in
@@ -388,6 +375,16 @@ def evolve_cycle(cfg: CompactEngineConfig) -> CycleReport:
     if not sys.float_info.min <= cfg.g * cfg.g < math.inf:
         raise ValueError(f"coupling g = {cfg.g!r} is outside the cycle's range: "
                          f"g*g must lie in [{sys.float_info.min!r}, inf)")
+    # the largest entries of both charge diagonals, summed in the residuals' order,
+    # and the power that the report checks
+    for name, value in (
+        ("largest level energy", cfg.n_max1 * cfg.omega1 + cfg.n_max2 * cfg.omega2 + cfg.a1),
+        ("largest weighted level energy",
+         cfg.beta1 * cfg.n_max1 * cfg.omega1 + cfg.beta2 * cfg.n_max2 * cfg.omega2),
+        ("power 2*g*w_ext/pi", 2 * cfg.g * cfg.w_ext / math.pi),
+    ):
+        if not math.isfinite(value):
+            raise ValueError(f"the cycle's {name} is {value!r}; it must be finite")
     # np.linspace stores its stop, tau, in the last slot exactly
     times = np.linspace(0.0, cfg.tau, DEFAULT_GRID_POINTS)
     members = enumerate_blocks(cfg)

@@ -26,10 +26,11 @@ Both Hamiltonians conserve the excitation charge, so a probe state
 effective one, with members outside the cutoffs dropped.  The members do
 not depend on the detuning, so the blocks of many detunings stack:
 ``full_charge_blocks`` builds the <= 3-state full blocks straight from the
-profile tables as one (detunings, k, k) array, and ``engine.charge_blocks``
-the effective g*sigma_x pairs; a single block is a stack of one.  The
-detuning sweep and the design check evolve only these blocks.  The
-sweep writes each effective block onto the full block's members, where
+profile tables as one (detunings, k, k) array; a single block is a stack
+of one.  The detuning sweep and the design check evolve only these
+blocks.  The sweep writes each effective block, g*sigma_x between
+|n, m, 1> and |n-1, m+1, 2> when the full block has all three members
+and zero otherwise, straight onto the full block's members, where
 |n-1, m, 3> stays decoupled, so both models share one stack and one
 ``eigh``, and it takes the level populations over each detuning's
 uniform time grid in closed form from the eigenpairs in one pass
@@ -64,7 +65,6 @@ from .engine import (
     CompactEngineConfig,
     CycleReport,
     build_interaction_hamiltonian,
-    charge_blocks,
     check_sector,
     check_sector_cap,
     check_unit_sum,
@@ -72,7 +72,7 @@ from .engine import (
 )
 # SpectralPropagator is unused here; bench/tracing.py patches it by name
 from .linalg import Operator, ShapeError, SpectralPropagator, group_populations
-from .thermal import truncation_for_tail
+from .thermal import boltzmann_factor, truncation_for_tail
 
 #: time samples per period of the fastest frequency the detuning sweep asks for,
 #: and the most samples per detuning (past it the sweep reports a lower density)
@@ -88,8 +88,9 @@ class OpticsEngineConfig:
     omega0 = omega1 - omega2 are derived, never stored, and the upper
     level lies ``delta`` above the photon on both legs.  A cutoff left as
     None is the smallest one whose Gibbs tail is below ``tail_delta``.
-    Requires finite parameters, beta1 < beta2, cutoffs of at least 1 with
-    at most ``engine.MAX_SECTORS`` sectors, and delta/g_k at or above
+    Requires finite parameters, beta1 < beta2, a Boltzmann factor
+    e^{-beta omega} that is not 1 on each ladder, cutoffs of at least 1
+    with at most ``engine.MAX_SECTORS`` sectors, and delta/g_k at or above
     ``min_detuning_ratio``.
     """
 
@@ -130,6 +131,7 @@ class OpticsEngineConfig:
                 )
         for name, omega, beta in (("n_max1", self.omega1, self.beta1),
                                   ("n_max2", self.omega2, self.beta2)):
+            boltzmann_factor(omega, beta)
             if getattr(self, name) is None:
                 n_max = truncation_for_tail(omega, beta, self.tail_delta).n_max_used
                 object.__setattr__(self, name, n_max)
@@ -428,14 +430,13 @@ def adiabatic_elimination_error(
         _shift_rule(cfg.g1, stack[:, None], profile.theta1),
         _shift_rule(cfg.g2, stack[:, None], profile.theta2), stack,
     )
-    members_eff, h_eff = charge_blocks(effective_compact_config(cfg), n0, m0,
-                                       cfg.g1 * cfg.g2 / stack)
     # rows 2r and 2r + 1: detuning r's full block and its effective block on the
-    # full members, where |n-1, m, 3> keeps a zero row and column
-    at = np.array([members.index(member) for member in members_eff])
+    # full members, where |n-1, m, 3> keeps a zero row and column; the effective
+    # pair |n, m, 1> <-> |n-1, m+1, 2> is members 0 and 2 of a full block of three
     h = np.zeros((2 * len(deltas), *h_full.shape[1:]), dtype=np.complex128)
     h[0::2] = h_full
-    h[1::2, at[:, None], at] = h_eff
+    if len(members) == 3:
+        h[1::2, 0, 2] = h[1::2, 2, 0] = cfg.g1 * cfg.g2 / stack
     grids = group_populations(*np.linalg.eigh(h), [lvl for _, _, lvl in members], 3,
                               np.repeat(windows, 2), np.repeat(n_samples, 2).tolist())
     points = []

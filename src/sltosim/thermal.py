@@ -65,15 +65,22 @@ def truncated_mass(omega: float, beta: float, n_max: int) -> float:
     return 1.0 - q ** (n_max + 1)
 
 
+def boltzmann_factor(omega: float, beta: float) -> float:
+    """e^{-beta omega}, refused when it rounds to 1: such a ladder has no finite
+    cutoff and no finite partition function 1 / (1 - e^{-beta omega})."""
+    q = math.exp(-beta * omega)  # 0.0 once beta*omega > ~745: no tail at all
+    if q == 1.0:
+        raise ValueError(f"beta*omega = {beta * omega} is too small for a finite cutoff")
+    return q
+
+
 def truncation_for_tail(omega: float, beta: float, delta: float) -> TailReport:
     """Smallest n_max >= 1 whose truncated Gibbs mass is at least 1 - delta."""
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
     if not (0 < omega < math.inf and 0 < beta < math.inf):
         raise ValueError(f"omega and beta must be finite and positive, got {omega}, {beta}")
-    q = math.exp(-beta * omega)  # 0.0 once beta*omega > ~745: no tail at all
-    if q == 1.0:
-        raise ValueError(f"beta*omega = {beta * omega} is too small for a finite cutoff")
+    q = boltzmann_factor(omega, beta)
     # tail mass q^(n+1) <= delta  =>  n >= log(delta)/log(q) - 1
     n = max(1, math.ceil(math.log(delta) / math.log(q)) - 1) if q > 0 else 1
     while truncated_mass(omega, beta, n) < 1.0 - delta:  # guard fp edge cases

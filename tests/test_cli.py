@@ -480,6 +480,46 @@ class TestCouplingRange:
         assert not out.exists()
 
 
+class TestCycleRange:
+    """A cycle whose ladders leave no finite partition function, or whose level
+    energies or power overflow, is refused before the cycle grid is built: one
+    stderr line, no numpy warning, no report."""
+
+    @pytest.mark.parametrize("kind", ["abstract-cycle", "optics-cycle"])
+    def test_tiny_beta_omega_is_a_usage_error(self, tmp_path, capsys, kind):
+        out = tmp_path / "o"
+        code = main([kind, "--beta1", "1e-17", "--beta2", "1", "--omega1", "1",
+                     *(["--g", "0.1"] if kind == "abstract-cycle" else []),
+                     "--n-max1", "2", "--n-max2", "2", "--out", str(out), "--no-color"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: beta*omega = 1e-17 is too small for a finite cutoff\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, name", [
+        (["abstract-cycle", "--omega1", "1e160", "--g", "1e154"], "power 2\\*g\\*w_ext/pi"),
+        (["abstract-cycle", "--omega1", "1e308", "--g", "0.1"], "largest level energy"),
+        # beta1*omega1 is 1e308 and beta1*n*omega1 at n = 2 overflows
+        (["abstract-cycle", "--beta1", "1e100", "--beta2", "1.5e100", "--omega1", "1e208",
+          "--g", "0.1"], "largest weighted level energy"),
+        # the effective coupling g1*g2/detuning is 1.25e78
+        (["optics-cycle", "--omega1", "1e240", "--g1", "1e80", "--g2", "1e80",
+          "--detuning", "8e81"], "power 2\\*g\\*w_ext/pi"),
+        (["optics-cycle", "--omega1", "1e308"], "largest level energy"),
+    ], ids=["power", "energy", "weighted-energy", "optics-power", "optics-energy"])
+    def test_overflowing_cycle_is_a_usage_error(self, tmp_path, capsys, argv, name):
+        out = tmp_path / "o"
+        code = main([argv[0], "--beta1", "0.5", "--beta2", "1", *argv[1:],
+                     "--n-max1", "2", "--n-max2", "2", "--out", str(out), "--no-color"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(f"error: the cycle's {name} is inf; it must be finite\n",
+                            captured.err)
+        assert not out.exists()
+
+
 class TestUsageErrors:
     @pytest.mark.parametrize("argv", [
         # the sector cap
@@ -807,6 +847,18 @@ class TestDesignCommand:
         assert code == 2
         assert capsys.readouterr().err == f"error: {design_path}: design file {message}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("text", ['{"ansatz": ', "\udcff"], ids=["json", "utf-8"])
+    def test_undecodable_design_file_named(self, tmp_path, capsys, text):
+        design_path = tmp_path / "bad.json"
+        design_path.write_text(text, errors="surrogateescape")
+        code = main(["design", "--design-in", str(design_path), "--out", str(tmp_path / "o"),
+                     "--no-color"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read design file {design_path}: ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
 
     def test_design_file_of_other_than_an_object_named(self, tmp_path, capsys):
         design_path = tmp_path / "list.json"

@@ -73,9 +73,13 @@ def reference_cost(ansatz: PotentialAnsatz, targets: DesignTargets) -> float:
     return math.sqrt(float((df**2).sum())) + th_sum ** (1.0 / targets.q)
 
 
-def reference_walk(ansatz0: PotentialAnsatz, targets: DesignTargets,
-                   schedule: AnnealSchedule) -> tuple[np.ndarray, np.ndarray]:
-    """The mc_optimize walk one proposal at a time, scoring each with reference_cost."""
+def reference_walk(ansatz0: PotentialAnsatz, targets: DesignTargets, schedule: AnnealSchedule,
+                   draws: list | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The mc_optimize walk one proposal at a time, scoring each with reference_cost.
+
+    ``draws``, when given, gets one entry per draw in order: "k" for the
+    coefficient index, "z" for the step and "u" for an accept test, which
+    only an uphill proposal at a positive temperature takes."""
     rng = np.random.default_rng(schedule.seed)
     sens = unit_kick_sensitivities(ansatz0, targets)
     coeffs = ansatz0.flat()
@@ -89,6 +93,8 @@ def reference_walk(ansatz0: PotentialAnsatz, targets: DesignTargets,
         proposal[k] += step
         cost = reference_cost(ansatz0.with_flat(proposal), targets)
         dc = cost - current
+        if draws is not None:
+            draws += ["k", "z"] if dc < 0 or schedule.mc_temperature == 0 else ["k", "z", "u"]
         if dc < 0 or (schedule.mc_temperature > 0
                       and rng.random() < math.exp(-dc / schedule.mc_temperature)):
             coeffs, current = proposal, cost
@@ -413,7 +419,10 @@ class TestBatchedWalk:
             iterations=iterations, mc_temperature=temperature, seed=5))
 
     @pytest.mark.parametrize("iterations", [1, DRAW_CHUNK - 1, DRAW_CHUNK + 1])
-    def test_draws_stop_at_the_iteration_budget(self, iterations, monkeypatch):
+    @pytest.mark.parametrize("temperature", [0.0, 0.01])
+    def test_draws_stop_at_the_iteration_budget(self, iterations, temperature, monkeypatch):
+        """Each proposal draws k then z, and at a positive temperature an uphill
+        one draws its accept test u before the next proposal's k."""
         calls = []
         make_rng = np.random.default_rng
 
@@ -429,9 +438,21 @@ class TestBatchedWalk:
                 calls.append("z")
                 return self.rng.standard_normal()
 
+            def random(self):
+                calls.append("u")
+                return self.rng.random()
+
+        schedule = AnnealSchedule(iterations=iterations, mc_temperature=temperature)
+        expected = []
+        reference_walk(*self.fit(), schedule, expected)
         monkeypatch.setattr(np.random, "default_rng", Counted)
-        mc_optimize(*self.fit(), AnnealSchedule(iterations=iterations))
-        assert calls == ["k", "z"] * iterations
+        mc_optimize(*self.fit(), schedule)
+        assert calls == expected
+        assert calls.count("k") == calls.count("z") == iterations
+        if temperature == 0:
+            assert calls == ["k", "z"] * iterations
+        elif iterations > 1:
+            assert 0 < calls.count("u") < iterations  # some proposals went downhill
 
     @pytest.mark.parametrize("slot", [1, PROPOSAL_BATCH])
     def test_first_acceptance_on_batch_edge(self, slot):

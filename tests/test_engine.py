@@ -15,7 +15,6 @@ from sltosim.engine import (
     NoGradientError,
     battery_split,
     build_interaction_hamiltonian,
-    charge_blocks,
     enumerate_blocks,
     evolution_operator,
     evolve_cycle,
@@ -102,9 +101,7 @@ class TestBlockEnumeration:
         members = enumerate_blocks(cfg)
         row = members[3 * (cfg.n_max2 + 1) + 2]
         assert row.tolist() == [[3, 2, 0], [2, 3, 1]]
-        members, h = charge_blocks(cfg, 3, 2, np.array([cfg.g]))
-        assert members == ((3, 2, 0), (2, 3, 1))
-        assert np.array_equal(h, [[[0, cfg.g], [cfg.g, 0]]])
+        assert np.array_equal(pair_generator(cfg.g).entries, [[0, cfg.g], [cfg.g, 0]])
 
     def test_vacuum_sectors_idle(self):
         cfg = small_config()
@@ -112,9 +109,9 @@ class TestBlockEnumeration:
         vacuum = members[members[:, 0, 0] == 0]
         assert len(vacuum) == cfg.n_max2 + 1
         assert np.all(vacuum[:, 1] == -1)
-        for m in range(cfg.n_max2 + 1):
-            members, h = charge_blocks(cfg, 0, m, np.array([cfg.g]))
-            assert members == ((0, m, 0),) and h.shape == (1, 1, 1) and not np.any(h)
+        dense = build_interaction_hamiltonian(cfg).entries
+        idx = cfg.basis_index(vacuum[:, 0, 0], vacuum[:, 0, 1], vacuum[:, 0, 2])
+        assert not np.any(dense[idx]) and not np.any(dense[:, idx])
 
     def test_cold_cutoff_sectors_idle(self):
         cfg = small_config()
@@ -147,40 +144,19 @@ class TestBlockEnumeration:
         assert np.max(np.abs(d_total[idx[:, 0]] - d_total[idx[:, 1]])) <= 1e-12
         assert np.max(np.abs(d_weighted[idx[:, 0]] - d_weighted[idx[:, 1]])) <= 1e-12
 
-    def test_blocks_are_dense_submatrices(self):
-        cfg = small_config(n_max1=4, n_max2=3)
+    @pytest.mark.parametrize("g", [0.05, 0.3, 1.7, 0.0])
+    def test_blocks_are_dense_submatrices(self, g):
+        """A pair row's block is ``pair_generator(g)`` and an idle row's a 1x1
+        zero block, each to the bit the dense coupling's submatrix on the row's
+        members, and nothing couples a row's members to other states."""
+        cfg = small_config(n_max1=4, n_max2=3, g=g)
         dense = build_interaction_hamiltonian(cfg).entries
-        for n, m, _ in enumerate_blocks(cfg)[:, 0].tolist():
-            members, h = charge_blocks(cfg, n, m, np.array([cfg.g]))
-            idx = [cfg.basis_index(*member) for member in members]
-            assert np.array_equal(h[0], dense[np.ix_(idx, idx)])
-            assert not np.any(np.delete(dense[idx], idx, axis=1))
-
-    def test_stack_rows_are_their_own_dense_submatrices(self):
-        """Row r of a stack of distinct couplings is, to the bit, the block of
-        the dense coupling built at g[r]."""
-        cfg = small_config(n_max1=4, n_max2=3)
-        g = np.array([0.05, 0.3, 1.7, 0.0])
-        dense = [build_interaction_hamiltonian(dataclasses.replace(cfg, g=g_r)).entries
-                 for g_r in g]
-        for n, m, _ in enumerate_blocks(cfg)[:, 0].tolist():
-            members, h = charge_blocks(cfg, n, m, g)
-            assert h.shape == (len(g), len(members), len(members))
-            idx = [cfg.basis_index(*member) for member in members]
-            for h_r, dense_r in zip(h, dense, strict=True):
-                assert np.array_equal(h_r, dense_r[np.ix_(idx, idx)])
-                assert not np.any(np.delete(dense_r[idx], idx, axis=1))
-
-    def test_single_block_matches_enumeration(self):
-        cfg = small_config(n_max1=3, n_max2=2)
         for row in enumerate_blocks(cfg).tolist():
-            members, _ = charge_blocks(cfg, *row[0][:2], np.array([cfg.g]))
-            assert members == tuple(tuple(member) for member in row if member[0] >= 0)
-
-    @pytest.mark.parametrize("n, m", [(-1, 0), (0, -1), (6, 0), (0, 6)])
-    def test_sector_outside_cutoffs_rejected(self, n, m):
-        with pytest.raises(ValueError, match="outside the cutoffs"):
-            charge_blocks(small_config(), n, m, np.array([0.05]))
+            members = [member for member in row if member[0] >= 0]
+            idx = [cfg.basis_index(*member) for member in members]
+            block = pair_generator(g).entries if len(members) == 2 else np.zeros((1, 1))
+            assert np.array_equal(dense[np.ix_(idx, idx)], block)
+            assert not np.any(np.delete(dense[idx], idx, axis=1))
 
     def test_no_hot_quanta_leaves_every_sector_idle(self):
         cfg = small_config(n_max1=0)

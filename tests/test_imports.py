@@ -8,7 +8,8 @@ traced run times it: a (module, name) pair in ``SPANS``, or
 ``SpectralPropagator`` in a module of ``PROPAGATOR_USERS``.  Such a name
 is imported so that the tracer can find it, used or not.  An import line
 or a re-export from ``__init__.py`` is not a read; a definition that only
-the acceptance suite, the tracer or ``KEPT_UNREAD`` names is kept.
+the acceptance suite, the tracer or ``KEPT_UNREAD`` names is kept, and
+every ``KEPT_UNREAD`` name must still be defined by some module.
 """
 
 import ast
@@ -94,10 +95,27 @@ def unread_definitions(modules: dict[str, str], readers) -> list[str]:
                   for name in module_definitions(source) - read - kept)
 
 
+def stale_kept(modules: dict[str, str], kept) -> list[str]:
+    """The names in ``kept`` that no source in ``modules`` defines."""
+    defined = set().union(*map(module_definitions, modules.values()))
+    return sorted(set(kept) - defined)
+
+
 def test_every_definition_is_read():
     modules = {module: (PACKAGE / f"{module}.py").read_text() for module in MODULES}
     scripts = [path.read_text() for path in (ROOT / "scripts").glob("*.py")]
     assert unread_definitions(modules, [*modules.values(), *scripts]) == []
+
+
+def test_every_kept_name_is_defined():
+    modules = {module: (PACKAGE / f"{module}.py").read_text() for module in MODULES}
+    assert stale_kept(modules, KEPT_UNREAD) == []
+
+
+def test_stale_kept_name_is_flagged():
+    source = "def validate_design(x):\n    return x\n"
+    kept = {**KEPT_UNREAD, "charge_blocks": "planted: no module defines it"}
+    assert stale_kept({"planted": source}, kept) == ["charge_blocks", "inverse_intensity_profile"]
 
 
 def test_unread_definition_is_flagged():

@@ -10,8 +10,8 @@ from sltosim import optics
 from sltosim.engine import (
     CompactEngineConfig,
     InvariantError,
-    charge_blocks,
     check_unit_sum,
+    enumerate_blocks,
     evolve_cycle,
 )
 from sltosim.linalg import (
@@ -55,10 +55,16 @@ def full_block(cfg: OpticsEngineConfig, profile, n: int, m: int):
                               profile.f2[None], np.array([cfg.delta]))
 
 
-def pair_block(cfg: CompactEngineConfig, n: int, m: int):
-    """Members of sector (n, m) and its exchange block at the config's coupling,
-    a stack of one."""
-    return charge_blocks(cfg, n, m, np.array([cfg.g]))
+def effective_on_members(cfg: OpticsEngineConfig, members) -> np.ndarray:
+    """The ``build_effective_hamiltonian`` submatrix on the full block's
+    ``members``, with a zero row and column for an upper-level member, which
+    the effective model does not have."""
+    dense = build_effective_hamiltonian(cfg).entries
+    kept = [i for i, (_, _, level) in enumerate(members) if level < 2]
+    idx = [(n * (cfg.n_max2 + 1) + m) * 2 + level for n, m, level in np.array(members)[kept]]
+    h = np.zeros((len(members), len(members)), dtype=np.complex128)
+    h[np.ix_(kept, kept)] = dense[np.ix_(idx, idx)]
+    return h
 
 
 class TestConfig:
@@ -447,16 +453,20 @@ class TestChargeBlockOracle:
                 members, h = full_block(cfg, make_profile(cfg), n, m)
                 self.assert_block_of(full, members, h[0], 3, d2)
                 assert len(members) == (1 if n == 0 else 2 if m == cfg.n_max2 else 3)
-                members, h = pair_block(effective_compact_config(cfg), n, m)
-                self.assert_block_of(eff, members, h[0], 2, d2)
-                assert len(members) == (1 if n == 0 or m == cfg.n_max2 else 2)
+                # the sweep's effective rule: members 0 and 2 of a block of three
+                # pair up, every other member is idle, and none couples outside
+                pair = [member for member in members if member[2] < 2]
+                block = np.zeros((len(pair), len(pair)))
+                if len(members) == 3:
+                    block[0, 1] = block[1, 0] = cfg.g
+                self.assert_block_of(eff, pair, block, 2, d2)
 
     @pytest.mark.parametrize("make_profile", [uniform_exchange_profile,
                                               inverse_intensity_profile])
     def test_stack_rows_are_their_own_dense_submatrices(self, make_profile):
         """A stack of distinct detunings, with the per-detuning rule f tables:
-        row r of every sector's full and effective stacks is, to the bit, the
-        block of the dense builders at detuning r."""
+        row r of every sector's full stack is, to the bit, the block of the
+        dense builder at detuning r."""
         deltas = np.array([10.0, 17.3, 80.0])
         configs = [small_optics(delta=delta) for delta in deltas]
         profiles = [make_profile(cfg_d) for cfg_d in configs]
@@ -464,27 +474,23 @@ class TestChargeBlockOracle:
         f1 = np.stack([p.f1 for p in profiles])
         f2 = np.stack([p.f2 for p in profiles])
         assert len({f.tobytes() for f in f1}) == len(deltas)  # the rows do differ
-        dense = [(build_full_hamiltonian(cfg_d, p).entries,
-                  build_effective_hamiltonian(cfg_d).entries)
+        dense = [build_full_hamiltonian(cfg_d, p).entries
                  for cfg_d, p in zip(configs, profiles)]
         cfg, d2 = configs[0], configs[0].n_max2 + 1
         for n in range(cfg.n_max1 + 1):
             for m in range(d2):
                 members, h = full_charge_blocks(cfg, n, m, theta1, theta2, f1, f2, deltas)
-                pair_members, pair_h = charge_blocks(effective_compact_config(cfg), n, m,
-                                                     cfg.g1 * cfg.g2 / deltas)
-                assert h.shape[0] == pair_h.shape[0] == len(deltas)
-                for r, (full, eff) in enumerate(dense):
+                assert h.shape[0] == len(deltas)
+                for r, full in enumerate(dense):
                     self.assert_block_of(full, members, h[r], 3, d2)
-                    self.assert_block_of(eff, pair_members, pair_h[r], 2, d2)
 
     @pytest.mark.parametrize("block", [(3, 1), (2, 4), (0, 0)])
     def test_sweep_stacks_the_per_detuning_blocks(self, monkeypatch, block):
-        """Row r of each model's stack is, to the bit, the stack of one built from
-        the config and rule profile at detuning r.  In the one stack the sweep
-        diagonalizes, row 2r is detuning r's full block and row 2r + 1 its
-        effective block scattered onto the full block's members, with a zero
-        row and column for the upper-level member."""
+        """Row r of the full model's stack is, to the bit, the stack of one built
+        from the config and rule profile at detuning r.  In the one stack the
+        sweep diagonalizes, row 2r is detuning r's full block and row 2r + 1 the
+        dense effective Hamiltonian's submatrix on the full block's members,
+        with a zero row and column for the upper-level member."""
         built, stacks = {}, []
 
         def record(name, builder):
@@ -498,7 +504,6 @@ class TestChargeBlockOracle:
             return eigh(h)
 
         record("full_charge_blocks", optics.full_charge_blocks)
-        record("charge_blocks", optics.charge_blocks)
         monkeypatch.setattr(np.linalg, "eigh", record_eigh)
         cfg = small_optics()
         profile = inverse_intensity_profile(cfg)
@@ -510,17 +515,11 @@ class TestChargeBlockOracle:
             cfg_d = small_optics(delta=delta)
             profile_d = coupling_profile_from_tables(cfg_d, profile.theta1, profile.theta2)
             full_members, full_h = full_block(cfg_d, profile_d, *block)
-            pair_members, pair_h = pair_block(effective_compact_config(cfg_d), *block)
-            for name, one_members, one_h in (("full_charge_blocks", full_members, full_h),
-                                             ("charge_blocks", pair_members, pair_h)):
-                members, h = built[name]
-                assert members == one_members
-                assert np.array_equal(h[r], one_h[0])
+            members, h = built["full_charge_blocks"]
+            assert members == full_members
+            assert np.array_equal(h[r], full_h[0])
             assert np.array_equal(fused[2 * r], full_h[0])
-            at = [full_members.index(member) for member in pair_members]
-            scattered = np.zeros_like(full_h[0])
-            scattered[np.ix_(at, at)] = pair_h[0]
-            assert np.array_equal(fused[2 * r + 1], scattered)
+            assert np.array_equal(fused[2 * r + 1], effective_on_members(cfg_d, full_members))
             upper = [i for i, (_, _, level) in enumerate(full_members) if level == 2]
             assert len(upper) == (1 if block[0] >= 1 else 0)
             assert not fused[2 * r + 1][upper].any() and not fused[2 * r + 1][:, upper].any()
@@ -547,15 +546,12 @@ class TestChargeBlockOracle:
         cfg = small_optics()
         with pytest.raises(ValueError, match=r"sector \(5, 0\) outside the cutoffs"):
             full_block(cfg, uniform_exchange_profile(cfg), 5, 0)
-        with pytest.raises(ValueError, match=r"sector \(0, -1\) outside the cutoffs"):
-            pair_block(effective_compact_config(cfg), 0, -1)
 
     @pytest.mark.parametrize("n, m", [(-1, 0), (0, -1), (5, 0), (0, 5)])
     def test_every_caller_names_the_sector_alike(self, n, m):
         cfg = small_optics()
         profile = uniform_exchange_profile(cfg)
         calls = [
-            lambda: pair_block(effective_compact_config(cfg), n, m),
             lambda: full_block(cfg, profile, n, m),
             lambda: adiabatic_elimination_error(cfg, profile, [20.0], initial_block=(n, m)),
         ]
@@ -631,9 +627,15 @@ class TestLevelPopulations:
 
     @pytest.mark.parametrize("sector", [(0, 2), (3, 1)])  # idle 1x1, coupled 2x2 pair
     def test_effective_blocks(self, sector):
-        cfg = effective_compact_config(small_optics())
-        # two couplings, each row over its own grid
-        members, h = charge_blocks(cfg, *sector, np.array([cfg.g, 0.37 * cfg.g]))
+        # two couplings, each row over its own grid: the dense effective
+        # Hamiltonian's submatrices on the sector's members at two detunings
+        configs = [small_optics(), small_optics(delta=54.0)]
+        cfg = effective_compact_config(configs[0])
+        row = enumerate_blocks(cfg)[sector[0] * (cfg.n_max2 + 1) + sector[1]].tolist()
+        members = [member for member in row if member[0] >= 0]
+        idx = [cfg.basis_index(*member) for member in members]
+        h = np.stack([build_effective_hamiltonian(c).entries[np.ix_(idx, idx)]
+                      for c in configs])
         assert len(members) == (1 if sector == (0, 2) else 2)
         self.assert_matches(members, h, [1.7 * cfg.tau, 4.1 * cfg.tau], [401, 257], 2)
 
