@@ -211,31 +211,45 @@ def group_populations(eigvals: np.ndarray, eigvecs: np.ndarray, groups: Sequence
     (2P x B) product over the P pairs, with the constant riding along as
     one more column against a row of ones, and the trig work is a sine
     and a cosine of P (A + B) angles instead of a cosine of P n; the
-    imaginary parts need no separate sine pass.  No amplitude is formed and nothing here enforces unitarity:
-    callers check that the populations still sum to 1.
+    imaginary parts need no separate sine pass.  No amplitude is formed and
+    nothing here enforces unitarity: callers check that the populations
+    still sum to 1.
+
+    The elementwise stages keep the sample axes innermost: the angles u
+    are (R, P, A) and v (R, P, B), so each cosine, sine, product and sum
+    runs long contiguous loops over the samples rather than loops of
+    length P over the pairs.  The pair columns are written through a
+    transposed view into ``left``, which keeps its (R, groups, A, 2P + 1)
+    layout, so each block's product sees the same operands in the same
+    memory order and the populations do not change by a bit.
     """
     n_blocks, dim = eigvals.shape
     members = np.zeros((n_groups, dim))
     members[groups, np.arange(dim)] = 1.0
     a = eigvecs * eigvecs[:, :1].conj()
     k, l = np.array(list(itertools.combinations(range(dim), 2)), dtype=np.intp).reshape(-1, 2).T
-    coef = 2.0 * (members @ (a[:, :, k] * a[:, :, l].conj()))  # (R, groups, pairs)
+    coef = 2.0 * (members @ (a[:, :, k] * a[:, :, l].conj()))  # (R, groups, P)
     const = members @ (a.real**2 + a.imag**2).sum(axis=2)[..., None]  # (R, groups, 1)
 
     n_top = max(n_samples, default=1)
     inner_len = math.isqrt(n_top - 1) + 1  # B = ceil(sqrt(n_top)), so A * B >= n_top
     outer_len = -(-n_top // inner_len)
+    n_pairs = len(k)
     step = (np.asarray(windows, dtype=float)
             / np.maximum(np.asarray(n_samples) - 1, 1))[:, None, None]
-    omega = eigvals[:, k] - eigvals[:, l]  # (R, pairs)
+    omega = eigvals[:, k] - eigvals[:, l]  # (R, P)
     # t_{aB} and t_b as the products j * step that np.linspace forms
-    u = omega[:, None, :] * (step * (inner_len * np.arange(outer_len))[:, None])  # (R, A, P)
+    u = omega[:, :, None] * (step * (inner_len * np.arange(outer_len)))  # (R, P, A)
     v = omega[:, :, None] * (step * np.arange(inner_len))  # (R, P, B)
-    cos_u, sin_u = np.cos(u)[:, None], np.sin(u)[:, None]  # (R, 1, A, P)
-    cr, ci = coef.real[:, :, None], coef.imag[:, :, None]  # (R, groups, 1, P)
-    left = np.concatenate([cr * cos_u + ci * sin_u, ci * cos_u - cr * sin_u,
-                           np.broadcast_to(const[..., None], (*cr.shape[:2], outer_len, 1))],
-                          axis=3)  # (R, groups, A, 2P + 1)
+    cos_u, sin_u = np.cos(u)[:, None], np.sin(u)[:, None]  # (R, 1, P, A)
+    cr, ci = coef.real[..., None], coef.imag[..., None]  # (R, groups, P, 1)
+    # the matmul operand (R, groups, A, 2P + 1), filled column by column through
+    # its (R, groups, 2P + 1, A) view so the sums run along the samples
+    left = np.empty((n_blocks, n_groups, outer_len, 2 * n_pairs + 1))
+    cols = left.transpose(0, 1, 3, 2)
+    np.add(cr * cos_u, ci * sin_u, out=cols[:, :, :n_pairs])
+    np.subtract(ci * cos_u, cr * sin_u, out=cols[:, :, n_pairs:-1])
+    cols[:, :, -1] = const
     right = np.concatenate([np.cos(v), np.sin(v), np.ones((n_blocks, 1, inner_len))],
                            axis=1)  # (R, 2P + 1, B)
     for r, n in enumerate(n_samples):

@@ -90,7 +90,8 @@ class OpticsEngineConfig:
     None is the smallest one whose Gibbs tail is below ``tail_delta``.
     Requires finite parameters, beta1 < beta2, a Boltzmann factor
     e^{-beta omega} that is not 1 on each ladder, cutoffs of at least 1
-    with at most ``engine.MAX_SECTORS`` sectors, and delta/g_k at or above
+    with at most ``engine.MAX_SECTORS`` sectors, couplings whose squares
+    g_k*g_k are finite (the f-table rule), and delta/g_k at or above
     ``min_detuning_ratio``.
     """
 
@@ -120,6 +121,10 @@ class OpticsEngineConfig:
                              "must lie in (0, omega1)")
         if self.g1 < 0 or self.g2 < 0:
             raise ValueError("couplings g1, g2 must be non-negative")
+        for name, g in (("g1", self.g1), ("g2", self.g2)):
+            if g * g == math.inf:
+                raise ValueError(f"coupling {name} = {g!r} is outside the model's range: "
+                                 f"{name}*{name} must be finite")
         if self.delta <= 0:
             raise ValueError("detuning must be positive")
         if max(self.g1, self.g2) > 0:
@@ -388,7 +393,7 @@ def adiabatic_elimination_error(
     effective grids of a detuning back to back, and the effective model's
     |3> population is exactly 0.  A sample whose levels do not sum to 1
     within 1e-10 raises ``engine.InvariantError`` naming its time,
-    detuning and block.
+    detuning, block and model.
 
     The probe sector matters.  The f-table rule cancels the second-order
     level shifts of the eliminated upper state only up to a one-step
@@ -418,6 +423,9 @@ def adiabatic_elimination_error(
         # with no coupling both models are static; any window shows deviation 0
         window = tau if math.isfinite(tau) else 1.0
         periods.append(window * (delta + 4.0 * g_top) / (2.0 * math.pi))
+        if periods[-1] == math.inf:
+            raise ValueError(f"detuning {delta} gives ratio {ratio:.3g}, whose cycle spans "
+                             "more oscillation periods than a float can count")
         windows.append(window)
         n_samples.append(int(min(
             MAX_SAMPLES, max(2001, math.ceil(SAMPLES_PER_PERIOD * periods[-1]))
@@ -438,17 +446,18 @@ def adiabatic_elimination_error(
     if len(members) == 3:
         h[1::2, 0, 2] = h[1::2, 2, 0] = cfg.g1 * cfg.g2 / stack
     grids = group_populations(*np.linalg.eigh(h), [lvl for _, _, lvl in members], 3,
-                              np.repeat(windows, 2), np.repeat(n_samples, 2).tolist())
+                              [w for w in windows for _ in range(2)],
+                              [n for n in n_samples for _ in range(2)])
     points = []
     for r, (full, eff) in enumerate(zip(grids, grids)):
         where = f"detuning {deltas[r]!r}, block {(n0, m0)}"
-        check_unit_sum(full, windows[r], where)
-        check_unit_sum(eff, windows[r], where)
+        check_unit_sum(full, windows[r], f"{where}, full model")
+        check_unit_sum(eff, windows[r], f"{where}, effective model")
         points.append(SweepPoint(
             delta=deltas[r],
             ratio=ratios[r],
-            population_deviation=float(np.max(np.abs(full[:, :2] - eff[:, :2]))),
-            leak_max=float(np.max(full[:, 2])),
+            population_deviation=float(np.abs(full[:, :2] - eff[:, :2]).max()),
+            leak_max=float(full[:, 2].max()),
             samples=n_samples[r],
             samples_per_period=n_samples[r] / periods[r],
         ))

@@ -585,7 +585,8 @@ class TestDeltaSweepCommand:
                      "--no-color"])
         assert code == 4
         assert re.fullmatch(r"internal error: level populations sum to \S+ at t = 0\.0 "
-                            r"\(detuning 10\.0, block \(3, 1\)\), not 1 within 1e-10\n",
+                            r"\(detuning 10\.0, block \(3, 1\), full model\), "
+                            r"not 1 within 1e-10\n",
                             capsys.readouterr().err)
         assert not (tmp_path / "o").exists()
 
@@ -598,6 +599,24 @@ class TestDeltaSweepCommand:
         assert not density["passed"]
         assert density["value"] < density["threshold"] == 8.0
         assert [p["samples"] for p in report["results"]["points"]][1] == 200_000
+
+    @pytest.mark.parametrize("argv, message", [
+        # g1*g1 overflows in the f-table rule
+        (["--g1", "1e160", "--g2", "1e160", "--ratios", "20,40"],
+         "coupling g1 = 1e+160 is outside the model's range: g1*g1 must be finite"),
+        # the cycle at ratio 1e200 spans an infinite number of periods
+        (["--g1", "0.5", "--g2", "0.5", "--ratios", "20,1e200"],
+         "detuning 5e+199 gives ratio 1e+200, whose cycle spans more oscillation periods "
+         "than a float can count"),
+    ], ids=["coupling", "detuning"])
+    def test_overflowing_sweep_is_a_usage_error(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "o"
+        code = main(["delta-sweep", *argv, "--out", str(out), "--no-color"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+        assert not out.exists()
 
     def test_non_finite_ratio_is_usage_error(self, tmp_path):
         code = main(["delta-sweep", "--ratios", "20,40,inf", "--out", str(tmp_path),

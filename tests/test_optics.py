@@ -677,30 +677,50 @@ class TestLevelPopulations:
         up to 5e4 rad."""
         rng = np.random.default_rng(seed)
         groups = rng.integers(0, n_groups, size=dim)
-        members = tuple((0, 0, int(level)) for level in groups)
-        blocks, windows, n_samples, phases = [], [], [], []
-        for n, phase in grids:
+        blocks, windows = [], []
+        for _, phase in grids:
             h = random_hermitian(dim, rng)
             h = h if complex_entries else h.real.copy()
-            eigvals = np.linalg.eigvalsh(h)
             # a window whose largest phase difference is about ``phase``
-            window = phase / max(float(np.ptp(eigvals)), 1e-3)
+            windows.append(phase / max(float(np.ptp(np.linalg.eigvalsh(h))), 1e-3))
             blocks.append(h)
-            windows.append(window)
-            n_samples.append(n)
-            phases.append(window * max(float(np.ptp(eigvals)), float(np.max(np.abs(eigvals)))))
+        self.assert_stack_matches(blocks, windows, [n for n, _ in grids], groups, n_groups)
+
+    def test_long_stack_matches_probe_states(self):
+        """72 complex 3x3 blocks in one stack: runs of blocks that share one
+        grid, as a sweep's full and effective rows do, between sample counts
+        mixed from 1 to 20000."""
+        rng = np.random.default_rng(24)
+        grids = ([(4001, 900.0)] * 12 + [(1, 0.0)] * 2
+                 + [(2, 3.0), (17, 0.5), (141**2 + 1, 40.0)] * 6
+                 + [(20_000, 2000.0)] * 2 + [(8836, 7.0), (5, 1e4), (2001, 0.0)] * 10
+                 + [(9, 2.5)] * 8)
+        blocks = [random_hermitian(3, rng) for _ in grids]
+        assert len(blocks) >= 64 and all(np.any(h.imag) for h in blocks)
+        self.assert_stack_matches(blocks, [w for _, w in grids], [n for n, _ in grids],
+                                  rng.integers(0, 3, size=3), 3)
+
+    def assert_stack_matches(self, blocks, windows, n_samples, groups, n_groups: int):
+        """The stack of ``blocks`` from one stacked ``eigh``, each over its own
+        grid, against the reference within 1e-12 plus 4 eps per radian of its
+        largest phase."""
+        members = tuple((0, 0, int(level)) for level in groups)
         eigvals, eigvecs = np.linalg.eigh(np.stack(blocks))
         out = list(group_populations(eigvals, eigvecs, groups, n_groups, windows, n_samples))
         assert len(out) == len(blocks)
-        for pops, block, window, n, phase in zip(out, blocks, windows, n_samples, phases):
+        for pops, block, window, n in zip(out, blocks, windows, n_samples):
             assert pops.shape == (n, n_groups)
+            lam = np.linalg.eigvalsh(block)
+            phase = window * max(float(np.ptp(lam)), float(np.max(np.abs(lam))))
             ref = self.reference(members, block, np.linspace(0.0, window, n), n_groups)
             np.testing.assert_allclose(pops, ref, rtol=0.0,
                                        atol=1e-12 + 4 * np.finfo(float).eps * phase)
 
-    # every row of the sweep's stack, or only the effective model's rows 2r + 1
-    @pytest.mark.parametrize("rows", [slice(None), slice(1, None, 2)])
-    def test_non_orthonormal_eigenbasis_raises(self, monkeypatch, rows):
+    # every row of the sweep's stack, where the full model's row 0 fails first,
+    # or only the effective model's rows 2r + 1
+    @pytest.mark.parametrize("rows, model", [(slice(None), "full"),
+                                             (slice(1, None, 2), "effective")])
+    def test_non_orthonormal_eigenbasis_raises(self, monkeypatch, rows, model):
         def skewed(eigvals, eigvecs, *args):
             eigvecs = eigvecs.copy()
             eigvecs[rows] += 1e-6 * eigvecs[rows, :, ::-1]
@@ -709,8 +729,8 @@ class TestLevelPopulations:
         monkeypatch.setattr(optics, "group_populations", skewed)
         cfg = small_optics()
         with pytest.raises(InvariantError, match=r"level populations sum to .* at t = 0\.0 "
-                                                 r"\(detuning 20\.0, block \(3, 1\)\), "
-                                                 r"not 1 within 1e-10"):
+                                                 r"\(detuning 20\.0, block \(3, 1\), "
+                                                 rf"{model} model\), not 1 within 1e-10"):
             adiabatic_elimination_error(cfg, uniform_exchange_profile(cfg), [20.0, 40.0])
 
 
