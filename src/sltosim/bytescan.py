@@ -1,16 +1,30 @@
-"""One vectorized pass over the bytes of a matrix-file body.
+"""Both directions of a matrix-file body, with the exact zeros kept out of
+the float formatter and parser.
 
 A matrix file exported by ``cli.write_matrix_file`` is almost all exact
-zeros, each written ``0+0j``; ``np.loadtxt`` spends its time tokenizing
-them one field at a time.  ``parse_body`` finds the tokens with
-numpy instead, takes the exact zeros as they stand and hands only the
-other tokens to the float parser.  ``cli.read_matrix_file`` falls back
-to its row-by-row parse wherever this pass returns None.
+zeros, each written ``ZERO_TOKEN``.  ``format_rows`` writes the body a row
+at a time: it finds a row's exact zeros with numpy, writes them as the
+literal and sends only the row's other entries through ``ENTRY_FORMAT``.
+``np.loadtxt`` would spend its time tokenizing the zeros one field at a
+time; ``parse_body`` finds the tokens with numpy instead, takes the exact
+zeros as they stand and hands only the other tokens to the float parser.
+``cli.read_matrix_file`` falls back to its row-by-row parse wherever
+this pass returns None.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+
 import numpy as np
+
+
+#: the exact zero, (+0.0, +0.0), as a body spells it; it is also what
+#: ENTRY_FORMAT makes of it, so writing it as a literal changes no byte
+ZERO_TOKEN = "0+0j"
+
+#: the format of every other entry, over its (real, imag) Python floats
+ENTRY_FORMAT = "%.17g%+.17gj"
 
 
 #: what each byte below 0x20 is in a row: 2 where ``str.splitlines`` breaks
@@ -69,8 +83,8 @@ def parse_body(body: str, dim: int) -> np.ndarray | None:
     # the tokens that are "0+0j" and a blank.  A read past the end is clipped
     # to the last byte, a token's (the body is stripped), so a token that ends
     # the body is kept and parsed, whatever it is
-    zero = raw[4:].take(starts, mode="clip") <= 0x20
-    for shift, byte in enumerate(b"0+0j"):
+    zero = raw[len(ZERO_TOKEN):].take(starts, mode="clip") <= 0x20
+    for shift, byte in enumerate(ZERO_TOKEN.encode("ascii")):
         zero &= raw[shift:].take(starts, mode="clip") == byte
     kept = np.flatnonzero(~zero)
     line = ""
@@ -95,3 +109,25 @@ def parse_body(body: str, dim: int) -> np.ndarray | None:
         except ValueError:
             return None
     return entries.reshape(dim, dim)
+
+
+def format_rows(entries: np.ndarray) -> Iterator[str]:
+    """The body lines of a matrix file, one per row of ``entries``, each
+    built when it is asked for.
+
+    An entry whose real and imaginary parts are both +0.0 (all 128 bits
+    clear) is written ``ZERO_TOKEN``; the row's other entries go through
+    ``ENTRY_FORMAT`` in one ``%`` per row, so each line is the one that
+    ``ENTRY_FORMAT`` gives entry by entry, signed zeros, NaN and infinities
+    included.
+    """
+    entries = np.asarray(entries)
+    zeros = [ZERO_TOKEN] * entries.shape[1]
+    for row in entries:
+        row = np.ascontiguousarray(row, dtype=np.complex128)
+        bits = row.view(np.uint64)
+        kept = np.flatnonzero(bits[0::2] | bits[1::2])
+        tokens = zeros.copy()
+        for k in kept.tolist():
+            tokens[k] = ENTRY_FORMAT
+        yield (" ".join(tokens) + "\n") % tuple(row[kept].view(np.float64).tolist())

@@ -243,11 +243,16 @@ def build_interaction_hamiltonian(cfg: CompactEngineConfig) -> Operator:
     return Operator(h, hermitian_hint=True)
 
 
-def evolution_operator(cfg: CompactEngineConfig, t: float) -> Operator:
-    """Dense engine unitary at time t: the pair propagator on every coupled sector."""
+def check_dense_cap(cfg: CompactEngineConfig):
+    """Refuse an engine whose dense ``evolution_operator`` would exceed MAX_DENSE_DIM."""
     if cfg.dim > MAX_DENSE_DIM:
         raise ValueError(f"cutoffs n_max1 = {cfg.n_max1}, n_max2 = {cfg.n_max2} give dense "
                          f"dimension {cfg.dim}, above the cap {MAX_DENSE_DIM}")
+
+
+def evolution_operator(cfg: CompactEngineConfig, t: float) -> Operator:
+    """Dense engine unitary at time t: the pair propagator on every coupled sector."""
+    check_dense_cap(cfg)
     u2 = SpectralPropagator(pair_generator(cfg.g)).at(t).entries
     members = enumerate_blocks(cfg)
     pairs = members[members[:, 1, 0] >= 0]

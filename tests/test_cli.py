@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from sltosim import bytescan, cli, designer, engine, optics
 from sltosim.cli import (
@@ -36,6 +37,12 @@ def load_report(out_dir):
 
 def strip_wall_clock(raw: bytes) -> bytes:
     return b"\n".join(line for line in raw.splitlines() if b"wall_clock_seconds" not in line)
+
+
+#: the names of TestMatrixFiles.writer_inputs
+WRITER_CASES = ["exported", "perturbed", "exported_transposed", "zero_rows",
+                "first_column_only", "last_column_only", "signed_zeros", "dim_1_zero", "dim_1",
+                "special_values", "special_values_transposed"]
 
 
 class TestMatrixFiles:
@@ -80,20 +87,97 @@ class TestMatrixFiles:
             part[rng.choice(n * n, len(special), replace=False)] = special
         return (parts[0] + 1j * parts[1]).reshape(n, n)
 
-    def test_round_trip_is_bit_exact(self, tmp_path):
-        m = self.special_values_matrix()
-        path = tmp_path / "m.txt"
-        write_matrix_file(path, m, layout=(3, 4))
-        back, layout = read_matrix_file(path)
-        assert layout == (3, 4)
-        assert back.tobytes() == m.tobytes()  # also keeps the sign of every zero
+    @staticmethod
+    def writer_inputs():
+        """(matrix, layout) pairs shaped like exports, most entries exact zeros, and the
+        dense special values matrix."""
+        cfg = CompactEngineConfig(beta1=0.5, beta2=1.0, omega1=2.0, g=0.3, n_max1=4, n_max2=3)
+        exported = evolution_operator(cfg, cfg.tau).entries
+        perturbed = exported.copy()
+        c, s = math.cos(1e-3), math.sin(1e-3)
+        perturbed[[3, 30]] = c * exported[3] - s * exported[30], s * exported[3] + c * exported[30]
+        rng = np.random.default_rng(11)
+        dense = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+        zero_rows = dense.copy()
+        zero_rows[[0, 2, 5]] = 0
+        first_only, last_only = np.zeros((5, 5), complex), np.zeros((5, 5), complex)
+        first_only[2, 0] = last_only[2, 4] = 0.25 - 1e-300j
+        signed_zeros = np.zeros((5, 5), complex)
+        signed_zeros.real[1, 2] = signed_zeros.imag[1, 3] = -0.0  # (-0, +0) and (+0, -0)
+        signed_zeros.real[3, 0] = signed_zeros.imag[3, 0] = -0.0
+        signed_zeros.imag[4, 4] = -0.0
+        special = TestMatrixFiles.special_values_matrix()
+        layout = (cfg.n_max1 + 1, cfg.n_max2 + 1, 2)
+        return {
+            "exported": (exported, layout),
+            "perturbed": (perturbed, layout),
+            "exported_transposed": (exported.T, layout),
+            "zero_rows": (zero_rows, None),
+            "first_column_only": (first_only, None),
+            "last_column_only": (last_only, None),
+            "signed_zeros": (signed_zeros, (5,)),
+            "dim_1_zero": (np.zeros((1, 1), complex), None),
+            "dim_1": (np.full((1, 1), -2.5 + 1e-310j), (1,)),
+            "special_values": (special, (3, 4)),
+            "special_values_transposed": (special.T, (3, 4)),
+        }
 
-    def test_written_bytes_match_per_entry_format(self, tmp_path):
-        m = self.special_values_matrix()
+    @pytest.mark.parametrize("case", WRITER_CASES)
+    def test_round_trip_is_bit_exact(self, tmp_path, case):
+        m, layout = self.writer_inputs()[case]
         path = tmp_path / "m.txt"
-        write_matrix_file(path, m.T, layout=(3, 4))  # a non-contiguous input too
-        rows = [" ".join(f"{z.real:.17g}{z.imag:+.17g}j" for z in row) for row in m.T]
-        assert path.read_text() == "12 3 4\n" + "\n".join(rows) + "\n"
+        write_matrix_file(path, m, layout)
+        back, layout_back = read_matrix_file(path)
+        assert layout_back == layout
+        assert back.tobytes() == np.ascontiguousarray(m).tobytes()  # signed zeros too
+
+    @pytest.mark.parametrize("case", WRITER_CASES)
+    def test_written_bytes_match_per_entry_format(self, tmp_path, case):
+        m, layout = self.writer_inputs()[case]
+        path = tmp_path / "m.txt"
+        write_matrix_file(path, m, layout)
+        assert path.read_text() == per_entry_matrix_file(m, layout)
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_written_bytes_match_per_entry_format_on_any_parts(self, tmp_path_factory, data):
+        """Every mix of exact and signed zeros, subnormal, normal and non-finite parts,
+        most of them +0 as in an export."""
+        dim = data.draw(st.integers(1, 24))
+        part = st.one_of(
+            st.just(0.0), st.just(-0.0),
+            st.builds(lambda k, sign: sign * k * 5e-324,  # the subnormals, k 2^-1074
+                      st.integers(1, 2**52 - 1), st.sampled_from([1, -1])),
+            st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=False),
+            st.sampled_from([math.inf, -math.inf, math.nan]),
+        )
+        m = np.empty((dim, dim), complex)
+        m.real, m.imag = (data.draw(hnp.arrays(np.float64, (dim, dim), elements=part,
+                                               fill=st.just(0.0)))
+                          for _ in range(2))
+        if data.draw(st.booleans()):
+            m = m.T
+        path = tmp_path_factory.mktemp("write") / "m.txt"
+        write_matrix_file(path, m)
+        assert path.read_text() == per_entry_matrix_file(m, None)
+
+    def test_writer_streams_its_rows(self, tmp_path):
+        """An export is written a row at a time, never held as one body string."""
+        cfg = CompactEngineConfig(beta1=0.5, beta2=1.0, omega1=2.0, g=0.3,
+                                  n_max1=31, n_max2=31)
+        u = evolution_operator(cfg, cfg.tau).entries
+        assert cfg.dim == 2048 and np.count_nonzero(u) < 2 * cfg.dim
+        path = tmp_path / "u.txt"
+        tracemalloc.start()
+        try:
+            write_matrix_file(path, u.T)  # a view, so a whole contiguous copy would show too
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = os.path.getsize(path)
+        assert size > 20_000_000
+        # u was allocated before tracing started, so the peak is the writer's own
+        assert peak < size / 4
 
     @pytest.mark.parametrize("body, message", [
         ("2\n1+0j 0+0j\n0+0j\n", "row 1 has 1 entries"),  # ragged row
@@ -128,6 +212,12 @@ class TestMatrixFiles:
         else:
             assert read_matrix_file(path)[0].shape == (3, 3)
             assert parsed == ["parse_body", "loadtxt"]
+
+
+def per_entry_matrix_file(m: np.ndarray, layout) -> str:
+    """The text of a matrix file with every entry formatted on its own, as the oracle."""
+    rows = [" ".join(f"{z.real:.17g}{z.imag:+.17g}j" for z in row) for row in m]
+    return " ".join(map(str, (len(m), *(layout or ())))) + "\n" + "\n".join(rows) + "\n"
 
 
 def _matrix_file_outcome(path):
@@ -298,9 +388,14 @@ class TestAbstractCycleCommand:
         assert not (tmp_path / "o" / "report.json").exists()
         assert not (tmp_path / "x").exists()
 
-    def test_dense_cap_is_usage_error(self, tmp_path, capsys):
-        # 2 * 65 * 65 = 8450 > MAX_DENSE_DIM; the cycle itself runs
+    def test_dense_cap_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        # 2 * 65 * 65 = 8450 > MAX_DENSE_DIM; refused before the cycle runs
         assert 2 * 65 * 65 > engine.MAX_DENSE_DIM >= 2 * 61 * 61
+
+        def cycle_run(cfg):
+            raise AssertionError("the cycle ran before the dense cap was checked")
+
+        monkeypatch.setattr(cli, "evolve_cycle", cycle_run)
         code = main(["abstract-cycle", "--beta1", "0.5", "--beta2", "1", "--omega1", "2",
                      "--g", "0.1", "--n-max1", "64", "--n-max2", "64",
                      "--out", str(tmp_path / "o"), "--export-matrices", str(tmp_path / "x"),
@@ -966,6 +1061,28 @@ class TestDesignCommand:
         lines = (tmp_path / "series.csv").read_text().splitlines()
         assert lines[0] == "iteration,cost"
         assert len(lines) == 302
+
+    def test_returned_state_worse_than_the_best_fails(self, tmp_path, monkeypatch):
+        walk = cli.mc_optimize
+
+        def start_returned(ansatz0, targets, schedule, rows):
+            _, trace = walk(ansatz0, targets, schedule, rows)
+            return ansatz0, trace
+
+        monkeypatch.setattr(cli, "mc_optimize", start_returned)
+        assert main(["design", "--iterations", "300", "--seed", "1",
+                     "--out", str(tmp_path), "--no-color"]) == 1
+        checks = load_report(tmp_path)["checks"]
+        assert {name for name, c in checks.items() if not c["passed"]} == {"cost_not_increased"}
+        assert checks["cost_not_increased"]["value"] > 0
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_best_cost_equals_trace_minimum(self, tmp_path, seed):
+        # cost_not_increased has threshold 0.0: the best state scored alone
+        # must get the bits its stacked score had in the walk's trace
+        assert main(["design", "--iterations", "300", "--seed", str(seed),
+                     "--out", str(tmp_path), "--no-color"]) == 0
+        assert load_report(tmp_path)["checks"]["cost_not_increased"]["value"] == 0.0
 
 
 class TestVerifySltoCommand:
