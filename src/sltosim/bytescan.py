@@ -1,22 +1,40 @@
-"""Both directions of a matrix-file body, with the exact zeros kept out of
-the float formatter and parser.
+"""The matrix file: its format, its reader and its line writer.
 
-A matrix file exported by ``cli.write_matrix_file`` is almost all exact
-zeros, each written ``ZERO_TOKEN``.  ``format_rows`` writes the body a row
-at a time: it finds a row's exact zeros with numpy, writes them as the
-literal and sends only the row's other entries through ``ENTRY_FORMAT``.
-``np.loadtxt`` would spend its time tokenizing the zeros one field at a
+A matrix file is plain UTF-8 text.  Its first non-blank line, the header,
+holds the matrix dimension and then, optionally, the tensor-factor
+dimensions (the layout), all positive integers whose product is the
+dimension.  Each following line is one row of complex entries like
+``0.5-0.25j`` (lower-case ``j``) separated by blanks, parsed as
+``np.loadtxt`` parses them; every entry must be finite.  The header is
+checked first: a dimension above ``engine.MAX_DENSE_DIM`` is refused
+before any row is read.  A file that breaks a rule is refused with a
+``ConfigError`` that begins with its path.
+
+Both directions keep the exact zeros away from the float routines.  The
+writer spells each exact zero (+0.0, +0.0) as the literal ``ZERO_TOKEN``
+and sends only a row's other entries through ``ENTRY_FORMAT``, one row at
+a time (``format_rows``).  An exported unitary is almost all exact zeros,
+and ``np.loadtxt`` would spend its time tokenizing them one field at a
 time; ``parse_body`` finds the tokens with numpy instead, takes the exact
 zeros as they stand and hands only the other tokens to the float parser.
-``cli.read_matrix_file`` falls back to its row-by-row parse wherever
-this pass returns None.
+``read_matrix_file`` falls back to a row-by-row parse wherever that pass
+returns None.  ``matrix_lines`` yields a file's lines; opening the file
+is the caller's (``cli.write_matrix_file``).
 """
 
 from __future__ import annotations
 
+import codecs
+import math
 from collections.abc import Iterator
 
 import numpy as np
+
+from .engine import MAX_DENSE_DIM
+
+
+class ConfigError(ValueError):
+    """Bad or inconsistent experiment configuration."""
 
 
 #: the exact zero, (+0.0, +0.0), as a body spells it; it is also what
@@ -131,3 +149,86 @@ def format_rows(entries: np.ndarray) -> Iterator[str]:
         for k in kept.tolist():
             tokens[k] = ENTRY_FORMAT
         yield (" ".join(tokens) + "\n") % tuple(row[kept].view(np.float64).tolist())
+
+
+def matrix_lines(entries: np.ndarray, layout: tuple[int, ...] | None = None) -> Iterator[str]:
+    """The lines of a matrix file holding the square matrix ``entries``: the
+    header, with the factor dimensions of ``layout`` if given, then the rows
+    of ``format_rows``, each built when it is asked for."""
+    yield " ".join(str(d) for d in (len(entries), *(layout or ()))) + "\n"
+    yield from format_rows(entries)
+
+
+def _row_problem(rows: list[str], dim: int) -> str:
+    """The first row of a matrix file that is ragged or does not parse."""
+    for i, line in enumerate(rows):
+        count = len(line.split())
+        if count != dim:
+            return f"row {i} has {count} entries"
+        try:
+            np.loadtxt([line], dtype=np.complex128, comments=None)
+        except ValueError:
+            return f"unparsable entry in row {i}"
+    return f"rows do not form a {dim}x{dim} matrix"
+
+
+def _decode_problem(path, err: UnicodeDecodeError) -> str:
+    """Where the file at ``path`` stops being UTF-8, as a file offset.
+
+    The text reader decodes in chunks, so ``err`` places the byte only
+    within its chunk; the file is decoded again, a chunk at a time, up to
+    the first byte that does not decode.
+    """
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    offset = 0
+    with open(path, "rb") as fh:
+        while True:
+            chunk = fh.read(1 << 16)
+            try:
+                decoder.decode(chunk, final=not chunk)
+            except UnicodeDecodeError as bad:
+                # bad.object is the bytes the decoder held back, then the chunk
+                at = offset - len(decoder.buffer) + bad.start
+                return f"byte {at} (0x{bad.object[bad.start]:02x}) is not UTF-8"
+            if not chunk:  # the file changed since it was read
+                return str(err)
+            offset += len(chunk)
+
+
+def read_matrix_file(path) -> tuple[np.ndarray, tuple[int, ...] | None]:
+    """The matrix and layout of a matrix file; its header is checked before any row is read."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            header = next((line.strip() for line in fh if line.strip()), "")
+            if not header:
+                raise ConfigError(f"{path}: empty matrix file")
+            try:
+                dims = [int(tok) for tok in header.split()]
+            except ValueError as err:
+                raise ConfigError(f"{path}: bad header {header!r}") from err
+            if min(dims) < 1:  # the dimension and every layout factor
+                raise ConfigError(f"{path}: bad header {header!r}")
+            dim, layout = dims[0], tuple(dims[1:]) or None
+            if dim > MAX_DENSE_DIM:
+                raise ConfigError(f"{path}: dimension {dim}, above the cap {MAX_DENSE_DIM}")
+            if layout is not None and math.prod(layout) != dim:
+                raise ConfigError(f"{path}: layout {layout} does not multiply to {dim}")
+            body = fh.read().rstrip()
+    except UnicodeDecodeError as err:
+        raise ConfigError(f"{path}: {_decode_problem(path, err)}") from err
+    # the byte pass vouches for dim rows of dim entries; any other body is read by rows
+    entries = parse_body(body, dim)
+    if entries is None:
+        rows = body.splitlines()
+        if len(rows) != dim:
+            raise ConfigError(f"{path}: expected {dim} rows, found {len(rows)}")
+        try:
+            entries = np.loadtxt(rows, dtype=np.complex128, ndmin=2, comments=None)
+        except ValueError:
+            entries = None
+        if entries is None or entries.shape != (dim, dim):  # loadtxt skips blank rows
+            raise ConfigError(f"{path}: {_row_problem(rows, dim)}")
+    bad_rows = np.flatnonzero(~np.isfinite(entries).all(axis=1))
+    if bad_rows.size:
+        raise ConfigError(f"{path}: non-finite entry in row {bad_rows[0]}")
+    return entries, layout

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from sltosim import bytescan, cli, designer, engine, optics
+from sltosim import bytescan, cli, designer, engine, optics, slto
 from sltosim.cli import (
     KINDS,
     ConfigError,
@@ -179,6 +179,25 @@ class TestMatrixFiles:
         # u was allocated before tracing started, so the peak is the writer's own
         assert peak < size / 4
 
+    @pytest.mark.parametrize("at, bad", [(17, b"\xff"), (9000, b"\xff"),
+                                         ((1 << 16) - 1, b"\xc3\xff"), (72004, b"\xc3")],
+                             ids=["first_chunk", "later_chunk", "across_chunks", "truncated_end"])
+    def test_undecodable_byte_named_by_its_file_offset(self, tmp_path, at, bad):
+        """A file that is not UTF-8 is named with the offset of its first bad byte
+        in the file, wherever the text reader's chunks fall."""
+        path = tmp_path / "m.txt"
+        write_matrix_file(path, np.zeros((120, 120), dtype=complex))
+        raw = bytearray(path.read_bytes())
+        assert len(raw) == 72004
+        raw[at:at + len(bad)] = bad
+        path.write_bytes(raw)
+        with pytest.raises(UnicodeDecodeError) as decoded:
+            bytes(raw).decode("utf-8")
+        assert decoded.value.start == at
+        with pytest.raises(ConfigError,
+                           match=rf"m\.txt: byte {at} \(0x{bad[0]:02x}\) is not UTF-8$"):
+            read_matrix_file(path)
+
     @pytest.mark.parametrize("body, message", [
         ("2\n1+0j 0+0j\n0+0j\n", "row 1 has 1 entries"),  # ragged row
         ("2\n1+0j 0+0j 0+0j\n0+0j 1+0j 0+0j\n", "row 0 has 3 entries"),
@@ -197,11 +216,11 @@ class TestMatrixFiles:
 
     @pytest.mark.parametrize("dim, refused", [(3, False), (4, True)])
     def test_dimension_cap_checked_before_any_row(self, tmp_path, monkeypatch, dim, refused):
-        monkeypatch.setattr(cli, "MAX_DENSE_DIM", 3)
+        monkeypatch.setattr(bytescan, "MAX_DENSE_DIM", 3)
         path = tmp_path / "m.txt"
         write_matrix_file(path, np.eye(dim, dtype=complex))
         parsed = []  # every parse of the body, by the byte pass or by rows
-        for owner, name in ((cli, "parse_body"), (np, "loadtxt")):
+        for owner, name in ((bytescan, "parse_body"), (np, "loadtxt")):
             parse = getattr(owner, name)
             monkeypatch.setattr(owner, name, lambda *a, name=name, parse=parse, **k:
                                 parsed.append(name) or parse(*a, **k))
@@ -296,7 +315,7 @@ class TestMatrixFileParser:
         path = tmp_path_factory.mktemp("parse") / "m.txt"
         path.write_bytes(text.encode())
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(cli, "parse_body", lambda body, dim: None)
+            mp.setattr(bytescan, "parse_body", lambda body, dim: None)
             expected = _matrix_file_outcome(path)
         if expected[0] == "ok":
             rows = path.read_text().rstrip().splitlines()[1:]
@@ -1334,8 +1353,8 @@ class TestVerifySltoCommand:
                      "--export-matrices", str(export), "--out", str(tmp_path / "cycle"),
                      "--no-color"]) == 0
         diagonal_path = []
-        diagonal_residuals = cli._diagonal_residuals
-        monkeypatch.setattr(cli, "_diagonal_residuals",
+        diagonal_residuals = slto._diagonal_residuals
+        monkeypatch.setattr(slto, "_diagonal_residuals",
                             lambda *a: diagonal_path.append(diagonal_residuals(*a))
                             or diagonal_path[-1])
         code = main(["verify-slto", "--unitary", str(export / "u_tau.txt"),
@@ -1396,6 +1415,62 @@ class TestVerifySltoCommand:
         assert "ws.txt: weighted system term has dim 3" in err
         assert "hs.txt has dim 2" in err
         assert not (tmp_path / "o" / "report.json").exists()
+
+    def test_unitary_that_is_not_utf8_named(self, tmp_path, engine_matrices, capsys):
+        cfg, d = engine_matrices
+        raw = bytearray((d / "u.txt").read_bytes())
+        raw[17] = 0xFF  # in row 0, after the header "50 5 5 2"
+        (d / "bad.txt").write_bytes(raw)
+        code = main(self.verify_args(d, "bad.txt", tmp_path / "o"))
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {d / 'bad.txt'}: byte 17 (0xff) is not UTF-8\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_rows_of_one_weighted_energy_rotated_fail_only_the_energy_checks(
+            self, tmp_path, engine_matrices):
+        """|2,1,0> and |1,2,0> have the same weighted energy and Gibbs weight, and total
+        energies omega1 - omega2 apart: mixing them breaks only energy conservation."""
+        cfg, d = engine_matrices
+        u, layout = read_matrix_file(d / "u.txt")
+        rows = [np.ravel_multi_index(state, layout) for state in ((2, 1, 0), (1, 2, 0))]
+        c, s = math.cos(0.3), math.sin(0.3)
+        u[rows] = np.array([[c, -s], [s, c]]) @ u[rows]
+        write_matrix_file(d / "rotated.txt", u, layout)
+        assert main(self.verify_args(d, "rotated.txt", tmp_path / "o")) == 1
+        checks = load_report(tmp_path / "o")["checks"]
+        failed = {name for name, check in checks.items() if not check["passed"]}
+        assert failed == {"block_diagonality", "commutator_energy"}
+        for name in failed:
+            assert checks[name]["value"] == pytest.approx(math.sin(0.3), abs=1e-12)
+
+
+class TestCliNamesReachTheLibrary:
+    """The runners reach the matrix-file and verifier code through cli's own
+    names, the names bench/tracing.py replaces to time that code."""
+
+    def test_names_are_the_library_functions(self):
+        assert cli.verify_slto is slto.verify_slto
+        assert cli.read_matrix_file is bytescan.read_matrix_file
+        assert cli.ConfigError is bytescan.ConfigError is slto.ConfigError
+
+    def test_runners_call_through_cli(self, tmp_path, monkeypatch):
+        calls = []
+        for name in ("read_matrix_file", "verify_slto", "write_matrix_file"):
+            monkeypatch.setattr(cli, name, lambda *a, name=name, fn=getattr(cli, name), **k:
+                                calls.append(name) or fn(*a, **k))
+        export = tmp_path / "export"
+        assert main(["abstract-cycle", "--beta1", "0.5", "--beta2", "1", "--omega1", "2",
+                     "--g", "0.1", "--n-max1", "4", "--n-max2", "4",
+                     "--export-matrices", str(export), "--out", str(tmp_path / "cycle"),
+                     "--no-color"]) == 0
+        assert calls == ["write_matrix_file"] * 4
+        calls.clear()
+        assert main(["verify-slto", "--unitary", str(export / "u_tau.txt"),
+                     "--bath1", str(export / "h_bath1.txt"),
+                     "--bath2", str(export / "h_bath2.txt"),
+                     "--system", str(export / "h_system.txt"), "--beta1", "0.5",
+                     "--beta2", "1", "--out", str(tmp_path / "o"), "--no-color"]) == 0
+        assert calls == ["read_matrix_file"] * 4 + ["verify_slto"]
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -1470,8 +1545,8 @@ class TestVerifierAgainstDenseOracle:
     def paths(self, monkeypatch) -> dict:
         """Calls of the diagonal-factor path, and the rows it bracketed in full: its dirty rows."""
         calls = {"_diagonal_residuals": 0, "dirty_rows": 0}
-        diagonal_residuals = cli._diagonal_residuals
-        commutator_residuals = cli._commutator_residuals
+        diagonal_residuals = slto._diagonal_residuals
+        commutator_residuals = slto._commutator_residuals
 
         def diagonal_spy(*args):
             calls["_diagonal_residuals"] += 1
@@ -1482,8 +1557,8 @@ class TestVerifierAgainstDenseOracle:
                 calls["dirty_rows"] += brackets[0].shape[0]
             return commutator_residuals(brackets, *args)
 
-        monkeypatch.setattr(cli, "_diagonal_residuals", diagonal_spy)
-        monkeypatch.setattr(cli, "_commutator_residuals", commutator_spy)
+        monkeypatch.setattr(slto, "_diagonal_residuals", diagonal_spy)
+        monkeypatch.setattr(slto, "_commutator_residuals", commutator_spy)
         return calls
 
     @staticmethod

@@ -10,10 +10,17 @@ is imported so that the tracer can find it, used or not.  An import line
 or a re-export from ``__init__.py`` is not a read; a definition that only
 the acceptance suite, the tracer or ``KEPT_UNREAD`` names is kept, and
 every ``KEPT_UNREAD`` name must still be defined by some module.
+
+The layering is checked here too: ``cli`` sits on top, so no other module
+imports it, and ``import sltosim`` loads neither the CLI, the matrix-file
+module nor the verifier.
 """
 
 import ast
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -154,3 +161,46 @@ def test_stale_import_is_flagged():
     assert unused_imports(source, "optics") == ["ChargeBlock", "gibbs_probabilities"]
     assert unused_imports(source, "cli") == ["ChargeBlock", "SpectralPropagator",
                                              "gibbs_probabilities"]
+
+
+def imports_cli(source: str) -> bool:
+    """Whether ``source``, a module of the package, imports ``cli`` anywhere."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            if any(alias.name.split(".")[:2] == ["sltosim", "cli"] for alias in node.names):
+                return True
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if module in ("cli", "sltosim.cli") or (
+                    module in ("", "sltosim") and any(a.name == "cli" for a in node.names)):
+                return True
+    return False
+
+
+def test_no_library_module_imports_cli():
+    assert [module for module in MODULES
+            if module != "cli" and imports_cli((PACKAGE / f"{module}.py").read_text())] == []
+
+
+@pytest.mark.parametrize("source, flagged", [
+    ("from . import cli\n", True),
+    ("from .cli import ConfigError\n", True),
+    ("from sltosim import cli, engine\n", True),
+    ("from sltosim.cli import main\n", True),
+    ("import sltosim.cli\n", True),
+    ("def run():\n    from .cli import write_matrix_file\n", True),
+    ("from .bytescan import ConfigError\nfrom . import slto\n", False),
+    ("from .client import cli\nimport sltosim\n", False),
+])
+def test_cli_import_is_flagged(source, flagged):
+    assert imports_cli(source) is flagged
+
+
+def test_import_sltosim_leaves_out_the_cli_and_the_verifier():
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))}
+    loaded = subprocess.run(
+        [sys.executable, "-c", "import sys, sltosim; print(*sorted(sys.modules))"],
+        env=env, capture_output=True, text=True, check=True).stdout.split()
+    assert "sltosim.engine" in loaded
+    assert {"sltosim.cli", "sltosim.slto", "sltosim.bytescan"}.isdisjoint(loaded)
