@@ -241,11 +241,8 @@ SERIES_HEADER = "t,pop1,pop2,pop3,S_ent,E_B1,E_B2,resid_energy,resid_weighted"
 def run_abstract_cycle(params: dict, out_dir: Path) -> tuple[dict, dict, list | None]:
     if params["beta1"] >= params["beta2"]:
         raise ConfigError("abstract-cycle needs beta1 < beta2")
-    cfg = CompactEngineConfig(
-        beta1=params["beta1"], beta2=params["beta2"], omega1=params["omega1"], g=params["g"],
-        n_max1=params.get("n_max1"), n_max2=params.get("n_max2"), a0=params.get("a0", 0.0),
-        tail_delta=params.get("tail_delta", 1e-6),
-    )
+    # every other key of the kind is a field of the config, which holds the defaults
+    cfg = CompactEngineConfig(**{k: v for k, v in params.items() if k != "export_matrices"})
     export = params.get("export_matrices")
     if export:
         check_dense_cap(cfg)  # before the cycle runs
@@ -349,8 +346,7 @@ def run_delta_sweep(params: dict, out_dir: Path) -> tuple[dict, dict, list | Non
         "config_used": {"g1": g1, "g2": g2, "ratios": list(ratios)},
     }
     checks = {
-        "deviation_monotone": {"value": float(not monotone), "threshold": 0.5,
-                               "passed": monotone},
+        "deviation_monotone": _check(not monotone, 0.5),
         "deviation_slope_band": _slope_band(dev_slope, -1.4, -0.6),
         "leak_slope_band": _slope_band(leak_slope, -2.5, -1.5),
         "sampling_density": {"value": density, "threshold": SAMPLES_PER_PERIOD,
@@ -477,10 +473,7 @@ def run_design(params: dict, out_dir: Path) -> tuple[dict, dict, Iterable[list]]
     }
     running_min = np.minimum.accumulate(trace)
     checks = {
-        "trace_running_min_nonincreasing": {
-            "value": float(np.max(np.diff(running_min))), "threshold": 0.0,
-            "passed": bool(np.all(np.diff(running_min) <= 0.0)),
-        },
+        "trace_running_min_nonincreasing": _check(np.max(np.diff(running_min)), 0.0),
         # the walk scores its trace in stacks of proposals and best_cost is
         # scored alone, so this holds with threshold 0.0 only while
         # design_cost gives a row the same bits in any stack

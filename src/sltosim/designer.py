@@ -342,6 +342,7 @@ def _coefficient_sensitivities(rows: FockRows) -> np.ndarray:
     return np.maximum(norms, 1e-30)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def mc_optimize(
     ansatz0: PotentialAnsatz,
     targets: DesignTargets,
@@ -375,13 +376,14 @@ def mc_optimize(
     (length iterations + 1, starting at the initial cost).  The trace's
     running minimum is non-increasing, and at zero temperature the trace
     itself is.  Identical seeds give identical traces.  A non-finite
-    initial cost is refused before anything is drawn.
+    initial cost is refused before anything is drawn.  A proposal whose
+    cost overflows scores inf or NaN, without a warning, and is rejected
+    (warnings are off once per walk: per scored stack that costs 5%).
     """
     rows = fit_rows(ansatz0, targets) if rows is None else rows
     sens = _coefficient_sensitivities(rows)
     coeffs = ansatz0.flat()
-    with np.errstate(over="ignore", invalid="ignore"):
-        current = next(_fit_costs(rows, coeffs[None], targets))
+    current = next(_fit_costs(rows, coeffs[None], targets))
     if not math.isfinite(current):
         raise ValueError(f"initial design cost is {current}; the walk needs a finite start")
     rng = np.random.default_rng(schedule.seed)

@@ -171,25 +171,27 @@ class CompactEngineConfig:
     def basis_index(self, n: int, m: int, s: int) -> int:
         return (n * (self.n_max2 + 1) + m) * 2 + s
 
+    def charges(self, n, m, level):
+        """The two conserved charges of the basis state |n, m, level>, for ints
+        or int arrays: the total energy n*omega1 + m*omega2 + a_level and the
+        weighted energy beta1*n*omega1 + beta2*m*omega2.  A charge too large
+        for a float is inf."""
+        with np.errstate(over="ignore"):
+            total = n * self.omega1 + m * self.omega2 + np.array([self.a0, self.a1])[level]
+            weighted = self.beta1 * n * self.omega1 + self.beta2 * m * self.omega2
+        return total, weighted
+
+    def _basis_charges(self):
+        return self.charges(*np.unravel_index(np.arange(self.dim),
+                                              (self.n_max1 + 1, self.n_max2 + 1, 2)))
+
     def total_energy_diagonal(self) -> np.ndarray:
         """Diagonal of H_B1 + H_B2 + H_S in the product basis."""
-        d = np.empty(self.dim)
-        for n in range(self.n_max1 + 1):
-            for m in range(self.n_max2 + 1):
-                base = n * self.omega1 + m * self.omega2
-                d[self.basis_index(n, m, 0)] = base + self.a0
-                d[self.basis_index(n, m, 1)] = base + self.a1
-        return d
+        return self._basis_charges()[0]
 
     def weighted_energy_diagonal(self) -> np.ndarray:
         """Diagonal of beta1*H_B1 + beta2*H_B2 in the product basis."""
-        d = np.empty(self.dim)
-        for n in range(self.n_max1 + 1):
-            for m in range(self.n_max2 + 1):
-                val = self.beta1 * n * self.omega1 + self.beta2 * m * self.omega2
-                d[self.basis_index(n, m, 0)] = val
-                d[self.basis_index(n, m, 1)] = val
-        return d
+        return self._basis_charges()[1]
 
 
 def check_unit_sum(pops: np.ndarray, window: float, where: str):
@@ -380,12 +382,11 @@ def evolve_cycle(cfg: CompactEngineConfig) -> CycleReport:
     if not sys.float_info.min <= cfg.g * cfg.g < math.inf:
         raise ValueError(f"coupling g = {cfg.g!r} is outside the cycle's range: "
                          f"g*g must lie in [{sys.float_info.min!r}, inf)")
-    # the largest entries of both charge diagonals, summed in the residuals' order,
-    # and the power that the report checks
+    # the largest entries of both charge diagonals and the power that the report checks
+    largest = cfg.charges(cfg.n_max1, cfg.n_max2, 1)
     for name, value in (
-        ("largest level energy", cfg.n_max1 * cfg.omega1 + cfg.n_max2 * cfg.omega2 + cfg.a1),
-        ("largest weighted level energy",
-         cfg.beta1 * cfg.n_max1 * cfg.omega1 + cfg.beta2 * cfg.n_max2 * cfg.omega2),
+        ("largest level energy", float(largest[0])),
+        ("largest weighted level energy", float(largest[1])),
         ("power 2*g*w_ext/pi", 2 * cfg.g * cfg.w_ext / math.pi),
     ):
         if not math.isfinite(value):
@@ -450,9 +451,7 @@ def evolve_cycle(cfg: CompactEngineConfig) -> CycleReport:
     )
 
     # [U(t), D] on a pair block is |<1|U(t)|0>| times the gap of D between its members
-    n, m, level = pairs[..., 0], pairs[..., 1], pairs[..., 2]
-    e_total = n * cfg.omega1 + m * cfg.omega2 + np.array([cfg.a0, cfg.a1])[level]
-    e_weighted = cfg.beta1 * n * cfg.omega1 + cfg.beta2 * m * cfg.omega2
+    e_total, e_weighted = cfg.charges(pairs[..., 0], pairs[..., 1], pairs[..., 2])
     gap_total = max_abs(e_total[:, 0] - e_total[:, 1])
     gap_weighted = max_abs(e_weighted[:, 0] - e_weighted[:, 1])
     off = np.abs(amps[:, 1])  # the only off-diagonal entries of U(t)

@@ -424,27 +424,6 @@ class TestAbstractCycleCommand:
         assert not (tmp_path / "o" / "report.json").exists()
         assert not (tmp_path / "x").exists()
 
-    def test_non_conserving_pairing_fails_both_commutator_checks(self, tmp_path, monkeypatch):
-        pairing = engine._sector_members
-
-        def cold_ladder_left_out(cfg, n, m):
-            # |n, m, 0> <-> |n-1, m, 1>: the cold ladder gains no quantum
-            members = pairing(cfg, n, m)
-            members[members[:, 1, 0] >= 0, 1, 1] -= 1
-            return members
-
-        monkeypatch.setattr(engine, "_sector_members", cold_ladder_left_out)
-        code = main(["abstract-cycle", "--beta1", "0.5", "--beta2", "1", "--omega1", "2",
-                     "--g", "0.05", "--n-max1", "4", "--n-max2", "4",
-                     "--out", str(tmp_path), "--no-color"])
-        assert code == 1
-        checks = load_report(tmp_path)["checks"]
-        assert {name for name, c in checks.items() if not c["passed"]} == {
-            "commutator_energy", "commutator_weighted"}
-        # the gaps are omega2 = 1 and beta1 * omega1 = 1, at full transfer
-        assert checks["commutator_energy"]["value"] == pytest.approx(1.0, abs=1e-12)
-        assert checks["commutator_weighted"]["value"] == pytest.approx(1.0, abs=1e-12)
-
     def test_derived_omega2_runs_where_a_given_one_missed_the_resonance(self, tmp_path):
         # beta1*omega1 = 8968 but 35 * (4*2242/35) = 8968.000000000002
         code = main(["abstract-cycle", "--beta1", "4", "--beta2", "35", "--omega1", "2242",
@@ -567,6 +546,28 @@ class TestCycleCheckWitnesses:
         # the Gibbs mass cut off above n = 2 moves the final state by 0.033, not 1e-6
         argv = ["optics-cycle", "--n-max1", "2", "--n-max2", "2"]
         assert self.failed_checks(argv, tmp_path) == {"final_state_formula"}
+
+    @pytest.mark.parametrize("argv", [
+        ["abstract-cycle", "--g", "0.05", "--n-max1", "4", "--n-max2", "4"],
+        ["optics-cycle"],
+    ], ids=["abstract-cycle", "optics-cycle"])
+    def test_non_conserving_pairing_fails_both_commutator_checks(self, tmp_path, monkeypatch,
+                                                                 argv):
+        pairing = engine._sector_members
+
+        def cold_ladder_left_out(cfg, n, m):
+            # |n, m, 0> <-> |n-1, m, 1>: the cold ladder gains no quantum
+            members = pairing(cfg, n, m)
+            members[members[:, 1, 0] >= 0, 1, 1] -= 1
+            return members
+
+        monkeypatch.setattr(engine, "_sector_members", cold_ladder_left_out)
+        assert self.failed_checks(argv, tmp_path) == {"commutator_energy",
+                                                      "commutator_weighted"}
+        checks = load_report(tmp_path)["checks"]
+        # the gaps are omega2 = 1 and beta1 * omega1 = 1, at full transfer
+        assert checks["commutator_energy"]["value"] == pytest.approx(1.0, abs=1e-12)
+        assert checks["commutator_weighted"]["value"] == pytest.approx(1.0, abs=1e-12)
 
 
 class TestCouplingRange:
@@ -703,6 +704,12 @@ class TestDeltaSweepCommand:
                             r"not 1 within 1e-10\n",
                             capsys.readouterr().err)
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("ratios, monotone", [("20,40", True), ("40,20", False)])
+    def test_deviation_monotone_record(self, tmp_path, ratios, monotone):
+        main(["delta-sweep", "--ratios", ratios, "--out", str(tmp_path), "--no-color"])
+        assert load_report(tmp_path)["checks"]["deviation_monotone"] == {
+            "value": float(not monotone), "threshold": 0.5, "passed": monotone}
 
     def test_capped_sampling_fails_density_check(self, tmp_path):
         code = main(["delta-sweep", "--ratios", "20,640", "--out", str(tmp_path),
@@ -841,6 +848,33 @@ class TestDeltaSweepCommand:
 
 
 class TestDesignCommand:
+    @pytest.mark.parametrize("spoiled", [False, True])
+    def test_running_min_record(self, tmp_path, monkeypatch, spoiled):
+        walk, traces = cli.mc_optimize, []
+
+        def recorded_walk(*args):
+            best, trace = walk(*args)
+            if spoiled:  # only a NaN makes a running minimum rise
+                trace = trace.copy()
+                trace[7] = math.nan
+            traces.append(trace)
+            return best, trace
+
+        monkeypatch.setattr(cli, "mc_optimize", recorded_walk)
+        main(["design", "--iterations", "50", "--out", str(tmp_path), "--no-color"])
+        steps = np.diff(np.minimum.accumulate(traces[0]))
+        expected = {"value": float(np.max(steps)), "threshold": 0.0,
+                    "passed": bool(np.all(steps <= 0.0))}
+        assert expected["passed"] is not spoiled
+        record = load_report(tmp_path)["checks"]["trace_running_min_nonincreasing"]
+        assert json.dumps(record, sort_keys=True) == json.dumps(expected, sort_keys=True)
+
+    @pytest.mark.parametrize("flags", [["--proposal-scale", "1e308"], ["--q", "1e308"]])
+    def test_overflowing_proposals_score_without_a_warning(self, tmp_path, capsys, flags):
+        assert main(["design", "--iterations", "50", *flags, "--out", str(tmp_path),
+                     "--no-color"]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_deterministic_reports(self, tmp_path):
         args = ["design", "--iterations", "800", "--seed", "42", "--no-color"]
         assert main(args + ["--out", str(tmp_path / "a")]) == 0

@@ -533,6 +533,14 @@ class TestWorkspaceGuards:
         with pytest.raises(ValueError, match=f"initial design cost is {cost}"):
             mc_optimize(ansatz, targets, AnnealSchedule(iterations=10))
 
+    def test_overflowing_proposals_are_rejected_without_a_warning(self):
+        # every proposal's mismatch overflows, scores inf or NaN and is refused
+        targets = DesignTargets.inverse_intensity(0.0125, 6)
+        schedule = AnnealSchedule(iterations=50, proposal_scale=1e308, seed=0)
+        best, trace = mc_optimize(PotentialAnsatz.zeros(), targets, schedule)
+        assert np.all(trace == trace[0]) and math.isfinite(trace[0])
+        assert np.array_equal(best.flat(), PotentialAnsatz.zeros().flat())
+
     def test_workspace_cap_checked_before_any_row(self, monkeypatch):
         monkeypatch.setattr(designer, "MAX_N_WORK", 20)
         built = []

@@ -83,6 +83,47 @@ class TestConfig:
         cfg = small_config(a0=0.3)
         assert abs(cfg.a1 - (0.3 + 1.0)) <= 1e-15
 
+    @pytest.mark.parametrize("cutoffs", [(0, 0), (0, 3), (4, 4), (11, 7)])
+    @pytest.mark.parametrize("a0", [0.0, 0.25, -3.7])
+    def test_charge_diagonals_equal_the_loop(self, cutoffs, a0):
+        cfg = small_config(beta1=0.3, beta2=1.1, omega1=2.9, a0=a0,
+                           n_max1=cutoffs[0], n_max2=cutoffs[1])
+        total, weighted = loop_diagonals(cfg)
+        assert np.array_equal(cfg.total_energy_diagonal(), total)
+        assert np.array_equal(cfg.weighted_energy_diagonal(), weighted)
+
+    @settings(max_examples=150, deadline=None)
+    @given(beta1=st.floats(0.01, 10.0), ratio=st.floats(1.01, 20.0),
+           omega1=st.floats(1e-3, 1e3), a0=st.floats(-1e3, 1e3),
+           n_max1=st.integers(0, 9), n_max2=st.integers(0, 9))
+    def test_charge_diagonals_equal_the_loop_on_random_configs(self, beta1, ratio, omega1, a0,
+                                                               n_max1, n_max2):
+        cfg = small_config(beta1=beta1, beta2=beta1 * ratio, omega1=omega1, a0=a0,
+                           n_max1=n_max1, n_max2=n_max2)
+        total, weighted = loop_diagonals(cfg)
+        assert np.array_equal(cfg.total_energy_diagonal(), total)
+        assert np.array_equal(cfg.weighted_energy_diagonal(), weighted)
+
+    def test_overflowing_charge_is_inf_without_a_warning(self):
+        # n*omega1 + m*omega2 = 1.5e308 and a1 = 1.5e308 are finite, their sum is not
+        cfg = small_config(omega1=1e308, a0=1e308, n_max1=1, n_max2=1)
+        total, weighted = cfg.charges(1, 1, 1)
+        assert total == math.inf and weighted == 1e308
+        with pytest.raises(ValueError, match="the cycle's largest level energy is inf; "):
+            evolve_cycle(cfg)
+
+
+def loop_diagonals(cfg: CompactEngineConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Both charge diagonals written out state by state, in Python floats."""
+    total, weighted = np.empty(cfg.dim), np.empty(cfg.dim)
+    for n in range(cfg.n_max1 + 1):
+        for m in range(cfg.n_max2 + 1):
+            for level, a in enumerate((cfg.a0, cfg.a1)):
+                k = cfg.basis_index(n, m, level)
+                total[k] = n * cfg.omega1 + m * cfg.omega2 + a
+                weighted[k] = cfg.beta1 * n * cfg.omega1 + cfg.beta2 * m * cfg.omega2
+    return total, weighted
+
 
 def pair_rows(cfg: CompactEngineConfig) -> np.ndarray:
     """The rows of the member table whose sector has a partner."""

@@ -7,13 +7,14 @@ that ``bench/tracing.py`` replaces in the module's namespace while a
 traced run times it: a (module, name) pair in ``SPANS``, or
 ``SpectralPropagator`` in a module of ``PROPAGATOR_USERS``.  Such a name
 is imported so that the tracer can find it, used or not.  An import line
-or a re-export from ``__init__.py`` is not a read; a definition that only
-the acceptance suite, the tracer or ``KEPT_UNREAD`` names is kept, and
-every ``KEPT_UNREAD`` name must still be defined by some module.
+is not a read; a definition that only the acceptance suite, the tracer or
+``KEPT_UNREAD`` names is kept, and every ``KEPT_UNREAD`` name must still be
+defined by some module.
 
 The layering is checked here too: ``cli`` sits on top, so no other module
 imports it, and ``import sltosim`` loads neither the CLI, the matrix-file
-module nor the verifier.
+module nor the verifier.  The package re-exports nothing: it binds its
+library modules and ``__version__``, so every name has one import path.
 """
 
 import ast
@@ -204,3 +205,17 @@ def test_import_sltosim_leaves_out_the_cli_and_the_verifier():
         env=env, capture_output=True, text=True, check=True).stdout.split()
     assert "sltosim.engine" in loaded
     assert {"sltosim.cli", "sltosim.slto", "sltosim.bytescan"}.isdisjoint(loaded)
+
+
+def test_package_binds_only_its_library_modules():
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))}
+    modules, bound = subprocess.run(
+        [sys.executable, "-c", "import sys, sltosim\n"
+         "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'sltosim'))\n"
+         "print(*sorted(vars(sltosim)))"],
+        env=env, capture_output=True, text=True, check=True).stdout.splitlines()
+    library = ["designer", "engine", "linalg", "optics", "thermal"]
+    assert modules.split() == ["sltosim", *(f"sltosim.{name}" for name in library)]
+    assert [name for name in bound.split() if not name.startswith("__")] == library
+    assert "__version__" in bound.split()
