@@ -25,7 +25,8 @@ sensitivities are the norms of the unit vectors' tables.
 The fit is a seeded random-walk descent over the coefficients: one
 coefficient at a time gets a Gaussian kick, downhill moves are always
 kept, and an optional auxiliary temperature admits uphill moves with
-Boltzmann probability.  Identical seeds reproduce identical traces.
+Boltzmann probability.  Each kind of draw comes from its own stream spawned
+from the seed, and identical seeds reproduce identical traces.
 """
 
 from __future__ import annotations
@@ -51,12 +52,12 @@ MAX_N_WORK = 1024
 #: iteration, 8 MB at the cap
 MAX_ITERATIONS = 1_000_000
 
-#: proposals a zero-temperature walk scores in one stacked evaluation;
+#: proposals a walk scores in one stacked evaluation;
 #: 8 to 16 were fastest on the design-fit benchmark and 32 was slower
 PROPOSAL_BATCH = 16
 
-#: proposals whose draws a zero-temperature walk takes ahead at once: about
-#: 100 bytes of lists and arrays each, 25 KB a chunk beside the trace; a
+#: proposals whose index and normal draws a walk takes in one call per
+#: stream: 24 bytes of arrays each, 6 KB a chunk beside the trace; a
 #: 500-iteration walk takes two chunks and cuts one batch short between them
 DRAW_CHUNK = 256
 
@@ -298,12 +299,14 @@ def _fit_costs(rows: FockRows, coeffs: np.ndarray, targets: DesignTargets) -> It
     return (math.sqrt(f) + th**root for f, th in zip(f_sums, th_sums))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def design_cost(
     ansatz: PotentialAnsatz, targets: DesignTargets, rows: FockRows | None = None
 ) -> float:
     """L2 mismatch of the f table plus Lq mismatch of the theta table.
 
-    ``rows`` are the ansatz's ``fit_rows``, built here when not given.
+    ``rows`` are the ansatz's ``fit_rows``, built here when not given.  A
+    cost that overflows is inf or NaN, without a warning, as in the walk.
     """
     rows = fit_rows(ansatz, targets) if rows is None else rows
     return next(_fit_costs(rows, ansatz.flat()[None], targets))
@@ -323,6 +326,8 @@ class AnnealSchedule:
     seed: int = 0
 
     def __post_init__(self):
+        if type(self.seed) is bool or not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         if not 1 <= self.iterations <= MAX_ITERATIONS:
             raise ValueError(f"iterations must be in 1..{MAX_ITERATIONS}, got {self.iterations}")
         if not (math.isfinite(self.proposal_scale) and math.isfinite(self.mc_temperature)):
@@ -359,18 +364,18 @@ def mc_optimize(
     ``fit_rows`` of ansatz0, are built once (here when not given), and
     each proposal is scored from its coefficients.
 
-    The walk takes its draws ahead, the coefficient index and the unit
-    normal that scales the width of each proposal, a chunk of proposals at
-    a time (never past ``iterations``) with the same calls in the same
-    order as one at a time.  It builds the next PROPOSAL_BATCH proposals of
-    the chunk from the current coefficients and cost, scores them as one
-    stack, and moves to the first accepted one; the proposals before it
-    are rejections and the draws after it open the next batch.  That is
-    the same walk, to the bit, as scoring one proposal at a time.  A
-    downhill proposal is always accepted.  At a positive temperature an
-    uphill one takes one more draw, the accept test, so the next
-    proposal's draws depend on this one's outcome: the chunk is then one
-    proposal, and at zero temperature it is DRAW_CHUNK.
+    The coefficient index, the unit normal that scales the width and the
+    accept test each have a generator spawned from the seed.  The first two
+    are drawn DRAW_CHUNK proposals ahead (never past ``iterations``) in one
+    call per stream, which gives the values of as many scalar calls.  The
+    walk builds the next PROPOSAL_BATCH proposals of the chunk from the
+    current coefficients and cost, scores them as one stack and moves to the
+    first accepted one; the draws after it open the next batch.  A downhill
+    proposal is always accepted; at a positive temperature each uphill one
+    the walk reaches draws its accept test, in proposal order.  That is the
+    walk of one proposal at a time to the bit, so the trace and the best
+    coefficients depend on the seed alone, not on DRAW_CHUNK or
+    PROPOSAL_BATCH.
 
     Returns the best ansatz ever visited and the accepted-cost trace
     (length iterations + 1, starting at the initial cost).  The trace's
@@ -386,26 +391,21 @@ def mc_optimize(
     current = next(_fit_costs(rows, coeffs[None], targets))
     if not math.isfinite(current):
         raise ValueError(f"initial design cost is {current}; the walk needs a finite start")
-    rng = np.random.default_rng(schedule.seed)
-    draw_k, draw_z = rng.integers, rng.standard_normal
+    rng_k, rng_z, rng_u = map(np.random.default_rng,
+                              np.random.SeedSequence(schedule.seed).spawn(3))
     size, scale = coeffs.size, schedule.proposal_scale
     temperature = schedule.mc_temperature
     trace = np.empty(schedule.iterations + 1)
     trace[0] = current
-    # a step is rng.normal(0.0, width), which is width times one standard
-    # normal draw: scale * current / sens[k] * z
-    chunk = DRAW_CHUNK if temperature == 0 else 1
     best_coeffs, best_cost = coeffs, current
     proposals = np.empty((PROPOSAL_BATCH, size))
     slots = np.arange(PROPOSAL_BATCH)
     start = 1  # the iteration of the chunk's first draw
     while start <= schedule.iterations:
-        count = min(chunk, schedule.iterations + 1 - start)
-        ks, zs = [], []
-        for _ in range(count):
-            ks.append(draw_k(size))
-            zs.append(draw_z())
-        ks, zs = np.array(ks), np.array(zs)
+        count = min(DRAW_CHUNK, schedule.iterations + 1 - start)
+        ks, zs = rng_k.integers(size, size=count), rng_z.standard_normal(count)
+        # a step is width times one standard normal, as rng.normal(0.0, width)
+        # draws it: scale * current / sens[k] * z
         widths = sens[ks]
         p = 0  # the draw of the batch's first proposal
         while p < count:
@@ -415,7 +415,7 @@ def mc_optimize(
             batch[slots[:n], ks[p : p + n]] += scale * current / widths[p : p + n] * zs[p : p + n]
             i = start + p
             for j, cost in enumerate(_fit_costs(rows, batch, targets)):
-                if cost < current or (temperature > 0 and rng.random()
+                if cost < current or (temperature > 0 and rng_u.random()
                                       < math.exp(-(cost - current) / temperature)):
                     break
             else:

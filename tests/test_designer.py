@@ -1,3 +1,4 @@
+import collections
 import math
 import tracemalloc
 
@@ -74,29 +75,32 @@ def reference_cost(ansatz: PotentialAnsatz, targets: DesignTargets) -> float:
 
 
 def reference_walk(ansatz0: PotentialAnsatz, targets: DesignTargets, schedule: AnnealSchedule,
-                   draws: list | None = None) -> tuple[np.ndarray, np.ndarray]:
+                   draws: collections.Counter | None = None) -> tuple[np.ndarray, np.ndarray]:
     """The mc_optimize walk one proposal at a time, scoring each with reference_cost.
 
-    ``draws``, when given, gets one entry per draw in order: "k" for the
-    coefficient index, "z" for the step and "u" for an accept test, which
-    only an uphill proposal at a positive temperature takes."""
-    rng = np.random.default_rng(schedule.seed)
+    Each kind of draw takes one value at a time from its own stream spawned
+    from the seed: "k" the coefficient index, "z" the step and "u" the
+    accept test, which only an uphill proposal at a positive temperature
+    takes.  ``draws``, when given, counts the values of each stream."""
+    rng_k, rng_z, rng_u = (np.random.default_rng(stream)
+                           for stream in np.random.SeedSequence(schedule.seed).spawn(3))
+    draws = collections.Counter() if draws is None else draws
     sens = unit_kick_sensitivities(ansatz0, targets)
     coeffs = ansatz0.flat()
     current = reference_cost(ansatz0, targets)
     best_coeffs, best_cost = coeffs.copy(), current
     trace = [current]
     for _ in range(schedule.iterations):
-        k = int(rng.integers(coeffs.size))
-        step = rng.normal(0.0, schedule.proposal_scale * current / sens[k])
+        k = int(rng_k.integers(coeffs.size))
+        step = rng_z.normal(0.0, schedule.proposal_scale * current / sens[k])
+        draws.update("kz")
         proposal = coeffs.copy()
         proposal[k] += step
         cost = reference_cost(ansatz0.with_flat(proposal), targets)
         dc = cost - current
-        if draws is not None:
-            draws += ["k", "z"] if dc < 0 or schedule.mc_temperature == 0 else ["k", "z", "u"]
+        draws["u"] += not dc < 0 and schedule.mc_temperature > 0
         if dc < 0 or (schedule.mc_temperature > 0
-                      and rng.random() < math.exp(-dc / schedule.mc_temperature)):
+                      and rng_u.random() < math.exp(-dc / schedule.mc_temperature)):
             coeffs, current = proposal, cost
             if cost < best_cost:
                 best_cost, best_coeffs = cost, proposal.copy()
@@ -289,6 +293,13 @@ class TestMcOptimize:
         with pytest.raises(ValueError, match="must be finite"):
             AnnealSchedule(iterations=10, **{field: value})
 
+    @pytest.mark.parametrize("seed", [-1, None, 1.5, True])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        # a seed of None would draw fresh entropy, and equal schedules would differ
+        with pytest.raises(ValueError, match=f"seed must be a non-negative integer, got {seed}"):
+            AnnealSchedule(iterations=10, seed=seed)
+        assert AnnealSchedule(iterations=10, seed=np.int64(2**40)).seed == 2**40
+
     def test_iteration_cap(self):
         assert AnnealSchedule(iterations=MAX_ITERATIONS).iterations == MAX_ITERATIONS
         with pytest.raises(ValueError, match=f"iterations must be in 1..{MAX_ITERATIONS}"):
@@ -420,39 +431,52 @@ class TestBatchedWalk:
 
     @pytest.mark.parametrize("iterations", [1, DRAW_CHUNK - 1, DRAW_CHUNK + 1])
     @pytest.mark.parametrize("temperature", [0.0, 0.01])
-    def test_draws_stop_at_the_iteration_budget(self, iterations, temperature, monkeypatch):
-        """Each proposal draws k then z, and at a positive temperature an uphill
-        one draws its accept test u before the next proposal's k."""
-        calls = []
-        make_rng = np.random.default_rng
+    def test_each_stream_delivers_its_own_draws(self, iterations, temperature, monkeypatch):
+        """The index and step streams each deliver one value per iteration, and
+        the accept stream one per uphill test of the reference walk, none at
+        zero temperature."""
+        schedule = AnnealSchedule(iterations=iterations, mc_temperature=temperature)
+        expected = collections.Counter()
+        reference_walk(*self.fit(), schedule, expected)
+        assert expected["k"] == expected["z"] == iterations
+        if temperature == 0:
+            assert expected["u"] == 0
+        elif iterations > 1:
+            assert 0 < expected["u"] < iterations  # some proposals went downhill
+        make_rng, delivered = np.random.default_rng, []
 
         class Counted:
-            def __init__(self, seed=None):
-                self.rng = make_rng(seed)
+            """A generator that counts the values each of its methods delivers."""
 
-            def integers(self, *args):
-                calls.append("k")
-                return self.rng.integers(*args)
+            def __init__(self, seed):
+                self.rng, self.counts = make_rng(seed), collections.Counter()
+                delivered.append(self.counts)
 
-            def standard_normal(self):
-                calls.append("z")
-                return self.rng.standard_normal()
+            def __getattr__(self, name):
+                def draw(*args, **kwargs):
+                    values = getattr(self.rng, name)(*args, **kwargs)
+                    self.counts[name] += np.size(values)
+                    return values
+                return draw
 
-            def random(self):
-                calls.append("u")
-                return self.rng.random()
-
-        schedule = AnnealSchedule(iterations=iterations, mc_temperature=temperature)
-        expected = []
-        reference_walk(*self.fit(), schedule, expected)
         monkeypatch.setattr(np.random, "default_rng", Counted)
         mc_optimize(*self.fit(), schedule)
-        assert calls == expected
-        assert calls.count("k") == calls.count("z") == iterations
-        if temperature == 0:
-            assert calls == ["k", "z"] * iterations
-        elif iterations > 1:
-            assert 0 < calls.count("u") < iterations  # some proposals went downhill
+        assert delivered == [collections.Counter(integers=iterations),
+                             collections.Counter(standard_normal=iterations),
+                             collections.Counter(random=expected["u"])]
+
+    @pytest.mark.parametrize("chunk", [1, 3, 16, 256])
+    @pytest.mark.parametrize("batch", [1, 3, 16, 256])
+    @pytest.mark.parametrize("temperature", [0.0, 0.01])
+    def test_walk_does_not_depend_on_chunking(self, chunk, batch, temperature, monkeypatch):
+        ansatz0, targets = self.fit()
+        schedule = AnnealSchedule(iterations=600, mc_temperature=temperature, seed=3)
+        best, trace = mc_optimize(ansatz0, targets, schedule)
+        monkeypatch.setattr(designer, "DRAW_CHUNK", chunk)
+        monkeypatch.setattr(designer, "PROPOSAL_BATCH", batch)
+        other_best, other_trace = mc_optimize(ansatz0, targets, schedule)
+        assert np.array_equal(other_trace, trace)
+        assert np.array_equal(other_best.flat(), best.flat())
 
     @pytest.mark.parametrize("slot", [1, PROPOSAL_BATCH])
     def test_first_acceptance_on_batch_edge(self, slot):
@@ -540,6 +564,10 @@ class TestWorkspaceGuards:
         best, trace = mc_optimize(PotentialAnsatz.zeros(), targets, schedule)
         assert np.all(trace == trace[0]) and math.isfinite(trace[0])
         assert np.array_equal(best.flat(), PotentialAnsatz.zeros().flat())
+
+    def test_overflowing_design_cost_is_nan_without_a_warning(self):
+        ansatz = PotentialAnsatz(np.array([1e308, -1e308, 0.0, 0.0]), np.zeros(4))
+        assert math.isnan(design_cost(ansatz, DesignTargets.inverse_intensity(0.0125, 6)))
 
     def test_workspace_cap_checked_before_any_row(self, monkeypatch):
         monkeypatch.setattr(designer, "MAX_N_WORK", 20)
