@@ -71,6 +71,7 @@ from .engine import (
     CompactEngineConfig,
     CycleReport,
     InvariantError,
+    check_coupling,
     check_dense_cap,
     evolution_operator,
     evolve_cycle,
@@ -276,6 +277,7 @@ def run_optics_cycle_cmd(params: dict, out_dir: Path) -> tuple[dict, dict, list 
         min_detuning_ratio=params.get("min_ratio", 20.0),
         tail_delta=params.get("tail_delta", 1e-6),
     )
+    check_coupling(cfg.g, f"coupling g = g1*g2/detuning = {cfg.g1!r}*{cfg.g2!r}/{cfg.delta!r}")
     report = run_optics_cycle(cfg)
     results = _cycle_results(report)
     results["omega0"] = cfg.omega0
@@ -317,13 +319,17 @@ def run_delta_sweep(params: dict, out_dir: Path) -> tuple[dict, dict, list | Non
         raise ConfigError(f"block: need two integers n,m, got {list(block)!r}")
     g1 = params.get("g1", 0.5)
     g2 = params.get("g2", 0.5)
+    delta = min(ratios) * max(g1, g2)
+    if delta <= 0:
+        raise ConfigError(f"detuning min(ratios)*max(g1, g2) = {delta!r} must be positive, "
+                          f"with g1 = {g1!r} and g2 = {g2!r}")
     cfg = OpticsEngineConfig(
         beta1=params.get("beta1", 0.5),
         beta2=params.get("beta2", 1.0),
         omega1=params.get("omega1", 2.0),
         g1=g1,
         g2=g2,
-        delta=min(ratios) * max(g1, g2),
+        delta=delta,
         n_max1=params.get("n_max1", 4),
         n_max2=params.get("n_max2", 4),
         min_detuning_ratio=5.0,
@@ -392,72 +398,72 @@ def design_document(
     }
 
 
-def _design_entry(spec: dict, section: str, key: str, path):
-    """spec[section][key] of a design file; a missing entry is a ConfigError."""
+#: a design file's optional scalar entries: (section, entry, the key of the flag or
+#: --config entry that sets the same field and overrides the entry, its VALUE_KINDS type)
+DESIGN_SCALARS = (("targets", "q", "q", float), ("targets", "n_work", None, int),
+                  ("schedule", "seed", "seed", int), ("schedule", "iterations", "iterations", int),
+                  ("schedule", "proposal_scale", "proposal_scale", float),
+                  ("schedule", "mc_temperature", "temperature", float))
+
+
+def _named(name: str, build, *args, **kwargs):
+    """build(*args, **kwargs), with a refusal (ValueError) as a ConfigError led by ``name``."""
     try:
-        return spec[section][key]
-    except (KeyError, TypeError) as err:
-        raise ConfigError(f"{path}: design file lacks {section}.{key}") from err
-
-
-#: the optional scalar entries of a design file, each with its flag type in VALUE_KINDS
-DESIGN_SCALARS = (("targets", "q", float), ("targets", "n_work", int),
-                  ("schedule", "iterations", int), ("schedule", "proposal_scale", float),
-                  ("schedule", "mc_temperature", float), ("schedule", "seed", int))
-
-
-def _check_design_scalars(spec: dict, path):
-    """Refuse a mistyped scalar entry of a design file, naming the file and the entry."""
-    for section, key, kind in DESIGN_SCALARS:
-        entries, (accepts, what) = spec.get(section, {}), VALUE_KINDS[kind]
-        if not isinstance(entries, dict):
-            raise ConfigError(f"{path}: design file {section} must be an object, got {entries!r}")
-        if key in entries and not accepts(entries[key]):
-            raise ConfigError(f"{path}: design file {section}.{key} must be {what}, "
-                              f"got {entries[key]!r}")
+        return build(*args, **kwargs)
+    except ValueError as err:
+        raise ConfigError(f"{name}: {err}") from err
 
 
 def run_design(params: dict, out_dir: Path) -> tuple[dict, dict, Iterable[list]]:
-    q = params.get("q", 4.0)
+    # each input as (value, what its refusal names); a flag or --config key
+    # overrides the design-file entry that sets the same field
+    given = {key: (value, f"--{key.replace('_', '-')} {value!r}") for key, value in params.items()}
     if params.get("design_in"):
         path = params["design_in"]
+        if "amplitude" in given:
+            raise ConfigError(f"{given['amplitude'][1]}: --design-in {path} holds the targets")
         try:
             spec = json.loads(Path(path).read_text())
         except (UnicodeDecodeError, json.JSONDecodeError) as err:
             raise ConfigError(f"cannot read design file {path}: {err}") from err
         if not isinstance(spec, dict):
             raise ConfigError(f"{path}: design file must hold a JSON object")
-        _validate_keys(
-            spec, {"ansatz", "targets", "schedule", "result", "schema_version"},
-            "design file",
-        )
-        v_coeffs, b_coeffs = (_design_entry(spec, "ansatz", key, path)
-                              for key in ("v_coeffs", "b_coeffs"))
-        f, theta = (_design_entry(spec, "targets", key, path) for key in ("f", "theta"))
-        _check_design_scalars(spec, path)
-        try:
-            ansatz0 = PotentialAnsatz(np.array(v_coeffs), np.array(b_coeffs))
-            targets = DesignTargets(np.array(f), np.array(theta), q=spec["targets"].get("q", q),
-                                    n_work=spec["targets"].get("n_work", 0))
-        except ValueError as err:  # non-finite or malformed entries
-            raise ConfigError(f"{path}: {err}") from err
+        _validate_keys(spec, {"ansatz", "targets", "schedule", "result", "schema_version"},
+                       "design file")
+        for section, entry in (("ansatz", "v_coeffs"), ("ansatz", "b_coeffs"),
+                               ("targets", "f"), ("targets", "theta")):
+            if not isinstance(spec.get(section), dict) or entry not in spec[section]:
+                raise ConfigError(f"{path}: design file lacks {section}.{entry}")
+        for section, entry, key, kind in DESIGN_SCALARS:
+            entries, (accepts, what) = spec.get(section, {}), VALUE_KINDS[kind]
+            name = f"{path}: design file {section}"
+            if not isinstance(entries, dict):
+                raise ConfigError(f"{name} must be an object, got {entries!r}")
+            if entry in entries and not accepts(entries[entry]):
+                raise ConfigError(f"{name}.{entry} must be {what}, got {entries[entry]!r}")
+            if entry in entries:
+                given.setdefault(key or entry, (entries[entry], f"{name}.{entry}"))
+        ansatz, tables = spec["ansatz"], spec["targets"]
+        ansatz0 = _named(path, PotentialAnsatz, np.array(ansatz["v_coeffs"]),
+                         np.array(ansatz["b_coeffs"]))
+        targets = _named(path, DesignTargets, np.array(tables["f"]), np.array(tables["theta"]),
+                         n_work=given.get("n_work", (0,))[0])
         if params.get("n_fit", targets.n_fit) != targets.n_fit:
-            raise ConfigError(
-                f"n_fit {params['n_fit']} disagrees with the {targets.n_fit} target "
-                f"entries in {path}"
-            )
-        sched_in = spec.get("schedule", {})
+            raise ConfigError(f"n_fit {params['n_fit']} disagrees with the {targets.n_fit} "
+                              f"target entries in {path}")
     else:
-        amplitude = params.get("amplitude", 0.0125)
-        targets = DesignTargets.inverse_intensity(amplitude, params.get("n_fit", 6), q=q)
         ansatz0 = PotentialAnsatz.zeros()
-        sched_in = {}
-    schedule = AnnealSchedule(
-        iterations=int(params.get("iterations", sched_in.get("iterations", 20000))),
-        proposal_scale=float(params.get("proposal_scale", sched_in.get("proposal_scale", 0.2))),
-        mc_temperature=float(params.get("temperature", sched_in.get("mc_temperature", 0.0))),
-        seed=int(params.get("seed", sched_in.get("seed", 0))),
-    )
+        names = ", ".join(given[key][1] for key in ("amplitude", "n_fit") if key in given)
+        targets = _named(names, DesignTargets.inverse_intensity,
+                         params.get("amplitude", 0.0125), params.get("n_fit", 6))
+    # one field at a time, so that a refusal names the input it refused
+    schedule = AnnealSchedule(iterations=20000)
+    for section, entry, key, kind in DESIGN_SCALARS:
+        if key in given and section == "targets":
+            targets = _named(given[key][1], dataclasses.replace, targets, **{entry: given[key][0]})
+        elif key in given:
+            schedule = _named(given[key][1], dataclasses.replace, schedule,
+                              **{entry: kind(given[key][0])})
     rows = fit_rows(ansatz0, targets)
     best, trace = mc_optimize(ansatz0, targets, schedule, rows)
     best_cost = design_cost(best, targets, rows)

@@ -31,15 +31,12 @@ from the seed, and identical seeds reproduce identical traces.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
-
-from .linalg import Operator, SpectralPropagator, basis_state
 
 DEFAULT_V_DEGREE = 8
 DEFAULT_B_DEGREE = 7
@@ -431,74 +428,3 @@ def mc_optimize(
         start += count
     return ansatz0.with_flat(best_coeffs), trace
 
-
-@dataclass(frozen=True)
-class DesignValidation:
-    """Table errors of a fitted design and the cycle fidelity it costs."""
-
-    probe_block: tuple[int, int]
-    f_errors: np.ndarray
-    theta_errors: np.ndarray
-    max_f_error: float
-    max_theta_error: float
-    fidelity_degradation: float
-    rule_residual: float
-
-
-def validate_design(
-    best: PotentialAnsatz,
-    targets: DesignTargets,
-    cfg,
-    probe_block: tuple[int, int] = (3, 1),
-) -> DesignValidation:
-    """Close the loop: per-level table errors plus full-model cycle fidelity.
-
-    Both the fitted tables and the target tables are installed as
-    coupling profiles of a probe engine (cutoffs clipped to the fit
-    range), the three-level model is evolved for one cycle under each
-    inside the charge block of the probe state |n0, m0, 1>, and the
-    final-state infidelity is reported as the degradation caused by the
-    residual fitting error.
-    """
-    from .optics import coupling_profile_from_tables, full_charge_blocks
-
-    f_act, theta_act = fock_matrix_elements(best, targets.n_work)
-    n_fit = targets.n_fit
-    f_err = np.abs(f_act[1 : n_fit + 1] - targets.f_target)
-    th_err = np.abs(theta_act[1 : n_fit + 1] - targets.theta_target)
-
-    probe = dataclasses.replace(cfg, n_max1=n_fit, n_max2=n_fit)
-
-    def tables_to_profile(f_table, th_table):
-        theta = np.zeros(n_fit + 1)
-        f = np.zeros(n_fit + 1)
-        theta[1:] = th_table[:n_fit]
-        f[1:] = f_table[:n_fit]
-        return coupling_profile_from_tables(
-            probe, theta, theta.copy(), f, f.copy(), require_rule=False
-        )
-
-    profile_fit = tables_to_profile(f_act[1 : n_fit + 1], theta_act[1 : n_fit + 1])
-    profile_ref = tables_to_profile(targets.f_target, targets.theta_target)
-
-    n0, m0 = probe_block
-    if not (1 <= n0 <= n_fit and 0 <= m0 < n_fit):
-        raise ValueError(f"probe block {probe_block} outside the fitted range")
-    # both blocks have the same members, so their amplitudes line up
-    finals = []
-    for profile in (profile_ref, profile_fit):
-        members, h = full_charge_blocks(probe, n0, m0, profile.theta1, profile.theta2,
-                                        profile.f1[None], profile.f2[None],
-                                        np.array([probe.delta]))
-        propagator = SpectralPropagator(Operator(h[0], hermitian_hint=True))
-        finals.append(propagator.states(basis_state(len(members), 0), [probe.tau])[0])
-    overlap = abs(np.vdot(finals[0], finals[1])) ** 2
-    return DesignValidation(
-        probe_block=probe_block,
-        f_errors=f_err,
-        theta_errors=th_err,
-        max_f_error=float(np.max(f_err)),
-        max_theta_error=float(np.max(th_err)),
-        fidelity_degradation=float(max(0.0, 1.0 - overlap)),
-        rule_residual=profile_fit.rule_residual,
-    )

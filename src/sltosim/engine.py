@@ -78,6 +78,13 @@ def check_sector_cap(n_max1: int, n_max2: int):
                          f"give more than the cap of {MAX_SECTORS} sectors")
 
 
+def check_coupling(g: float, name: str = "coupling g"):
+    """Refuse a cycle coupling whose g*g is not a finite normal float, as ``name``."""
+    if not sys.float_info.min <= g * g < math.inf:
+        raise ValueError(f"{name} = {g!r} is outside the cycle's range: "
+                         f"g*g must lie in [{sys.float_info.min!r}, inf)")
+
+
 def check_sector(cfg, n: int, m: int):
     """Refuse a sector (n, m) outside the cutoffs of ``cfg``, a config of either engine."""
     if not (0 <= n <= cfg.n_max1 and 0 <= m <= cfg.n_max2):
@@ -100,7 +107,8 @@ class CompactEngineConfig:
     excited level a1 = a0 + (omega1 - omega2) are derived, never stored.
     A cutoff left as None is the smallest one whose Gibbs tail is below
     ``tail_delta``.  Constraints: every energy, temperature and the
-    coupling finite, beta1 <= beta2 (equality gives the degenerate engine
+    coupling finite, a tail_delta in (0, 1) even when both cutoffs are
+    given, beta1 <= beta2 (equality gives the degenerate engine
     with zero work), a derived omega2 that is finite and positive, and on
     each ladder a Boltzmann factor e^{-beta omega} that is not 1 (the
     partition functions stay finite), checked before a cutoff is derived.
@@ -120,6 +128,8 @@ class CompactEngineConfig:
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
+        if not 0 < self.tail_delta < 1:
+            raise ValueError(f"tail_delta must lie in (0, 1), got {self.tail_delta}")
         if min(self.beta1, self.beta2, self.omega1) <= 0:
             raise ValueError("temperatures and frequencies must be positive")
         if self.beta1 > self.beta2:
@@ -379,9 +389,7 @@ def evolve_cycle(cfg: CompactEngineConfig) -> CycleReport:
     q2 = -omega2 * p(tau) are per exchange: they need a coupled sector,
     not a nonzero success weight.
     """
-    if not sys.float_info.min <= cfg.g * cfg.g < math.inf:
-        raise ValueError(f"coupling g = {cfg.g!r} is outside the cycle's range: "
-                         f"g*g must lie in [{sys.float_info.min!r}, inf)")
+    check_coupling(cfg.g)
     # the largest entries of both charge diagonals and the power that the report checks
     largest = cfg.charges(cfg.n_max1, cfg.n_max2, 1)
     for name, value in (

@@ -27,20 +27,19 @@ effective one, with members outside the cutoffs dropped.  The members do
 not depend on the detuning, so the blocks of many detunings stack:
 ``full_charge_blocks`` builds the <= 3-state full blocks straight from the
 profile tables as one (detunings, k, k) array; a single block is a stack
-of one.  The detuning sweep and the design check evolve only these
-blocks.  The sweep writes each effective block, g*sigma_x between
-|n, m, 1> and |n-1, m+1, 2> when the full block has all three members
-and zero otherwise, straight onto the full block's members, where
-|n-1, m, 3> stays decoupled, so both models share one stack and one
-``eigh``, and it takes the level populations over each detuning's
-uniform time grid in closed form from the eigenpairs in one pass
-(``linalg.group_populations``): a constant plus one term per eigenvalue
-gap, with the grid split j = a*B + b so that angle addition turns each
-level's populations into one small matmul over the sine and cosine of
-about 2*sqrt(n) angles per gap, and no amplitudes.  The dense builders
-``build_full_hamiltonian`` and ``build_effective_hamiltonian`` assemble
-the whole product space; they are the reference the tests compare the
-blocks against.
+of one.  The detuning sweep evolves only these blocks.  It writes each
+effective block, g*sigma_x between |n, m, 1> and |n-1, m+1, 2> when the
+full block has all three members and zero otherwise, straight onto the
+full block's members, where |n-1, m, 3> stays decoupled, so both models
+share one stack and one ``eigh``, and it takes the level populations
+over each detuning's uniform time grid in closed form from the
+eigenpairs in one pass (``linalg.group_populations``): a constant plus
+one term per eigenvalue gap, with the grid split j = a*B + b so that
+angle addition turns each level's populations into one small matmul
+over the sine and cosine of about 2*sqrt(n) angles per gap, and no
+amplitudes.  The dense builders ``build_full_hamiltonian`` and
+``build_effective_hamiltonian`` assemble the whole product space; they
+are the reference the tests compare the blocks against.
 
 Intensity profiles are tables theta_k(j), f_k(j) over Fock index j.
 The coupling operator convention is fixed once: the matrix element of
@@ -88,7 +87,8 @@ class OpticsEngineConfig:
     omega0 = omega1 - omega2 are derived, never stored, and the upper
     level lies ``delta`` above the photon on both legs.  A cutoff left as
     None is the smallest one whose Gibbs tail is below ``tail_delta``.
-    Requires finite parameters, beta1 < beta2, a Boltzmann factor
+    Requires finite parameters, a tail_delta in (0, 1) even when both
+    cutoffs are given, beta1 < beta2, a Boltzmann factor
     e^{-beta omega} that is not 1 on each ladder, cutoffs of at least 1
     with at most ``engine.MAX_SECTORS`` sectors, couplings whose squares
     g_k*g_k are finite (the f-table rule), and delta/g_k at or above
@@ -111,6 +111,8 @@ class OpticsEngineConfig:
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
+        if not 0 < self.tail_delta < 1:
+            raise ValueError(f"tail_delta must lie in (0, 1), got {self.tail_delta}")
         if min(self.beta1, self.beta2, self.omega1) <= 0:
             raise ValueError("temperatures and frequencies must be positive")
         if self.beta1 >= self.beta2:
@@ -170,16 +172,13 @@ class CouplingProfile:
     """Intensity tables theta_k(j) and f_k(j) for j = 0..n_max_k.
 
     theta(0) = 0 by regularization.  The shift tables are tied to the
-    couplings by f_k(j) = (g_k^2/Delta) * theta_k(j)^2 for j >= 1;
-    ``rule_residual`` records how far a table pair strays from that rule
-    (zero unless the profile came from fitted data).
+    couplings by f_k(j) = (g_k^2/Delta) * theta_k(j)^2 for j >= 1.
     """
 
     theta1: np.ndarray
     theta2: np.ndarray
     f1: np.ndarray
     f2: np.ndarray
-    rule_residual: float = 0.0
 
     def __post_init__(self):
         for name in ("theta1", "theta2", "f1", "f2"):
@@ -202,14 +201,9 @@ def _shift_rule(g: float, delta, theta: np.ndarray) -> np.ndarray:
 
 
 def coupling_profile_from_tables(
-    cfg: OpticsEngineConfig,
-    theta1: Sequence[float],
-    theta2: Sequence[float],
-    f1: Sequence[float] | None = None,
-    f2: Sequence[float] | None = None,
-    require_rule: bool = True,
+    cfg: OpticsEngineConfig, theta1: Sequence[float], theta2: Sequence[float]
 ) -> CouplingProfile:
-    """Build a profile for cfg's cutoffs, deriving or checking the f tables."""
+    """Build a profile for cfg's cutoffs, deriving the f tables from the rule."""
     theta1 = np.array(theta1, dtype=float)
     theta2 = np.array(theta2, dtype=float)
     if theta1.size != cfg.n_max1 + 1 or theta2.size != cfg.n_max2 + 1:
@@ -217,21 +211,8 @@ def coupling_profile_from_tables(
             f"theta tables must cover Fock indices 0..n_max "
             f"({cfg.n_max1 + 1}, {cfg.n_max2 + 1} entries)"
         )
-    rule1 = _shift_rule(cfg.g1, cfg.delta, theta1)
-    rule2 = _shift_rule(cfg.g2, cfg.delta, theta2)
-    if f1 is None and f2 is None:
-        return CouplingProfile(theta1, theta2, rule1, rule2)
-    f1 = np.array(f1, dtype=float)
-    f2 = np.array(f2, dtype=float)
-    residual = max(
-        float(np.max(np.abs(f1[1:] - rule1[1:]))) if f1.size > 1 else 0.0,
-        float(np.max(np.abs(f2[1:] - rule2[1:]))) if f2.size > 1 else 0.0,
-    )
-    if require_rule and residual > 1e-12:
-        raise ValueError(
-            f"f tables deviate from (g^2/Delta) theta^2 by {residual:.3e}"
-        )
-    return CouplingProfile(theta1, theta2, f1, f2, rule_residual=residual)
+    return CouplingProfile(theta1, theta2, _shift_rule(cfg.g1, cfg.delta, theta1),
+                           _shift_rule(cfg.g2, cfg.delta, theta2))
 
 
 def uniform_exchange_profile(cfg: OpticsEngineConfig) -> CouplingProfile:

@@ -589,9 +589,74 @@ class TestCouplingRange:
         assert code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert re.fullmatch(r"error: coupling g = \S+ is outside the cycle's range: "
+        # optics-cycle has no g flag: it names the flags that make g
+        g = r"g1\*g2/detuning = \S+ = \S+" if argv[0] == "optics-cycle" else r"\S+"
+        assert re.fullmatch(rf"error: coupling g = {g} is outside the cycle's range: "
                             r"g\*g must lie in \[2\.2250738585072014e-308, inf\)\n",
                             captured.err)
+        assert not out.exists()
+
+
+#: the flags each kind needs before a refusal case adds its own (a later flag wins)
+REQUIRED_FLAGS = {
+    "abstract-cycle": ["--beta1", "0.5", "--beta2", "1", "--omega1", "2", "--g", "0.1"],
+    "optics-cycle": ["--beta1", "0.5", "--beta2", "1", "--omega1", "2"],
+    "delta-sweep": [],
+    "design": [],
+}
+
+
+class TestRefusalsNameTheirInput:
+    """One table of refusals: each exits 2, writes nothing and names on stderr
+    every input behind the refused value, as its flag or config key, or as the
+    design file and its entry.  A dict in argv stands for ``--design-in`` and a
+    design file whose schedule holds its entries."""
+
+    @pytest.mark.parametrize("kind, argv, names", [
+        ("abstract-cycle", ["--g", "-1"], ["g"]),
+        ("design", ["--iterations", "0"], ["iterations"]),
+        ("delta-sweep", ["--ratios", "20,20"], ["ratios"]),
+        # g = g1*g2/detuning is zero, or underflows to zero
+        ("optics-cycle", ["--g1", "0"], ["g1", "g2", "detuning"]),
+        ("optics-cycle", ["--g1", "1e-200", "--g2", "1e-200"], ["g1", "g2", "detuning"]),
+        # the sweep's detunings are its ratios times max(g1, g2)
+        ("delta-sweep", ["--g1", "0", "--g2", "0"], ["g1", "g2"]),
+        ("abstract-cycle", ["--tail-delta", "2"], ["tail_delta"]),
+        ("optics-cycle", ["--tail-delta", "2"], ["tail_delta"]),
+        ("abstract-cycle", ["--tail-delta", "5", "--n-max1", "3", "--n-max2", "3"],
+         ["tail_delta"]),
+        ("optics-cycle", ["--tail-delta", "5", "--n-max1", "3", "--n-max2", "3"],
+         ["tail_delta"]),
+        ("design", ["--temperature", "-1"], ["--temperature"]),
+        ("design", ["--n-fit", "0"], ["--n-fit"]),
+        ("design", ["--amplitude", "nan"], ["--amplitude"]),
+        ("design", [{}, "--amplitude", "0.02"], ["--amplitude"]),
+        ("design", [{"seed": -1}], ["schedule.seed"]),
+        ("design", [{"iterations": 0}], ["schedule.iterations"]),
+        ("design", [{"mc_temperature": -1.0}], ["schedule.mc_temperature"]),
+    ])
+    def test_refusal_names_its_input(self, tmp_path, capsys, kind, argv, names):
+        design_path = tmp_path / "design.json"
+        targets = DesignTargets.inverse_intensity(0.0125, 6)
+        for arg in argv:
+            if isinstance(arg, dict):
+                design_path.write_text(json.dumps({
+                    "ansatz": {"v_coeffs": [0.0] * 4, "b_coeffs": [0.0] * 4},
+                    "targets": {"f": targets.f_target.tolist(),
+                                "theta": targets.theta_target.tolist()},
+                    "schedule": arg,
+                }))
+                names = [*names, str(design_path)]
+        argv = [x for arg in argv
+                for x in (["--design-in", str(design_path)] if isinstance(arg, dict) else [arg])]
+        out = tmp_path / "out"
+        code = main([kind, *REQUIRED_FLAGS[kind], *argv, "--out", str(out), "--no-color"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        for name in names:
+            assert re.search(rf"(?<![\w-]){re.escape(name)}(?![\w-])", captured.err), name
         assert not out.exists()
 
 
@@ -912,8 +977,35 @@ class TestDesignCommand:
         out = tmp_path / "out"
         code = main(["design", "--iterations", "10", *flags, "--out", str(out), "--no-color"])
         assert code == 2
-        assert capsys.readouterr().err == "error: seed must be a non-negative integer, got -1\n"
+        name = "--seed -1" if source == "flag" else f"{design_path}: design file schedule.seed"
+        assert capsys.readouterr().err == (
+            f"error: {name}: seed must be a non-negative integer, got -1\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value, section, entry", [
+        ("--q", "6", "targets", "q"),
+        ("--temperature", "0.01", "schedule", "mc_temperature"),
+        ("--proposal-scale", "0.3", "schedule", "proposal_scale"),
+        ("--seed", "5", "schedule", "seed"),
+        ("--iterations", "40", "schedule", "iterations"),
+    ])
+    def test_flag_overrides_the_design_file_entry(self, tmp_path, flag, value, section, entry):
+        first = tmp_path / "first"
+        assert main(["design", "--iterations", "50", "--out", str(first), "--no-color"]) == 0
+        design_in = json.loads((first / "design.json").read_text())
+        assert design_in[section][entry] != float(value)
+        out = tmp_path / "second"
+        code = main(["design", "--design-in", str(first / "design.json"), "--iterations", "50",
+                     flag, value, "--out", str(out), "--no-color"])
+        assert code == 0
+        # the fit ran on the flag's value, and its design file says so
+        assert json.loads((out / "design.json").read_text())[section][entry] == float(value)
+        if flag == "--q":
+            targets = DesignTargets(np.array(design_in["targets"]["f"]),
+                                    np.array(design_in["targets"]["theta"]), q=6.0)
+            results = load_report(out)["results"]
+            ansatz = PotentialAnsatz(np.array(results["v_coeffs"]), np.array(results["b_coeffs"]))
+            assert results["best_cost"] == design_cost(ansatz, targets)
 
     def test_design_file_round_trip(self, tmp_path):
         out1 = tmp_path / "first"

@@ -21,13 +21,6 @@ from sltosim.designer import (
     fock_matrix_elements,
     mc_optimize,
     position_operator,
-    validate_design,
-)
-from sltosim.linalg import SpectralPropagator, basis_state
-from sltosim.optics import (
-    OpticsEngineConfig,
-    build_full_hamiltonian,
-    coupling_profile_from_tables,
 )
 
 
@@ -585,77 +578,3 @@ class TestWorkspaceGuards:
                 make()
         assert not built
 
-
-class TestValidateDesign:
-    def test_exact_tables_show_no_degradation(self):
-        gen = quartic_generator()
-        targets = DesignTargets.from_ansatz(gen, n_fit=6)
-        cfg = OpticsEngineConfig(beta1=0.5, beta2=1.0, omega1=2.0,
-                                 g1=0.5, g2=0.5, delta=20.0,
-                                 n_max1=4, n_max2=4, min_detuning_ratio=5.0)
-        report = validate_design(gen, targets, cfg)
-        assert report.max_f_error <= 1e-12
-        assert report.max_theta_error <= 1e-12
-        assert report.fidelity_degradation <= 1e-10
-
-    def test_uniform_theta_error_costs_quadratically(self):
-        # scaling b(y) by (1 + eps) scales every theta element by the same
-        # factor, shifting the per-sector exchange rate by ~2 eps; the
-        # end-of-cycle infidelity must then grow like eps^2.  The generator
-        # keeps f linear in n (pure y^2) so the exchange stays on resonance.
-        gen = PotentialAnsatz(np.array([0.00625, 0, 0, 0]), np.array([1.0, 0, 0, 0]))
-        targets = DesignTargets.from_ansatz(gen, n_fit=6)
-        cfg = OpticsEngineConfig(beta1=0.5, beta2=1.0, omega1=2.0,
-                                 g1=0.5, g2=0.5, delta=20.0,
-                                 n_max1=4, n_max2=4, min_detuning_ratio=5.0)
-        degradations = []
-        for eps in (0.01, 0.02):
-            bumped = PotentialAnsatz(gen.v_coeffs, gen.b_coeffs * (1 + eps))
-            report = validate_design(bumped, targets, cfg)
-            assert abs(report.max_theta_error / np.max(targets.theta_target) - eps) <= 1e-12
-            degradations.append(report.fidelity_degradation)
-        # quadratic growth: doubling the error roughly quadruples the loss
-        assert 2.5 <= degradations[1] / degradations[0] <= 6.0
-        # order of magnitude: around (pi/2 * 2 eps)^2 for eps = 1%
-        assert 1e-5 <= degradations[0] <= 1e-2
-
-    def test_probe_block_must_be_inside_fit_range(self):
-        gen = quartic_generator()
-        targets = DesignTargets.from_ansatz(gen, n_fit=6)
-        cfg = OpticsEngineConfig(beta1=0.5, beta2=1.0, omega1=2.0,
-                                 g1=0.5, g2=0.5, delta=20.0,
-                                 n_max1=4, n_max2=4, min_detuning_ratio=5.0)
-        with pytest.raises(ValueError):
-            validate_design(gen, targets, cfg, probe_block=(7, 0))
-
-    @pytest.mark.parametrize("probe_block", [(3, 1), (1, 0), (6, 5)])
-    def test_degradation_matches_dense_oracle(self, probe_block):
-        # evolve |n0, m0, 1> in the whole dense space of the probe engine
-        gen = PotentialAnsatz(np.array([0.00625, 0, 0, 0]), np.array([1.0, 0, 0, 0]))
-        targets = DesignTargets.from_ansatz(gen, n_fit=6)
-        bumped = PotentialAnsatz(gen.v_coeffs, gen.b_coeffs * 1.02)
-        cfg = OpticsEngineConfig(beta1=0.5, beta2=1.0, omega1=2.0,
-                                 g1=0.5, g2=0.5, delta=20.0,
-                                 n_max1=4, n_max2=4, min_detuning_ratio=5.0)
-        report = validate_design(bumped, targets, cfg, probe_block=probe_block)
-
-        n_fit = targets.n_fit
-        probe = OpticsEngineConfig(
-            beta1=cfg.beta1, beta2=cfg.beta2, omega1=cfg.omega1, g1=cfg.g1, g2=cfg.g2,
-            delta=cfg.delta, n_max1=n_fit, n_max2=n_fit, min_detuning_ratio=5.0,
-        )
-        f_act, theta_act = fock_matrix_elements(bumped, targets.n_work)
-        finals = []
-        for f, theta in ((targets.f_target, targets.theta_target),
-                         (f_act[1:n_fit + 1], theta_act[1:n_fit + 1])):
-            f_table = np.concatenate([[0.0], f])
-            th_table = np.concatenate([[0.0], theta])
-            profile = coupling_profile_from_tables(
-                probe, th_table, th_table, f_table, f_table, require_rule=False
-            )
-            n0, m0 = probe_block
-            psi0 = basis_state(probe.full_dim, (n0 * (probe.n_max2 + 1) + m0) * 3)
-            prop = SpectralPropagator(build_full_hamiltonian(probe, profile))
-            finals.append(prop.states(psi0, [probe.tau])[0])
-        oracle = max(0.0, 1.0 - abs(np.vdot(finals[0], finals[1])) ** 2)
-        assert abs(report.fidelity_degradation - oracle) <= 1e-10

@@ -32,7 +32,6 @@ MODULES = sorted(path.stem for path in PACKAGE.glob("*.py") if path.stem != "__i
 
 #: definitions that nothing reads yet, kept on purpose, with the reason
 KEPT_UNREAD = {
-    "validate_design": "ROADMAP item 3 calls it",
     "inverse_intensity_profile": "ROADMAP item 3 calls it",
 }
 
@@ -121,9 +120,9 @@ def test_every_kept_name_is_defined():
 
 
 def test_stale_kept_name_is_flagged():
-    source = "def validate_design(x):\n    return x\n"
+    source = "def inverse_intensity_profile(x):\n    return x\n"
     kept = {**KEPT_UNREAD, "charge_blocks": "planted: no module defines it"}
-    assert stale_kept({"planted": source}, kept) == ["charge_blocks", "inverse_intensity_profile"]
+    assert stale_kept({"planted": source}, kept) == ["charge_blocks"]
 
 
 def test_unread_definition_is_flagged():
@@ -137,10 +136,10 @@ def test_unread_definition_is_flagged():
               "    return helper(x) + LIMIT\n"
               "class Kept:\n"
               "    pass\n"
-              "def validate_design(x):\n"
+              "def inverse_intensity_profile(x):\n"
               "    return x\n")
     reader = "from .planted import orphan, UNUSED_LIMIT\nKept()\n"
-    # importing a name is not a read; KEPT_UNREAD keeps validate_design
+    # importing a name is not a read; KEPT_UNREAD keeps inverse_intensity_profile
     assert unread_definitions({"planted": source}, [source, reader]) == [
         "planted.UNUSED_LIMIT", "planted.orphan"]
 

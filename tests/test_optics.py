@@ -126,15 +126,6 @@ class TestCouplingProfile:
         n = np.arange(1, (cfg.n_max1 + 1), dtype=float)
         assert np.max(np.abs(prof.f1[1:] - (cfg.g1**2 / cfg.delta) / n)) <= 1e-15
         assert prof.f1[0] == 0.0
-        assert prof.rule_residual == 0.0
-
-    def test_shift_rule_violation_rejected(self):
-        cfg = small_optics()
-        prof = inverse_intensity_profile(cfg)
-        bad_f = prof.f1.copy()
-        bad_f[2] *= 1.5
-        with pytest.raises(ValueError):
-            coupling_profile_from_tables(cfg, prof.theta1, prof.theta2, bad_f, prof.f2)
 
     def test_table_length_checked(self):
         cfg = small_optics()
