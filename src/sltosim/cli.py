@@ -265,18 +265,12 @@ def run_abstract_cycle(params: dict, out_dir: Path) -> tuple[dict, dict, list | 
 
 
 def run_optics_cycle_cmd(params: dict, out_dir: Path) -> tuple[dict, dict, list | None]:
-    cfg = OpticsEngineConfig(
-        beta1=params["beta1"],
-        beta2=params["beta2"],
-        omega1=params["omega1"],
-        g1=params.get("g1", 2.0),
-        g2=params.get("g2", 2.0),
-        delta=params.get("detuning", 80.0),
-        n_max1=params.get("n_max1"),
-        n_max2=params.get("n_max2"),
-        min_detuning_ratio=params.get("min_ratio", 20.0),
-        tail_delta=params.get("tail_delta", 1e-6),
-    )
+    # every key but detuning, the config's delta, is a field of the config
+    fields = {"g1": 2.0, "g2": 2.0, **params}
+    delta = fields.pop("detuning", 80.0)
+    if not math.isfinite(delta):  # the config would name its field delta
+        raise ConfigError(f"detuning must be finite, got {delta}")
+    cfg = OpticsEngineConfig(delta=delta, **fields)
     check_coupling(cfg.g, f"coupling g = g1*g2/detuning = {cfg.g1!r}*{cfg.g2!r}/{cfg.delta!r}")
     report = run_optics_cycle(cfg)
     results = _cycle_results(report)
@@ -314,6 +308,8 @@ def run_delta_sweep(params: dict, out_dir: Path) -> tuple[dict, dict, list | Non
         raise ConfigError(f"ratios: need at least two sweep points, got {ratios!r}")
     if len(set(ratios)) < 2:
         raise ConfigError(f"ratios: need at least two distinct values, got {list(ratios)!r}")
+    if not all(0 < r < math.inf for r in ratios):
+        raise ConfigError(f"ratios: need finite positive values, got {list(ratios)!r}")
     block = tuple(params.get("block", (3, 1)))
     if len(block) != 2:
         raise ConfigError(f"block: need two integers n,m, got {list(block)!r}")
@@ -335,6 +331,9 @@ def run_delta_sweep(params: dict, out_dir: Path) -> tuple[dict, dict, list | Non
         min_detuning_ratio=5.0,
     )
     deltas = [r * max(g1, g2) for r in ratios]
+    if math.inf in deltas:
+        raise ConfigError(f"ratios: the detuning ratio*max(g1, g2) overflows at ratio "
+                          f"{max(ratios)!r}, with g1 = {g1!r} and g2 = {g2!r}")
     points = adiabatic_elimination_error(
         cfg, uniform_exchange_profile(cfg), deltas, initial_block=block
     )
@@ -453,9 +452,13 @@ def run_design(params: dict, out_dir: Path) -> tuple[dict, dict, Iterable[list]]
                               f"target entries in {path}")
     else:
         ansatz0 = PotentialAnsatz.zeros()
-        names = ", ".join(given[key][1] for key in ("amplitude", "n_fit") if key in given)
-        targets = _named(names, DesignTargets.inverse_intensity,
-                         params.get("amplitude", 0.0125), params.get("n_fit", 6))
+        amplitude, n_fit = params.get("amplitude", 0.0125), params.get("n_fit", 6)
+        # the amplitude alone on a one-entry table first, so that a refusal of
+        # the full table is the fault of n_fit
+        _named(given.get("amplitude", (None, "amplitude"))[1],
+               DesignTargets.inverse_intensity, amplitude, 1)
+        targets = _named(given.get("n_fit", (None, "n_fit"))[1],
+                         DesignTargets.inverse_intensity, amplitude, n_fit)
     # one field at a time, so that a refusal names the input it refused
     schedule = AnnealSchedule(iterations=20000)
     for section, entry, key, kind in DESIGN_SCALARS:
@@ -609,8 +612,7 @@ KINDS = {
     "optics-cycle": ExperimentKind(
         run_optics_cycle_cmd, "cavity engine effective cycle", SERIES_HEADER,
         {"beta1": float, "beta2": float, "omega1": float, "g1": float, "g2": float,
-         "detuning": float, "n_max1": int, "n_max2": int, "tail_delta": float,
-         "min_ratio": float},
+         "detuning": float, "n_max1": int, "n_max2": int, "tail_delta": float},
         required=frozenset({"beta1", "beta2", "omega1"}),
     ),
     "delta-sweep": ExperimentKind(

@@ -71,13 +71,6 @@ MAX_SECTORS = 250_000
 MAX_DENSE_DIM = 8192
 
 
-def check_sector_cap(n_max1: int, n_max2: int):
-    """Refuse cutoffs with more than MAX_SECTORS (n, m) sectors, before any allocation."""
-    if (n_max1 + 1) * (n_max2 + 1) > MAX_SECTORS:
-        raise ValueError(f"cutoffs n_max1 = {n_max1}, n_max2 = {n_max2} "
-                         f"give more than the cap of {MAX_SECTORS} sectors")
-
-
 def check_coupling(g: float, name: str = "coupling g"):
     """Refuse a cycle coupling whose g*g is not a finite normal float, as ``name``."""
     if not sys.float_info.min <= g * g < math.inf:
@@ -111,7 +104,9 @@ class CompactEngineConfig:
     given, beta1 <= beta2 (equality gives the degenerate engine
     with zero work), a derived omega2 that is finite and positive, and on
     each ladder a Boltzmann factor e^{-beta omega} that is not 1 (the
-    partition functions stay finite), checked before a cutoff is derived.
+    partition functions stay finite), checked before a cutoff is derived,
+    and non-negative cutoffs with at most MAX_SECTORS sectors, checked
+    before anything is allocated.
     """
 
     beta1: float
@@ -152,7 +147,9 @@ class CompactEngineConfig:
                 object.__setattr__(self, name, n_max)
         if self.n_max1 < 0 or self.n_max2 < 0:
             raise ValueError("cutoffs must be non-negative")
-        check_sector_cap(self.n_max1, self.n_max2)
+        if (self.n_max1 + 1) * (self.n_max2 + 1) > MAX_SECTORS:
+            raise ValueError(f"cutoffs n_max1 = {self.n_max1}, n_max2 = {self.n_max2} "
+                             f"give more than the cap of {MAX_SECTORS} sectors")
 
     @property
     def omega2(self) -> float:

@@ -11,7 +11,9 @@ temperatures, the hot frequency omega1, the leg couplings g1, g2, the
 detuning Delta of |3> from both photons, and the cutoffs.  The ladder
 resonance beta1*omega1 = beta2*omega2 fixes the cold frequency and the
 two-mode resonance fixes the work gap omega0 = omega1 - omega2, so both
-are derived properties and hold by construction.
+are derived properties and hold by construction.  The ladders, their
+checks and their cutoffs are those of the effective engine, a
+``CompactEngineConfig`` that the config builds once and holds.
 
 Two Hamiltonians live here.  The full three-level model keeps the upper
 level and the intensity profiles explicitly; it is the ground truth for
@@ -55,7 +57,7 @@ only asymptotically in j and is kept as the design target family.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -65,13 +67,13 @@ from .engine import (
     CycleReport,
     build_interaction_hamiltonian,
     check_sector,
-    check_sector_cap,
     check_unit_sum,
     evolve_cycle,
 )
 # SpectralPropagator is unused here; bench/tracing.py patches it by name
 from .linalg import Operator, ShapeError, SpectralPropagator, group_populations
-from .thermal import boltzmann_factor, truncation_for_tail
+# unused here; bench/tracing.py patches it by name
+from .thermal import truncation_for_tail
 
 #: time samples per period of the fastest frequency the detuning sweep asks for,
 #: and the most samples per detuning (past it the sweep reports a lower density)
@@ -83,16 +85,17 @@ MAX_SAMPLES = 200_000
 class OpticsEngineConfig:
     """Free parameters of the cavity engine; the resonances fix the rest.
 
-    The cold frequency omega2 = beta1*omega1/beta2 and the atom's work gap
-    omega0 = omega1 - omega2 are derived, never stored, and the upper
-    level lies ``delta`` above the photon on both legs.  A cutoff left as
-    None is the smallest one whose Gibbs tail is below ``tail_delta``.
-    Requires finite parameters, a tail_delta in (0, 1) even when both
-    cutoffs are given, beta1 < beta2, a Boltzmann factor
-    e^{-beta omega} that is not 1 on each ladder, cutoffs of at least 1
-    with at most ``engine.MAX_SECTORS`` sectors, couplings whose squares
-    g_k*g_k are finite (the f-table rule), and delta/g_k at or above
-    ``min_detuning_ratio``.
+    The two ladders are the effective engine's: this config builds that
+    ``CompactEngineConfig`` once and holds it (``effective_compact_config``).
+    It checks beta1, beta2, omega1 and tail_delta, derives
+    omega2 = beta1*omega1/beta2 and any cutoff left as None from the Gibbs
+    tail, and caps the sectors.  The work gap omega0 = omega1 - omega2 is
+    derived, and the upper level lies ``delta`` above the photon on both
+    legs.  The cavity's own rules come first: finite g1, g2, delta and
+    min_detuning_ratio, couplings non-negative with finite squares g_k*g_k
+    (the f-table rule), delta > 0, and delta/g_k at or above
+    ``min_detuning_ratio``.  It then adds beta1 < beta2, a rounded omega2
+    below omega1, and cutoffs of at least 1.
     """
 
     beta1: float
@@ -105,22 +108,13 @@ class OpticsEngineConfig:
     n_max2: int | None = None
     min_detuning_ratio: float = 20.0
     tail_delta: float = 1e-6
+    _effective: CompactEngineConfig = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for name in ("beta1", "beta2", "omega1", "g1", "g2", "delta", "min_detuning_ratio"):
+        for name in ("g1", "g2", "delta", "min_detuning_ratio"):
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
-        if not 0 < self.tail_delta < 1:
-            raise ValueError(f"tail_delta must lie in (0, 1), got {self.tail_delta}")
-        if min(self.beta1, self.beta2, self.omega1) <= 0:
-            raise ValueError("temperatures and frequencies must be positive")
-        if self.beta1 >= self.beta2:
-            raise ValueError("need beta1 < beta2 (a real temperature gradient)")
-        # rounding can still put omega2 at or above omega1 when beta1 is just below beta2
-        if not 0 < self.omega2 < self.omega1:
-            raise ValueError(f"derived omega2 = beta1*omega1/beta2 = {self.omega2} "
-                             "must lie in (0, omega1)")
         if self.g1 < 0 or self.g2 < 0:
             raise ValueError("couplings g1, g2 must be non-negative")
         for name, g in (("g1", self.g1), ("g2", self.g2)):
@@ -136,19 +130,28 @@ class OpticsEngineConfig:
                     f"detuning ratio {ratio:.2f} below configured minimum "
                     f"{self.min_detuning_ratio}"
                 )
-        for name, omega, beta in (("n_max1", self.omega1, self.beta1),
-                                  ("n_max2", self.omega2, self.beta2)):
-            boltzmann_factor(omega, beta)
-            if getattr(self, name) is None:
-                n_max = truncation_for_tail(omega, beta, self.tail_delta).n_max_used
-                object.__setattr__(self, name, n_max)
-        if self.n_max1 < 1 or self.n_max2 < 1:
-            raise ValueError(f"cutoffs must be >= 1, got {self.n_max1}, {self.n_max2}")
-        check_sector_cap(self.n_max1, self.n_max2)
+        # at beta1 = beta2 a rounded omega2 above omega1 would be refused by
+        # the level a1 of the ladders, which the caller never gave
+        if self.beta1 == self.beta2:
+            raise ValueError("need beta1 < beta2 (a real temperature gradient)")
+        # the ladders at the default a0 first, so that a refusal names given fields
+        ladders = CompactEngineConfig(self.beta1, self.beta2, self.omega1, self.g,
+                                      self.n_max1, self.n_max2, tail_delta=self.tail_delta)
+        # rounding can still put omega2 at omega1 when beta1 is just below beta2
+        if not ladders.omega2 < self.omega1:
+            raise ValueError(f"derived omega2 = beta1*omega1/beta2 = {ladders.omega2} "
+                             "must lie in (0, omega1)")
+        if ladders.n_max1 < 1 or ladders.n_max2 < 1:
+            raise ValueError(f"cutoffs must be >= 1, got {ladders.n_max1}, {ladders.n_max2}")
+        object.__setattr__(self, "n_max1", ladders.n_max1)
+        object.__setattr__(self, "n_max2", ladders.n_max2)
+        # the atom's levels at -omega0/2 and omega0/2
+        object.__setattr__(self, "_effective",
+                           replace(ladders, a0=-(self.omega1 - ladders.omega2) / 2.0))
 
     @property
     def omega2(self) -> float:
-        return self.beta1 * self.omega1 / self.beta2
+        return self._effective.omega2
 
     @property
     def omega0(self) -> float:
@@ -160,11 +163,7 @@ class OpticsEngineConfig:
 
     @property
     def tau(self) -> float:
-        return math.pi / (2.0 * self.g) if self.g > 0 else math.inf
-
-    @property
-    def full_dim(self) -> int:
-        return (self.n_max1 + 1) * (self.n_max2 + 1) * 3
+        return self._effective.tau
 
 
 @dataclass(frozen=True)
@@ -289,9 +288,8 @@ def build_full_hamiltonian(cfg: OpticsEngineConfig, profile: CouplingProfile) ->
 
 def effective_compact_config(cfg: OpticsEngineConfig) -> CompactEngineConfig:
     """The two-level reduction is the ladder-exchange engine on {|1>, |2>},
-    with the atom's levels at -omega0/2 and omega0/2."""
-    return CompactEngineConfig(beta1=cfg.beta1, beta2=cfg.beta2, omega1=cfg.omega1, g=cfg.g,
-                               n_max1=cfg.n_max1, n_max2=cfg.n_max2, a0=-cfg.omega0 / 2.0)
+    with the atom's levels at -omega0/2 and omega0/2, as ``cfg`` holds it."""
+    return cfg._effective
 
 
 def build_effective_hamiltonian(cfg: OpticsEngineConfig) -> Operator:
@@ -374,7 +372,9 @@ def adiabatic_elimination_error(
     effective grids of a detuning back to back, and the effective model's
     |3> population is exactly 0.  A sample whose levels do not sum to 1
     within 1e-10 raises ``engine.InvariantError`` naming its time,
-    detuning, block and model.
+    detuning, block and model.  Each detuning must be finite and positive,
+    at a ratio Delta/max(g1, g2) of at least ``cfg.min_detuning_ratio``,
+    with a cycle whose oscillation periods a float can count.
 
     The probe sector matters.  The f-table rule cancels the second-order
     level shifts of the eliminated upper state only up to a one-step
@@ -394,15 +394,14 @@ def adiabatic_elimination_error(
         if not (math.isfinite(delta) and delta > 0):
             raise ValueError(f"detuning {delta} must be finite and positive")
         ratio = delta / g_top if g_top > 0 else math.inf
-        if ratio < 5.0:
-            raise ValueError(
-                f"detuning {delta} gives ratio {ratio:.2f} < 5; elimination invalid"
-            )
+        if ratio < cfg.min_detuning_ratio:
+            raise ValueError(f"detuning {delta} gives ratio {ratio:.2f} < "
+                             f"{cfg.min_detuning_ratio:g}; elimination invalid")
         ratios.append(ratio)
         g = cfg.g1 * cfg.g2 / delta
-        tau = math.pi / (2.0 * g) if g > 0 else math.inf
-        # with no coupling both models are static; any window shows deviation 0
-        window = tau if math.isfinite(tau) else 1.0
+        # with no coupling both models are static; any window shows deviation 0.
+        # A coupling whose pi/(2g) overflows keeps its infinite window, refused below
+        window = math.pi / (2.0 * g) if g > 0 else 1.0
         periods.append(window * (delta + 4.0 * g_top) / (2.0 * math.pi))
         if periods[-1] == math.inf:
             raise ValueError(f"detuning {delta} gives ratio {ratio:.3g}, whose cycle spans "

@@ -609,8 +609,9 @@ REQUIRED_FLAGS = {
 class TestRefusalsNameTheirInput:
     """One table of refusals: each exits 2, writes nothing and names on stderr
     every input behind the refused value, as its flag or config key, or as the
-    design file and its entry.  A dict in argv stands for ``--design-in`` and a
-    design file whose schedule holds its entries."""
+    design file and its entry.  A name led by "!" is an input that is not at
+    fault and must not be named.  A dict in argv stands for ``--design-in`` and
+    a design file whose schedule holds its entries."""
 
     @pytest.mark.parametrize("kind, argv, names", [
         ("abstract-cycle", ["--g", "-1"], ["g"]),
@@ -621,6 +622,15 @@ class TestRefusalsNameTheirInput:
         ("optics-cycle", ["--g1", "1e-200", "--g2", "1e-200"], ["g1", "g2", "detuning"]),
         # the sweep's detunings are its ratios times max(g1, g2)
         ("delta-sweep", ["--g1", "0", "--g2", "0"], ["g1", "g2"]),
+        # a ratio that is not finite and positive is the fault of the ratios alone
+        ("delta-sweep", ["--ratios", "nan,20"], ["ratios", "!delta"]),
+        ("delta-sweep", ["--ratios", "20,inf"], ["ratios", "!detuning"]),
+        ("delta-sweep", ["--ratios=-20,40"], ["ratios", "!g1", "!g2"]),
+        ("delta-sweep", ["--ratios", "20,1e308", "--g1", "10"], ["ratios", "g1", "g2"]),
+        # g at ratio 1e308 is positive but pi/(2g) overflows: no cycle to sample
+        ("delta-sweep", ["--ratios", "20,1e308"], ["ratio 1e+308"]),
+        ("optics-cycle", ["--detuning", "nan"], ["detuning", "!delta"]),
+        ("optics-cycle", ["--detuning", "inf"], ["detuning", "!delta"]),
         ("abstract-cycle", ["--tail-delta", "2"], ["tail_delta"]),
         ("optics-cycle", ["--tail-delta", "2"], ["tail_delta"]),
         ("abstract-cycle", ["--tail-delta", "5", "--n-max1", "3", "--n-max2", "3"],
@@ -630,6 +640,8 @@ class TestRefusalsNameTheirInput:
         ("design", ["--temperature", "-1"], ["--temperature"]),
         ("design", ["--n-fit", "0"], ["--n-fit"]),
         ("design", ["--amplitude", "nan"], ["--amplitude"]),
+        ("design", ["--amplitude", "nan", "--n-fit", "4"], ["--amplitude", "!--n-fit"]),
+        ("design", ["--amplitude", "0.01", "--n-fit", "0"], ["--n-fit", "!--amplitude"]),
         ("design", [{}, "--amplitude", "0.02"], ["--amplitude"]),
         ("design", [{"seed": -1}], ["schedule.seed"]),
         ("design", [{"iterations": 0}], ["schedule.iterations"]),
@@ -656,7 +668,9 @@ class TestRefusalsNameTheirInput:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         for name in names:
-            assert re.search(rf"(?<![\w-]){re.escape(name)}(?![\w-])", captured.err), name
+            named = re.search(rf"(?<![\w-]){re.escape(name.lstrip('!'))}(?![\w-])",
+                              captured.err)
+            assert bool(named) != name.startswith("!"), name
         assert not out.exists()
 
 
@@ -729,7 +743,9 @@ class TestUsageErrors:
         (["optics-cycle", "--beta1", "nan", "--beta2", "1", "--omega1", "2",
           "--n-max1", "4", "--n-max2", "4"], "beta1"),
         (["optics-cycle", "--beta1", "0.5", "--beta2", "1", "--omega1", "2",
-          "--detuning", "nan"], "delta"),
+          "--detuning", "nan"], "detuning"),
+        (["optics-cycle", "--beta1", "0.5", "--beta2", "1", "--omega1", "2",
+          "--detuning", "inf"], "detuning"),
         (["delta-sweep", "--g1", "nan"], "g1"),
         (["delta-sweep", "--omega1", "nan"], "omega1"),
         (["abstract-cycle", "--beta1", "0.5", "--beta2", "1", "--omega1", "inf",

@@ -106,6 +106,43 @@ class TestConfig:
         with pytest.raises(ValueError):
             small_optics(min_detuning_ratio=20.0, delta=5.0)
 
+    def test_equal_temperatures_refused_as_no_gradient(self):
+        # the rounded omega2 lies above omega1, which the effective engine would
+        # refuse by its level a1, a field the caller never gave
+        assert 3.0 * 0.1 / 3.0 > 0.1
+        with pytest.raises(ValueError, match=r"^need beta1 < beta2"):
+            small_optics(beta1=3.0, beta2=3.0, omega1=0.1)
+
+    @pytest.mark.parametrize("fault", [
+        {"beta1": math.nan}, {"beta2": math.nan}, {"omega1": math.nan},
+        {"beta1": math.inf}, {"beta2": math.inf}, {"omega1": math.inf},
+        {"tail_delta": 0.0}, {"tail_delta": 2.0},
+        {"beta1": -0.5}, {"beta2": 0.0}, {"omega1": -2.0},
+        {"beta1": 1e-17, "omega1": 1.0},  # beta*omega = 1e-17 has no finite cutoff
+        {"n_max1": 2_000_000},  # the sector cap
+    ], ids=lambda fault: ",".join(f"{k}={v}" for k, v in fault.items()))
+    def test_ladder_faults_refused_as_the_effective_engine_refuses_them(self, fault):
+        ladders = {"beta1": 0.5, "beta2": 1.0, "omega1": 2.0, "n_max1": 4, "n_max2": 4, **fault}
+        with pytest.raises(ValueError) as compact:
+            CompactEngineConfig(g=0.0125, **ladders)
+        with pytest.raises(ValueError) as cavity:
+            small_optics(**ladders)
+        assert str(cavity.value) == str(compact.value)
+
+    def test_effective_engine_built_once(self, monkeypatch):
+        cfg = small_optics()
+        built = []
+        post_init = CompactEngineConfig.__post_init__
+
+        def counted(compact):
+            built.append(compact)
+            post_init(compact)
+
+        monkeypatch.setattr(CompactEngineConfig, "__post_init__", counted)
+        run_optics_cycle(cfg)
+        assert built == []
+        assert effective_compact_config(cfg) is effective_compact_config(cfg)
+
     def test_derived_quantities(self):
         cfg = small_optics()
         assert abs(cfg.omega0 - 1.0) <= 1e-15
@@ -293,6 +330,12 @@ class TestOpticsCycle:
 
 
 class TestAdiabaticElimination:
+    def test_ratio_floor_read_from_the_config(self):
+        cfg = small_optics(min_detuning_ratio=8.0)
+        # g1 = g2 = 0.5: the detuning 3 is at ratio 6
+        with pytest.raises(ValueError, match=r"^detuning 3\.0 gives ratio 6\.00 < 8; "):
+            adiabatic_elimination_error(cfg, uniform_exchange_profile(cfg), [3.0, 20.0])
+
     def test_uncoupled_sector_shows_no_deviation(self):
         cfg = small_optics()
         points = adiabatic_elimination_error(
@@ -731,7 +774,7 @@ class TestFullModelOracle:
         cfg = small_optics()
         h = build_full_hamiltonian(cfg, uniform_exchange_profile(cfg))
         d2 = (cfg.n_max2 + 1)
-        psi0 = basis_state(cfg.full_dim, (2 * d2 + 1) * 3 + 0)
+        psi0 = basis_state(h.dim, (2 * d2 + 1) * 3 + 0)
         amps = SpectralPropagator(h).states(psi0, np.linspace(0, cfg.tau, 200))
         norms = np.linalg.norm(amps, axis=1)
         assert np.max(np.abs(norms - 1.0)) <= 1e-10
