@@ -73,6 +73,7 @@ from .engine import (
     InvariantError,
     check_coupling,
     check_dense_cap,
+    check_sector,
     evolution_operator,
     evolve_cycle,
 )
@@ -316,9 +317,10 @@ def run_delta_sweep(params: dict, out_dir: Path) -> tuple[dict, dict, list | Non
     g1 = params.get("g1", 0.5)
     g2 = params.get("g2", 0.5)
     delta = min(ratios) * max(g1, g2)
-    if delta <= 0:
-        raise ConfigError(f"detuning min(ratios)*max(g1, g2) = {delta!r} must be positive, "
-                          f"with g1 = {g1!r} and g2 = {g2!r}")
+    # a coupling that is not finite is the config's to name
+    if delta <= 0 or (delta == math.inf and math.isfinite(g1) and math.isfinite(g2)):
+        raise ConfigError(f"detuning min(ratios)*max(g1, g2) = {delta!r} must be finite and "
+                          f"positive, with g1 = {g1!r} and g2 = {g2!r}")
     cfg = OpticsEngineConfig(
         beta1=params.get("beta1", 0.5),
         beta2=params.get("beta2", 1.0),
@@ -330,6 +332,8 @@ def run_delta_sweep(params: dict, out_dir: Path) -> tuple[dict, dict, list | Non
         n_max2=params.get("n_max2", 4),
         min_detuning_ratio=5.0,
     )
+    _named(f"block (cutoffs n_max1 = {cfg.n_max1}, n_max2 = {cfg.n_max2})",
+           check_sector, cfg, *block)
     deltas = [r * max(g1, g2) for r in ratios]
     if math.inf in deltas:
         raise ConfigError(f"ratios: the detuning ratio*max(g1, g2) overflows at ratio "

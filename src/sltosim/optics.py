@@ -28,7 +28,7 @@ Both Hamiltonians conserve the excitation charge, so a probe state
 effective one, with members outside the cutoffs dropped.  The members do
 not depend on the detuning, so the blocks of many detunings stack:
 ``full_charge_blocks`` builds the <= 3-state full blocks straight from the
-profile tables as one (detunings, k, k) array; a single block is a stack
+profile's tables as one (detunings, k, k) array; a single block is a stack
 of one.  The detuning sweep evolves only these blocks.  It writes each
 effective block, g*sigma_x between |n, m, 1> and |n-1, m+1, 2> when the
 full block has all three members and zero otherwise, straight onto the
@@ -43,10 +43,14 @@ amplitudes.  The dense builders ``build_full_hamiltonian`` and
 ``build_effective_hamiltonian`` assemble the whole product space; they
 are the reference the tests compare the blocks against.
 
-Intensity profiles are tables theta_k(j), f_k(j) over Fock index j.
-The coupling operator convention is fixed once: the matrix element of
-theta_k(N_k) a_k between |n> and |n-1> is theta_k(n-1) * sqrt(n), and
-theta_k(0) = 0 regularizes the profiles that diverge at the vacuum.
+A coupling profile is its intensity tables theta_k(j) over Fock index j.
+The Stark-shift tables follow from them by one rule,
+f_k(j) = (g_k^2/Delta) * theta_k(j)^2 with f_k(0) = 0, which depends on
+the detuning; so each block builder makes them at the detuning it uses,
+the dense one at the config's and ``full_charge_blocks`` at each of the
+sweep's.  The coupling operator convention is fixed once: the matrix
+element of theta_k(N_k) a_k between |n> and |n-1> is theta_k(n-1) * sqrt(n),
+and theta_k(0) = 0 regularizes the profiles that diverge at the vacuum.
 With that convention the table theta(j) = (j+1)^(-1/2) makes every
 transition element above the regularized lowest one exactly 1, which is
 the profile whose full model converges to the uniform effective model;
@@ -168,28 +172,30 @@ class OpticsEngineConfig:
 
 @dataclass(frozen=True)
 class CouplingProfile:
-    """Intensity tables theta_k(j) and f_k(j) for j = 0..n_max_k.
+    """Intensity tables theta_k(j) for j = 0..n_max_k, with theta(0) = 0 by
+    regularization.
 
-    theta(0) = 0 by regularization.  The shift tables are tied to the
-    couplings by f_k(j) = (g_k^2/Delta) * theta_k(j)^2 for j >= 1.
+    A profile is its theta tables alone.  The shift tables
+    f_k(j) = (g_k^2/Delta) * theta_k(j)^2 depend on the detuning, so the
+    block builders make them by ``_shift_rule`` at the detuning they use.
     """
 
     theta1: np.ndarray
     theta2: np.ndarray
-    f1: np.ndarray
-    f2: np.ndarray
 
     def __post_init__(self):
-        for name in ("theta1", "theta2", "f1", "f2"):
+        for name in ("theta1", "theta2"):
             arr = np.array(getattr(self, name), dtype=float)
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-        if self.theta1.shape != self.f1.shape or self.theta2.shape != self.f2.shape:
-            raise ShapeError("theta and f tables must have matching lengths")
         if abs(self.theta1[0]) > 0 or abs(self.theta2[0]) > 0:
             raise ValueError("theta(0) must be 0 (vacuum regularization)")
-        if abs(self.f1[0]) > 0 or abs(self.f2[0]) > 0:
-            raise ValueError("f(0) must be 0 (vacuum regularization)")
+
+
+def _check_cutoffs(cfg: OpticsEngineConfig, profile: CouplingProfile):
+    """Refuse a profile whose tables do not cover Fock indices 0..n_max of ``cfg``."""
+    if (profile.theta1.size, profile.theta2.size) != (cfg.n_max1 + 1, cfg.n_max2 + 1):
+        raise ShapeError("profile tables do not match the configured cutoffs")
 
 
 def _shift_rule(g: float, delta, theta: np.ndarray) -> np.ndarray:
@@ -199,19 +205,10 @@ def _shift_rule(g: float, delta, theta: np.ndarray) -> np.ndarray:
     return rule
 
 
-def coupling_profile_from_tables(
-    cfg: OpticsEngineConfig, theta1: Sequence[float], theta2: Sequence[float]
-) -> CouplingProfile:
-    """Build a profile for cfg's cutoffs, deriving the f tables from the rule."""
-    theta1 = np.array(theta1, dtype=float)
-    theta2 = np.array(theta2, dtype=float)
-    if theta1.size != cfg.n_max1 + 1 or theta2.size != cfg.n_max2 + 1:
-        raise ShapeError(
-            f"theta tables must cover Fock indices 0..n_max "
-            f"({cfg.n_max1 + 1}, {cfg.n_max2 + 1} entries)"
-        )
-    return CouplingProfile(theta1, theta2, _shift_rule(cfg.g1, cfg.delta, theta1),
-                           _shift_rule(cfg.g2, cfg.delta, theta2))
+def _profile_of(cfg: OpticsEngineConfig, theta) -> CouplingProfile:
+    """The profile with tables theta(j) for j >= 1 and theta(0) = 0 at cfg's cutoffs."""
+    return CouplingProfile(*(np.append(0.0, theta(np.arange(1.0, n_max + 1)))
+                             for n_max in (cfg.n_max1, cfg.n_max2)))
 
 
 def uniform_exchange_profile(cfg: OpticsEngineConfig) -> CouplingProfile:
@@ -221,28 +218,16 @@ def uniform_exchange_profile(cfg: OpticsEngineConfig) -> CouplingProfile:
     model reproduces the uniform effective engine on all sectors that
     avoid the lowest transition of either mode.
     """
-    j1 = np.arange(cfg.n_max1 + 1, dtype=float)
-    j2 = np.arange(cfg.n_max2 + 1, dtype=float)
-    t1 = 1.0 / np.sqrt(j1 + 1.0)
-    t2 = 1.0 / np.sqrt(j2 + 1.0)
-    t1[0] = 0.0
-    t2[0] = 0.0
-    return coupling_profile_from_tables(cfg, t1, t2)
+    return _profile_of(cfg, lambda j: 1.0 / np.sqrt(j + 1.0))
 
 
 def inverse_intensity_profile(cfg: OpticsEngineConfig) -> CouplingProfile:
-    """Tables theta(j) = j^(-1/2), f(j) = (g^2/Delta)/j, regularized at j = 0.
+    """Tables theta(j) = j^(-1/2), so f(j) = (g^2/Delta)/j, regularized at j = 0.
 
     This is the design-target family; its transition elements approach 1
     only for large occupation.
     """
-    t1 = np.zeros(cfg.n_max1 + 1)
-    t2 = np.zeros(cfg.n_max2 + 1)
-    j1 = np.arange(1, cfg.n_max1 + 1, dtype=float)
-    j2 = np.arange(1, cfg.n_max2 + 1, dtype=float)
-    t1[1:] = 1.0 / np.sqrt(j1)
-    t2[1:] = 1.0 / np.sqrt(j2)
-    return coupling_profile_from_tables(cfg, t1, t2)
+    return _profile_of(cfg, lambda j: 1.0 / np.sqrt(j))
 
 
 def _lowering_with_profile(theta: np.ndarray) -> np.ndarray:
@@ -263,9 +248,8 @@ def build_full_hamiltonian(cfg: OpticsEngineConfig, profile: CouplingProfile) ->
     The two-mode resonance makes this time independent, so evolving under
     it is exact (no rotating-wave step beyond the resonance choice).
     """
+    _check_cutoffs(cfg, profile)
     d1, d2 = cfg.n_max1 + 1, cfg.n_max2 + 1
-    if profile.theta1.size != d1 or profile.theta2.size != d2:
-        raise ShapeError("profile tables do not match the configured cutoffs")
     id1, id2, id_atom = np.eye(d1), np.eye(d2), np.eye(3)
     sigma31 = np.zeros((3, 3))
     sigma31[2, 0] = 1.0
@@ -278,8 +262,10 @@ def build_full_hamiltonian(cfg: OpticsEngineConfig, profile: CouplingProfile) ->
     c2 = _lowering_with_profile(profile.theta2)
 
     h = cfg.delta * np.kron(np.kron(id1, id2), p3)
-    h = h + np.kron(np.kron(np.diag(profile.f1), id2), id_atom)
-    h = h + np.kron(np.kron(id1, np.diag(profile.f2)), id_atom)
+    f1 = _shift_rule(cfg.g1, cfg.delta, profile.theta1)
+    f2 = _shift_rule(cfg.g2, cfg.delta, profile.theta2)
+    h = h + np.kron(np.kron(np.diag(f1), id2), id_atom)
+    h = h + np.kron(np.kron(id1, np.diag(f2)), id_atom)
     leg1 = cfg.g1 * np.kron(np.kron(c1, id2), sigma31)
     leg2 = cfg.g2 * np.kron(np.kron(id1, c2), sigma32)
     h = h + leg1 + leg1.conj().T + leg2 + leg2.conj().T
@@ -298,20 +284,20 @@ def build_effective_hamiltonian(cfg: OpticsEngineConfig) -> Operator:
 
 
 def full_charge_blocks(
-    cfg: OpticsEngineConfig, n: int, m: int, theta1: np.ndarray, theta2: np.ndarray,
-    f1: np.ndarray, f2: np.ndarray, deltas: np.ndarray,
+    cfg: OpticsEngineConfig, n: int, m: int, profile: CouplingProfile, deltas: np.ndarray,
 ) -> tuple[tuple[tuple[int, int, int], ...], np.ndarray]:
     """Members of the ``build_full_hamiltonian`` block that holds |n, m, 1>, and
-    the block for each row r of the shift tables f1, f2 (R, n_max + 1) and
-    detunings deltas (R,), as one (R, k, k) stack.
+    the block at each detuning of ``deltas`` (R,), with its shift tables by
+    ``_shift_rule``, as one (R, k, k) stack.
 
     Members |n, m, 1>, |n-1, m, 3> and |n-1, m+1, 2>; the last two exist
     for n >= 1, the last only below the cold cutoff.  Entries are
     computed as the dense builder computes them, so they agree exactly.
     """
-    if theta1.size != cfg.n_max1 + 1 or theta2.size != cfg.n_max2 + 1:
-        raise ShapeError("profile tables do not match the configured cutoffs")
+    _check_cutoffs(cfg, profile)
     check_sector(cfg, n, m)
+    f1 = _shift_rule(cfg.g1, deltas[:, None], profile.theta1)
+    f2 = _shift_rule(cfg.g2, deltas[:, None], profile.theta2)
     members = [(n, m, 0)]
     if n >= 1:
         members.append((n - 1, m, 2))
@@ -322,10 +308,10 @@ def full_charge_blocks(
     h[:, 0, 0] = f1[:, n] + f2[:, m]
     if k > 1:
         h[:, 1, 1] = deltas + f1[:, n - 1] + f2[:, m]
-        h[:, 0, 1] = h[:, 1, 0] = cfg.g1 * (theta1[n - 1] * math.sqrt(n))
+        h[:, 0, 1] = h[:, 1, 0] = cfg.g1 * (profile.theta1[n - 1] * math.sqrt(n))
     if k > 2:
         h[:, 2, 2] = f1[:, n - 1] + f2[:, m + 1]
-        h[:, 1, 2] = h[:, 2, 1] = cfg.g2 * (theta2[m] * math.sqrt(m + 1))
+        h[:, 1, 2] = h[:, 2, 1] = cfg.g2 * (profile.theta2[m] * math.sqrt(m + 1))
     return tuple(members), h
 
 
@@ -359,18 +345,19 @@ def adiabatic_elimination_error(
 ) -> list[SweepPoint]:
     """Compare full and effective evolutions over one cycle per detuning.
 
-    The couplings g1, g2 and the theta tables are held fixed while the
-    upper level is moved; the f tables are rescaled to the per-detuning
-    rule.  The initial state |n0, m0, 1> is evolved under both models
-    over [0, pi/(2g)], each inside its charge block, and the worst
-    population mismatch on the |1>, |2> levels plus the worst transient
-    |3> occupation are recorded.  Each detuning's effective block is
-    written onto the full block's members, with a zero row and column for
-    |n-1, m, 3>, so both models' blocks of every detuning form one stack
-    that goes through one ``eigh``; the populations come in closed form
-    from the eigenpairs over each detuning's own uniform grid, the full and
-    effective grids of a detuning back to back, and the effective model's
-    |3> population is exactly 0.  A sample whose levels do not sum to 1
+    The couplings g1, g2 and the profile's theta tables are held fixed
+    while the upper level is moved; ``full_charge_blocks`` makes the f
+    tables by the rule at each detuning.  The initial state |n0, m0, 1>
+    is evolved under both models over [0, pi/(2g)], each inside its
+    charge block, and the worst population mismatch on the |1>, |2>
+    levels plus the worst transient |3> occupation are recorded.  Each
+    detuning's effective block is written onto the full block's members,
+    with a zero row and column for |n-1, m, 3>, so both models' blocks of
+    every detuning form one stack that goes through one ``eigh``; the
+    populations come in closed form from the eigenpairs over each
+    detuning's own uniform grid, the full and effective grids of a
+    detuning back to back, and the effective model's |3> population is
+    exactly 0.  A sample whose levels do not sum to 1
     within 1e-10 raises ``engine.InvariantError`` naming its time,
     detuning, block and model.  Each detuning must be finite and positive,
     at a ratio Delta/max(g1, g2) of at least ``cfg.min_detuning_ratio``,
@@ -378,12 +365,14 @@ def adiabatic_elimination_error(
 
     The probe sector matters.  The f-table rule cancels the second-order
     level shifts of the eliminated upper state only up to a one-step
-    index offset, leaving a residual two-photon detuning of relative
-    size [1/((m+1)(m+2)) - 1/(n(n+1))]/2 on sector (n, m).  Sectors with
-    n = m + 1 cancel it exactly and show pure second-order deviation in
-    1/Delta; generic sectors such as the default (3, 1) keep the
-    residual, and over moderate detuning ratios their deviation decays
-    roughly first order before flooring at the residual's square.
+    index offset.  For the uniform profile at g1 = g2 it leaves sector
+    (n, m) a residual two-photon detuning of
+    [1/((m+1)(m+2)) - 1/(n(n+1))] * g1^2/Delta, that fraction of the
+    effective coupling g = g1*g2/Delta.  Sectors with n = m + 1 cancel it
+    exactly and show pure second-order deviation in 1/Delta; generic
+    sectors such as the default (3, 1) keep the residual, and over
+    moderate detuning ratios their deviation decays roughly first order
+    before flooring near the square of half that fraction.
     """
     n0, m0 = initial_block
     check_sector(cfg, n0, m0)
@@ -411,13 +400,9 @@ def adiabatic_elimination_error(
             MAX_SAMPLES, max(2001, math.ceil(SAMPLES_PER_PERIOD * periods[-1]))
         )))
 
-    # every detuning's blocks as one stack; the f tables follow the per-detuning rule
+    # every detuning's blocks as one stack
     stack = np.array(deltas, dtype=float)
-    members, h_full = full_charge_blocks(
-        cfg, n0, m0, profile.theta1, profile.theta2,
-        _shift_rule(cfg.g1, stack[:, None], profile.theta1),
-        _shift_rule(cfg.g2, stack[:, None], profile.theta2), stack,
-    )
+    members, h_full = full_charge_blocks(cfg, n0, m0, profile, stack)
     # rows 2r and 2r + 1: detuning r's full block and its effective block on the
     # full members, where |n-1, m, 3> keeps a zero row and column; the effective
     # pair |n, m, 1> <-> |n-1, m+1, 2> is members 0 and 2 of a full block of three

@@ -1,4 +1,6 @@
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import os
@@ -18,6 +20,8 @@ from sltosim import bytescan, cli, designer, engine, optics, slto
 from sltosim.cli import (
     KINDS,
     ConfigError,
+    _float_list,
+    _int_list,
     main,
     read_matrix_file,
     run_experiment,
@@ -646,6 +650,12 @@ class TestRefusalsNameTheirInput:
         ("design", [{"seed": -1}], ["schedule.seed"]),
         ("design", [{"iterations": 0}], ["schedule.iterations"]),
         ("design", [{"mc_temperature": -1.0}], ["schedule.mc_temperature"]),
+        # the sweep's smallest detuning min(ratios)*max(g1, g2) overflows
+        ("delta-sweep", ["--ratios", "20,40", "--g1", "1e308", "--g2", "1e-200"],
+         ["ratios", "g1", "g2", "!delta"]),
+        # a probe block outside the cutoffs, the default one or a given one
+        ("delta-sweep", ["--n-max1", "1"], ["block", "n_max1 = 1", "n_max2 = 4"]),
+        ("delta-sweep", ["--block", "9,9"], ["block", "n_max1 = 4", "n_max2 = 4"]),
     ])
     def test_refusal_names_its_input(self, tmp_path, capsys, kind, argv, names):
         design_path = tmp_path / "design.json"
@@ -672,6 +682,73 @@ class TestRefusalsNameTheirInput:
                               captured.err)
             assert bool(named) != name.startswith("!"), name
         assert not out.exists()
+
+
+#: what the edge-value fuzz sets an input to: not finite, signed zeros, negative,
+#: the top of the float range and subnormal
+EDGE_VALUES = (math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, 1e308, 1e-320, 5e-324)
+
+#: a small run of each kind that takes no input file, as --config entries
+EDGE_BASE = {
+    "abstract-cycle": {"beta1": 0.5, "beta2": 1.0, "omega1": 2.0, "g": 0.1,
+                       "n_max1": 3, "n_max2": 3},
+    "optics-cycle": {"beta1": 0.5, "beta2": 1.0, "omega1": 2.0, "n_max1": 3, "n_max2": 3},
+    "delta-sweep": {"ratios": [20.0, 40.0], "n_max1": 3, "n_max2": 3},
+    "design": {"iterations": 50, "n_fit": 4},
+}
+
+
+@st.composite
+def edge_runs(draw):
+    """A kind, and one or two of its numeric inputs, each with an edge value and
+    whether it comes as a flag (else as a --config entry)."""
+    kind = draw(st.sampled_from(sorted(EDGE_BASE)))
+    numeric = sorted(key for key, parse in KINDS[kind].params.items() if parse is not str)
+    keys = draw(st.permutations(numeric))[:draw(st.integers(1, 2))]
+    return kind, {key: (draw(st.sampled_from(EDGE_VALUES)), draw(st.booleans()))
+                  for key in keys}
+
+
+class TestEdgeValues:
+    """Any kind with one or two numeric flags or --config entries at an edge
+    value ends as a report (exit 0 or 1) or a refusal (exit 2): no traceback,
+    no warning, and no output directory on a refusal.  An integer input takes
+    the integer of an integral value, a list input the value as one entry."""
+
+    @staticmethod
+    def entry(parse, value: float):
+        """The --config entry of ``value`` for an input of type ``parse``."""
+        if parse in (int, _int_list) and math.isfinite(value) and value == int(value):
+            value = int(value)
+        return {_float_list: [20.0, value], _int_list: [value, 1]}.get(parse, value)
+
+    @settings(derandomize=True, max_examples=500, deadline=None)
+    @given(edge_runs())
+    def test_edge_value_ends_in_a_report_or_a_refusal(self, tmp_path_factory, run):
+        kind, edits = run
+        config, flags = dict(EDGE_BASE[kind]), []
+        for key, (value, as_flag) in edits.items():
+            entry = self.entry(KINDS[kind].params[key], value)
+            if as_flag:
+                text = ",".join(map(str, entry)) if isinstance(entry, list) else str(entry)
+                flags.append(f"--{key.replace('_', '-')}={text}")
+            else:
+                config[key] = entry
+        work = tmp_path_factory.mktemp("edge")
+        (work / "cfg.json").write_text(json.dumps(config))
+        out, err = io.StringIO(), io.StringIO()
+        with (warnings.catch_warnings(record=True) as caught,
+              contextlib.redirect_stdout(out), contextlib.redirect_stderr(err)):
+            warnings.simplefilter("always")
+            try:
+                code = main([kind, "--config", str(work / "cfg.json"), *flags,
+                             "--out", str(work / "out"), "--no-color"])
+            except SystemExit as exit_:  # argparse refuses a flag it cannot parse
+                code = exit_.code
+        assert code in (0, 1, 2), err.getvalue()
+        assert "Traceback" not in out.getvalue() + err.getvalue()
+        assert [str(w.message) for w in caught] == []
+        assert code != 2 or not (work / "out").exists()
 
 
 class TestCycleRange:

@@ -29,8 +29,8 @@ from sltosim.optics import (
     SweepPoint,
     adiabatic_elimination_error,
     build_effective_hamiltonian,
+    CouplingProfile,
     build_full_hamiltonian,
-    coupling_profile_from_tables,
     effective_compact_config,
     full_charge_blocks,
     inverse_intensity_profile,
@@ -51,8 +51,7 @@ def small_optics(**overrides) -> OpticsEngineConfig:
 def full_block(cfg: OpticsEngineConfig, profile, n: int, m: int):
     """Members of sector (n, m) and its ``build_full_hamiltonian`` block at the
     config's detuning, a stack of one."""
-    return full_charge_blocks(cfg, n, m, profile.theta1, profile.theta2, profile.f1[None],
-                              profile.f2[None], np.array([cfg.delta]))
+    return full_charge_blocks(cfg, n, m, profile, np.array([cfg.delta]))
 
 
 def effective_on_members(cfg: OpticsEngineConfig, members) -> np.ndarray:
@@ -155,19 +154,21 @@ class TestCouplingProfile:
         cfg = small_optics()
         theta = np.ones((cfg.n_max1 + 1))
         with pytest.raises(ValueError):
-            coupling_profile_from_tables(cfg, theta, np.ones((cfg.n_max2 + 1)))
+            CouplingProfile(theta, np.ones((cfg.n_max2 + 1)))
 
     def test_shift_rule_derived_from_theta(self):
+        # f1(n) + f2(0) is the diagonal of the block of |n, 0, 1>, and f2(0) = 0
         cfg = small_optics()
         prof = inverse_intensity_profile(cfg)
+        f1 = [full_block(cfg, prof, n, 0)[1][0, 0, 0].real for n in range(cfg.n_max1 + 1)]
         n = np.arange(1, (cfg.n_max1 + 1), dtype=float)
-        assert np.max(np.abs(prof.f1[1:] - (cfg.g1**2 / cfg.delta) / n)) <= 1e-15
-        assert prof.f1[0] == 0.0
+        assert np.max(np.abs(f1[1:] - (cfg.g1**2 / cfg.delta) / n)) <= 1e-15
+        assert f1[0] == 0.0
 
     def test_table_length_checked(self):
         cfg = small_optics()
         with pytest.raises(ShapeError):
-            coupling_profile_from_tables(cfg, np.zeros(3), np.zeros((cfg.n_max2 + 1)))
+            full_block(cfg, CouplingProfile(np.zeros(3), np.zeros((cfg.n_max2 + 1))), 1, 0)
 
     def test_uniform_profile_elements(self):
         cfg = small_optics()
@@ -503,17 +504,15 @@ class TestChargeBlockOracle:
         dense builder at detuning r."""
         deltas = np.array([10.0, 17.3, 80.0])
         configs = [small_optics(delta=delta) for delta in deltas]
-        profiles = [make_profile(cfg_d) for cfg_d in configs]
-        theta1, theta2 = profiles[0].theta1, profiles[0].theta2
-        f1 = np.stack([p.f1 for p in profiles])
-        f2 = np.stack([p.f2 for p in profiles])
-        assert len({f.tobytes() for f in f1}) == len(deltas)  # the rows do differ
-        dense = [build_full_hamiltonian(cfg_d, p).entries
-                 for cfg_d, p in zip(configs, profiles)]
+        profile = make_profile(configs[0])
+        # the rows' shift tables do differ: f1(1) + f2(0) is the block of |1, 0, 1>
+        shifts = full_charge_blocks(configs[0], 1, 0, profile, deltas)[1][:, 0, 0]
+        assert len(set(shifts.tolist())) == len(deltas)
+        dense = [build_full_hamiltonian(cfg_d, profile).entries for cfg_d in configs]
         cfg, d2 = configs[0], configs[0].n_max2 + 1
         for n in range(cfg.n_max1 + 1):
             for m in range(d2):
-                members, h = full_charge_blocks(cfg, n, m, theta1, theta2, f1, f2, deltas)
+                members, h = full_charge_blocks(cfg, n, m, profile, deltas)
                 assert h.shape[0] == len(deltas)
                 for r, full in enumerate(dense):
                     self.assert_block_of(full, members, h[r], 3, d2)
@@ -521,7 +520,7 @@ class TestChargeBlockOracle:
     @pytest.mark.parametrize("block", [(3, 1), (2, 4), (0, 0)])
     def test_sweep_stacks_the_per_detuning_blocks(self, monkeypatch, block):
         """Row r of the full model's stack is, to the bit, the stack of one built
-        from the config and rule profile at detuning r.  In the one stack the
+        from the config at detuning r and the same profile.  In the one stack the
         sweep diagonalizes, row 2r is detuning r's full block and row 2r + 1 the
         dense effective Hamiltonian's submatrix on the full block's members,
         with a zero row and column for the upper-level member."""
@@ -547,8 +546,7 @@ class TestChargeBlockOracle:
         assert fused.shape[0] == 2 * len(deltas)
         for r, delta in enumerate(deltas):
             cfg_d = small_optics(delta=delta)
-            profile_d = coupling_profile_from_tables(cfg_d, profile.theta1, profile.theta2)
-            full_members, full_h = full_block(cfg_d, profile_d, *block)
+            full_members, full_h = full_block(cfg_d, profile, *block)
             members, h = built["full_charge_blocks"]
             assert members == full_members
             assert np.array_equal(h[r], full_h[0])
