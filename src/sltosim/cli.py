@@ -138,28 +138,68 @@ def _replaceable(path) -> bool:
             and not os.path.islink(hop))
 
 
-def _open_new(path):
-    """Open ``path`` for writing, as a new file where it holds a file already.
+#: bytes of chunks gathered into one write: a matrix export's rows, a few kB
+#: each, go out in a few writes rather than one system call a row
+WRITE_BATCH_BYTES = 1 << 16
+
+#: the flags of open(path, "w"), in binary mode where the platform has one
+_NEW_FILE_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_TRUNC | getattr(os, "O_BINARY", 0)
+
+
+def _write_all(fd: int, data: bytes):
+    """Write all of ``data`` to ``fd``, going on after a partial write (a pipe)."""
+    view = memoryview(data)
+    while view:
+        view = view[os.write(fd, view):]
+
+
+def _write_new(path, chunks: Iterable[str]):
+    """Write the text ``chunks`` to ``path``, as a new file where it holds a file already.
 
     Every output goes through here.  A rerun replaces its old files rather
     than rewriting them in place: a hard link to the old file keeps the old
     bytes, and a symlink at ``path`` is replaced, not written through.  What
     ``_replaceable`` refuses, and a file in a directory that may not be
-    written to, is opened with ``"w"`` as it stands.
+    written to, is truncated and written as it stands.  The file is opened
+    as ``open(path, "w")`` opens it (mode 0o666 under the umask, not
+    inherited), and the chunks, all ASCII with LF line ends, are written as
+    their UTF-8 bytes without a text layer: small ones gathered up to
+    WRITE_BATCH_BYTES, so that no more than that and one chunk is held.
     """
     if _replaceable(path):
         try:
             os.unlink(path)
         except OSError:
             pass
-    return open(path, "w")
+    fd = os.open(path, _NEW_FILE_FLAGS, 0o666)
+    try:
+        batch, size = [], 0
+        for chunk in chunks:
+            batch.append(chunk)
+            size += len(chunk)
+            if size >= WRITE_BATCH_BYTES:
+                _write_all(fd, "".join(batch).encode())
+                batch, size = [], 0
+        if batch:
+            _write_all(fd, "".join(batch).encode())
+    finally:
+        os.close(fd)
+
+
+def _make_dir(path: Path):
+    """Make the directory ``path`` and its parents, where it is missing.
+
+    ``mkdir(exist_ok=True)`` raises and catches FileExistsError on every
+    call; a run into an existing directory only looks.
+    """
+    if not os.path.isdir(path):
+        path.mkdir(parents=True, exist_ok=True)
 
 
 def write_matrix_file(path, entries: np.ndarray, layout: tuple[int, ...] | None = None):
     """Write the square matrix ``entries`` as a matrix file (see ``bytescan``)
-    at ``path``, a line at a time, so the body is never held whole."""
-    with _open_new(path) as fh:
-        fh.writelines(matrix_lines(entries, layout))
+    at ``path``, a batch of lines at a time, so the body is never held whole."""
+    _write_new(path, matrix_lines(entries, layout))
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +280,8 @@ def _cycle_series(report: CycleReport) -> list[list]:
 SERIES_HEADER = "t,pop1,pop2,pop3,S_ent,E_B1,E_B2,resid_energy,resid_weighted"
 
 
-def run_abstract_cycle(params: dict, out_dir: Path) -> tuple[dict, dict, list | None]:
+def run_abstract_cycle(params: dict, out_dir: Path,
+                       sources: dict) -> tuple[dict, dict, list | None]:
     if params["beta1"] >= params["beta2"]:
         raise ConfigError("abstract-cycle needs beta1 < beta2")
     # every other key of the kind is a field of the config, which holds the defaults
@@ -252,7 +293,7 @@ def run_abstract_cycle(params: dict, out_dir: Path) -> tuple[dict, dict, list | 
     if export:
         u_tau = evolution_operator(cfg, cfg.tau).entries
         target = Path(export)
-        target.mkdir(parents=True, exist_ok=True)
+        _make_dir(target)
         write_matrix_file(target / "u_tau.txt", u_tau, (cfg.n_max1 + 1, cfg.n_max2 + 1, 2))
         write_matrix_file(target / "h_bath1.txt", np.diag(cfg.omega1 * np.arange(cfg.n_max1 + 1)).astype(complex))
         write_matrix_file(target / "h_bath2.txt", np.diag(cfg.omega2 * np.arange(cfg.n_max2 + 1)).astype(complex))
@@ -265,7 +306,8 @@ def run_abstract_cycle(params: dict, out_dir: Path) -> tuple[dict, dict, list | 
     return results, _cycle_checks(report), _cycle_series(report)
 
 
-def run_optics_cycle_cmd(params: dict, out_dir: Path) -> tuple[dict, dict, list | None]:
+def run_optics_cycle_cmd(params: dict, out_dir: Path,
+                         sources: dict) -> tuple[dict, dict, list | None]:
     # every key but detuning, the config's delta, is a field of the config
     fields = {"g1": 2.0, "g2": 2.0, **params}
     delta = fields.pop("detuning", 80.0)
@@ -303,7 +345,8 @@ def _slope_band(slope: float | None, low: float, high: float) -> dict:
             "passed": slope is not None and low <= slope <= high}
 
 
-def run_delta_sweep(params: dict, out_dir: Path) -> tuple[dict, dict, list | None]:
+def run_delta_sweep(params: dict, out_dir: Path,
+                    sources: dict) -> tuple[dict, dict, list | None]:
     ratios = params.get("ratios", [20.0, 40.0, 80.0, 160.0])
     if not hasattr(ratios, "__len__") or len(ratios) < 2:
         raise ConfigError(f"ratios: need at least two sweep points, got {ratios!r}")
@@ -409,6 +452,12 @@ DESIGN_SCALARS = (("targets", "q", "q", float), ("targets", "n_work", None, int)
                   ("schedule", "mc_temperature", "temperature", float))
 
 
+def _source(sources: dict, key: str) -> str:
+    """How a refusal names the input ``key``: as ``sources`` gives it (a --config
+    file and its key), else by its flag."""
+    return sources.get(key) or f"--{key.replace('_', '-')}"
+
+
 def _named(name: str, build, *args, **kwargs):
     """build(*args, **kwargs), with a refusal (ValueError) as a ConfigError led by ``name``."""
     try:
@@ -417,10 +466,10 @@ def _named(name: str, build, *args, **kwargs):
         raise ConfigError(f"{name}: {err}") from err
 
 
-def run_design(params: dict, out_dir: Path) -> tuple[dict, dict, Iterable[list]]:
+def run_design(params: dict, out_dir: Path, sources: dict) -> tuple[dict, dict, Iterable[list]]:
     # each input as (value, what its refusal names); a flag or --config key
     # overrides the design-file entry that sets the same field
-    given = {key: (value, f"--{key.replace('_', '-')} {value!r}") for key, value in params.items()}
+    given = {key: (value, f"{_source(sources, key)} {value!r}") for key, value in params.items()}
     if params.get("design_in"):
         path = params["design_in"]
         if "amplitude" in given:
@@ -497,9 +546,8 @@ def run_design(params: dict, out_dir: Path) -> tuple[dict, dict, Iterable[list]]
         },
     }
     out_path = Path(params.get("design_out") or out_dir / "design.json")
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    with _open_new(out_path) as fh:
-        fh.write(json.dumps(design, indent=2, sort_keys=True) + "\n")
+    _make_dir(out_path.parent)
+    _write_new(out_path, (json.dumps(design, indent=2, sort_keys=True), "\n"))
     results["design_path"] = str(out_path)
     # (iteration, cost) rows of Python floats, built a chunk at a time and
     # only if run_experiment writes series.csv
@@ -510,31 +558,33 @@ def run_design(params: dict, out_dir: Path) -> tuple[dict, dict, Iterable[list]]
     return results, checks, series
 
 
-def _hermitian_file(params: dict, key: str) -> Operator:
-    """The Hermitian operator in the matrix file ``params[key]``, named by its flag if not."""
+def _hermitian_file(params: dict, sources: dict, key: str) -> Operator:
+    """The Hermitian operator in the matrix file ``params[key]``, named by its source if not."""
     entries, _ = read_matrix_file(params[key])
     try:
         return Operator(entries, hermitian_hint=True)
     except HermiticityError as err:
-        raise ConfigError(f"--{key.replace('_', '-')} {params[key]}: {err}") from err
+        raise ConfigError(f"{_source(sources, key)} {params[key]}: {err}") from err
 
 
-def run_verify_slto(params: dict, out_dir: Path) -> tuple[dict, dict, list | None]:
+def run_verify_slto(params: dict, out_dir: Path,
+                    sources: dict) -> tuple[dict, dict, list | None]:
     u_entries, layout = read_matrix_file(params["unitary"])
-    h1, h2, hs = (_hermitian_file(params, key) for key in ("bath1", "bath2", "system"))
+    h1, h2, hs = (_hermitian_file(params, sources, key) for key in ("bath1", "bath2", "system"))
     if layout is not None and (h1.dim, h2.dim, hs.dim) != tuple(layout):
         raise ConfigError(f"factor files {(h1.dim, h2.dim, hs.dim)} disagree "
                           f"with the unitary layout {layout}")
     w_system = None
     if params.get("weighted_system"):
-        w_system = _hermitian_file(params, "weighted_system")
+        w_system = _hermitian_file(params, sources, "weighted_system")
         if w_system.dim != hs.dim:
             raise ConfigError(f"{params['weighted_system']}: weighted system term has dim "
                               f"{w_system.dim}, the system Hamiltonian {params['system']} "
                               f"has dim {hs.dim}")
     # the parsed array has no other holder, so it is handed over, not copied
     check = verify_slto(Operator(u_entries, copy=False), h1, h2, hs, params["beta1"],
-                        params["beta2"], w_system=w_system)
+                        params["beta2"], w_system=w_system,
+                        names=(_source(sources, "beta1"), _source(sources, "beta2")))
     results = dataclasses.asdict(check)
     results["passed"] = check.passed
     checks = {
@@ -590,6 +640,8 @@ class ExperimentKind:
     ``params`` maps each accepted parameter key to the argparse type of
     its flag ``--key-with-dashes``; ``required`` names the keys every run
     must end up with, from flags, a ``--config`` file or the API caller.
+    The runner takes the parameters, the output directory and the
+    ``sources`` of ``run_experiment``, which its refusals name inputs by.
     ``series_header`` is the first line of ``series.csv`` (``None`` when
     the kind writes no series).  The runner's series rows are iterated
     once, and only when ``series.csv`` is written, by ``series_lines``
@@ -597,7 +649,7 @@ class ExperimentKind:
     file's lines one SERIES_CHUNK_ROWS chunk at a time.
     """
 
-    runner: Callable[[dict, Path], tuple[dict, dict, Iterable[list] | None]]
+    runner: Callable[[dict, Path, dict], tuple[dict, dict, Iterable[list] | None]]
     help: str
     series_header: str | None
     params: dict[str, Callable[[str], object]]
@@ -691,8 +743,14 @@ def run_experiment(
     params: dict,
     out_dir,
     write_series: bool = False,
+    sources: dict[str, str] | None = None,
 ) -> RunArtifact:
-    """Execute one experiment and write its report (and optional series)."""
+    """Execute one experiment and write its report (and optional series).
+
+    ``sources`` maps a parameter key to how a refusal names where its value
+    came from, as ``main`` gives a --config entry; any other key is named by
+    its flag.
+    """
     if kind not in KINDS:
         raise ConfigError(f"unknown experiment kind {kind!r}")
     spec = KINDS[kind]
@@ -703,9 +761,9 @@ def run_experiment(
         raise ConfigError(f"{kind}: missing required keys {sorted(missing)}")
     out_dir = Path(out_dir)
     started = time.perf_counter()
-    results, checks, series = spec.runner(params, out_dir)
+    results, checks, series = spec.runner(params, out_dir, sources or {})
     wall = time.perf_counter() - started
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _make_dir(out_dir)
     all_passed = all(c["passed"] for c in checks.values())
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -719,17 +777,14 @@ def run_experiment(
         "wall_clock_seconds": wall,
     }
     report_path = out_dir / "report.json"
-    with _open_new(report_path) as fh:
-        # np.float64 subclasses float; other numpy scalars and arrays go through tolist()
-        fh.write(json.dumps(report, indent=2, sort_keys=True, default=lambda o: o.tolist())
-                 + "\n")
+    # np.float64 subclasses float; other numpy scalars and arrays go through tolist()
+    _write_new(report_path, (json.dumps(report, indent=2, sort_keys=True,
+                                        default=lambda o: o.tolist()), "\n"))
     series_path = None
     if write_series and series is not None:
         series_path = out_dir / "series.csv"
         lines = spec.series_lines(series, spec.series_header.count(",") + 1)
-        with _open_new(series_path) as fh:
-            fh.write(spec.series_header + "\n")
-            fh.writelines(lines)
+        _write_new(series_path, itertools.chain((spec.series_header + "\n",), lines))
     return RunArtifact(
         report_path=str(report_path),
         series_path=str(series_path) if series_path else None,
@@ -766,9 +821,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _merge_params(args: argparse.Namespace) -> dict:
+def _merge_params(args: argparse.Namespace) -> tuple[dict, dict]:
+    """The run's parameters, from the --config file and then the flags, and
+    the sources of ``run_experiment``: the config file and key of each value
+    that came from it."""
     allowed = KINDS[args.kind].params
-    params = {}
+    params, sources = {}, {}
     if args.config:
         try:
             loaded = json.loads(Path(args.config).read_text())
@@ -781,11 +839,13 @@ def _merge_params(args: argparse.Namespace) -> dict:
             raise ConfigError(f"config kind {kind!r} does not match subcommand {args.kind!r}")
         _validate_keys(loaded, allowed, args.config)
         params.update(loaded)
+        sources = {key: f"{args.config}: {key}" for key in loaded}
     for key in allowed:
         value = getattr(args, key)
         if value is not None:
             params[key] = value
-    return params
+            sources.pop(key, None)
+    return params, sources
 
 
 def _use_color(no_color_flag: bool) -> bool:
@@ -796,8 +856,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        params = _merge_params(args)
-        artifact = run_experiment(args.kind, params, args.out, write_series=args.series)
+        params, sources = _merge_params(args)
+        artifact = run_experiment(args.kind, params, args.out, write_series=args.series,
+                                  sources=sources)
     except (ConfigError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -77,6 +77,40 @@ def _commutator_residuals(brackets: list[np.ndarray], beta1: float,
     return energy, max_abs(weighted)
 
 
+def _row_sum_norm(a: np.ndarray) -> float:
+    """The largest absolute row sum of ``a``: a bound on its eigenvalues and on
+    each entry of ``a`` times a matrix whose entries are at most 1 in size."""
+    return float(np.abs(a).sum(axis=1).max())
+
+
+def _check_temperatures(beta1: float, beta2: float, factors: list[np.ndarray],
+                        names: tuple[str, str]):
+    """Refuse a beta1 or beta2 that is not finite, or at which the weighted
+    energy beta1 H_B1 + beta2 H_B2 (+ W_S) may overflow, naming each by ``names``.
+
+    ``factors`` are H_B1, H_B2 and, if given, W_S.  Every product the
+    verifier forms with a beta, a Gibbs exponent -beta (E - E_min) or an
+    entry of a weighted commutator with a unitary, is at most
+    2 (|beta1| r1 + |beta2| r2 + r_W) in size, r being a factor's
+    ``_row_sum_norm``, its largest |level| when it is diagonal.  A bound that
+    is not finite is refused here, before any of those products is formed;
+    it names the temperature whose own term overflows, else both.
+    """
+    betas = (beta1, beta2)
+    for name, beta in zip(names, betas):
+        if not math.isfinite(beta):
+            raise ConfigError(f"{name} must be finite, got {beta}")
+    scales = [_row_sum_norm(a) for a in factors]
+    terms = [abs(beta) * r for beta, r in zip(betas, scales)]
+    if math.isfinite(2 * (sum(terms) + sum(scales[2:]))):
+        return
+    at_fault = [k for k in (0, 1) if not math.isfinite(2 * terms[k])] or [0, 1]
+    raise ConfigError(
+        f"{' and '.join(f'{names[k]} {betas[k]!r}' for k in at_fault)}: the weighted energy "
+        f"beta1 H_B1 + beta2 H_B2 may overflow, with bath energy scales {scales[0]!r} "
+        f"and {scales[1]!r}")
+
+
 def _eigenspaces(eigvals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(order, starts): eigenspace j is order[starts[j]:starts[j + 1]], split at gaps > 1e-8."""
     order = np.argsort(eigvals, kind="stable")
@@ -176,6 +210,7 @@ def verify_slto(
     beta1: float,
     beta2: float,
     w_system: Operator | None = None,
+    names: tuple[str, str] = ("beta1", "beta2"),
 ) -> SltoCheckReport:
     """Check the defining properties of a semi-local thermal operation.
 
@@ -194,10 +229,12 @@ def verify_slto(
     the input basis, the off-block mass in the product basis of the factor
     eigenvectors.  That is O(d^2 (d1 + d2 + ds)) work plus two dense d^3
     products, U gamma U^dag and U^dag U.
+
+    A beta that is not finite, or at which the weighted energy may
+    overflow, is refused first, named as ``names`` gives beta1 and beta2.
     """
-    for name, beta in (("beta1", beta1), ("beta2", beta2)):
-        if not math.isfinite(beta):
-            raise ConfigError(f"{name} must be finite, got {beta}")
+    _check_temperatures(beta1, beta2, [h_bath1.entries, h_bath2.entries]
+                        + ([] if w_system is None else [w_system.entries]), names)
     d1, d2, ds = dims = (h_bath1.dim, h_bath2.dim, h_system.dim)
     if d1 * d2 * ds != u.dim:
         raise ShapeError(f"factors {dims} do not multiply to the unitary dim {u.dim}")

@@ -6,6 +6,7 @@ import math
 import os
 import re
 import stat
+import threading
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -610,12 +611,17 @@ REQUIRED_FLAGS = {
 }
 
 
+class ConfigEntries(dict):
+    """In a refusal case's argv: ``--config`` and a config file holding these entries."""
+
+
 class TestRefusalsNameTheirInput:
     """One table of refusals: each exits 2, writes nothing and names on stderr
     every input behind the refused value, as its flag or config key, or as the
     design file and its entry.  A name led by "!" is an input that is not at
     fault and must not be named.  A dict in argv stands for ``--design-in`` and
-    a design file whose schedule holds its entries."""
+    a design file whose schedule holds its entries; a ``ConfigEntries`` for
+    ``--config`` and a config file, which is named too."""
 
     @pytest.mark.parametrize("kind, argv, names", [
         ("abstract-cycle", ["--g", "-1"], ["g"]),
@@ -650,6 +656,10 @@ class TestRefusalsNameTheirInput:
         ("design", [{"seed": -1}], ["schedule.seed"]),
         ("design", [{"iterations": 0}], ["schedule.iterations"]),
         ("design", [{"mc_temperature": -1.0}], ["schedule.mc_temperature"]),
+        # a --config entry is named by the file and its key, not by the flag
+        ("design", [ConfigEntries(amplitude=math.nan)], ["amplitude", "!--amplitude"]),
+        ("design", [ConfigEntries(n_fit=0), "--amplitude", "0.01"],
+         ["n_fit", "!--n-fit", "!--amplitude"]),
         # the sweep's smallest detuning min(ratios)*max(g1, g2) overflows
         ("delta-sweep", ["--ratios", "20,40", "--g1", "1e308", "--g2", "1e-200"],
          ["ratios", "g1", "g2", "!delta"]),
@@ -658,10 +668,13 @@ class TestRefusalsNameTheirInput:
         ("delta-sweep", ["--block", "9,9"], ["block", "n_max1 = 4", "n_max2 = 4"]),
     ])
     def test_refusal_names_its_input(self, tmp_path, capsys, kind, argv, names):
-        design_path = tmp_path / "design.json"
+        design_path, config_path = tmp_path / "design.json", tmp_path / "cfg.json"
         targets = DesignTargets.inverse_intensity(0.0125, 6)
         for arg in argv:
-            if isinstance(arg, dict):
+            if isinstance(arg, ConfigEntries):
+                config_path.write_text(json.dumps(arg))
+                names = [*names, str(config_path)]
+            elif isinstance(arg, dict):
                 design_path.write_text(json.dumps({
                     "ansatz": {"v_coeffs": [0.0] * 4, "b_coeffs": [0.0] * 4},
                     "targets": {"f": targets.f_target.tolist(),
@@ -669,8 +682,9 @@ class TestRefusalsNameTheirInput:
                     "schedule": arg,
                 }))
                 names = [*names, str(design_path)]
-        argv = [x for arg in argv
-                for x in (["--design-in", str(design_path)] if isinstance(arg, dict) else [arg])]
+        files = {ConfigEntries: ["--config", str(config_path)],
+                 dict: ["--design-in", str(design_path)]}
+        argv = [x for arg in argv for x in files.get(type(arg), [arg])]
         out = tmp_path / "out"
         code = main([kind, *REQUIRED_FLAGS[kind], *argv, "--out", str(out), "--no-color"])
         captured = capsys.readouterr()
@@ -688,14 +702,24 @@ class TestRefusalsNameTheirInput:
 #: the top of the float range and subnormal
 EDGE_VALUES = (math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, 1e308, 1e-320, 5e-324)
 
-#: a small run of each kind that takes no input file, as --config entries
+#: a small run of each kind, as --config entries; verify-slto's also name the
+#: files of TestEdgeValues.slto_export
 EDGE_BASE = {
     "abstract-cycle": {"beta1": 0.5, "beta2": 1.0, "omega1": 2.0, "g": 0.1,
                        "n_max1": 3, "n_max2": 3},
     "optics-cycle": {"beta1": 0.5, "beta2": 1.0, "omega1": 2.0, "n_max1": 3, "n_max2": 3},
     "delta-sweep": {"ratios": [20.0, 40.0], "n_max1": 3, "n_max2": 3},
     "design": {"iterations": 50, "n_fit": 4},
+    "verify-slto": {"beta1": 0.5, "beta2": 1.0},
 }
+
+
+def strict_json(text: str):
+    """``json.loads`` that refuses the non-standard tokens NaN, Infinity and -Infinity."""
+    def refuse(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    return json.loads(text, parse_constant=refuse)
 
 
 @st.composite
@@ -711,9 +735,22 @@ def edge_runs(draw):
 
 class TestEdgeValues:
     """Any kind with one or two numeric flags or --config entries at an edge
-    value ends as a report (exit 0 or 1) or a refusal (exit 2): no traceback,
-    no warning, and no output directory on a refusal.  An integer input takes
-    the integer of an integral value, a list input the value as one entry."""
+    value ends as a report (exit 0 or 1) that is standard JSON, or a refusal
+    (exit 2): no traceback, no warning, and no output directory on a refusal.
+    An integer input takes the integer of an integral value, a list input the
+    value as one entry.  verify-slto checks one small export, made once."""
+
+    @pytest.fixture(scope="class")
+    def slto_export(self, tmp_path_factory) -> dict:
+        """The --config entries naming the files of a cutoff-2/2 engine export."""
+        export = tmp_path_factory.mktemp("export")
+        assert main(["abstract-cycle", "--beta1", "0.5", "--beta2", "1", "--omega1", "2",
+                     "--g", "0.1", "--n-max1", "2", "--n-max2", "2",
+                     "--export-matrices", str(export), "--out", str(export / "cycle"),
+                     "--no-color"]) == 0
+        return {key: str(export / f"{name}.txt") for key, name in (
+            ("unitary", "u_tau"), ("bath1", "h_bath1"), ("bath2", "h_bath2"),
+            ("system", "h_system"))}
 
     @staticmethod
     def entry(parse, value: float):
@@ -724,9 +761,12 @@ class TestEdgeValues:
 
     @settings(derandomize=True, max_examples=500, deadline=None)
     @given(edge_runs())
-    def test_edge_value_ends_in_a_report_or_a_refusal(self, tmp_path_factory, run):
+    def test_edge_value_ends_in_a_report_or_a_refusal(self, tmp_path_factory, slto_export,
+                                                      run):
         kind, edits = run
         config, flags = dict(EDGE_BASE[kind]), []
+        if kind == "verify-slto":
+            config.update(slto_export)
         for key, (value, as_flag) in edits.items():
             entry = self.entry(KINDS[kind].params[key], value)
             if as_flag:
@@ -749,6 +789,8 @@ class TestEdgeValues:
         assert "Traceback" not in out.getvalue() + err.getvalue()
         assert [str(w.message) for w in caught] == []
         assert code != 2 or not (work / "out").exists()
+        if code != 2:
+            strict_json((work / "out" / "report.json").read_text())
 
 
 class TestCycleRange:
@@ -1471,6 +1513,34 @@ class TestVerifySltoCommand:
         assert f"{flag[2:]} must be finite, got {value}" in capsys.readouterr().err
         assert not (tmp_path / "o" / "report.json").exists()
 
+    @pytest.mark.parametrize("beta1, beta2, named", [
+        ("1e308", "1", ["--beta1 1e+308"]),
+        ("0.5", "1e308", ["--beta2 1e+308"]),
+        ("-1e308", "1", ["--beta1 -1e+308"]),
+        # bath energy scales 8 and 4: each term is finite, their sum is not
+        ("1e307", "1e307", ["--beta1 1e+307", "--beta2 1e+307"]),
+        ("0.5", "config", ["{config}: beta2 1e+308"]),
+    ])
+    def test_overflowing_weighted_energy_named(self, tmp_path, engine_matrices, capsys,
+                                               beta1, beta2, named):
+        """A temperature at which the weighted energy overflows is refused by
+        name before any product is formed: no warning, no report."""
+        cfg, d = engine_matrices
+        args = self.verify_args(d, "u.txt", tmp_path / "o")
+        at = args.index("--beta1")
+        del args[at:at + 4]  # the flags and values of beta1 and beta2
+        args.append(f"--beta1={beta1}")
+        if beta2 == "config":
+            (tmp_path / "cfg.json").write_text(json.dumps({"beta2": 1e308}))
+            args += ["--config", str(tmp_path / "cfg.json")]
+        else:
+            args.append(f"--beta2={beta2}")
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        named = " and ".join(named).format(config=tmp_path / "cfg.json")
+        assert err.startswith(f"error: {named}: the weighted energy ")
+        assert not (tmp_path / "o").exists()
+
     def test_non_finite_matrix_entry_named(self, tmp_path, engine_matrices, capsys):
         cfg, d = engine_matrices
         h1 = np.diag(cfg.omega1 * np.arange(5)).astype(complex)
@@ -2004,7 +2074,7 @@ class TestRunExperimentApi:
     ])
     def test_wrong_value_type_named_before_the_run(self, tmp_path, monkeypatch, kind, key,
                                                    value, what):
-        def never(params, out_dir):
+        def never(params, out_dir, sources):
             raise AssertionError("ran an experiment with a mistyped parameter")
 
         monkeypatch.setitem(KINDS, kind, dataclasses.replace(KINDS[kind], runner=never))
@@ -2105,6 +2175,78 @@ class TestRunExperimentApi:
             os.close(reader)
         assert "result" in json.loads(written)
 
+    def test_fifo_series_longer_than_a_pipe_buffer_arrives_whole(self, tmp_path):
+        """A series.csv that is a FIFO is written through, to the last byte,
+        however many times the pipe fills: the same bytes as a regular file."""
+        params = {"iterations": 20_000, "seed": 4}
+        expected = run_experiment("design", params, tmp_path / "file", write_series=True)
+        whole = Path(expected.series_path).read_bytes()
+        assert len(whole) > 1 << 16  # more than a Linux pipe holds
+        out = tmp_path / "fifo"
+        out.mkdir()
+        os.mkfifo(out / "series.csv")
+        received = []
+        reader = threading.Thread(target=lambda: received.append(
+            (out / "series.csv").read_bytes()), daemon=True)
+        reader.start()
+        try:
+            run_experiment("design", params, out, write_series=True)
+        finally:
+            reader.join(timeout=60)
+        assert not reader.is_alive()
+        assert stat.S_ISFIFO(os.lstat(out / "series.csv").st_mode)
+        assert received == [whole]
+
+    def test_partial_writes_are_finished(self, tmp_path, monkeypatch):
+        """Each output arrives whole when every write takes only part of its bytes."""
+        params = {"beta1": 0.5, "beta2": 1.0, "omega1": 2.0, "g": 0.1,
+                  "n_max1": 3, "n_max2": 3, "export_matrices": str(tmp_path / "export")}
+        names = ["out/report.json", "out/series.csv", "export/u_tau.txt", "export/h_bath1.txt",
+                 "export/h_bath2.txt", "export/h_system.txt"]
+        run_experiment("abstract-cycle", params, tmp_path / "out", write_series=True)
+        whole = [strip_wall_clock((tmp_path / name).read_bytes()) for name in names]
+        write, sizes = os.write, []
+
+        def short_write(fd, data):
+            sizes.append(len(data))
+            return write(fd, data[:1000])
+
+        monkeypatch.setattr(cli.os, "write", short_write)
+        run_experiment("abstract-cycle", params, tmp_path / "out", write_series=True)
+        monkeypatch.undo()
+        assert max(sizes) > 1000
+        assert [strip_wall_clock((tmp_path / name).read_bytes()) for name in names] == whole
+
+    def test_new_files_get_the_mode_of_open(self, tmp_path, monkeypatch):
+        """A new output is 0o666 under the umask and its descriptor is not
+        inherited by child processes, as with ``open(path, "w")``."""
+        opened, inheritable = [], []
+        os_open, os_close = os.open, os.close
+
+        def record_open(*args, **kwargs):
+            opened.append(os_open(*args, **kwargs))
+            return opened[-1]
+
+        def record_close(fd):
+            if fd in opened:
+                inheritable.append(os.get_inheritable(fd))
+            os_close(fd)
+
+        monkeypatch.setattr(cli.os, "open", record_open)
+        monkeypatch.setattr(cli.os, "close", record_close)
+        umask = os.umask(0o027)
+        try:
+            run_experiment("abstract-cycle", {"beta1": 0.5, "beta2": 1.0, "omega1": 2.0,
+                                              "g": 0.1, "n_max1": 3, "n_max2": 3},
+                           tmp_path / "out")
+            write_matrix_file(tmp_path / "m.txt", np.eye(2, dtype=complex))
+        finally:
+            os.umask(umask)
+            monkeypatch.undo()
+        for path in (tmp_path / "out" / "report.json", tmp_path / "m.txt"):
+            assert stat.S_IMODE(os.stat(path).st_mode) == 0o640
+        assert inheritable == [False, False]
+
     def test_chained_symlink_is_written_through(self, tmp_path):
         # like /dev/stdout -> /proc/self/fd/1 -> the file stdout goes to
         target = tmp_path / "target.json"
@@ -2159,7 +2301,7 @@ class TestRunExperimentApi:
         ("design", {"iterations": 40, "seed": 2}),
     ])
     def test_series_rows_keep_17_significant_digits(self, tmp_path, kind, params):
-        _, _, series = KINDS[kind].runner(params, tmp_path / "direct")
+        _, _, series = KINDS[kind].runner(params, tmp_path / "direct", {})
         artifact = run_experiment(kind, params, tmp_path / "run", write_series=True)
         lines = Path(artifact.series_path).read_text().splitlines()
         expected = [",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row)
@@ -2178,7 +2320,7 @@ class TestRunExperimentApi:
 
     def test_design_runs_straddling_chunks_print_as_rows(self, tmp_path, monkeypatch):
         params = {"iterations": 120, "seed": 2}
-        _, _, series = KINDS["design"].runner(params, tmp_path / "direct")
+        _, _, series = KINDS["design"].runner(params, tmp_path / "direct", {})
         rows = list(series)
         costs = [cost for _, cost in rows]
         # some run of equal costs crosses a 7-row chunk edge
@@ -2199,7 +2341,7 @@ class TestRunExperimentApi:
     def test_long_series_is_not_held_as_one_string(self, tmp_path, monkeypatch):
         n_rows = 200_000
 
-        def long_series(params, out_dir):
+        def long_series(params, out_dir, sources):
             return {}, {}, ([i, i * 0.1] for i in range(n_rows))
 
         monkeypatch.setitem(KINDS, "design", dataclasses.replace(KINDS["design"],
