@@ -339,6 +339,10 @@ def run_optics_cycle_cmd(params: dict, out_dir: Path,
     return results, checks, _cycle_series(report)
 
 
+#: the smallest detuning ratio Delta/max(g1, g2) that delta-sweep accepts
+SWEEP_MIN_RATIO = 5.0
+
+
 def _slope_band(slope: float | None, low: float, high: float) -> dict:
     """A slope band check; a series without a slope (None) fails it."""
     return {"value": slope, "threshold": [low, high],
@@ -352,38 +356,29 @@ def run_delta_sweep(params: dict, out_dir: Path,
         raise ConfigError(f"ratios: need at least two sweep points, got {ratios!r}")
     if len(set(ratios)) < 2:
         raise ConfigError(f"ratios: need at least two distinct values, got {list(ratios)!r}")
-    if not all(0 < r < math.inf for r in ratios):
-        raise ConfigError(f"ratios: need finite positive values, got {list(ratios)!r}")
+    if not all(SWEEP_MIN_RATIO <= r < math.inf for r in ratios):
+        raise ConfigError(f"ratios: need finite values of at least {SWEEP_MIN_RATIO:g}, "
+                          f"got {list(ratios)!r}")
     block = tuple(params.get("block", (3, 1)))
     if len(block) != 2:
         raise ConfigError(f"block: need two integers n,m, got {list(block)!r}")
     g1 = params.get("g1", 0.5)
     g2 = params.get("g2", 0.5)
-    delta = min(ratios) * max(g1, g2)
+    deltas = [r * max(g1, g2) for r in ratios]
     # a coupling that is not finite is the config's to name
-    if delta <= 0 or (delta == math.inf and math.isfinite(g1) and math.isfinite(g2)):
-        raise ConfigError(f"detuning min(ratios)*max(g1, g2) = {delta!r} must be finite and "
-                          f"positive, with g1 = {g1!r} and g2 = {g2!r}")
-    cfg = OpticsEngineConfig(
-        beta1=params.get("beta1", 0.5),
-        beta2=params.get("beta2", 1.0),
-        omega1=params.get("omega1", 2.0),
-        g1=g1,
-        g2=g2,
-        delta=delta,
-        n_max1=params.get("n_max1", 4),
-        n_max2=params.get("n_max2", 4),
-        min_detuning_ratio=5.0,
-    )
+    if min(deltas) <= 0 or (math.inf in deltas and math.isfinite(g1) and math.isfinite(g2)):
+        raise ConfigError(f"ratios: the detunings ratio*max(g1, g2) = {deltas!r} must be "
+                          f"finite and positive, with g1 = {g1!r} and g2 = {g2!r}")
+    # no ladder temperature or frequency enters the probe sector's evolution;
+    # these fix only the cutoffs that a null n_max derives
+    cfg = OpticsEngineConfig(beta1=0.5, beta2=1.0, omega1=2.0, g1=g1, g2=g2, delta=min(deltas),
+                             n_max1=params.get("n_max1", 4), n_max2=params.get("n_max2", 4),
+                             min_detuning_ratio=SWEEP_MIN_RATIO)
     _named(f"block (cutoffs n_max1 = {cfg.n_max1}, n_max2 = {cfg.n_max2})",
            check_sector, cfg, *block)
-    deltas = [r * max(g1, g2) for r in ratios]
-    if math.inf in deltas:
-        raise ConfigError(f"ratios: the detuning ratio*max(g1, g2) overflows at ratio "
-                          f"{max(ratios)!r}, with g1 = {g1!r} and g2 = {g2!r}")
-    points = adiabatic_elimination_error(
-        cfg, uniform_exchange_profile(cfg), deltas, initial_block=block
-    )
+    # the sweep refuses a detuning, which the caller gave as its ratio
+    points = _named("ratios", adiabatic_elimination_error,
+                    cfg, uniform_exchange_profile(cfg), deltas, initial_block=block)
     dev_slope, leak_slope = sweep_slopes(points)
     devs = [p.population_deviation for p in points]
     monotone = all(devs[i] > devs[i + 1] for i in range(len(devs) - 1))
@@ -471,7 +466,7 @@ def run_design(params: dict, out_dir: Path, sources: dict) -> tuple[dict, dict, 
     # overrides the design-file entry that sets the same field
     given = {key: (value, f"{_source(sources, key)} {value!r}") for key, value in params.items()}
     if params.get("design_in"):
-        path = params["design_in"]
+        path = targets_from = params["design_in"]
         if "amplitude" in given:
             raise ConfigError(f"{given['amplitude'][1]}: --design-in {path} holds the targets")
         try:
@@ -508,8 +503,8 @@ def run_design(params: dict, out_dir: Path, sources: dict) -> tuple[dict, dict, 
         amplitude, n_fit = params.get("amplitude", 0.0125), params.get("n_fit", 6)
         # the amplitude alone on a one-entry table first, so that a refusal of
         # the full table is the fault of n_fit
-        _named(given.get("amplitude", (None, "amplitude"))[1],
-               DesignTargets.inverse_intensity, amplitude, 1)
+        targets_from = given.get("amplitude", (None, "amplitude"))[1]
+        _named(targets_from, DesignTargets.inverse_intensity, amplitude, 1)
         targets = _named(given.get("n_fit", (None, "n_fit"))[1],
                          DesignTargets.inverse_intensity, amplitude, n_fit)
     # one field at a time, so that a refusal names the input it refused
@@ -521,7 +516,7 @@ def run_design(params: dict, out_dir: Path, sources: dict) -> tuple[dict, dict, 
             schedule = _named(given[key][1], dataclasses.replace, schedule,
                               **{entry: kind(given[key][0])})
     rows = fit_rows(ansatz0, targets)
-    best, trace = mc_optimize(ansatz0, targets, schedule, rows)
+    best, trace = _named(targets_from, mc_optimize, ansatz0, targets, schedule, rows)
     best_cost = design_cost(best, targets, rows)
     design = design_document(best, targets, schedule, trace[0], best_cost, rows)
     results = {
@@ -584,7 +579,8 @@ def run_verify_slto(params: dict, out_dir: Path,
     # the parsed array has no other holder, so it is handed over, not copied
     check = verify_slto(Operator(u_entries, copy=False), h1, h2, hs, params["beta1"],
                         params["beta2"], w_system=w_system,
-                        names=(_source(sources, "beta1"), _source(sources, "beta2")))
+                        names=(_source(sources, "beta1"), _source(sources, "beta2"),
+                               f"{_source(sources, 'unitary')} {params['unitary']}"))
     results = dataclasses.asdict(check)
     results["passed"] = check.passed
     checks = {
@@ -674,8 +670,8 @@ KINDS = {
     "delta-sweep": ExperimentKind(
         run_delta_sweep, "full vs effective model over detunings",
         "delta,ratio,population_deviation,leak_max",
-        {"beta1": float, "beta2": float, "omega1": float, "g1": float, "g2": float,
-         "ratios": _float_list, "n_max1": int, "n_max2": int, "block": _int_list},
+        {"g1": float, "g2": float, "ratios": _float_list, "n_max1": int, "n_max2": int,
+         "block": _int_list},
     ),
     "design": ExperimentKind(
         run_design, "fit cavity intensity profiles", "iteration,cost",

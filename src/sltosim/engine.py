@@ -18,16 +18,14 @@ weight is reported instead of being approximated away.
 ``enumerate_blocks`` lists every sector's members as one int table of
 shape (sectors, 2, 3): row k is the pair (|n, m, 0>, |n-1, m+1, 1>) in
 lexicographic (n, m) order, with -1 in the partner slot of an idle
-sector; ``pair_generator(g)`` is every pair's 2x2 block.  A block has one
-form, its members with an (R, k, k) stack of small Hermitian matrices on
-them: the cavity model in ``optics`` builds its <= 3-state blocks so,
-and writes the exchange pair of each detuning onto their members.  A
-stack's probe populations per system level over uniform time grids
-(``linalg.group_populations`` on the stacked eigenpairs) come in closed
-form: a constant plus one term per eigenvalue gap, with the members of
-each level summed into the coefficients once, the grid split so that
-angle addition makes each level one small matmul, and no amplitude
-formed.  ``check_unit_sum`` holds them to a sum of 1 within 1e-10.
+sector; ``pair_generator(g)`` is every pair's 2x2 block, and
+``exchange_amplitudes(g, times)`` its evolution from the source member
+in closed form.  A block has one form, its members with an (R, k, k)
+stack of small Hermitian matrices on them: the cavity model in
+``optics`` builds its <= 3-state blocks so.  A stack's probe
+populations per system level over uniform time grids come in closed form
+from its eigenpairs (``linalg.group_populations``), and
+``check_unit_sum`` holds them to a sum of 1 within 1e-10.
 Dense full-space matrices are assembled only for export
 (``evolution_operator``) and as the test oracle
 (``build_interaction_hamiltonian``).
@@ -123,10 +121,10 @@ class CompactEngineConfig:
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
+            if value <= 0 and name in ("beta1", "beta2", "omega1"):
+                raise ValueError(f"{name} must be positive, got {value}")
         if not 0 < self.tail_delta < 1:
             raise ValueError(f"tail_delta must lie in (0, 1), got {self.tail_delta}")
-        if min(self.beta1, self.beta2, self.omega1) <= 0:
-            raise ValueError("temperatures and frequencies must be positive")
         if self.beta1 > self.beta2:
             raise NoGradientError(
                 f"beta1 = {self.beta1} must not exceed beta2 = {self.beta2}"
@@ -139,14 +137,14 @@ class CompactEngineConfig:
             raise ValueError(f"derived a1 = {self.a1} must be finite and not below a0")
         if self.g < 0:
             raise ValueError(f"coupling g must be non-negative, got {self.g}")
-        for name, omega, beta in (("n_max1", self.omega1, self.beta1),
-                                  ("n_max2", self.omega2, self.beta2)):
-            boltzmann_factor(omega, beta)
+        for name, omega, beta, product in (("n_max1", self.omega1, self.beta1, "beta1*omega1"),
+                                           ("n_max2", self.omega2, self.beta2, "beta2*omega2")):
+            boltzmann_factor(omega, beta, product)
             if getattr(self, name) is None:
                 n_max = truncation_for_tail(omega, beta, self.tail_delta).n_max_used
                 object.__setattr__(self, name, n_max)
-        if self.n_max1 < 0 or self.n_max2 < 0:
-            raise ValueError("cutoffs must be non-negative")
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
         if (self.n_max1 + 1) * (self.n_max2 + 1) > MAX_SECTORS:
             raise ValueError(f"cutoffs n_max1 = {self.n_max1}, n_max2 = {self.n_max2} "
                              f"give more than the cap of {MAX_SECTORS} sectors")
@@ -218,6 +216,12 @@ def check_unit_sum(pops: np.ndarray, window: float, where: str):
 def pair_generator(g: float) -> Operator:
     """The 2x2 generator g*sigma_x shared by every coupled sector."""
     return Operator(np.array([[0.0, g], [g, 0.0]], dtype=np.complex128), hermitian_hint=True)
+
+
+def exchange_amplitudes(g: float, times: np.ndarray) -> np.ndarray:
+    """exp(-i t g*sigma_x)|0> as (len(times), 2) rows [cos(g t), -i sin(g t)]: the
+    cycle's ``amplitudes`` reference and the detuning sweep's effective model."""
+    return np.stack([np.cos(g * times), -1j * np.sin(g * times)], axis=1)
 
 
 def _sector_members(cfg: CompactEngineConfig, n: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -390,9 +394,10 @@ def evolve_cycle(cfg: CompactEngineConfig) -> CycleReport:
     # the largest entries of both charge diagonals and the power that the report checks
     largest = cfg.charges(cfg.n_max1, cfg.n_max2, 1)
     for name, value in (
-        ("largest level energy", float(largest[0])),
-        ("largest weighted level energy", float(largest[1])),
-        ("power 2*g*w_ext/pi", 2 * cfg.g * cfg.w_ext / math.pi),
+        ("largest level energy n_max1*omega1 + n_max2*omega2 + a1", float(largest[0])),
+        ("largest weighted level energy beta1*n_max1*omega1 + beta2*n_max2*omega2",
+         float(largest[1])),
+        ("power 2*g*(omega1 - omega2)/pi", 2 * cfg.g * cfg.w_ext / math.pi),
     ):
         if not math.isfinite(value):
             raise ValueError(f"the cycle's {name} is {value!r}; it must be finite")
@@ -425,9 +430,7 @@ def evolve_cycle(cfg: CompactEngineConfig) -> CycleReport:
     psi0 = StateVector(amps[0])
     transfer = np.abs(amps[:, 1]) ** 2  # per-sector excited probability
 
-    ideal = np.stack(
-        [np.cos(cfg.g * times), -1j * np.sin(cfg.g * times)], axis=1
-    )
+    ideal = exchange_amplitudes(cfg.g, times)
     amplitude_residual = float(np.max(np.abs(amps - ideal))) if pairs.size else 0.0
 
     # entropy of the system's diag(1 - p, p); a sum of two terms needs no eigvalsh order

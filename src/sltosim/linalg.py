@@ -214,14 +214,6 @@ def group_populations(eigvals: np.ndarray, eigvecs: np.ndarray, groups: Sequence
     imaginary parts need no separate sine pass.  No amplitude is formed and
     nothing here enforces unitarity: callers check that the populations
     still sum to 1.
-
-    The elementwise stages keep the sample axes innermost: the angles u
-    are (R, P, A) and v (R, P, B), so each cosine, sine, product and sum
-    runs long contiguous loops over the samples rather than loops of
-    length P over the pairs.  The pair columns are written through a
-    transposed view into ``left``, which keeps its (R, groups, A, 2P + 1)
-    layout, so each block's product sees the same operands in the same
-    memory order and the populations do not change by a bit.
     """
     n_blocks, dim = eigvals.shape
     members = np.zeros((n_groups, dim))
@@ -244,7 +236,8 @@ def group_populations(eigvals: np.ndarray, eigvecs: np.ndarray, groups: Sequence
     cos_u, sin_u = np.cos(u)[:, None], np.sin(u)[:, None]  # (R, 1, P, A)
     cr, ci = coef.real[..., None], coef.imag[..., None]  # (R, groups, P, 1)
     # the matmul operand (R, groups, A, 2P + 1), filled column by column through
-    # its (R, groups, 2P + 1, A) view so the sums run along the samples
+    # its (R, groups, 2P + 1, A) view so the elementwise stages run along the
+    # samples; each product still sees the (A, 2P + 1) layout, bit for bit
     left = np.empty((n_blocks, n_groups, outer_len, 2 * n_pairs + 1))
     cols = left.transpose(0, 1, 3, 2)
     np.add(cr * cos_u, ci * sin_u, out=cols[:, :, :n_pairs])

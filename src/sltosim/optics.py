@@ -6,14 +6,10 @@ intensity-dependent strength.  At large detuning the upper level only
 mediates: a hot photon is absorbed, a cold photon emitted, and the atom
 ends in |2>, one work gap omega0 above |1>.
 
-``OpticsEngineConfig`` holds only the free parameters: the two
-temperatures, the hot frequency omega1, the leg couplings g1, g2, the
-detuning Delta of |3> from both photons, and the cutoffs.  The ladder
-resonance beta1*omega1 = beta2*omega2 fixes the cold frequency and the
-two-mode resonance fixes the work gap omega0 = omega1 - omega2, so both
-are derived properties and hold by construction.  The ladders, their
-checks and their cutoffs are those of the effective engine, a
-``CompactEngineConfig`` that the config builds once and holds.
+``OpticsEngineConfig`` holds only the free parameters; the ladder
+resonance fixes the cold frequency omega2 and the two-mode resonance the
+work gap omega0 = omega1 - omega2, and its ladders are those of the
+effective engine, a ``CompactEngineConfig`` that it builds once.
 
 Two Hamiltonians live here.  The full three-level model keeps the upper
 level and the intensity profiles explicitly; it is the ground truth for
@@ -26,20 +22,14 @@ Both Hamiltonians conserve the excitation charge, so a probe state
 |n, m, 1> never leaves its charge block: {|n, m, 1>, |n-1, m, 3>,
 |n-1, m+1, 2>} in the full model and {|n, m, 1>, |n-1, m+1, 2>} in the
 effective one, with members outside the cutoffs dropped.  The members do
-not depend on the detuning, so the blocks of many detunings stack:
-``full_charge_blocks`` builds the <= 3-state full blocks straight from the
-profile's tables as one (detunings, k, k) array; a single block is a stack
-of one.  The detuning sweep evolves only these blocks.  It writes each
-effective block, g*sigma_x between |n, m, 1> and |n-1, m+1, 2> when the
-full block has all three members and zero otherwise, straight onto the
-full block's members, where |n-1, m, 3> stays decoupled, so both models
-share one stack and one ``eigh``, and it takes the level populations
-over each detuning's uniform time grid in closed form from the
-eigenpairs in one pass (``linalg.group_populations``): a constant plus
-one term per eigenvalue gap, with the grid split j = a*B + b so that
-angle addition turns each level's populations into one small matmul
-over the sine and cosine of about 2*sqrt(n) angles per gap, and no
-amplitudes.  The dense builders ``build_full_hamiltonian`` and
+not depend on the detuning, so ``full_charge_blocks`` builds the <= 3-state
+full blocks of many detunings straight from the profile's tables as one
+(detunings, k, k) stack; a single block is a stack of one.  The detuning
+sweep diagonalizes only that stack, in one ``eigh``, and takes its level
+populations in closed form in one ``linalg.group_populations`` pass.  The
+effective side needs no block: its probe exchanges with |n-1, m+1, 2> as
+g*sigma_x, evolved by ``engine.exchange_amplitudes``, or without that
+partner stays put.  The dense builders ``build_full_hamiltonian`` and
 ``build_effective_hamiltonian`` assemble the whole product space; they
 are the reference the tests compare the blocks against.
 
@@ -61,6 +51,7 @@ only asymptotically in j and is kept as the design target family.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -73,6 +64,7 @@ from .engine import (
     check_sector,
     check_unit_sum,
     evolve_cycle,
+    exchange_amplitudes,
 )
 # SpectralPropagator is unused here; bench/tracing.py patches it by name
 from .linalg import Operator, ShapeError, SpectralPropagator, group_populations
@@ -145,8 +137,9 @@ class OpticsEngineConfig:
         if not ladders.omega2 < self.omega1:
             raise ValueError(f"derived omega2 = beta1*omega1/beta2 = {ladders.omega2} "
                              "must lie in (0, omega1)")
-        if ladders.n_max1 < 1 or ladders.n_max2 < 1:
-            raise ValueError(f"cutoffs must be >= 1, got {ladders.n_max1}, {ladders.n_max2}")
+        for name in ("n_max1", "n_max2"):
+            if getattr(ladders, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(ladders, name)}")
         object.__setattr__(self, "n_max1", ladders.n_max1)
         object.__setattr__(self, "n_max2", ladders.n_max2)
         # the atom's levels at -omega0/2 and omega0/2
@@ -232,11 +225,7 @@ def inverse_intensity_profile(cfg: OpticsEngineConfig) -> CouplingProfile:
 
 def _lowering_with_profile(theta: np.ndarray) -> np.ndarray:
     """Matrix of theta(N) a: element [n-1, n] = theta(n-1) * sqrt(n)."""
-    dim = theta.size
-    c = np.zeros((dim, dim))
-    for n in range(1, dim):
-        c[n - 1, n] = theta[n - 1] * math.sqrt(n)
-    return c
+    return np.diag(theta[:-1] * np.sqrt(np.arange(1.0, theta.size)), 1)
 
 
 def build_full_hamiltonian(cfg: OpticsEngineConfig, profile: CouplingProfile) -> Operator:
@@ -251,12 +240,8 @@ def build_full_hamiltonian(cfg: OpticsEngineConfig, profile: CouplingProfile) ->
     _check_cutoffs(cfg, profile)
     d1, d2 = cfg.n_max1 + 1, cfg.n_max2 + 1
     id1, id2, id_atom = np.eye(d1), np.eye(d2), np.eye(3)
-    sigma31 = np.zeros((3, 3))
-    sigma31[2, 0] = 1.0
-    sigma32 = np.zeros((3, 3))
-    sigma32[2, 1] = 1.0
-    p3 = np.zeros((3, 3))
-    p3[2, 2] = 1.0
+    # |3><1|, |3><2| and |3><3|
+    sigma31, sigma32, p3 = (np.outer(id_atom[2], level) for level in id_atom)
 
     c1 = _lowering_with_profile(profile.theta1)
     c2 = _lowering_with_profile(profile.theta2)
@@ -337,6 +322,21 @@ class SweepPoint:
     samples_per_period: float
 
 
+def _exchange_populations(g: float, window: float, n: int) -> np.ndarray:
+    """|``engine.exchange_amplitudes``(g, t)|^2 over t_j = j*window/(n - 1), j < n,
+    as (2, n) level rows, from the closed form at t = a*B*step and b*step only,
+    B = ceil(sqrt(n)): the pair's group law psi(s + t) = U(s) psi(t), a rotation
+    by g*s of the real pair (Re psi_0, Im psi_1), gives each j = a*B + b in one
+    (2A x 2) @ (2 x B) product."""
+    inner = math.isqrt(n - 1) + 1
+    outer = -(-n // inner)
+    j = np.concatenate([inner * np.arange(outer), np.arange(inner)])  # the a*B, then the b
+    real = exchange_amplitudes(g, window / (n - 1) * j).view(float)[:, [0, 3]]
+    rotations = np.concatenate([real[:outer] * [1.0, -1.0], real[:outer, ::-1]])
+    amplitudes = rotations @ real[outer:].T
+    return np.square(amplitudes, out=amplitudes).reshape(2, -1)[:, :n]
+
+
 def adiabatic_elimination_error(
     cfg: OpticsEngineConfig,
     profile: CouplingProfile,
@@ -350,18 +350,18 @@ def adiabatic_elimination_error(
     tables by the rule at each detuning.  The initial state |n0, m0, 1>
     is evolved under both models over [0, pi/(2g)], each inside its
     charge block, and the worst population mismatch on the |1>, |2>
-    levels plus the worst transient |3> occupation are recorded.  Each
-    detuning's effective block is written onto the full block's members,
-    with a zero row and column for |n-1, m, 3>, so both models' blocks of
-    every detuning form one stack that goes through one ``eigh``; the
-    populations come in closed form from the eigenpairs over each
-    detuning's own uniform grid, the full and effective grids of a
-    detuning back to back, and the effective model's |3> population is
-    exactly 0.  A sample whose levels do not sum to 1
-    within 1e-10 raises ``engine.InvariantError`` naming its time,
-    detuning, block and model.  Each detuning must be finite and positive,
+    levels plus the worst transient |3> occupation are recorded.  The full
+    blocks of every detuning form one stack that goes through one
+    ``eigh``, and their populations come in closed form from the
+    eigenpairs over each detuning's own uniform grid; a sample whose
+    levels do not sum to 1 within 1e-10 raises ``engine.InvariantError``
+    naming its time, detuning, block and model.  The effective model's
+    populations are |``engine.exchange_amplitudes``(g1*g2/Delta, t)|^2 on
+    the same grid when the probe has its partner |n-1, m+1, 2>, and
+    [1, 0] when it has none.  Each detuning must be finite and positive,
     at a ratio Delta/max(g1, g2) of at least ``cfg.min_detuning_ratio``,
-    with a cycle whose oscillation periods a float can count.
+    with a window whose oscillation periods, and samples per period, a
+    float can count.
 
     The probe sector matters.  The f-table rule cancels the second-order
     level shifts of the eliminated upper state only up to a one-step
@@ -388,40 +388,37 @@ def adiabatic_elimination_error(
                              f"{cfg.min_detuning_ratio:g}; elimination invalid")
         ratios.append(ratio)
         g = cfg.g1 * cfg.g2 / delta
-        # with no coupling both models are static; any window shows deviation 0.
-        # A coupling whose pi/(2g) overflows keeps its infinite window, refused below
+        # with no effective coupling there is no cycle, and the window is 1; a
+        # coupling whose pi/(2g) overflows keeps its infinite window, refused below
         window = math.pi / (2.0 * g) if g > 0 else 1.0
         periods.append(window * (delta + 4.0 * g_top) / (2.0 * math.pi))
-        if periods[-1] == math.inf:
-            raise ValueError(f"detuning {delta} gives ratio {ratio:.3g}, whose cycle spans "
-                             "more oscillation periods than a float can count")
+        # a window of 1 at a tiny detuning holds so little of a period that its
+        # samples per period overflow
+        if not MAX_SAMPLES / sys.float_info.max <= periods[-1] < math.inf:
+            raise ValueError(f"detuning {delta} gives ratio {ratio:.3g} with g1 = {cfg.g1} "
+                             f"and g2 = {cfg.g2}, whose window spans {periods[-1]} oscillation "
+                             "periods: a float cannot count them or its samples per period")
         windows.append(window)
         n_samples.append(int(min(
             MAX_SAMPLES, max(2001, math.ceil(SAMPLES_PER_PERIOD * periods[-1]))
         )))
 
-    # every detuning's blocks as one stack
-    stack = np.array(deltas, dtype=float)
-    members, h_full = full_charge_blocks(cfg, n0, m0, profile, stack)
-    # rows 2r and 2r + 1: detuning r's full block and its effective block on the
-    # full members, where |n-1, m, 3> keeps a zero row and column; the effective
-    # pair |n, m, 1> <-> |n-1, m+1, 2> is members 0 and 2 of a full block of three
-    h = np.zeros((2 * len(deltas), *h_full.shape[1:]), dtype=np.complex128)
-    h[0::2] = h_full
-    if len(members) == 3:
-        h[1::2, 0, 2] = h[1::2, 2, 0] = cfg.g1 * cfg.g2 / stack
+    # every detuning's full blocks as one stack
+    members, h = full_charge_blocks(cfg, n0, m0, profile, np.array(deltas, dtype=float))
     grids = group_populations(*np.linalg.eigh(h), [lvl for _, _, lvl in members], 3,
-                              [w for w in windows for _ in range(2)],
-                              [n for n in n_samples for _ in range(2)])
+                              windows, n_samples)
     points = []
-    for r, (full, eff) in enumerate(zip(grids, grids)):
-        where = f"detuning {deltas[r]!r}, block {(n0, m0)}"
-        check_unit_sum(full, windows[r], f"{where}, full model")
-        check_unit_sum(eff, windows[r], f"{where}, effective model")
+    for r, full in enumerate(grids):
+        where = f"detuning {deltas[r]!r}, block {(n0, m0)}, full model"
+        check_unit_sum(full, windows[r], where)
+        # the effective pair |n, m, 1> <-> |n-1, m+1, 2> is members 0 and 2 of a
+        # full block of three; without that partner the probe stays put
+        g = cfg.g1 * cfg.g2 / deltas[r] if len(members) == 3 else 0.0
+        effective = _exchange_populations(g, windows[r], n_samples[r])
         points.append(SweepPoint(
             delta=deltas[r],
             ratio=ratios[r],
-            population_deviation=float(np.abs(full[:, :2] - eff[:, :2]).max()),
+            population_deviation=float(np.abs(full.T[:2] - effective).max()),
             leak_max=float(full[:, 2].max()),
             samples=n_samples[r],
             samples_per_period=n_samples[r] / periods[r],

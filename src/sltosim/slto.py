@@ -83,18 +83,20 @@ def _row_sum_norm(a: np.ndarray) -> float:
     return float(np.abs(a).sum(axis=1).max())
 
 
-def _check_temperatures(beta1: float, beta2: float, factors: list[np.ndarray],
-                        names: tuple[str, str]):
-    """Refuse a beta1 or beta2 that is not finite, or at which the weighted
-    energy beta1 H_B1 + beta2 H_B2 (+ W_S) may overflow, naming each by ``names``.
+def _check_scales(u: np.ndarray, beta1: float, beta2: float, factors: list[np.ndarray],
+                  names: tuple[str, str, str]):
+    """Refuse, naming each by ``names`` before any product is formed, a beta1 or
+    beta2 that is not finite or at which the weighted energy may overflow, then
+    a U at which a product of its entries may.
 
-    ``factors`` are H_B1, H_B2 and, if given, W_S.  Every product the
-    verifier forms with a beta, a Gibbs exponent -beta (E - E_min) or an
-    entry of a weighted commutator with a unitary, is at most
-    2 (|beta1| r1 + |beta2| r2 + r_W) in size, r being a factor's
-    ``_row_sum_norm``, its largest |level| when it is diagonal.  A bound that
-    is not finite is refused here, before any of those products is formed;
-    it names the temperature whose own term overflows, else both.
+    With r a factor's ``_row_sum_norm`` (``factors`` are H_B1, H_B2, H_S and, if
+    given, W_S) and u the largest |Re| + |Im| of an entry of U, every product
+    with a beta (a Gibbs exponent, a weighted commutator with entries at most 1)
+    is at most w = 2 (|beta1| r1 + |beta2| r2 + r_W), and every product with U's
+    entries at most d^2 u^2 (U^dag U, U gamma U^dag, the off-block mass) or
+    u max(w, 2 (r1 + r2 + r_S)) (the commutators; the second term counts only
+    when finite).  An infinite w names the temperature whose own term
+    overflows, else both.
     """
     betas = (beta1, beta2)
     for name, beta in zip(names, betas):
@@ -102,13 +104,19 @@ def _check_temperatures(beta1: float, beta2: float, factors: list[np.ndarray],
             raise ConfigError(f"{name} must be finite, got {beta}")
     scales = [_row_sum_norm(a) for a in factors]
     terms = [abs(beta) * r for beta, r in zip(betas, scales)]
-    if math.isfinite(2 * (sum(terms) + sum(scales[2:]))):
-        return
-    at_fault = [k for k in (0, 1) if not math.isfinite(2 * terms[k])] or [0, 1]
-    raise ConfigError(
-        f"{' and '.join(f'{names[k]} {betas[k]!r}' for k in at_fault)}: the weighted energy "
-        f"beta1 H_B1 + beta2 H_B2 may overflow, with bath energy scales {scales[0]!r} "
-        f"and {scales[1]!r}")
+    weighted = 2 * (sum(terms) + sum(scales[3:]))
+    if not math.isfinite(weighted):
+        at_fault = [k for k in (0, 1) if not math.isfinite(2 * terms[k])] or [0, 1]
+        raise ConfigError(
+            f"{' and '.join(f'{names[k]} {betas[k]!r}' for k in at_fault)}: the weighted "
+            f"energy beta1 H_B1 + beta2 H_B2 may overflow, with bath energy scales "
+            f"{scales[0]!r} and {scales[1]!r}")
+    d, size = u.shape[0], max_abs(u.real) + max_abs(u.imag)
+    energy = 2 * sum(scales[:3])  # infinite on its own, it is the factors' fault, not U's
+    scale = max(weighted, energy) if math.isfinite(energy) else weighted
+    if not (math.isfinite(d * d * size * size) and math.isfinite(size * scale)):
+        raise ConfigError(f"{names[2]}: products of its entries may overflow, with largest "
+                          f"entry size {size!r} at dimension {d} and energy scale {scale!r}")
 
 
 def _eigenspaces(eigvals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -210,7 +218,7 @@ def verify_slto(
     beta1: float,
     beta2: float,
     w_system: Operator | None = None,
-    names: tuple[str, str] = ("beta1", "beta2"),
+    names: tuple[str, str, str] = ("beta1", "beta2", "U"),
 ) -> SltoCheckReport:
     """Check the defining properties of a semi-local thermal operation.
 
@@ -231,10 +239,12 @@ def verify_slto(
     products, U gamma U^dag and U^dag U.
 
     A beta that is not finite, or at which the weighted energy may
-    overflow, is refused first, named as ``names`` gives beta1 and beta2.
+    overflow, is refused first, then a U at which a product of its entries
+    may overflow, named as ``names`` gives beta1, beta2 and U.
     """
-    _check_temperatures(beta1, beta2, [h_bath1.entries, h_bath2.entries]
-                        + ([] if w_system is None else [w_system.entries]), names)
+    _check_scales(u.entries, beta1, beta2,
+                  [a.entries for a in (h_bath1, h_bath2, h_system, w_system) if a is not None],
+                  names)
     d1, d2, ds = dims = (h_bath1.dim, h_bath2.dim, h_system.dim)
     if d1 * d2 * ds != u.dim:
         raise ShapeError(f"factors {dims} do not multiply to the unitary dim {u.dim}")

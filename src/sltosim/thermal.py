@@ -65,12 +65,12 @@ def truncated_mass(omega: float, beta: float, n_max: int) -> float:
     return 1.0 - q ** (n_max + 1)
 
 
-def boltzmann_factor(omega: float, beta: float) -> float:
-    """e^{-beta omega}, refused when it rounds to 1: such a ladder has no finite
-    cutoff and no finite partition function 1 / (1 - e^{-beta omega})."""
+def boltzmann_factor(omega: float, beta: float, name: str = "beta*omega") -> float:
+    """e^{-beta omega}, refused as ``name`` when it rounds to 1: such a ladder has
+    no finite cutoff and no finite partition function 1 / (1 - e^{-beta omega})."""
     q = math.exp(-beta * omega)  # 0.0 once beta*omega > ~745: no tail at all
     if q == 1.0:
-        raise ValueError(f"beta*omega = {beta * omega} is too small for a finite cutoff")
+        raise ValueError(f"{name} = {beta * omega} is too small for a finite cutoff")
     return q
 
 

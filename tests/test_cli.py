@@ -722,6 +722,12 @@ def strict_json(text: str):
     return json.loads(text, parse_constant=refuse)
 
 
+def names_input(text: str, key: str) -> bool:
+    """Whether ``text`` names the input ``key``, as its key or as its flag."""
+    spellings = "|".join(map(re.escape, (key, "--" + key.replace("_", "-"))))
+    return re.search(rf"(?<![\w-])(?:{spellings})(?![\w-])", text) is not None
+
+
 @st.composite
 def edge_runs(draw):
     """A kind, and one or two of its numeric inputs, each with an edge value and
@@ -736,7 +742,8 @@ def edge_runs(draw):
 class TestEdgeValues:
     """Any kind with one or two numeric flags or --config entries at an edge
     value ends as a report (exit 0 or 1) that is standard JSON, or a refusal
-    (exit 2): no traceback, no warning, and no output directory on a refusal.
+    (exit 2): no traceback, no warning, no output directory, and a stderr
+    that names at least one of the edited inputs, by its key or its flag.
     An integer input takes the integer of an integral value, a list input the
     value as one entry.  verify-slto checks one small export, made once."""
 
@@ -788,9 +795,18 @@ class TestEdgeValues:
         assert code in (0, 1, 2), err.getvalue()
         assert "Traceback" not in out.getvalue() + err.getvalue()
         assert [str(w.message) for w in caught] == []
-        assert code != 2 or not (work / "out").exists()
-        if code != 2:
+        if code == 2:
+            assert not (work / "out").exists()
+            assert any(names_input(err.getvalue(), key) for key in edits), err.getvalue()
+        else:
             strict_json((work / "out" / "report.json").read_text())
+
+
+#: how a cycle's refusal names each quantity that overflows, as a regular expression
+POWER = re.escape("power 2*g*(omega1 - omega2)/pi")
+ENERGY = re.escape("largest level energy n_max1*omega1 + n_max2*omega2 + a1")
+WEIGHTED_ENERGY = re.escape(
+    "largest weighted level energy beta1*n_max1*omega1 + beta2*n_max2*omega2")
 
 
 class TestCycleRange:
@@ -807,19 +823,19 @@ class TestCycleRange:
         assert code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: beta*omega = 1e-17 is too small for a finite cutoff\n"
+        assert captured.err == "error: beta1*omega1 = 1e-17 is too small for a finite cutoff\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("argv, name", [
-        (["abstract-cycle", "--omega1", "1e160", "--g", "1e154"], "power 2\\*g\\*w_ext/pi"),
-        (["abstract-cycle", "--omega1", "1e308", "--g", "0.1"], "largest level energy"),
+        (["abstract-cycle", "--omega1", "1e160", "--g", "1e154"], POWER),
+        (["abstract-cycle", "--omega1", "1e308", "--g", "0.1"], ENERGY),
         # beta1*omega1 is 1e308 and beta1*n*omega1 at n = 2 overflows
         (["abstract-cycle", "--beta1", "1e100", "--beta2", "1.5e100", "--omega1", "1e208",
-          "--g", "0.1"], "largest weighted level energy"),
+          "--g", "0.1"], WEIGHTED_ENERGY),
         # the effective coupling g1*g2/detuning is 1.25e78
         (["optics-cycle", "--omega1", "1e240", "--g1", "1e80", "--g2", "1e80",
-          "--detuning", "8e81"], "power 2\\*g\\*w_ext/pi"),
-        (["optics-cycle", "--omega1", "1e308"], "largest level energy"),
+          "--detuning", "8e81"], POWER),
+        (["optics-cycle", "--omega1", "1e308"], ENERGY),
     ], ids=["power", "energy", "weighted-energy", "optics-power", "optics-energy"])
     def test_overflowing_cycle_is_a_usage_error(self, tmp_path, capsys, argv, name):
         out = tmp_path / "o"
@@ -866,14 +882,22 @@ class TestUsageErrors:
         (["optics-cycle", "--beta1", "0.5", "--beta2", "1", "--omega1", "2",
           "--detuning", "inf"], "detuning"),
         (["delta-sweep", "--g1", "nan"], "g1"),
+        # delta-sweep has no omega1 flag: argparse refuses it
         (["delta-sweep", "--omega1", "nan"], "omega1"),
         (["abstract-cycle", "--beta1", "0.5", "--beta2", "1", "--omega1", "inf",
           "--g", "0.1"], "omega1"),
         (["optics-cycle", "--beta1", "0.5", "--beta2", "1", "--omega1", "inf"], "omega1"),
     ])
     def test_non_finite_input_named(self, tmp_path, capsys, argv, field):
-        assert main([*argv, "--out", str(tmp_path / "o"), "--no-color"]) == 2
-        assert capsys.readouterr().err.startswith(f"error: {field} must be finite, got ")
+        argv = [*argv, "--out", str(tmp_path / "o"), "--no-color"]
+        if field in KINDS[argv[0]].params:
+            assert main(argv) == 2
+            assert capsys.readouterr().err.startswith(f"error: {field} must be finite, got ")
+        else:
+            with pytest.raises(SystemExit) as exit_:
+                main(argv)
+            assert exit_.value.code == 2
+            assert f"unrecognized arguments: --{field} nan" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
 
@@ -927,9 +951,14 @@ class TestDeltaSweepCommand:
          "coupling g1 = 1e+160 is outside the model's range: g1*g1 must be finite"),
         # the cycle at ratio 1e200 spans an infinite number of periods
         (["--g1", "0.5", "--g2", "0.5", "--ratios", "20,1e200"],
-         "detuning 5e+199 gives ratio 1e+200, whose cycle spans more oscillation periods "
-         "than a float can count"),
-    ], ids=["coupling", "detuning"])
+         "ratios: detuning 5e+199 gives ratio 1e+200 with g1 = 0.5 and g2 = 0.5, whose window "
+         "spans inf oscillation periods: a float cannot count them or its samples per period"),
+        # with no effective coupling the window of 1 holds almost no period
+        (["--g1", "0", "--g2", "1e-320", "--ratios", "20,40"],
+         "ratios: detuning 2e-319 gives ratio 20 with g1 = 0.0 and g2 = 1e-320, whose window "
+         "spans 3.8196e-320 oscillation periods: a float cannot count them or its samples "
+         "per period"),
+    ], ids=["coupling", "detuning", "window"])
     def test_overflowing_sweep_is_a_usage_error(self, tmp_path, capsys, argv, message):
         out = tmp_path / "o"
         code = main(["delta-sweep", *argv, "--out", str(out), "--no-color"])
@@ -937,6 +966,22 @@ class TestDeltaSweepCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["beta1", "beta2", "omega1"])
+    def test_ladder_inputs_refused(self, tmp_path, capsys, key):
+        """The sweep evolves one probe sector and takes no ladder temperature or
+        frequency, as a flag or as a --config key."""
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exit_:
+            main(["delta-sweep", f"--{key}", "0.7", "--out", str(out), "--no-color"])
+        assert exit_.value.code == 2
+        assert f"unrecognized arguments: --{key} 0.7" in capsys.readouterr().err
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({key: 0.7}))
+        assert main(["delta-sweep", "--config", str(config), "--out", str(out),
+                     "--no-color"]) == 2
+        assert capsys.readouterr().err == f"error: {config}: unknown keys ['{key}']\n"
         assert not out.exists()
 
     def test_non_finite_ratio_is_usage_error(self, tmp_path):
@@ -1540,6 +1585,47 @@ class TestVerifySltoCommand:
         named = " and ".join(named).format(config=tmp_path / "cfg.json")
         assert err.startswith(f"error: {named}: the weighted energy ")
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("entry, code", [(1e308, 2), (-1e200j, 2), (1e150, 1)])
+    @pytest.mark.parametrize("in_config", [False, True], ids=["flag", "config"])
+    def test_overflowing_unitary_entry_named(self, tmp_path, engine_matrices, capsys, entry,
+                                             code, in_config):
+        """A U with an entry whose square overflows is refused, named by --unitary
+        or its --config key and by its file, before any product is formed: no
+        warning, no report.  At 1e150 every product is finite and U is checked."""
+        _, d = engine_matrices
+        u = np.eye(50, dtype=complex)
+        u[0, 1] = entry
+        write_matrix_file(d / "big.txt", u, (5, 5, 2))
+        args = self.verify_args(d, "big.txt", tmp_path / "o")
+        named = f"--unitary {d / 'big.txt'}"
+        if in_config:
+            (tmp_path / "cfg.json").write_text(json.dumps({"unitary": str(d / "big.txt")}))
+            at = args.index("--unitary")
+            args[at:at + 2] = ["--config", str(tmp_path / "cfg.json")]
+            named = f"{tmp_path / 'cfg.json'}: unitary {d / 'big.txt'}"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(args) == code
+        assert [str(w.message) for w in caught] == []
+        err = capsys.readouterr().err
+        if code == 2:
+            assert err.startswith(f"error: {named}: products of its entries may overflow")
+            assert not (tmp_path / "o").exists()
+        else:
+            assert err == ""
+            strict_json((tmp_path / "o" / "report.json").read_text())
+
+    def test_huge_system_level_is_not_blamed_on_the_unitary(self, tmp_path, engine_matrices):
+        """A system level of 1e308 makes the energy scale 2 (r1 + r2 + r_S) infinite
+        by itself; the exported unitary is still checked, without a warning."""
+        _, d = engine_matrices
+        write_matrix_file(d / "hs.txt", np.diag([0.0, 1e308]).astype(complex))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(self.verify_args(d, "u.txt", tmp_path / "o")) == 1
+        assert [str(w.message) for w in caught] == []
+        strict_json((tmp_path / "o" / "report.json").read_text())
 
     def test_non_finite_matrix_entry_named(self, tmp_path, engine_matrices, capsys):
         cfg, d = engine_matrices

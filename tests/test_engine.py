@@ -109,7 +109,8 @@ class TestConfig:
         cfg = small_config(omega1=1e308, a0=1e308, n_max1=1, n_max2=1)
         total, weighted = cfg.charges(1, 1, 1)
         assert total == math.inf and weighted == 1e308
-        with pytest.raises(ValueError, match="the cycle's largest level energy is inf; "):
+        with pytest.raises(ValueError, match=r"the cycle's largest level energy "
+                                             r"n_max1\*omega1 \+ n_max2\*omega2 \+ a1 is inf; "):
             evolve_cycle(cfg)
 
 
