@@ -239,8 +239,8 @@ def _cycle_results(report: CycleReport) -> dict:
         "partition_function1": report.partition_function1,
         "partition_function2": report.partition_function2,
         "final_system_populations": [float(p) for p in report.final_system_populations],
-        "entanglement_max": float(np.max(report.entanglement_trace)),
-        "speed_mean": float(np.mean(report.speed_trace)),
+        "entanglement_max": float(report.entanglement_trace.max()),
+        "speed_mean": float(report.speed_trace.mean()),
     }
 
 
@@ -268,13 +268,16 @@ def _cycle_checks(report: CycleReport) -> dict:
 
 def _cycle_series(report: CycleReport) -> list[list]:
     # Python floats: run_experiment formats them twice as fast as np.float64
-    pops = report.population_trace
-    return np.column_stack([
-        report.times, pops[:, 0], pops[:, 1], np.zeros(len(report.times)),
-        report.entanglement_trace,
-        report.bath1_energy_trace, report.bath2_energy_trace,
-        report.residual_energy_trace, report.residual_weighted_trace,
-    ]).tolist()
+    # the columns of SERIES_HEADER; pop3 stays 0
+    series = np.zeros((len(report.times), 9))
+    series[:, 0] = report.times
+    series[:, 1:3] = report.population_trace
+    series[:, 4] = report.entanglement_trace
+    series[:, 5] = report.bath1_energy_trace
+    series[:, 6] = report.bath2_energy_trace
+    series[:, 7] = report.residual_energy_trace
+    series[:, 8] = report.residual_weighted_trace
+    return series.tolist()
 
 
 SERIES_HEADER = "t,pop1,pop2,pop3,S_ent,E_B1,E_B2,resid_energy,resid_weighted"
@@ -329,7 +332,7 @@ def run_optics_cycle_cmd(params: dict, out_dir: Path,
     results["final_state_expected"] = [float(p) for p in expected]
     checks = _cycle_checks(report)
     checks["final_state_formula"] = _check(
-        float(np.max(np.abs(corrected - expected))), PASS_THRESHOLDS["final_state_formula"]
+        float(np.abs(corrected - expected).max()), PASS_THRESHOLDS["final_state_formula"]
     )
     results["config_used"] = {
         "beta1": cfg.beta1, "beta2": cfg.beta2, "omega1": cfg.omega1, "omega2": cfg.omega2,
@@ -364,6 +367,11 @@ def run_delta_sweep(params: dict, out_dir: Path,
         raise ConfigError(f"block: need two integers n,m, got {list(block)!r}")
     g1 = params.get("g1", 0.5)
     g2 = params.get("g2", 0.5)
+    # with no effective coupling there is no cycle, and no window to compare over
+    if g1 * g2 == 0:
+        raise ConfigError(f"{_source(sources, 'g1')} {g1!r}, {_source(sources, 'g2')} {g2!r}: "
+                          "the sweep needs an effective coupling g1*g2/delta > 0, "
+                          f"got g1*g2 = {g1 * g2!r}")
     deltas = [r * max(g1, g2) for r in ratios]
     # a coupling that is not finite is the config's to name
     if min(deltas) <= 0 or (math.inf in deltas and math.isfinite(g1) and math.isfinite(g2)):

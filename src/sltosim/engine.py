@@ -182,7 +182,7 @@ class CompactEngineConfig:
         weighted energy beta1*n*omega1 + beta2*m*omega2.  A charge too large
         for a float is inf."""
         with np.errstate(over="ignore"):
-            total = n * self.omega1 + m * self.omega2 + np.array([self.a0, self.a1])[level]
+            total = n * self.omega1 + m * self.omega2 + np.array([self.a0, self.a1]).take(level)
             weighted = self.beta1 * n * self.omega1 + self.beta2 * m * self.omega2
         return total, weighted
 
@@ -221,17 +221,25 @@ def pair_generator(g: float) -> Operator:
 def exchange_amplitudes(g: float, times: np.ndarray) -> np.ndarray:
     """exp(-i t g*sigma_x)|0> as (len(times), 2) rows [cos(g t), -i sin(g t)]: the
     cycle's ``amplitudes`` reference and the detuning sweep's effective model."""
-    return np.stack([np.cos(g * times), -1j * np.sin(g * times)], axis=1)
+    amps = np.zeros((len(times), 2), dtype=np.complex128)
+    gt = g * times
+    np.cos(gt, out=amps.real[:, 0])
+    np.negative(np.sin(gt), out=amps.imag[:, 1])
+    return amps
 
 
 def _sector_members(cfg: CompactEngineConfig, n: np.ndarray, m: np.ndarray) -> np.ndarray:
     """The pairing rule over the sectors (n[k], m[k]): row k of the (k, 2, 3) int
     table is (|n, m, 0>, |n-1, m+1, 1>), each state as (n, m, level), with -1 in
     the partner slot of a sector without one (n = 0, or m at the cold cutoff)."""
-    coupled = ((n >= 1) & (m < cfg.n_max2))[:, None]
-    source = np.stack([n, m, 0 * n], axis=1)
-    target = np.where(coupled, np.stack([n - 1, m + 1, 0 * n + 1], axis=1), -1)
-    return np.stack([source, target], axis=1)
+    members = np.full((len(n), 2, 3), -1, dtype=n.dtype)
+    members[:, 0, 0], members[:, 0, 1], members[:, 0, 2] = n, m, 0
+    # one masked pass per target column: a masked (k, 3) pass runs row by row
+    coupled = (n >= 1) & (m < cfg.n_max2)
+    np.subtract(n, 1, out=members[:, 1, 0], where=coupled)
+    np.add(m, 1, out=members[:, 1, 1], where=coupled)
+    np.copyto(members[:, 1, 2], 1, where=coupled)
+    return members
 
 
 def enumerate_blocks(cfg: CompactEngineConfig) -> np.ndarray:
@@ -342,11 +350,11 @@ class CycleReport:
 
     @property
     def commutator_residual_energy(self) -> float:
-        return float(np.max(self.residual_energy_trace))
+        return float(self.residual_energy_trace.max())
 
     @property
     def commutator_residual_weighted(self) -> float:
-        return float(np.max(self.residual_weighted_trace))
+        return float(self.residual_weighted_trace.max())
 
     @property
     def partition_function1(self) -> float:
@@ -406,8 +414,8 @@ def evolve_cycle(cfg: CompactEngineConfig) -> CycleReport:
     members = enumerate_blocks(cfg)
     coupled = members[:, 1, 0] >= 0
     # members as (n, m, level): (P, 2, 3) for the pairs (source, target), (I, 3) idle
-    pairs = members[coupled]
-    idle = members[~coupled, 0]
+    pairs = members.compress(coupled, axis=0)
+    idle = members.compress(~coupled, axis=0)[:, 0]
 
     p1 = gibbs_probabilities(cfg.omega1, cfg.beta1, cfg.n_max1)
     p2 = gibbs_probabilities(cfg.omega2, cfg.beta2, cfg.n_max2)
@@ -419,41 +427,44 @@ def evolve_cycle(cfg: CompactEngineConfig) -> CycleReport:
     boundary_weight = float((1.0 - p1[0]) * p2[cfg.n_max2])
 
     amps = SpectralPropagator(pair_generator(cfg.g)).states(basis_state(2, 0), times)
-    norms = np.linalg.norm(amps, axis=1)
-    bad = np.flatnonzero(~(np.abs(norms - 1.0) <= 1e-10))  # a NaN norm fails too
-    if bad.size:
-        k = bad[0]
+    norms = np.sqrt((amps.real**2 + amps.imag**2).sum(axis=1))
+    unit = np.abs(norms - 1.0) <= 1e-10  # a NaN norm fails too
+    if not unit.all():
+        k = np.flatnonzero(~unit)[0]
         raise InvariantError(
             f"state vector norm {float(norms[k])!r} at t = {float(times[k])!r} "
             "differs from 1 by > 1e-10"
         )
     psi0 = StateVector(amps[0])
-    transfer = np.abs(amps[:, 1]) ** 2  # per-sector excited probability
+    off = np.abs(amps[:, 1])  # the only off-diagonal entries of U(t)
+    transfer = off**2  # per-sector excited probability
+    rest = 1.0 - transfer
 
     ideal = exchange_amplitudes(cfg.g, times)
-    amplitude_residual = float(np.max(np.abs(amps - ideal))) if pairs.size else 0.0
+    amplitude_residual = float(np.abs(amps - ideal).max()) if pairs.size else 0.0
 
     # entropy of the system's diag(1 - p, p); a sum of two terms needs no eigvalsh order
-    pr = np.clip(np.stack([1.0 - transfer, transfer], axis=1), 0.0, 1.0)
-    pr = pr / pr.sum(axis=1, keepdims=True)
-    kept = pr > EIGENVALUE_FLOOR
-    terms = np.where(kept, pr * np.log(np.where(kept, pr, 1.0)), 0.0)
-    entanglement = -np.sum(terms, axis=1) + 0.0
+    pr = np.empty((len(times), 2))
+    pr[:, 0], pr[:, 1] = rest, transfer
+    np.clip(pr, 0.0, 1.0, out=pr)
+    pr /= pr.sum(axis=1, keepdims=True)
+    terms = pr * np.log(pr, out=np.zeros_like(pr), where=pr > EIGENVALUE_FLOOR)
+    entanglement = -terms.sum(axis=1) + 0.0
     # spread of g*sigma_x: it swaps the pair's amplitudes
     hpsi = cfg.g * amps[:, ::-1]
-    mean = np.real(np.sum(amps.conj() * hpsi, axis=1))
-    second = np.sum(hpsi.real**2 + hpsi.imag**2, axis=1)
+    mean = (amps.conj() * hpsi).sum(axis=1).real
+    second = (hpsi.real**2 + hpsi.imag**2).sum(axis=1)
     speed = np.sqrt(np.maximum(second - mean**2, 0.0))
     fs_dist = 0.5 * (1.0 - np.abs(amps @ psi0.amplitudes.conj()) ** 2)
 
-    pop_excited = success_weight * transfer
-    population_trace = np.stack([1.0 - pop_excited, pop_excited], axis=1)
+    population_trace = np.empty((len(times), 2))
+    pop_excited = np.multiply(success_weight, transfer, out=population_trace[:, 1])
+    np.subtract(1.0, pop_excited, out=population_trace[:, 0])
 
     # a pair holds its source occupations with weight 1 - p, its target ones with p
     source, target = pairs[:, 0], pairs[:, 1]
     bath1_energy, bath2_energy = (
-        ((1.0 - transfer) * (source[:, q] @ pair_w) + transfer * (target[:, q] @ pair_w))
-        * omega
+        (rest * (source[:, q] @ pair_w) + transfer * (target[:, q] @ pair_w)) * omega
         + float(idle_w @ idle[:, q]) * omega
         for q, omega in ((0, cfg.omega1), (1, cfg.omega2))
     )
@@ -462,7 +473,6 @@ def evolve_cycle(cfg: CompactEngineConfig) -> CycleReport:
     e_total, e_weighted = cfg.charges(pairs[..., 0], pairs[..., 1], pairs[..., 2])
     gap_total = max_abs(e_total[:, 0] - e_total[:, 1])
     gap_weighted = max_abs(e_weighted[:, 0] - e_weighted[:, 1])
-    off = np.abs(amps[:, 1])  # the only off-diagonal entries of U(t)
     residual_energy_trace = off * gap_total
     residual_weighted_trace = off * gap_weighted
 

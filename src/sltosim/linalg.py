@@ -53,7 +53,7 @@ def _complex_matrix(entries, copy: bool = True) -> np.ndarray:
 
 def max_abs(a: np.ndarray) -> float:
     """Max-entry magnitude, 0.0 for empty arrays."""
-    return float(np.max(np.abs(a))) if a.size else 0.0
+    return float(np.abs(a).max()) if a.size else 0.0
 
 
 @dataclass(frozen=True)
@@ -183,8 +183,10 @@ class SpectralPropagator:
     def states(self, psi0: StateVector, times: Sequence[float]) -> np.ndarray:
         """Amplitudes of exp(-i t h) |psi0> for each t; shape (len(times), dim)."""
         c0 = self.eigvecs.conj().T @ psi0.amplitudes
-        phases = np.exp(-1j * np.outer(np.asarray(times, dtype=float), self.eigvals))
-        return (phases * c0) @ self.eigvecs.T
+        phases = np.multiply(-1j, np.asarray(times, dtype=float)[:, None] * self.eigvals)
+        np.exp(phases, out=phases)
+        phases *= c0
+        return phases @ self.eigvecs.T
 
 
 def group_populations(eigvals: np.ndarray, eigvecs: np.ndarray, groups: Sequence[int],

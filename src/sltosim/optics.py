@@ -89,8 +89,8 @@ class OpticsEngineConfig:
     derived, and the upper level lies ``delta`` above the photon on both
     legs.  The cavity's own rules come first: finite g1, g2, delta and
     min_detuning_ratio, couplings non-negative with finite squares g_k*g_k
-    (the f-table rule), delta > 0, and delta/g_k at or above
-    ``min_detuning_ratio``.  It then adds beta1 < beta2, a rounded omega2
+    (the f-table rule), delta > 0, and delta at or above
+    ``min_detuning_ratio`` * g_k.  It then adds beta1 < beta2, a rounded omega2
     below omega1, and cutoffs of at least 1.
     """
 
@@ -119,13 +119,14 @@ class OpticsEngineConfig:
                                  f"{name}*{name} must be finite")
         if self.delta <= 0:
             raise ValueError("detuning must be positive")
-        if max(self.g1, self.g2) > 0:
-            ratio = self.delta / max(self.g1, self.g2)
-            if ratio < self.min_detuning_ratio:
-                raise ValueError(
-                    f"detuning ratio {ratio:.2f} below configured minimum "
-                    f"{self.min_detuning_ratio}"
-                )
+        # the floor tested on the product: a delta formed as r*g with r at or
+        # above the floor passes it, where delta/g can round below the floor
+        g_top = max(self.g1, self.g2)
+        if self.delta < self.min_detuning_ratio * g_top:
+            raise ValueError(
+                f"detuning ratio {self.delta / g_top:.2f} below configured minimum "
+                f"{self.min_detuning_ratio}"
+            )
         # at beta1 = beta2 a rounded omega2 above omega1 would be refused by
         # the level a1 of the ladders, which the caller never gave
         if self.beta1 == self.beta2:
@@ -359,7 +360,7 @@ def adiabatic_elimination_error(
     populations are |``engine.exchange_amplitudes``(g1*g2/Delta, t)|^2 on
     the same grid when the probe has its partner |n-1, m+1, 2>, and
     [1, 0] when it has none.  Each detuning must be finite and positive,
-    at a ratio Delta/max(g1, g2) of at least ``cfg.min_detuning_ratio``,
+    at or above ``cfg.min_detuning_ratio`` * max(g1, g2),
     with a window whose oscillation periods, and samples per period, a
     float can count.
 
@@ -383,7 +384,7 @@ def adiabatic_elimination_error(
         if not (math.isfinite(delta) and delta > 0):
             raise ValueError(f"detuning {delta} must be finite and positive")
         ratio = delta / g_top if g_top > 0 else math.inf
-        if ratio < cfg.min_detuning_ratio:
+        if delta < cfg.min_detuning_ratio * g_top:  # as OpticsEngineConfig tests it
             raise ValueError(f"detuning {delta} gives ratio {ratio:.2f} < "
                              f"{cfg.min_detuning_ratio:g}; elimination invalid")
         ratios.append(ratio)

@@ -632,6 +632,10 @@ class TestRefusalsNameTheirInput:
         ("optics-cycle", ["--g1", "1e-200", "--g2", "1e-200"], ["g1", "g2", "detuning"]),
         # the sweep's detunings are its ratios times max(g1, g2)
         ("delta-sweep", ["--g1", "0", "--g2", "0"], ["g1", "g2"]),
+        # one zero coupling leaves no effective coupling g1*g2/delta, and no cycle
+        ("delta-sweep", ["--g2", "0"], ["--g1", "--g2"]),
+        ("delta-sweep", ["--g1", "0"], ["--g1", "--g2"]),
+        ("delta-sweep", [ConfigEntries(g2=0.0)], ["--g1", "g2", "!--g2"]),
         # a ratio that is not finite and positive is the fault of the ratios alone
         ("delta-sweep", ["--ratios", "nan,20"], ["ratios", "!delta"]),
         ("delta-sweep", ["--ratios", "20,inf"], ["ratios", "!detuning"]),
@@ -953,11 +957,10 @@ class TestDeltaSweepCommand:
         (["--g1", "0.5", "--g2", "0.5", "--ratios", "20,1e200"],
          "ratios: detuning 5e+199 gives ratio 1e+200 with g1 = 0.5 and g2 = 0.5, whose window "
          "spans inf oscillation periods: a float cannot count them or its samples per period"),
-        # with no effective coupling the window of 1 holds almost no period
+        # with no effective coupling there is no cycle to sample
         (["--g1", "0", "--g2", "1e-320", "--ratios", "20,40"],
-         "ratios: detuning 2e-319 gives ratio 20 with g1 = 0.0 and g2 = 1e-320, whose window "
-         "spans 3.8196e-320 oscillation periods: a float cannot count them or its samples "
-         "per period"),
+         "--g1 0.0, --g2 1e-320: the sweep needs an effective coupling g1*g2/delta > 0, "
+         "got g1*g2 = 0.0"),
     ], ids=["coupling", "detuning", "window"])
     def test_overflowing_sweep_is_a_usage_error(self, tmp_path, capsys, argv, message):
         out = tmp_path / "o"
@@ -1032,6 +1035,15 @@ class TestDeltaSweepCommand:
         assert (capsys.readouterr().err
                 == f"error: ratios: need at least two distinct values, got {shown!r}\n")
         assert not (tmp_path / "o").exists()
+
+    def test_ratio_at_the_floor_runs(self, tmp_path, capsys):
+        # 5*g/g rounds below 5 at this g; the floor is tested on 5*g itself
+        code = main(["delta-sweep", "--ratios", "5,9", "--g1", "0.22468215560642968",
+                     "--g2", "0.22468215560642968", "--out", str(tmp_path / "o"),
+                     "--no-color"])
+        assert code in (0, 1)
+        assert capsys.readouterr().err == ""
+        assert (tmp_path / "o" / "report.json").exists()
 
     def test_distinct_ratios_at_one_detuning_have_no_slope(self, tmp_path, capsys):
         # 30 and the next float above it give the same detuning 9.0 at g1 = g2 = 0.3
@@ -2393,6 +2405,38 @@ class TestRunExperimentApi:
         expected = [",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row)
                     for row in series]
         assert lines[1:] == expected
+
+    @pytest.mark.parametrize("kind, params, build", [
+        ("abstract-cycle", {"beta1": 0.5, "beta2": 1.0, "omega1": 2.0, "g": 0.1,
+                            "n_max1": 3, "n_max2": 4}, "evolve_cycle"),
+        ("optics-cycle", {"beta1": 0.5, "beta2": 1.0, "omega1": 2.0}, "run_optics_cycle"),
+    ])
+    def test_cycle_series_columns_are_the_report_traces(self, tmp_path, monkeypatch, kind,
+                                                        params, build):
+        """Each series.csv column holds its CycleReport trace, read back exactly."""
+        reports = []
+
+        def recorded(cfg, run=getattr(cli, build)):
+            reports.append(run(cfg))
+            return reports[-1]
+
+        monkeypatch.setattr(cli, build, recorded)
+        artifact = run_experiment(kind, params, tmp_path, write_series=True)
+        header, *lines = Path(artifact.series_path).read_text().splitlines()
+        columns = dict(zip(header.split(","),
+                           zip(*([float(text) for text in line.split(",")] for line in lines))))
+        (report,) = reports
+        pops = report.population_trace
+        expected = {
+            "t": report.times, "pop1": pops[:, 0], "pop2": pops[:, 1],
+            "pop3": np.zeros(len(report.times)), "S_ent": report.entanglement_trace,
+            "E_B1": report.bath1_energy_trace, "E_B2": report.bath2_energy_trace,
+            "resid_energy": report.residual_energy_trace,
+            "resid_weighted": report.residual_weighted_trace,
+        }
+        assert list(columns) == list(expected)
+        for name, values in expected.items():
+            assert columns[name] == tuple(values.tolist()), name
 
     @pytest.mark.parametrize("chunk", [1, 7, 41, 4096])  # 41 rows: partial, exact, one chunk
     def test_series_bytes_do_not_depend_on_the_chunk(self, tmp_path, monkeypatch, chunk):

@@ -347,6 +347,15 @@ class TestAdiabaticElimination:
         with pytest.raises(ValueError):
             adiabatic_elimination_error(cfg, uniform_exchange_profile(cfg), [1.0])
 
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(st.floats(0.01, 10.0))
+    @example(0.22468215560642968)  # 5*g/g rounds below 5 here
+    def test_detuning_formed_at_the_floor_is_accepted(self, g):
+        cfg = small_optics(g1=g, g2=g, delta=5.0 * g, min_detuning_ratio=5.0)
+        points = adiabatic_elimination_error(cfg, uniform_exchange_profile(cfg),
+                                             [5.0 * g, 9.0 * g])
+        assert [p.delta for p in points] == [5.0 * g, 9.0 * g]
+
     @pytest.mark.parametrize("bad", [math.inf, math.nan])
     def test_non_finite_detuning_rejected(self, bad):
         cfg = small_optics()
