@@ -24,10 +24,15 @@ entry.  Only ``design`` is random, so only it takes
 
 Every run writes ``report.json`` into the output directory (also on
 physics failure, with the failing checks flagged); ``--series`` adds a
-CSV time series, ``--json-report`` echoes the report to stdout.  A run
-that stops on an error writes nothing.  Exit codes: 0 all checks pass,
-1 a physics check failed, 2 bad usage or config, 3 I/O failure, 4 an
-internal invariant failed (a bug, not bad input).
+CSV time series, ``--json-report`` echoes the report to stdout.  A
+series is one float array, the one the runner already holds, written a
+slice of rows at a time with every value as ``%.17g``: the cycles'
+(samples, 9) trace table, the sweep's (ratios, 4) table, and the design
+walk's 1-D cost trace, whose rows are ``iteration,cost`` with each run
+of equal costs formatted once.  A run that stops on an error writes
+nothing.  Exit codes: 0 all checks pass, 1 a physics check failed, 2
+bad usage or config, 3 I/O failure, 4 an internal invariant failed (a
+bug, not bad input).
 
 Matrix files, which ``verify-slto`` reads and ``abstract-cycle
 --export-matrices`` writes, are described in ``bytescan``, which reads
@@ -266,8 +271,7 @@ def _cycle_checks(report: CycleReport) -> dict:
     }
 
 
-def _cycle_series(report: CycleReport) -> list[list]:
-    # Python floats: run_experiment formats them twice as fast as np.float64
+def _cycle_series(report: CycleReport) -> np.ndarray:
     # the columns of SERIES_HEADER; pop3 stays 0
     series = np.zeros((len(report.times), 9))
     series[:, 0] = report.times
@@ -277,14 +281,14 @@ def _cycle_series(report: CycleReport) -> list[list]:
     series[:, 6] = report.bath2_energy_trace
     series[:, 7] = report.residual_energy_trace
     series[:, 8] = report.residual_weighted_trace
-    return series.tolist()
+    return series
 
 
 SERIES_HEADER = "t,pop1,pop2,pop3,S_ent,E_B1,E_B2,resid_energy,resid_weighted"
 
 
 def run_abstract_cycle(params: dict, out_dir: Path,
-                       sources: dict) -> tuple[dict, dict, list | None]:
+                       sources: dict) -> tuple[dict, dict, np.ndarray]:
     if params["beta1"] >= params["beta2"]:
         raise ConfigError("abstract-cycle needs beta1 < beta2")
     # every other key of the kind is a field of the config, which holds the defaults
@@ -310,7 +314,7 @@ def run_abstract_cycle(params: dict, out_dir: Path,
 
 
 def run_optics_cycle_cmd(params: dict, out_dir: Path,
-                         sources: dict) -> tuple[dict, dict, list | None]:
+                         sources: dict) -> tuple[dict, dict, np.ndarray]:
     # every key but detuning, the config's delta, is a field of the config
     fields = {"g1": 2.0, "g2": 2.0, **params}
     delta = fields.pop("detuning", 80.0)
@@ -353,7 +357,7 @@ def _slope_band(slope: float | None, low: float, high: float) -> dict:
 
 
 def run_delta_sweep(params: dict, out_dir: Path,
-                    sources: dict) -> tuple[dict, dict, list | None]:
+                    sources: dict) -> tuple[dict, dict, np.ndarray]:
     ratios = params.get("ratios", [20.0, 40.0, 80.0, 160.0])
     if not hasattr(ratios, "__len__") or len(ratios) < 2:
         raise ConfigError(f"ratios: need at least two sweep points, got {ratios!r}")
@@ -407,7 +411,8 @@ def run_delta_sweep(params: dict, out_dir: Path,
         "sampling_density": {"value": density, "threshold": SAMPLES_PER_PERIOD,
                              "passed": density >= SAMPLES_PER_PERIOD},
     }
-    series = [[p.delta, p.ratio, p.population_deviation, p.leak_max] for p in points]
+    series = np.array([[p.delta, p.ratio, p.population_deviation, p.leak_max]
+                       for p in points])
     return results, checks, series
 
 
@@ -469,7 +474,7 @@ def _named(name: str, build, *args, **kwargs):
         raise ConfigError(f"{name}: {err}") from err
 
 
-def run_design(params: dict, out_dir: Path, sources: dict) -> tuple[dict, dict, Iterable[list]]:
+def run_design(params: dict, out_dir: Path, sources: dict) -> tuple[dict, dict, np.ndarray]:
     # each input as (value, what its refusal names); a flag or --config key
     # overrides the design-file entry that sets the same field
     given = {key: (value, f"{_source(sources, key)} {value!r}") for key, value in params.items()}
@@ -489,6 +494,9 @@ def run_design(params: dict, out_dir: Path, sources: dict) -> tuple[dict, dict, 
                                ("targets", "f"), ("targets", "theta")):
             if not isinstance(spec.get(section), dict) or entry not in spec[section]:
                 raise ConfigError(f"{path}: design file lacks {section}.{entry}")
+            if not VALUE_KINDS[_float_list][0](spec[section][entry]):
+                raise ConfigError(f"{path}: design file {section}.{entry} must be a list "
+                                  f"of numbers, got {spec[section][entry]!r}")
         for section, entry, key, kind in DESIGN_SCALARS:
             entries, (accepts, what) = spec.get(section, {}), VALUE_KINDS[kind]
             name = f"{path}: design file {section}"
@@ -552,13 +560,7 @@ def run_design(params: dict, out_dir: Path, sources: dict) -> tuple[dict, dict, 
     _make_dir(out_path.parent)
     _write_new(out_path, (json.dumps(design, indent=2, sort_keys=True), "\n"))
     results["design_path"] = str(out_path)
-    # (iteration, cost) rows of Python floats, built a chunk at a time and
-    # only if run_experiment writes series.csv
-    series = itertools.chain.from_iterable(
-        enumerate(trace[start : start + SERIES_CHUNK_ROWS].tolist(), start)
-        for start in range(0, trace.size, SERIES_CHUNK_ROWS)
-    )
-    return results, checks, series
+    return results, checks, trace
 
 
 def _hermitian_file(params: dict, sources: dict, key: str) -> Operator:
@@ -571,12 +573,16 @@ def _hermitian_file(params: dict, sources: dict, key: str) -> Operator:
 
 
 def run_verify_slto(params: dict, out_dir: Path,
-                    sources: dict) -> tuple[dict, dict, list | None]:
+                    sources: dict) -> tuple[dict, dict, None]:
     u_entries, layout = read_matrix_file(params["unitary"])
     h1, h2, hs = (_hermitian_file(params, sources, key) for key in ("bath1", "bath2", "system"))
-    if layout is not None and (h1.dim, h2.dim, hs.dim) != tuple(layout):
-        raise ConfigError(f"factor files {(h1.dim, h2.dim, hs.dim)} disagree "
-                          f"with the unitary layout {layout}")
+    dims = (h1.dim, h2.dim, hs.dim)
+    if math.prod(dims) != len(u_entries) or (layout is not None and layout != dims):
+        files = ", ".join(f"{_source(sources, key)} {params[key]}"
+                          for key in ("bath1", "bath2", "system"))
+        shape = f"dimension {len(u_entries)}" + (f" and layout {layout}" if layout else "")
+        raise ConfigError(f"{_source(sources, 'unitary')} {params['unitary']} has {shape}, "
+                          f"which the factor dimensions {dims} of {files} do not match")
     w_system = None
     if params.get("weighted_system"):
         w_system = _hermitian_file(params, sources, "weighted_system")
@@ -609,31 +615,28 @@ def _int_list(text: str) -> list[int]:
     return [int(x) for x in text.split(",")]
 
 
-def _row_lines(rows: Iterable, n_columns: int) -> Iterator[str]:
-    """series.csv lines of numeric rows, each value as %.17g (an int, the
-    design iteration, prints as str() prints it), as one string per
-    SERIES_CHUNK_ROWS rows, formatted by one %."""
-    row_format = ",".join(["%.17g"] * n_columns) + "\n"
-    rows = iter(rows)
-    while chunk := list(itertools.islice(rows, SERIES_CHUNK_ROWS)):
-        yield (row_format * len(chunk)) % tuple(itertools.chain.from_iterable(chunk))
+def _row_lines(series: np.ndarray) -> Iterator[str]:
+    """series.csv lines of the rows of the float array ``series``, each value
+    as %.17g, as one string per SERIES_CHUNK_ROWS rows, formatted by one %."""
+    row_format = ",".join(["%.17g"] * series.shape[1]) + "\n"
+    for start in range(0, len(series), SERIES_CHUNK_ROWS):
+        chunk = series[start : start + SERIES_CHUNK_ROWS]
+        yield (row_format * len(chunk)) % tuple(chunk.ravel().tolist())
 
 
-def _trace_lines(rows: Iterable, n_columns: int) -> Iterator[str]:
-    """``_row_lines`` of (iteration, cost) rows, formatting each run of
-    equal costs once: a walk's trace repeats its cost until the next
-    accepted move.  A zero is formatted on every row, since 0.0 == -0.0
-    but the two print differently."""
-    rows = iter(rows)
+def _trace_lines(trace: np.ndarray) -> Iterator[str]:
+    """series.csv lines "iteration,cost" of the 1-D cost array ``trace``, as
+    one string per SERIES_CHUNK_ROWS rows, formatting each run of equal costs
+    once: a walk's trace repeats its cost until the next accepted move.  A
+    zero is formatted on every row, since 0.0 == -0.0 but the two print
+    differently."""
     last = text = None
-    while True:
+    for start in range(0, len(trace), SERIES_CHUNK_ROWS):
         lines = []
-        for i, cost in itertools.islice(rows, SERIES_CHUNK_ROWS):
+        for i, cost in enumerate(trace[start : start + SERIES_CHUNK_ROWS].tolist(), start):
             if cost != last or not cost:
                 last, text = cost, "%.17g\n" % cost
             lines.append(f"{i},{text}")
-        if not lines:
-            return
         yield "".join(lines)
 
 
@@ -647,18 +650,19 @@ class ExperimentKind:
     The runner takes the parameters, the output directory and the
     ``sources`` of ``run_experiment``, which its refusals name inputs by.
     ``series_header`` is the first line of ``series.csv`` (``None`` when
-    the kind writes no series).  The runner's series rows are iterated
-    once, and only when ``series.csv`` is written, by ``series_lines``
-    (given the rows and the header's column count), which yields the
-    file's lines one SERIES_CHUNK_ROWS chunk at a time.
+    the kind writes no series).  The runner's series is one float array,
+    the one it already holds: a row per sample, a column per header entry,
+    or for ``design`` the 1-D cost trace, whose row number is the
+    iteration.  Only when ``series.csv`` is written does ``series_lines``
+    format it, one SERIES_CHUNK_ROWS slice at a time.
     """
 
-    runner: Callable[[dict, Path, dict], tuple[dict, dict, Iterable[list] | None]]
+    runner: Callable[[dict, Path, dict], tuple[dict, dict, np.ndarray | None]]
     help: str
     series_header: str | None
     params: dict[str, Callable[[str], object]]
     required: frozenset[str] = frozenset()
-    series_lines: Callable[[Iterable, int], Iterator[str]] = _row_lines
+    series_lines: Callable[[np.ndarray], Iterator[str]] = _row_lines
 
 
 KINDS = {
@@ -787,7 +791,7 @@ def run_experiment(
     series_path = None
     if write_series and series is not None:
         series_path = out_dir / "series.csv"
-        lines = spec.series_lines(series, spec.series_header.count(",") + 1)
+        lines = spec.series_lines(series)
         _write_new(series_path, itertools.chain((spec.series_header + "\n",), lines))
     return RunArtifact(
         report_path=str(report_path),
@@ -834,13 +838,14 @@ def _merge_params(args: argparse.Namespace) -> tuple[dict, dict]:
     if args.config:
         try:
             loaded = json.loads(Path(args.config).read_text())
-        except (OSError, json.JSONDecodeError) as err:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as err:
             raise ConfigError(f"cannot read config {args.config}: {err}") from err
         if not isinstance(loaded, dict):
             raise ConfigError(f"config {args.config} must hold a JSON object")
         kind = loaded.pop("kind", None)
         if kind is not None and kind != args.kind:
-            raise ConfigError(f"config kind {kind!r} does not match subcommand {args.kind!r}")
+            raise ConfigError(f"config {args.config}: kind {kind!r} does not match "
+                              f"subcommand {args.kind!r}")
         _validate_keys(loaded, allowed, args.config)
         params.update(loaded)
         sources = {key: f"{args.config}: {key}" for key in loaded}

@@ -31,13 +31,14 @@ Dense full-space matrices are assembled only for export
 (``build_interaction_hamiltonian``).
 
 ``evolve_cycle`` propagates the one 2x2 pair block over its fixed time
-grid on [0, tau] and takes every per-sample diagnostic from its
-amplitude rows in closed form (entanglement entropy, energy spread,
-Fubini-Study distance).  Sector weights and the charge gaps behind the
-commutator residuals are read from the member table.  A pair holds its
-source occupations with weight 1 - p(t) and its target ones with weight
-p(t), so each bath-energy trace is two weighted sums over the member
-table, broadcast over the grid by the transfer p(t).
+grid on [0, tau], holds its member probabilities to ``check_unit_sum``,
+and takes every per-sample diagnostic from its amplitude rows in closed
+form (entanglement entropy, energy spread, Fubini-Study distance).
+Sector weights and the charge gaps behind the commutator residuals are
+read from the member table.  A pair holds its source occupations with
+weight 1 - p(t) and its target ones with weight p(t), so each
+bath-energy trace is two weighted sums over the member table, broadcast
+over the grid by the transfer p(t).
 """
 
 from __future__ import annotations
@@ -291,9 +292,10 @@ class CycleReport:
     sectors); q1_ensemble, q2_ensemble are success-weighted.  Every trace
     is sampled on ``times``, the fixed grid on [0, tau], one entry (or
     row) per sample.  Each quantity is stored once: efficiency, power,
-    the ensemble heats, the Clausius and commutator residuals and the
-    partition functions are read-only properties computed from the
-    stored fields.  Residuals are maxima over the sampled grid.
+    the ensemble heats, the Clausius and commutator residuals, the
+    partition functions and the final system populations are read-only
+    properties computed from the stored fields.  Residuals are maxima
+    over the sampled grid.
     """
 
     beta1: float
@@ -319,7 +321,6 @@ class CycleReport:
     bath2_energy_trace: np.ndarray
     residual_energy_trace: np.ndarray
     residual_weighted_trace: np.ndarray
-    final_system_populations: np.ndarray
 
     def __post_init__(self):
         for value in vars(self).values():
@@ -364,6 +365,11 @@ class CycleReport:
     @property
     def partition_function2(self) -> float:
         return 1.0 / (1.0 - math.exp(-self.beta2 * self.omega2))
+
+    @property
+    def final_system_populations(self) -> np.ndarray:
+        """The system populations at tau, the last row of ``population_trace``."""
+        return self.population_trace[-1]
 
     @property
     def corrected_final_populations(self) -> np.ndarray:
@@ -427,14 +433,7 @@ def evolve_cycle(cfg: CompactEngineConfig) -> CycleReport:
     boundary_weight = float((1.0 - p1[0]) * p2[cfg.n_max2])
 
     amps = SpectralPropagator(pair_generator(cfg.g)).states(basis_state(2, 0), times)
-    norms = np.sqrt((amps.real**2 + amps.imag**2).sum(axis=1))
-    unit = np.abs(norms - 1.0) <= 1e-10  # a NaN norm fails too
-    if not unit.all():
-        k = np.flatnonzero(~unit)[0]
-        raise InvariantError(
-            f"state vector norm {float(norms[k])!r} at t = {float(times[k])!r} "
-            "differs from 1 by > 1e-10"
-        )
+    check_unit_sum(amps.real**2 + amps.imag**2, cfg.tau, "exchange pair")
     psi0 = StateVector(amps[0])
     off = np.abs(amps[:, 1])  # the only off-diagonal entries of U(t)
     transfer = off**2  # per-sector excited probability
@@ -503,7 +502,6 @@ def evolve_cycle(cfg: CompactEngineConfig) -> CycleReport:
         bath2_energy_trace=bath2_energy,
         residual_energy_trace=residual_energy_trace,
         residual_weighted_trace=residual_weighted_trace,
-        final_system_populations=population_trace[-1].copy(),
     )
 
 

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -212,6 +212,8 @@ class TestMatrixFiles:
         ("2\n1+0j 0+0j\n0+0j 1+0k\n", "unparsable entry in row 1"),
         ("1\n1+2J\n", "unparsable entry in row 0"),  # the format's unit is lower-case j
         ("0\n", "bad header '0'"),
+        ("", "empty matrix file"),
+        ("2.5\n1 0\n0 1\n", "bad header '2.5'"),
     ])
     def test_malformed_rows_named(self, tmp_path, body, message):
         path = tmp_path / "m.txt"
@@ -314,6 +316,8 @@ class TestMatrixFileParser:
     @example("3\n0+0j 0+0j\n0+0j 0+0j 0+0j 0+0j\n0+0j 0+0j 0+0j\n", True)  # a token moved
     @example("2\n0+0j -0+0j\n0-0j 0+0j\n", True)
     @example("2\n0+0j 0+0j\n0+0j 0+0j", True)
+    @example("2\n0+0j\x070+0j\n0+0j 0+0j\n", True)  # a control byte that is no blank
+    @example("2\n0+0j 0+0j\n0+0j 0+0k\n", True)  # a kept token that does not parse
     @settings(max_examples=300, deadline=None)
     def test_byte_pass_matches_row_parse(self, tmp_path_factory, text, gates_lifted):
         """The byte pass returns the per-row loadtxt entries to the byte, or the same error."""
@@ -481,7 +485,7 @@ class TestAbstractCycleCommand:
                      "--g", "0.05", "--n-max1", "4", "--n-max2", "4",
                      "--out", str(tmp_path / "o"), "--no-color"])
         assert code == 4
-        assert capsys.readouterr().err.startswith("internal error: state vector norm")
+        assert capsys.readouterr().err.startswith("internal error: level populations sum to")
         assert not (tmp_path / "o").exists()
 
     def test_seed_flag_rejected(self, tmp_path):
@@ -806,6 +810,153 @@ class TestEdgeValues:
             strict_json((work / "out" / "report.json").read_text())
 
 
+#: the corruptions of any file's bytes, and of a matrix file's rows, that the file fuzz applies
+BYTE_FAULTS = ("0xff byte", "control byte", "truncate")
+MATRIX_FAULTS = ("drop row", "duplicate row", "header dimension", "header layout", *BYTE_FAULTS)
+
+#: each file input of the file fuzz, by its key, and the corruptions it takes.  A
+#: "factor dimension" swaps in that factor file at another dimension and writes
+#: the unitary without its layout
+FILE_FAULTS = {
+    "unitary": MATRIX_FAULTS,
+    **{key: (*MATRIX_FAULTS, "factor dimension") for key in ("bath1", "bath2", "system")},
+    "design_in": (*BYTE_FAULTS, "design list", "drop entry", "mistype entry"),
+}
+
+#: the design-file entries and sections the file fuzz drops or mistypes
+DESIGN_ENTRIES = (("ansatz",), ("targets",), ("schedule",),
+                  ("ansatz", "v_coeffs"), ("ansatz", "b_coeffs"),
+                  ("targets", "f"), ("targets", "theta"),
+                  *((section, entry) for section, entry, _, _ in cli.DESIGN_SCALARS))
+
+#: values of the wrong type for any design-file entry
+WRONG_TYPES = ("text", None, True, 2.5, [0.5], [[0.5]], {"x": 1.0})
+
+#: matrix-file layouts the file fuzz writes into a header (one equal to the
+#: header's own leaves the file as it is, and is skipped)
+FUZZ_LAYOUTS = ((), (1,), (3,), (18,), (3, 3, 2), (2, 3, 3), (9, 2), (0, 3), (3, 1, 6))
+
+
+@st.composite
+def file_corruptions(draw):
+    """An input file of verify-slto or design, one corruption of it, a byte offset
+    or row it falls at and a pick among the corruption's variants."""
+    key = draw(st.sampled_from(sorted(FILE_FAULTS)))
+    fault = draw(st.sampled_from(FILE_FAULTS[key]))
+    return key, fault, draw(st.integers(0, 10**6)), draw(st.integers(0, 10**6))
+
+
+class TestFileInputFuzz:
+    """A verify-slto or design run whose input file carries one corruption
+    (a row dropped or duplicated, a header dimension or layout changed, a 0xff
+    or control byte put in, the file truncated, a factor file of another
+    dimension with no layout to compare, or a design file that is a list, or
+    that lacks or mistypes an entry) ends as a report (exit 0 or 1) that is
+    standard JSON, or a refusal (exit 2) that names the corrupted file by its
+    flag or path: no traceback, no warning, and no output directory on a
+    refusal.  The files start from a valid cutoff-2/2 export and a valid
+    20-iteration design file, made once.  400 examples take about 6 s."""
+
+    @pytest.fixture(scope="class")
+    def valid_files(self, tmp_path_factory) -> dict:
+        """The bytes of each valid input file, by its key."""
+        made = tmp_path_factory.mktemp("valid")
+        assert main(["abstract-cycle", "--beta1", "0.5", "--beta2", "1", "--omega1", "2",
+                     "--g", "0.1", "--n-max1", "2", "--n-max2", "2",
+                     "--export-matrices", str(made), "--out", str(made / "cycle"),
+                     "--no-color"]) == 0
+        assert main(["design", "--iterations", "20", "--n-fit", "4",
+                     "--out", str(made / "design"), "--no-color"]) == 0
+        names = {"unitary": "u_tau.txt", "bath1": "h_bath1.txt", "bath2": "h_bath2.txt",
+                 "system": "h_system.txt", "design_in": "design/design.json"}
+        return {key: (made / name).read_bytes() for key, name in names.items()}
+
+    @staticmethod
+    def corrupt_bytes(raw: bytes, fault: str, at: int, pick: int) -> bytes:
+        at %= len(raw)
+        if fault == "truncate":
+            return raw[:at]
+        return raw[:at] + (b"\xff" if fault == "0xff byte" else bytes([pick % 0x20])) + raw[at:]
+
+    @staticmethod
+    def corrupt_rows(raw: bytes, fault: str, at: int, pick: int) -> bytes:
+        header, *rows = raw.decode().splitlines()
+        dims = header.split()
+        if fault == "drop row":
+            del rows[at % len(rows)]
+        elif fault == "duplicate row":
+            rows.insert(at % len(rows), rows[at % len(rows)])
+        elif fault == "header dimension":
+            dims[0] = str(max(0, int(dims[0]) + (-2, -1, 1, 2)[pick % 4]))
+        elif fault == "header layout":
+            layout = FUZZ_LAYOUTS[pick % len(FUZZ_LAYOUTS)]
+            assume(list(layout) != [int(d) for d in dims[1:]])
+            dims[1:] = map(str, layout)
+        return "\n".join([" ".join(dims), *rows, ""]).encode()
+
+    @staticmethod
+    def corrupt_design(raw: bytes, fault: str, pick: int) -> bytes:
+        spec = json.loads(raw)
+        if fault == "design list":
+            return json.dumps(([spec], list(spec), [])[pick % 3]).encode()
+        path = DESIGN_ENTRIES[pick % len(DESIGN_ENTRIES)]
+        holder = spec if len(path) == 1 else spec[path[0]]
+        if fault == "drop entry":
+            holder.pop(path[-1], None)
+        else:
+            holder[path[-1]] = WRONG_TYPES[pick // len(DESIGN_ENTRIES) % len(WRONG_TYPES)]
+        return json.dumps(spec).encode()
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(file_corruptions())
+    # ansatz.v_coeffs and targets.theta as a JSON object (WRONG_TYPES[6])
+    @example(("design_in", "mistype entry", 0, 6 * len(DESIGN_ENTRIES) + 3))
+    @example(("design_in", "mistype entry", 0, 6 * len(DESIGN_ENTRIES) + 6))
+    # no layout, and a bath of dimension 4: (4, 3, 2) against 18
+    @example(("bath1", "factor dimension", 0, 1))
+    def test_corrupt_file_ends_in_a_report_or_a_refusal(self, tmp_path_factory, valid_files,
+                                                        corruption):
+        key, fault, at, pick = corruption
+        work = tmp_path_factory.mktemp("fuzz")
+        paths = {name: work / f"{name}.txt" for name in valid_files}
+        contents = dict(valid_files)
+        if fault in BYTE_FAULTS:
+            contents[key] = self.corrupt_bytes(contents[key], fault, at, pick)
+        elif fault == "factor dimension":
+            # the unitary without its layout, and this factor at another dimension
+            header, body = contents["unitary"].split(b"\n", 1)
+            contents["unitary"] = header.split()[0] + b"\n" + body
+            dim = int(contents[key].split()[0]) + (-1, 1, 2)[pick % 3]
+            contents[key] = "".join(bytescan.matrix_lines(
+                np.diag(np.arange(float(max(dim, 1)))).astype(complex))).encode()
+        elif key == "design_in":
+            contents[key] = self.corrupt_design(contents[key], fault, pick)
+        else:
+            contents[key] = self.corrupt_rows(contents[key], fault, at, pick)
+        for name, raw in contents.items():
+            paths[name].write_bytes(raw)
+        if key == "design_in":
+            argv = ["design", "--design-in", str(paths["design_in"])]
+        else:
+            argv = ["verify-slto", "--beta1", "0.5", "--beta2", "1",
+                    *(x for name in ("unitary", "bath1", "bath2", "system")
+                      for x in (f"--{name}", str(paths[name])))]
+        out, err = io.StringIO(), io.StringIO()
+        with (warnings.catch_warnings(record=True) as caught,
+              contextlib.redirect_stdout(out), contextlib.redirect_stderr(err)):
+            warnings.simplefilter("always")
+            code = main([*argv, "--out", str(work / "out"), "--no-color"])
+        assert code in (0, 1, 2), err.getvalue()
+        assert "Traceback" not in out.getvalue() + err.getvalue()
+        assert [str(w.message) for w in caught] == []
+        if code == 2:
+            assert not (work / "out").exists()
+            named = f"--{key.replace('_', '-')} ", str(paths[key])
+            assert any(name in err.getvalue() for name in named), err.getvalue()
+        else:
+            strict_json((work / "out" / "report.json").read_text())
+
+
 #: how a cycle's refusal names each quantity that overflows, as a regular expression
 POWER = re.escape("power 2*g*(omega1 - omega2)/pi")
 ENERGY = re.escape("largest level energy n_max1*omega1 + n_max2*omega2 + a1")
@@ -863,6 +1014,45 @@ class TestUsageErrors:
     def test_no_output_directory_on_a_usage_error(self, tmp_path, argv):
         assert main([*argv, "--out", str(tmp_path / "o"), "--no-color"]) == 2
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("content, message", [
+        (None, "cannot read config {path}: [Errno 2] No such file or directory"),
+        (b'{"g": \xff}', "cannot read config {path}: 'utf-8' codec can't decode byte 0xff "
+                         "in position 6: invalid start byte"),
+        (b"[0.5, 1.0]", "config {path} must hold a JSON object"),
+        (b'{"kind": "design"}',
+         "config {path}: kind 'design' does not match subcommand 'abstract-cycle'"),
+    ])
+    def test_unusable_config_file_named(self, tmp_path, capsys, content, message):
+        path = tmp_path / "cfg.json"
+        if content is not None:
+            path.write_bytes(content)
+        code = main(["abstract-cycle", *REQUIRED_FLAGS["abstract-cycle"], "--config", str(path),
+                     "--out", str(tmp_path / "o"), "--no-color"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: " + message.format(path=path)) and err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
+
+    def test_output_under_a_regular_file_is_an_io_error(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("kept")
+        code = main(["abstract-cycle", *REQUIRED_FLAGS["abstract-cycle"], "--series",
+                     "--out", str(blocker / "o"), "--no-color"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err.startswith("i/o error: ") and str(blocker) in captured.err
+        assert blocker.read_text() == "kept"
+        assert list(tmp_path.iterdir()) == [blocker]
+
+    def test_json_report_echoes_the_report(self, tmp_path, capsys):
+        assert main(["abstract-cycle", *REQUIRED_FLAGS["abstract-cycle"], "--json-report",
+                     "--out", str(tmp_path), "--no-color"]) == 0
+        report = tmp_path / "report.json"
+        # the check lines, the report's path, then the report as report.json holds it
+        echoed = capsys.readouterr().out.split(f"report: {report}\n", 1)[1]
+        assert echoed == report.read_text()
 
     def test_delta_sweep_sector_cap_before_any_profile(self, tmp_path, capsys, monkeypatch):
         def unreachable(cfg):
@@ -1686,6 +1876,38 @@ class TestVerifySltoCommand:
                      "--out", str(tmp_path / "o")])
         assert code == 2
 
+    @pytest.mark.parametrize("dim, layout, bath", [
+        (20, None, 3),  # 3 x 3 x 2 = 18, and no layout to compare with
+        (50, None, 2),  # 2 x 2 x 2 = 8
+        (50, (5, 2, 5), 5),  # 5 x 5 x 2 = 50, in another order than the layout
+    ])
+    def test_factor_dimensions_checked_with_or_without_a_layout(self, tmp_path, capsys,
+                                                                dim, layout, bath):
+        d = tmp_path / "mats"
+        d.mkdir()
+        write_matrix_file(d / "u.txt", np.eye(dim, dtype=complex), layout)
+        write_matrix_file(d / "h1.txt", np.diag(np.arange(float(bath))).astype(complex))
+        write_matrix_file(d / "h2.txt", np.diag(np.arange(float(bath))).astype(complex))
+        write_matrix_file(d / "hs.txt", np.diag([0.0, 1.0]).astype(complex))
+        code = main(self.verify_args(d, "u.txt", tmp_path / "o"))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: --unitary {d / 'u.txt'} has dimension {dim}")
+        for flag, name in (("--bath1", "h1.txt"), ("--bath2", "h2.txt"),
+                           ("--system", "hs.txt")):
+            assert f"{flag} {d / name}" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    def test_factor_product_refused_by_api(self):
+        """The library refuses factors that do not multiply to U's dimension by itself."""
+        with pytest.raises(ShapeError,
+                           match=re.escape("factors (3, 3, 2) do not multiply to the "
+                                           "unitary dim 20")):
+            verify_slto(Operator(np.eye(20)), Operator(np.diag([0.0, 1.0, 2.0])),
+                        Operator(np.diag([0.0, 1.0, 2.0])), Operator(np.diag([0.0, 1.0])),
+                        0.5, 1.0)
+
     def test_non_positive_layout_factor_named(self, tmp_path, engine_matrices, capsys):
         cfg, d = engine_matrices
         (d / "bad.txt").write_text("4 -2 -2\n" + "1+0j 0+0j 0+0j 0+0j\n" * 4)
@@ -2402,8 +2624,10 @@ class TestRunExperimentApi:
         _, _, series = KINDS[kind].runner(params, tmp_path / "direct", {})
         artifact = run_experiment(kind, params, tmp_path / "run", write_series=True)
         lines = Path(artifact.series_path).read_text().splitlines()
+        # the design series is its cost trace, whose row number is the iteration
+        rows = enumerate(series.tolist()) if series.ndim == 1 else series.tolist()
         expected = [",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row)
-                    for row in series]
+                    for row in rows]
         assert lines[1:] == expected
 
     @pytest.mark.parametrize("kind, params, build", [
@@ -2450,8 +2674,8 @@ class TestRunExperimentApi:
 
     def test_design_runs_straddling_chunks_print_as_rows(self, tmp_path, monkeypatch):
         params = {"iterations": 120, "seed": 2}
-        _, _, series = KINDS["design"].runner(params, tmp_path / "direct", {})
-        rows = list(series)
+        _, _, trace = KINDS["design"].runner(params, tmp_path / "direct", {})
+        rows = list(enumerate(trace.tolist()))
         costs = [cost for _, cost in rows]
         # some run of equal costs crosses a 7-row chunk edge
         assert any(costs[k - 1] == costs[k] for k in range(7, len(costs), 7))
@@ -2461,31 +2685,33 @@ class TestRunExperimentApi:
         assert Path(artifact.series_path).read_text() == expected
 
     def test_trace_lines_do_not_share_a_text_across_signed_zeros(self):
-        rows = [(0, 1.5), (1, 1.5), (2, 0.0), (3, -0.0), (4, -0.0), (5, 0.0), (6, 0.0),
-                (7, math.nan), (8, math.nan), (9, 0.25)]
-        text = "".join(cli._row_lines(rows, 2))
-        assert "".join(cli._trace_lines(iter(rows), 2)) == text
+        costs = np.array([1.5, 1.5, 0.0, -0.0, -0.0, 0.0, 0.0, math.nan, math.nan, 0.25])
+        rows = np.column_stack([np.arange(len(costs)), costs])
+        text = "".join(cli._row_lines(rows))
+        assert "".join(cli._trace_lines(costs)) == text
         assert text.splitlines(keepends=True)[2:7] == ["2,0\n", "3,-0\n", "4,-0\n", "5,0\n",
                                                       "6,0\n"]
 
     def test_long_series_is_not_held_as_one_string(self, tmp_path, monkeypatch):
         n_rows = 200_000
-
-        def long_series(params, out_dir, sources):
-            return {}, {}, ([i, i * 0.1] for i in range(n_rows))
-
-        monkeypatch.setitem(KINDS, "design", dataclasses.replace(KINDS["design"],
-                                                                 runner=long_series))
-        tracemalloc.start()
-        try:
-            artifact = run_experiment("design", {}, tmp_path, write_series=True)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        size = os.path.getsize(artifact.series_path)
-        assert size > 4_000_000
-        # the whole series as one string (plus its rows' strings) would take several times this
-        assert peak < size / 4
+        costs = np.arange(n_rows) * 0.1
+        # the same rows as an (iteration, cost) table and as the design trace
+        for writer, series in ((cli._row_lines, np.column_stack([np.arange(n_rows), costs])),
+                               (cli._trace_lines, costs)):
+            monkeypatch.setitem(KINDS, "design", dataclasses.replace(
+                KINDS["design"], series_lines=writer,
+                runner=lambda params, out_dir, sources, series=series: ({}, {}, series)))
+            tracemalloc.start()
+            try:
+                artifact = run_experiment("design", {}, tmp_path, write_series=True)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            size = os.path.getsize(artifact.series_path)
+            assert size > 4_000_000
+            # the whole series as one string (plus its rows' strings) would take several
+            # times this
+            assert peak < size / 4, writer.__name__
 
     def test_artifact_paths(self, tmp_path):
         artifact = run_experiment(

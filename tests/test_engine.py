@@ -430,9 +430,12 @@ class TestEvolveCycle:
                 return amps
 
         monkeypatch.setattr(engine, "SpectralPropagator", Drifting)
+        cfg = small_config()
+        first = float(np.linspace(0.0, cfg.tau, engine.DEFAULT_GRID_POINTS)[1])
         with pytest.raises(engine.InvariantError,
-                           match=r"norm .* at t = .* differs from 1 by > 1e-10"):
-            evolve_cycle(small_config())
+                           match=rf"populations sum to .* at t = {re.escape(repr(first))} "
+                                 r"\(exchange pair\), not 1 within 1e-10"):
+            evolve_cycle(cfg)
 
     def test_degenerate_equal_temperature_cycle(self):
         cfg = small_config(beta1=1.0, beta2=1.0, omega1=1.0)
@@ -533,7 +536,7 @@ class TestCycleAgainstLoopOracle:
     #: the quantities CycleReport computes from its fields rather than stores
     PROPERTIES = ("q1_ensemble", "q2_ensemble", "eta", "power", "clausius_residual",
                   "commutator_residual_energy", "commutator_residual_weighted",
-                  "partition_function1", "partition_function2")
+                  "partition_function1", "partition_function2", "final_system_populations")
 
     @pytest.mark.parametrize("cutoffs", [(0, 3), (4, 4), (11, 7), (40, 40)])
     def test_every_field_equals_the_loop(self, cutoffs):
